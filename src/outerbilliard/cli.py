@@ -75,6 +75,8 @@ class RunConfig:
             raise ValueError("tolerances must be positive")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
+        if self.workers < 1:
+            raise ValueError("--workers must be at least 1")
 
     def echo(self) -> dict:
         # workers deliberately not echoed: reports must be byte-identical
@@ -156,11 +158,11 @@ def cmd_verify(curve, cfg: RunConfig, out):
 
 
 def cmd_twist_scan(curve, cfg: RunConfig, out):
-    scan = generating.twist_scan(curve, cfg.phi_grid, cfg.t_grid, cfg.t_max)
     if cfg.out_format == "csv":
         pm, tm, d = generating.derivative_table(curve, cfg.phi_grid, cfg.t_grid, cfg.t_max)
         generating.write_derivative_csv(out, pm, tm, d)
         return EXIT_OK
+    scan = generating.twist_scan(curve, cfg.phi_grid, cfg.t_grid, cfg.t_max)
     doc = {"max_s12": scan.max_s12, "phi_at_max": scan.phi_at_max,
            "t_at_max": scan.t_at_max, "twist_negative": scan.max_s12 < 0.0,
            "config": cfg.echo()}

@@ -165,11 +165,6 @@ class ConvexCurve:
         x, y = self.point(uniform_angles(1024))
         return float(np.hypot(x.max() - x.min(), y.max() - y.min()))
 
-    @cached_property
-    def max_radius(self) -> float:
-        r, _, _ = self.radius(uniform_angles(1024))
-        return float(r.max())
-
 
 # -- constructors ----------------------------------------------------------
 

@@ -14,6 +14,7 @@ closed form in the curve data at the chord (no chart inversion needed).
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -316,7 +317,9 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
     elif workers > 1:
         complete = True
         jobs = [(curve, cp, ctt, n_max, zero_tol) for cp, ctt in chunks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # one process per chunk at most, and no more than the machine has cores
+        n_proc = min(workers, len(chunks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=n_proc) as pool:
             results = list(pool.map(_scan_chunk_worker, jobs))
     else:
         complete = True

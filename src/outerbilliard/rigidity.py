@@ -87,7 +87,12 @@ def integrand(curve: ConvexCurve, phi: float, t: float) -> IntegrandSample:
     total, f1, f2, f3 = _integrand_arrays(
         curve, np.asarray(phi, dtype=float), np.asarray(t, dtype=float))
     total, f1, f2, f3 = float(total), float(f1), float(f2), float(f3)
-    assert abs(f1 + f2 + f3 - total) <= 1e-10 * max(1.0, abs(total))
+    residual = abs(f1 + f2 + f3 - total)
+    if not residual <= 1e-10 * max(1.0, abs(total)):      # a NaN fails too
+        raise ConvergenceError(
+            f"integrand split f1 + f2 + f3 misses the assembled total {total:.17g} "
+            f"by {residual:.3g} at phi={float(phi):.17g}, t={float(t):.17g}",
+            residual=residual)
     return IntegrandSample(phi=float(phi), t=float(t), f1=f1, f2=f2, f3=f3,
                            total=total)
 

@@ -1,0 +1,122 @@
+"""Chord-step kernels against a 40-digit mpmath root.
+
+The reference rebuilds the chord head B = gamma(phi_m) + d t gamma'(phi_m)
+from closed-form r, r', r'' written here in mpmath, isolates the tangency
+root of cross(gamma'(psi), B - gamma(psi)) on the half-turn after arg B
+(before it for d = -1) by bisection and polishes it by Newton, all at 40
+digits.  Nothing is shared with the package beyond the curve constructors.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import outerbilliard as ob
+from outerbilliard import dynamics
+
+mp = pytest.importorskip("mpmath").mp
+
+
+def _circle(radius):
+    def f(p):
+        return mp.mpf(radius), mp.mpf(0), mp.mpf(0)
+    return f
+
+
+def _ellipse(a, b):
+    a, b = mp.mpf(a), mp.mpf(b)
+
+    def f(p):
+        d = b * b * mp.cos(p) ** 2 + a * a * mp.sin(p) ** 2
+        dp = (a * a - b * b) * mp.sin(2 * p)
+        dpp = 2 * (a * a - b * b) * mp.cos(2 * p)
+        return (a * b / mp.sqrt(d),
+                -a * b * dp / (2 * d ** 1.5),
+                3 * a * b * dp ** 2 / (4 * d ** 2.5) - a * b * dpp / (2 * d ** 1.5))
+    return f
+
+
+def _cosine_series(a0, cos):
+    def f(p):
+        r, r1, r2 = mp.mpf(a0), mp.mpf(0), mp.mpf(0)
+        for k, c in enumerate(cos, 1):
+            c = mp.mpf(c)
+            r += c * mp.cos(k * p)
+            r1 -= k * c * mp.sin(k * p)
+            r2 -= k * k * c * mp.cos(k * p)
+        return r, r1, r2
+    return f
+
+
+@mp.workdps(40)
+def _reference(rfun, phi_m, t, d):
+    """(psi, t_new) of the next (d = +1) or previous (d = -1) chord, 40 digits."""
+    phi_m, t = mp.mpf(phi_m), mp.mpf(t)
+    r, r1, _ = rfun(phi_m)
+    c, s = mp.cos(phi_m), mp.sin(phi_m)
+    bx = r * c + d * t * (r1 * c - r * s)
+    by = r * s + d * t * (r1 * s + r * c)
+
+    def g_and_slope(p):
+        r, r1, r2 = rfun(p)
+        c, s = mp.cos(p), mp.sin(p)
+        ex, ey = bx - r * c, by - r * s
+        g = (r1 * c - r * s) * ey - (r1 * s + r * c) * ex
+        gp = ((r2 - r) * c - 2 * r1 * s) * ey - ((r2 - r) * s + 2 * r1 * c) * ex
+        return g, gp
+
+    phi_b = mp.atan2(by, bx)
+    lo, hi = (phi_b, phi_b + mp.pi) if d > 0 else (phi_b - mp.pi, phi_b)
+    sign_lo = mp.sign(g_and_slope(lo)[0])
+    for _ in range(24):
+        mid = (lo + hi) / 2
+        if mp.sign(g_and_slope(mid)[0]) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    psi = (lo + hi) / 2
+    for _ in range(8):
+        g, gp = g_and_slope(psi)
+        psi -= g / gp
+    assert lo - mp.mpf("1e-20") <= psi <= hi + mp.mpf("1e-20")
+    assert abs(g_and_slope(psi)[0]) < mp.mpf("1e-30")
+    r, r1, _ = rfun(psi)
+    t_new = mp.hypot(bx - r * mp.cos(psi), by - r * mp.sin(psi)) / mp.hypot(r, r1)
+    return psi, t_new
+
+
+CURVES = {
+    "circle": (ob.circle(1.0), _circle(1.0)),
+    "ellipse21": (ob.ellipse(2.0, 1.0), _ellipse(2.0, 1.0)),
+    "wobbly": (ob.fourier(1.0, cos=[0.0, 0.0, 0.05]), _cosine_series(1.0, [0.0, 0.0, 0.05])),
+    "ellipse51": (ob.ellipse(5.0, 1.0), _ellipse(5.0, 1.0)),
+}
+
+# (curve, smallest t, budget on psi and on t_new / max(1, t))
+BUDGETS = [(name, 1e-2, 5e-13) for name in ("circle", "ellipse21", "wobbly")] \
+    + [(name, 1e-3, 5e-12) for name in ("circle", "ellipse21", "wobbly")] \
+    + [("ellipse51", 1e-3, 1e-11)]
+
+
+def _samples(t_min, seed, n=16):
+    rng = np.random.default_rng(seed)
+    phi = np.concatenate([[0.0, 0.5 * math.pi], rng.uniform(0.0, 2.0 * math.pi, n - 2)])
+    t = np.concatenate([[t_min, 3.0], np.exp(rng.uniform(math.log(t_min), math.log(3.0), n - 2))])
+    return phi, t
+
+
+@pytest.mark.parametrize("name,t_min,budget", BUDGETS)
+@pytest.mark.parametrize("direction", [1, -1])
+def test_chord_kernels_match_mpmath_root(name, t_min, budget, direction):
+    curve, rfun = CURVES[name]
+    phi, t = _samples(t_min, seed=len(name) + int(-math.log10(t_min)))
+    batch_psi, batch_t = dynamics.chord_step_batch(curve, phi, t, direction)
+    for i in range(phi.size):
+        psi_ref, t_ref = _reference(rfun, float(phi[i]), float(t[i]), direction)
+        scalar = dynamics.chord_step_scalar(curve, float(phi[i]), float(t[i]), direction)
+        for psi, t_new in ((float(batch_psi[i]), float(batch_t[i])), scalar):
+            psi_err = abs(math.remainder(float(psi - psi_ref), 2.0 * math.pi))
+            t_err = abs(float(t_new - t_ref)) / max(1.0, float(t[i]))
+            assert psi_err <= budget, (phi[i], t[i], psi_err)
+            assert t_err <= budget, (phi[i], t[i], t_err)

@@ -158,6 +158,24 @@ def test_twist_scan_csv_table(circle_file, tmp_path):
     assert len(lines) == 64 * 64 + 1
 
 
+def test_twist_scan_csv_skips_the_scan(circle_file, tmp_path, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("twist_scan is not needed for the CSV table")
+
+    monkeypatch.setattr(generating, "twist_scan", no_scan)
+    out = tmp_path / "table.csv"
+    assert run(["--curve", circle_file, "--cmd", "twist-scan", "--format", "csv",
+                "--phi-grid", "64", "--t-grid", "64", "--out", str(out)]) == 0
+
+
+def test_workers_below_one_exit_2(wobbly_file, capsys):
+    for bad in ("0", "-3"):
+        assert run(["--curve", wobbly_file, "--cmd", "conjugate-scan",
+                    "--workers", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--workers" in err
+
+
 def test_portrait(circle_file, tmp_path):
     out = tmp_path / "portrait.csv"
     assert run(["--curve", circle_file, "--cmd", "portrait", "--steps", "5",

@@ -159,6 +159,18 @@ def test_chord_step_batch_matches_scalar(presets):
             assert st == pytest.approx(float(bt[i]), abs=1e-12)
 
 
+def test_ellipse_orbit_is_an_exact_rotation_near_the_curve(ellipse21):
+    # scaled to a unit circle, each step turns the point at radius rho by
+    # exactly 2 acos(1/rho); at t = 1e-3 the tangency polish must not stop
+    # on a small residual, since g' = O(t) there
+    for phi0 in (0.0, 0.7):
+        pts = ob.orbit(ellipse21, dynamics.chord_tail_point(ellipse21, phi0, 1e-3), 500)
+        for p, q in zip(pts, pts[1:]):
+            x0, y0, x1, y1 = p.x / 2.0, p.y, q.x / 2.0, q.y
+            turn = (math.atan2(y1, x1) - math.atan2(y0, x0)) % TWO_PI
+            assert abs(turn - 2.0 * math.acos(1.0 / math.hypot(x0, y0))) < 1e-10
+
+
 def test_chord_step_round_trip(presets):
     rng = np.random.default_rng(29)
     for curve in presets.values():

@@ -170,6 +170,35 @@ def test_grid_scan_workers_bitwise_identical(wobbly3):
     assert [r.n_conjugate for r in one.rows] == [r.n_conjugate for r in four.rows]
 
 
+def test_grid_scan_worker_count_is_bounded(wobbly3, monkeypatch):
+    seen = []
+
+    class RecordingPool:
+        """Stand-in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(jacobi, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 8)
+    # 2 chunks of 256 seeds: never more processes than chunks
+    ob.conjugate_grid_scan(wobbly3, phi_count=32, t_count=16, n_max=3, workers=1000)
+    # 16 chunks: no more processes than cores, and an unknown core count is one
+    ob.conjugate_grid_scan(wobbly3, phi_count=64, t_count=64, n_max=3, workers=1000)
+    monkeypatch.setattr(jacobi.os, "cpu_count", lambda: None)
+    ob.conjugate_grid_scan(wobbly3, phi_count=32, t_count=16, n_max=3, workers=4)
+    assert seen == [2, 8, 1]
+
+
 def test_hopf_circle(unit_circle, circle_seed):
     om = ob.hopf_omega(unit_circle, circle_seed)
     assert om.converged and om.minimizing

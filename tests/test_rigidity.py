@@ -247,3 +247,13 @@ def test_json_serialization_format():
     assert '"a": 0.33333333333333331' in text
     assert text == serialize.dumps(doc)
     assert text.endswith("}\n")
+
+
+def test_integrand_rejects_inconsistent_split(unit_circle, monkeypatch):
+    def broken(curve, phi, t):
+        return np.float64(1.0), np.float64(0.5), np.float64(0.25), np.float64(0.0)
+
+    monkeypatch.setattr(rigidity, "_integrand_arrays", broken)
+    with pytest.raises(ob.ConvergenceError) as exc:
+        rigidity.integrand(unit_circle, 0.0, 1.0)
+    assert exc.value.residual == pytest.approx(0.25)
