@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid curve or usage,
 
 import argparse
 import contextlib
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -98,6 +99,8 @@ _DEFAULTS = {
 
 
 def make_config(args) -> RunConfig:
+    if args.seed is not None and not all(map(math.isfinite, args.seed)):
+        raise ValueError(f"--seed must be finite, got {args.seed[0]!r} {args.seed[1]!r}")
     d = _DEFAULTS[args.cmd]
     return RunConfig(
         command=args.cmd,

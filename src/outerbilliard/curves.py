@@ -154,16 +154,21 @@ class ConvexCurve:
 
     def sample(self, phi):
         r, r1, r2 = self.radius(phi)
-        chi = r * r + 2.0 * r1 * r1 - r * r2
+        k = chi(r, r1, r2)
         rp2 = r * r + r1 * r1
-        return CurveSample(phi=phi, r=r, r_prime=r1, r_second=r2, chi=chi,
-                           curvature=chi * rp2 ** -1.5,
+        return CurveSample(phi=phi, r=r, r_prime=r1, r_second=r2, chi=k,
+                           curvature=k * rp2 ** -1.5,
                            arc_element=np.sqrt(rp2))
 
     @cached_property
     def diameter(self) -> float:
         x, y = self.point(uniform_angles(1024))
         return float(np.hypot(x.max() - x.min(), y.max() - y.min()))
+
+
+def chi(r, rp, rpp):
+    """Curvature numerator r^2 + 2 r'^2 - r r'' in polar form, on floats or arrays."""
+    return r * r + 2.0 * rp * rp - r * rpp
 
 
 # -- constructors ----------------------------------------------------------
@@ -203,24 +208,24 @@ def validate(curve: ConvexCurve, grid_size: int = VALIDATION_GRID,
              chi_min: float = CHI_MIN_DEFAULT) -> CurveValidation:
     """Grid check of r > 0 and chi > chi_min (strict convexity).
 
-    chi = r^2 + 2 r'^2 - r r'' is the curvature numerator in polar form; it
-    must stay strictly positive for everything downstream to make sense.
+    The curvature numerator chi must stay strictly positive for everything
+    downstream to make sense.
     """
     if grid_size < 256:
         raise ValueError("grid_size must be at least 256")
     phi = uniform_angles(grid_size)
     r, r1, r2 = curve.radius(phi)
-    chi = r * r + 2.0 * r1 * r1 - r * r2
-    i_r, i_chi = int(np.argmin(r)), int(np.argmin(chi))
-    ok = bool(r[i_r] > 0.0 and np.isfinite(r).all() and chi[i_chi] > chi_min)
+    k = chi(r, r1, r2)
+    i_r, i_chi = int(np.argmin(r)), int(np.argmin(k))
+    ok = bool(r[i_r] > 0.0 and np.isfinite(r).all() and k[i_chi] > chi_min)
     msg = ""
     if not ok:
         if not (r[i_r] > 0.0 and np.isfinite(r).all()):
             msg = f"radial function not strictly positive: r({phi[i_r]:.6f}) = {r[i_r]:.6g}"
         else:
             msg = (f"curvature numerator below threshold: chi({phi[i_chi]:.6f}) = "
-                   f"{chi[i_chi]:.6g} <= {chi_min:g}")
-    return CurveValidation(ok=ok, min_r=float(r[i_r]), min_chi=float(chi[i_chi]),
+                   f"{k[i_chi]:.6g} <= {chi_min:g}")
+    return CurveValidation(ok=ok, min_r=float(r[i_r]), min_chi=float(k[i_chi]),
                            phi_at_min_r=float(phi[i_r]), phi_at_min_chi=float(phi[i_chi]),
                            grid_size=grid_size, message=msg)
 

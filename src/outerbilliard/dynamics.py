@@ -12,9 +12,9 @@ in the open half-turn (phi_A, phi_A + pi) and cross(gamma', A - gamma)
 changes sign exactly once there (twice-tangent property of convex curves),
 which gives an exact bracket for root isolation.
 
-The point map (step, inverse_step, tangency) isolates that root on a grid,
-bisects, and polishes by Newton until the step is at round-off.  The chord
-chart (chord_step_scalar, chord_step_batch), which drives the Jacobi and
+The point map (step, inverse_step, tangency) bisects that bracket and
+polishes by Newton until the step is at round-off.  The chord chart
+(chord_step_scalar, chord_step_batch), which drives the Jacobi and
 conjugate-point machinery, steps from chord to chord on one fixed schedule:
 N_BISECT bisections, then N_NEWTON Newton steps with the incoming chord's
 tangency deflated out, 14 radius evaluations per step.
@@ -32,7 +32,6 @@ CCW = "ccw"
 CW = "cw"
 
 NEAR_BOUNDARY_T = 1e-8
-TANGENCY_GRID = 512
 BISECT_WIDTH = 1e-8       # bisection hand-off width before Newton polish
 STEP_TOL = 4e-16          # Newton polish stops once its step is at round-off
 N_BISECT = 8              # chord-step schedule: bisections of the half-turn bracket,
@@ -71,7 +70,7 @@ def phase_point(curve: ConvexCurve, x: float, y: float) -> PhasePoint:
     rho = math.hypot(dx, dy)
     phi = math.atan2(dy, dx)
     r, _, _ = curve.radius_scalar(phi)
-    if rho <= r:
+    if not rho > r:       # a NaN fails too
         raise InsideCurveError(
             f"point ({x:.6g}, {y:.6g}) is not strictly outside the curve "
             f"(rho={rho:.6g}, r(phi)={r:.6g})")
@@ -87,49 +86,28 @@ def phase_point_polar(curve: ConvexCurve, p: float, phi: float) -> PhasePoint:
 
 # -- tangency root ------------------------------------------------------------
 
-def _tangency_root(curve: ConvexCurve, ax: float, ay: float, direction: int,
-                   grid: int = TANGENCY_GRID):
-    """Tangency angle from an origin-relative exterior point (ax, ay).
+def _tangency_root(curve: ConvexCurve, ax: float, ay: float, direction: int):
+    """Tangency angle, chord parameter and origin-relative tangency point
+    (psi, t, gx, gy) from an origin-relative exterior point (ax, ay).
 
     direction=+1 picks the forward (t > 0) branch in (phi_A, phi_A + pi),
-    direction=-1 the mirrored branch in (phi_A - pi, phi_A).  Sign-change
-    isolation on a grid over the half-turn, bisection to width 1e-8, then
+    direction=-1 the mirrored branch in (phi_A - pi, phi_A).  Bisection of
+    that half-turn, whose end signs are known, to width BISECT_WIDTH, then
     Newton on cross(gamma', A - gamma) until its step is at round-off or
     stops shrinking.
     """
     phi_a = math.atan2(ay, ax)
     if direction > 0:
-        lo, hi = phi_a, phi_a + math.pi
+        blo, bhi = phi_a, phi_a + math.pi
         sign_lo = -1.0
     else:
-        lo, hi = phi_a - math.pi, phi_a
+        blo, bhi = phi_a - math.pi, phi_a
         sign_lo = 1.0
-
-    def g_scalar(psi):
-        r, r1, _ = curve.radius_scalar(psi)
-        c, s = math.cos(psi), math.sin(psi)
-        gx, gy = r * c, r * s
-        tx, ty = r1 * c - r * s, r1 * s + r * c
-        return tx * (ay - gy) - ty * (ax - gx)
-
-    # grid isolation inside the half-turn (endpoint signs are known exactly)
-    psis = lo + (hi - lo) * np.arange(1, grid) / grid
-    r, r1, _ = curve.radius(psis)
-    c, s = np.cos(psis), np.sin(psis)
-    gvals = (r1 * c - r * s) * (ay - r * s) - (r1 * s + r * c) * (ax - r * c)
-    signs = np.concatenate([[sign_lo], np.sign(gvals), [-sign_lo]])
-    flips = np.nonzero(signs[:-1] * signs[1:] <= 0)[0]
-    if flips.size == 0:
-        raise TangencyError("tangency bracketing failed (grid too coarse?)")
-    cell = int(flips[0])
-    edges = np.concatenate([[lo], psis, [hi]])
-    blo, bhi = float(edges[cell]), float(edges[cell + 1])
-    glo = sign_lo if cell == 0 else float(gvals[cell - 1])
-
     while bhi - blo > BISECT_WIDTH:
         mid = 0.5 * (blo + bhi)
-        gm = g_scalar(mid)
-        if gm * glo > 0.0:
+        r, r1, _ = curve.radius_scalar(mid)
+        c, s = math.cos(mid), math.sin(mid)
+        if ((r1 * c - r * s) * (ay - r * s) - (r1 * s + r * c) * (ax - r * c)) * sign_lo > 0.0:
             blo = mid
         else:
             bhi = mid
@@ -156,27 +134,29 @@ def _tangency_root(curve: ConvexCurve, ax: float, ay: float, direction: int,
         last = size
     r, r1, _ = curve.radius_scalar(psi)
     cp, sp = math.cos(psi), math.sin(psi)
-    dx, dy = ax - r * cp, ay - r * sp
-    t = math.hypot(dx, dy) / math.hypot(r1 * cp - r * sp, r1 * sp + r * cp)
-    return psi, t
+    gx, gy = r * cp, r * sp
+    t = math.hypot(ax - gx, ay - gy) / math.hypot(r1 * cp - r * sp, r1 * sp + r * cp)
+    if not (math.isfinite(psi) and math.isfinite(t)):
+        raise TangencyError(f"tangency solve gave psi={psi!r}, t={t!r} for the point "
+                            f"({ax:.6g}, {ay:.6g}) relative to the origin")
+    return psi, t, gx, gy
 
 
-def tangency(curve: ConvexCurve, a: PhasePoint, orientation: str = CCW,
-             grid: int = TANGENCY_GRID) -> TangencyResult:
+def tangency(curve: ConvexCurve, a: PhasePoint, orientation: str = CCW) -> TangencyResult:
     """Forward tangency point and chord parameter for an exterior point."""
     sign = _orientation_sign(orientation)
     ax, ay = a.x - curve.origin[0], a.y - curve.origin[1]
     _require_exterior(curve, ax, ay)
-    psi, t = _tangency_root(curve, ax, ay, sign, grid)
-    mx, my = curve.point(psi)
-    return TangencyResult(phi_m=psi, t=t, point=PlanePoint(float(mx), float(my)),
+    psi, t, gx, gy = _tangency_root(curve, ax, ay, sign)
+    return TangencyResult(phi_m=psi, t=t,
+                          point=PlanePoint(curve.origin[0] + gx, curve.origin[1] + gy),
                           near_boundary=t < NEAR_BOUNDARY_T)
 
 
 def _require_exterior(curve: ConvexCurve, ax: float, ay: float):
     rho = math.hypot(ax, ay)
     r, _, _ = curve.radius_scalar(math.atan2(ay, ax))
-    if rho <= r:
+    if not rho > r:       # a NaN fails too
         raise InsideCurveError(
             f"phase point at rho={rho:.6g} is not strictly outside (r={r:.6g})")
 
@@ -192,9 +172,9 @@ def inverse_step(curve: ConvexCurve, b: PhasePoint, orientation: str = CCW) -> P
     sign = _orientation_sign(orientation)
     bx, by = b.x - curve.origin[0], b.y - curve.origin[1]
     _require_exterior(curve, bx, by)
-    psi, _ = _tangency_root(curve, bx, by, -sign)
-    mx, my = curve.point(psi)
-    return phase_point(curve, 2.0 * float(mx) - b.x, 2.0 * float(my) - b.y)
+    _, _, gx, gy = _tangency_root(curve, bx, by, -sign)
+    return phase_point(curve, 2.0 * (curve.origin[0] + gx) - b.x,
+                       2.0 * (curve.origin[1] + gy) - b.y)
 
 
 def orbit(curve: ConvexCurve, a: PhasePoint, n: int, orientation: str = CCW):
@@ -249,12 +229,20 @@ def chord_of(curve: ConvexCurve, a: PhasePoint, orientation: str = CCW):
     return res.phi_m, res.t
 
 
+def _near_boundary_message(t) -> str:
+    return (f"chord step needs t >= {NEAR_BOUNDARY_T:g}, got t = {float(t):.3g}: "
+            "the chord head is within rounding of the curve")
+
+
 def chord_step_scalar(curve: ConvexCurve, phi_m: float, t: float, direction: int = 1):
     """Next (+1) or previous (-1) chord of the orbit, on plain floats.
 
     Same fixed schedule as chord_step_batch (14 radius_scalar calls) and the
-    same arithmetic, so the two agree to round-off of the trig calls.
+    same arithmetic, so the two agree to round-off of the trig calls; it
+    refuses t below NEAR_BOUNDARY_T in the same way.
     """
+    if not t >= NEAR_BOUNDARY_T:
+        raise TangencyError(_near_boundary_message(t))
     r, r1, _ = curve.radius_scalar(phi_m)
     c, s = math.cos(phi_m), math.sin(phi_m)
     bx = r * c + direction * t * (r1 * c - r * s)
@@ -319,7 +307,14 @@ def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
     8 + 4 is the shortest schedule that reaches the round-off floor of the
     chord chart: on 5:1 and 10:1 ellipses with t in [1e-3, 3], 6 + 3 left
     errors up to 7e-4 rad and 8 + 3 up to 5e-8 rad.
+
+    Near the curve the head B lies within |B|^2 - r^2 = O(t^2) of it, so the
+    relative error of t_new grows like 1e-16 / t^2: on the unit circle it is
+    2e-4 at t = 1e-6, 2e-2 at 1e-7 and 100% at 1e-8.  Both kernels raise
+    TangencyError unless every t is at least NEAR_BOUNDARY_T.
     """
+    if not np.all(t >= NEAR_BOUNDARY_T):
+        raise TangencyError(_near_boundary_message(np.min(t)))
     r, r1, _ = curve.radius(phi_m)
     c, s = np.cos(phi_m), np.sin(phi_m)
     bx = r * c + direction * t * (r1 * c - r * s)

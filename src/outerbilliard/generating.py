@@ -19,13 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ConvexCurve
+from .curves import ConvexCurve, chi
 from .errors import ConvergenceError, InsideCurveError
 from .quadrature import uniform_angles
-
-# Test-only fault injection: the verification suite must catch a sign error
-# in the cross derivative.  Production value is 1.0.
-S12_FAULT_SIGN = 1.0
 
 
 @dataclass(frozen=True)
@@ -79,24 +75,27 @@ def chord_to_angles(curve: ConvexCurve, chord: ChordCoords) -> AngleCoords:
     return AngleCoords(float(phi0), float(phi1), float(r0sq), float(r1sq))
 
 
-def _sderiv_arrays(curve: ConvexCurve, phi, t):
-    """All closed forms at chord arrays; returns a dict of arrays."""
-    r, rp, rpp = curve.radius(phi)
-    chi = r * r + 2.0 * rp * rp - r * rpp
+def s_closed_forms(r, rp, rpp, t):
+    """S, its partials, J, r0sq, r1sq and chi of chords (phi, t) from r, r', r''
+    at phi; returns a dict.  Plain arithmetic, so floats give floats and
+    arrays give arrays."""
+    k = chi(r, rp, rpp)
     r2 = r * r
     r0sq = (r - t * rp) ** 2 + t * t * r2
     r1sq = (r + t * rp) ** 2 + t * t * r2
-    a = chi * t * t + r2
+    a = k * t * t + r2
     den = 2.0 * r2 * a
-    common = chi * t * (t * t - 1.0) * r2 + 2.0 * t * r2 * r2 + t * (chi * t * t + 2.0 * r2) * rp * rp
+    common = k * t * (t * t - 1.0) * r2 + 2.0 * t * r2 * r2 + t * (k * t * t + 2.0 * r2) * rp * rp
     odd = 2.0 * r2 * r * rp
-    s11 = r0sq * (common - odd) / den
-    s22 = r1sq * (common + odd) / den
-    s12 = S12_FAULT_SIGN * (-chi * t * r0sq * r1sq / den)
-    jac = 2.0 * r2 * a / (r0sq * r1sq)
     return {"S": t * r2, "S1": -0.5 * r0sq, "S2": 0.5 * r1sq,
-            "S11": s11, "S12": s12, "S22": s22, "J": jac,
-            "r0sq": r0sq, "r1sq": r1sq, "chi": chi}
+            "S11": r0sq * (common - odd) / den, "S12": -k * t * r0sq * r1sq / den,
+            "S22": r1sq * (common + odd) / den, "J": 2.0 * r2 * a / (r0sq * r1sq),
+            "r0sq": r0sq, "r1sq": r1sq, "chi": k}
+
+
+def _sderiv_arrays(curve: ConvexCurve, phi, t):
+    """All closed forms at chord arrays; returns a dict of arrays."""
+    return s_closed_forms(*curve.radius(phi), t)
 
 
 def s_value(curve: ConvexCurve, chord: ChordCoords) -> float:
@@ -121,9 +120,8 @@ def chain_rule_s1_s2(curve: ConvexCurve, phi, t):
     routes agreeing to round-off is the exactness check of the calculus.
     """
     r, rp, rpp = curve.radius(phi)
-    chi = r * r + 2.0 * rp * rp - r * rpp
     r2 = r * r
-    a = chi * t * t + r2
+    a = chi(r, rp, rpp) * t * t + r2
     r0sq = (r - t * rp) ** 2 + t * t * r2
     r1sq = (r + t * rp) ** 2 + t * t * r2
     s_phi = 2.0 * r * rp * t
@@ -158,16 +156,15 @@ def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, tol=1e-12,
     worst = np.inf
     for _ in range(max_iter):
         r, rp, rpp = curve.radius(phi)
-        chi = r * r + 2.0 * rp * rp - r * rpp
-        rp2 = r * r + rp * rp
+        excess = r * r + rp * rp - chi(r, rp, rpp)
         f0, f1, r0sq, r1sq = _angles_arrays(curve, phi, t)
         res0, res1 = f0 - phi0, f1 - phi1
         worst = float(np.max(np.maximum(np.abs(res0), np.abs(res1))))
         if worst < tol:
             return phi, t
-        j00 = 1.0 - t * t * (rp2 - chi) / r0sq
+        j00 = 1.0 - t * t * excess / r0sq
         j01 = -r * r / r0sq
-        j10 = 1.0 - t * t * (rp2 - chi) / r1sq
+        j10 = 1.0 - t * t * excess / r1sq
         j11 = r * r / r1sq
         det = j00 * j11 - j01 * j10
         dphi = (j11 * res0 - j01 * res1) / det

@@ -24,7 +24,7 @@ import numpy as np
 from .curves import ConvexCurve
 from .dynamics import PhasePoint, chord_of, chord_step_batch, chord_step_scalar
 from .errors import ConvergenceError
-from .generating import _sderiv_arrays
+from .generating import _sderiv_arrays, s_closed_forms
 from .quadrature import uniform_angles
 
 HOPF_START = 8
@@ -35,22 +35,9 @@ RENORM_LIMIT = 1e100
 SCAN_CHUNK = 256          # fixed chunk so results are worker-count independent
 
 
-def sderiv_scalar(curve: ConvexCurve, phi: float, t: float):
-    """(S11, S22, S12, r0sq, r1sq, chi) at one chord, plain-float fast path."""
-    from .generating import S12_FAULT_SIGN
-    r, rp, rpp = curve.radius_scalar(phi)
-    chi = r * r + 2.0 * rp * rp - r * rpp
-    r2 = r * r
-    r0sq = (r - t * rp) ** 2 + t * t * r2
-    r1sq = (r + t * rp) ** 2 + t * t * r2
-    a = chi * t * t + r2
-    den = 2.0 * r2 * a
-    common = chi * t * (t * t - 1.0) * r2 + 2.0 * t * r2 * r2 + t * (chi * t * t + 2.0 * r2) * rp * rp
-    odd = 2.0 * r2 * r * rp
-    return (r0sq * (common - odd) / den,
-            r1sq * (common + odd) / den,
-            S12_FAULT_SIGN * (-chi * t * r0sq * r1sq / den),
-            r0sq, r1sq, chi)
+def sderiv_scalar(curve: ConvexCurve, phi: float, t: float) -> dict:
+    """s_closed_forms at one chord on plain floats (radius_scalar)."""
+    return s_closed_forms(*curve.radius_scalar(phi), t)
 
 
 def _gap(curve: ConvexCurve, phi: float, t: float) -> float:
@@ -114,6 +101,35 @@ class OmegaSample:
     message: str = ""
 
 
+class _ChordLine:
+    """Lazy doubly-infinite chord sequence with cached closed-form data."""
+
+    def __init__(self, curve: ConvexCurve, seed: PhasePoint):
+        self.curve = curve
+        self._fwd = [chord_of(curve, seed)]     # chords 0, 1, 2, ...
+        self._back = []                          # chords -1, -2, ...
+        self._data = {}
+
+    def chord(self, k: int):
+        while k >= len(self._fwd):
+            self._fwd.append(chord_step_scalar(self.curve, *self._fwd[-1], 1))
+        while k < -len(self._back):
+            prev = self._back[-1] if self._back else self._fwd[0]
+            self._back.append(chord_step_scalar(self.curve, *prev, -1))
+        return self._fwd[k] if k >= 0 else self._back[-k - 1]
+
+    def data(self, k: int):
+        if k not in self._data:
+            self._data[k] = sderiv_scalar(self.curve, *self.chord(k))
+        return self._data[k]
+
+    def a_of(self, n: int) -> float:
+        return self.data(n - 1)["S22"] + self.data(n)["S11"]
+
+    def b_of(self, n: int) -> float:
+        return self.data(n)["S12"]
+
+
 def build_window(curve: ConvexCurve, seed: PhasePoint, m_back: int, n_fwd: int) -> OrbitWindow:
     """Iterate the map both ways from the seed and fill the Jacobi coefficients.
 
@@ -122,15 +138,8 @@ def build_window(curve: ConvexCurve, seed: PhasePoint, m_back: int, n_fwd: int) 
     """
     if m_back < 0 or n_fwd < 0:
         raise ValueError("window extents must be non-negative")
-    phi0, t0 = chord_of(curve, seed)
-    fwd = [(phi0, t0)]
-    for _ in range(n_fwd):
-        fwd.append(chord_step_scalar(curve, *fwd[-1], 1))
-    back = []
-    for _ in range(m_back + 1):
-        prev = back[-1] if back else fwd[0]
-        back.append(chord_step_scalar(curve, *prev, -1))
-    chords = list(reversed(back)) + fwd          # chord_k for k = M-1 .. N
+    line = _ChordLine(curve, seed)
+    chords = [line.chord(k) for k in range(-m_back - 1, n_fwd + 1)]   # chord_k, k = M-1 .. N
     cphi = np.array([c[0] for c in chords])
     ct = np.array([c[1] for c in chords])
     d = _sderiv_arrays(curve, cphi, ct)
@@ -205,18 +214,18 @@ def radial_conjugate_scan(curve: ConvexCurve, seed: PhasePoint, n_max: int,
     for the first sign change or vanishing of dq_n, n <= n_max.
     """
     phi_m, t = chord_of(curve, seed)
-    s11, s22, s12 = sderiv_scalar(curve, phi_m, t)[:3]
-    b_prev, s22_prev = s12, s22
-    dq_prev, dq = 0.0, -1.0 / s12
+    d = sderiv_scalar(curve, phi_m, t)
+    b_prev, s22_prev = d["S12"], d["S22"]
+    dq_prev, dq = 0.0, -1.0 / d["S12"]
     runmax = abs(dq)
     for n in range(1, n_max):
         phi_m, t = chord_step_scalar(curve, phi_m, t, 1)
-        s11, s22, s12 = sderiv_scalar(curve, phi_m, t)[:3]
-        dq_next = -((s22_prev + s11) * dq + b_prev * dq_prev) / s12
+        d = sderiv_scalar(curve, phi_m, t)
+        dq_next = -((s22_prev + d["S11"]) * dq + b_prev * dq_prev) / d["S12"]
         if dq_next < 0.0 or abs(dq_next) <= zero_tol * runmax:
             return n + 1
         dq_prev, dq = dq, dq_next
-        b_prev, s22_prev = s12, s22
+        b_prev, s22_prev = d["S12"], d["S22"]
         runmax = max(runmax, abs(dq))
         if runmax > RENORM_LIMIT:
             dq_prev /= runmax
@@ -336,36 +345,6 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
 
 # -- Hopf construction ----------------------------------------------------------
 
-class _ChordLine:
-    """Lazy doubly-infinite chord sequence with cached closed-form data."""
-
-    def __init__(self, curve: ConvexCurve, seed: PhasePoint):
-        self.curve = curve
-        phi0, t0 = chord_of(curve, seed)
-        self._fwd = [(phi0, t0)]      # chords 0, 1, 2, ...
-        self._back = []               # chords -1, -2, ...
-        self._data = {0: sderiv_scalar(curve, phi0, t0)}
-
-    def chord(self, k: int):
-        while k >= len(self._fwd):
-            self._fwd.append(chord_step_scalar(self.curve, *self._fwd[-1], 1))
-        while k < -len(self._back):
-            prev = self._back[-1] if self._back else self._fwd[0]
-            self._back.append(chord_step_scalar(self.curve, *prev, -1))
-        return self._fwd[k] if k >= 0 else self._back[-k - 1]
-
-    def data(self, k: int):
-        if k not in self._data:
-            self._data[k] = sderiv_scalar(self.curve, *self.chord(k))
-        return self._data[k]
-
-    def a_of(self, n: int) -> float:
-        return self.data(n - 1)[1] + self.data(n)[0]
-
-    def b_of(self, n: int) -> float:
-        return self.data(n)[2]
-
-
 def _window_field(line: _ChordLine, n_win: int):
     """Solve dq_{-N} = 0, dq_{-N+1} = 1 forward to node 2.
 
@@ -409,8 +388,9 @@ def hopf_omega(curve: ConvexCurve, seed: PhasePoint, tol: float = HOPF_TOL,
     if n_cap < HOPF_START:
         raise ValueError(f"n_cap must be at least {HOPF_START}")
     line = _ChordLine(curve, seed)
-    s11_0, s22_0, s12_0 = line.data(0)[:3]
-    s22_prev = line.data(-1)[1]
+    d0 = line.data(0)
+    s11_0, s22_0, s12_0 = d0["S11"], d0["S22"], d0["S12"]
+    s22_prev = line.data(-1)["S22"]
     scale = max(1.0, abs(s11_0), abs(s22_prev))
 
     omega_prev = None
@@ -425,10 +405,10 @@ def hopf_omega(curve: ConvexCurve, seed: PhasePoint, tol: float = HOPF_TOL,
         omega = (-s11_0 * stored[0] - s12_0 * stored[1]) / stored[0]
         if omega_prev is not None and abs(omega - omega_prev) < tol * scale:
             dq1 = stored[1] / stored[0]
-            s11_1, _, s12_1 = line.data(1)[:3]
-            omega_fwd = (-s11_1 * stored[1] - s12_1 * stored[2]) / stored[1]
+            d1 = line.data(1)
+            omega_fwd = (-d1["S11"] * stored[1] - d1["S12"] * stored[2]) / stored[1]
             rel_fwd = abs(omega_fwd - (s22_0 + s12_0 / dq1))
-            omega_here = s22_prev + line.data(-1)[2] * stored[-1] / stored[0]
+            omega_here = s22_prev + line.data(-1)["S12"] * stored[-1] / stored[0]
             rel_here = abs(omega_here - (-s11_0 - s12_0 * dq1))
             return OmegaSample(
                 omega=float(omega), window=n_win, converged=True, minimizing=True,

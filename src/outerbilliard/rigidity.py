@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import ConvexCurve, PlanePoint, area_centroid, reorigin
+from .curves import ConvexCurve, PlanePoint, area_centroid, chi, reorigin
 from .errors import ConvergenceError, NotInteriorError
 from .generating import _sderiv_arrays
 from .optimize import nelder_mead
@@ -38,16 +38,14 @@ def q_integral(curve: ConvexCurve, grid: int = 2048) -> float:
     ellipses, and is < 2pi for any non-ellipse about its Santalo point."""
     phi = uniform_angles(grid)
     r, rp, rpp = curve.radius(phi)
-    chi = r * r + 2.0 * rp * rp - r * rpp
-    return periodic_trapezoid(np.sqrt(chi) / r)
+    return periodic_trapezoid(np.sqrt(chi(r, rp, rpp)) / r)
 
 
 def total_curvature(curve: ConvexCurve, grid: int = 2048) -> float:
     """Int chi/(r^2 + r'^2) dphi = Int k ds; 2pi for any simple closed convex curve."""
     phi = uniform_angles(grid)
     r, rp, rpp = curve.radius(phi)
-    chi = r * r + 2.0 * rp * rp - r * rpp
-    return periodic_trapezoid(chi / (r * r + rp * rp))
+    return periodic_trapezoid(chi(r, rp, rpp) / (r * r + rp * rp))
 
 
 def i_closed(curve: ConvexCurve, grid: int = 2048) -> float:
@@ -75,10 +73,10 @@ def _integrand_arrays(curve: ConvexCurve, phi, t):
     total = (a_w * a_w * d["S11"] + 2.0 * a_w * b_w * d["S12"]
              + b_w * b_w * d["S22"]) * (-d["S12"]) * d["J"]
     r, rp, _ = curve.radius(phi)
-    chi = d["chi"]
-    f1 = 2.0 * chi / (chi * t * t + r * r)
-    f2 = chi * (t * rp - r) / (r * d["r0sq"])
-    f3 = -chi * (r + t * rp) / (r * d["r1sq"])
+    k = d["chi"]
+    f1 = 2.0 * k / (k * t * t + r * r)
+    f2 = k * (t * rp - r) / (r * d["r0sq"])
+    f3 = -k * (r + t * rp) / (r * d["r1sq"])
     return total, f1, f2, f3
 
 
@@ -105,16 +103,16 @@ def _tail_arrays(curve: ConvexCurve, phi, t_max: float):
     -pi chi/(r^2+r'^2) minus the combined antiderivative at t_max.
     """
     r, rp, rpp = curve.radius(phi)
-    chi = r * r + 2.0 * rp * rp - r * rpp
+    k = chi(r, rp, rpp)
     rp2 = r * r + rp * rp
-    sq = np.sqrt(chi)
+    sq = np.sqrt(k)
     tail1 = (2.0 * sq / r) * (0.5 * np.pi - np.arctan(sq * t_max / r))
     r0t = r * r - 2.0 * t_max * r * rp + t_max * t_max * rp2
     r1t = r * r + 2.0 * t_max * r * rp + t_max * t_max * rp2
-    g23 = (chi / rp2) * (np.arctan(rp / r - t_max * rp2 / (r * r))
-                         - np.arctan(rp / r + t_max * rp2 / (r * r))) \
-        + (chi * rp / (2.0 * r * rp2)) * np.log(r0t / r1t)
-    tail23 = -np.pi * chi / rp2 - g23
+    g23 = (k / rp2) * (np.arctan(rp / r - t_max * rp2 / (r * r))
+                       - np.arctan(rp / r + t_max * rp2 / (r * r))) \
+        + (k * rp / (2.0 * r * rp2)) * np.log(r0t / r1t)
+    tail23 = -np.pi * k / rp2 - g23
     return tail1, tail23
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, generating, jacobi, rigidity
-from .curves import ConvexCurve
+from .curves import ConvexCurve, chi
 from .quadrature import TWO_PI, periodic_trapezoid, uniform_angles
 
 RNG_SEED = 20231005
@@ -304,11 +304,11 @@ def _map_consistency_error(curve, pts):
 def _chi_identity_error(curve, grid=1024):
     phi = uniform_angles(grid)
     r, rp, rpp = curve.radius(phi)
-    chi = r * r + 2.0 * rp * rp - r * rpp
+    k = chi(r, rp, rpp)
     h = 1.0 / r
     hpp = (2.0 * rp * rp - r * rpp) / r ** 3
     chi_h = (h + hpp) / h ** 3
-    return float(np.max(np.abs(chi - chi_h) / np.maximum(1.0, np.abs(chi))))
+    return float(np.max(np.abs(k - chi_h) / np.maximum(1.0, np.abs(k))))
 
 
 def _cauchy_schwarz(curve, grid=2048):

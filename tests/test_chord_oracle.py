@@ -5,6 +5,8 @@ from closed-form r, r', r'' written here in mpmath, isolates the tangency
 root of cross(gamma'(psi), B - gamma(psi)) on the half-turn after arg B
 (before it for d = -1) by bisection and polishes it by Newton, all at 40
 digits.  Nothing is shared with the package beyond the curve constructors.
+Three routes are held to it: both chord-step kernels and the point map's
+tangency() from the chord head (CCW for d = +1, CW for d = -1).
 """
 
 import math
@@ -112,10 +114,18 @@ def test_chord_kernels_match_mpmath_root(name, t_min, budget, direction):
     curve, rfun = CURVES[name]
     phi, t = _samples(t_min, seed=len(name) + int(-math.log10(t_min)))
     batch_psi, batch_t = dynamics.chord_step_batch(curve, phi, t, direction)
+    orientation = dynamics.CCW if direction > 0 else dynamics.CW
     for i in range(phi.size):
         psi_ref, t_ref = _reference(rfun, float(phi[i]), float(t[i]), direction)
         scalar = dynamics.chord_step_scalar(curve, float(phi[i]), float(t[i]), direction)
-        for psi, t_new in ((float(batch_psi[i]), float(batch_t[i])), scalar):
+        # the point map from the chord head B = gamma + d t gamma'
+        r, r1, _ = curve.radius_scalar(float(phi[i]))
+        c, s = math.cos(phi[i]), math.sin(phi[i])
+        head = ob.phase_point(curve, r * c + direction * t[i] * (r1 * c - r * s),
+                              r * s + direction * t[i] * (r1 * s + r * c))
+        point_map = ob.tangency(curve, head, orientation)
+        for psi, t_new in ((float(batch_psi[i]), float(batch_t[i])), scalar,
+                           (point_map.phi_m, point_map.t)):
             psi_err = abs(math.remainder(float(psi - psi_ref), 2.0 * math.pi))
             t_err = abs(float(t_new - t_ref)) / max(1.0, float(t[i]))
             assert psi_err <= budget, (phi[i], t[i], psi_err)

@@ -83,6 +83,22 @@ def test_simulate_interior_seed_exit_3(circle_file, tmp_path):
                 "--seed", "0.5", "0", "--out", str(tmp_path / "o.csv")]) == 3
 
 
+def test_simulate_non_finite_seed_exit_2(circle_file, tmp_path, capsys):
+    for seed in (("nan", "0"), ("2", "inf")):
+        assert run(["--curve", circle_file, "--cmd", "simulate",
+                    "--seed", *seed, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err
+
+
+def test_conjugate_scan_near_boundary_exit_3(circle_file, capsys):
+    assert run(["--curve", circle_file, "--cmd", "conjugate-scan", "--t-max", "1e-9",
+                "--phi-grid", "64", "--t-grid", "64", "--steps", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "t >= 1e-08" in captured.err
+
+
 def test_invalid_curve_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "fourier", "a0": 1.0, "cos": [0, 0, 0.2]}')
@@ -110,7 +126,13 @@ def test_verify_passes(circle_file, tmp_path):
 
 
 def test_verify_fault_injection_fails(circle_file, tmp_path, monkeypatch):
-    monkeypatch.setattr(generating, "S12_FAULT_SIGN", -1.0)
+    closed_forms = generating._sderiv_arrays
+
+    def flipped(curve, phi, t):
+        d = closed_forms(curve, phi, t)
+        return {**d, "S12": -d["S12"]}
+
+    monkeypatch.setattr(generating, "_sderiv_arrays", flipped)
     out = tmp_path / "verify.json"
     assert run(["--curve", circle_file, "--cmd", "verify", "--out", str(out)]) == 1
     doc = json.loads(out.read_text())

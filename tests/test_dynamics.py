@@ -147,6 +147,28 @@ def test_near_boundary_tangency(monkeypatch, unit_circle):
     assert ob.tangency(unit_circle, a).near_boundary
 
 
+def test_non_finite_points_fail_loudly(unit_circle):
+    with pytest.raises(ob.InsideCurveError):
+        ob.phase_point(unit_circle, math.nan, 0.0)
+    with pytest.raises(ob.InsideCurveError):
+        ob.tangency(unit_circle, ob.PhasePoint(math.nan, 0.0, math.nan, math.nan))
+    # exterior by comparison, but the tangency solve cannot give a finite chord
+    with pytest.raises(ob.TangencyError):
+        ob.tangency(unit_circle, ob.PhasePoint(math.inf, 0.0, math.inf, 0.0))
+
+
+def test_chord_kernels_refuse_near_boundary_t(presets):
+    for curve in presets.values():
+        for direction in (1, -1):
+            with pytest.raises(ob.TangencyError):
+                dynamics.chord_step_scalar(curve, 0.3, 1e-9, direction)
+            with pytest.raises(ob.TangencyError):
+                dynamics.chord_step_batch(curve, np.array([0.3, 1.0]),
+                                          np.array([0.5, 1e-9]), direction)
+            with pytest.raises(ob.TangencyError):
+                dynamics.chord_step_scalar(curve, 0.3, math.nan, direction)
+
+
 def test_chord_step_batch_matches_scalar(presets):
     rng = np.random.default_rng(23)
     for curve in presets.values():

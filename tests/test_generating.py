@@ -254,13 +254,16 @@ def test_s12_vanishes_linearly_at_zero(presets):
             assert d.S12 / t == pytest.approx(-float(s.chi) / 2, rel=1e-4)
 
 
-def test_fault_hook_flips_twist(unit_circle):
-    generating.S12_FAULT_SIGN = -1.0
-    try:
-        scan = ob.twist_scan(unit_circle, 64, 64, 10.0)
-        assert scan.max_s12 > 0.0
-    finally:
-        generating.S12_FAULT_SIGN = 1.0
+def test_fault_hook_flips_twist(unit_circle, monkeypatch):
+    closed_forms = generating._sderiv_arrays
+
+    def flipped(curve, phi, t):
+        d = closed_forms(curve, phi, t)
+        return {**d, "S12": -d["S12"]}
+
+    monkeypatch.setattr(generating, "_sderiv_arrays", flipped)
+    scan = ob.twist_scan(unit_circle, 64, 64, 10.0)
+    assert scan.max_s12 > 0.0
 
 
 def test_derivative_csv(unit_circle):

@@ -236,7 +236,8 @@ def test_jacobi_push_matches_differential(presets):
         pt = dynamics.chord_tail_point(curve, 0.9, 1.1)
         for _ in range(100):
             phi_m, t = dynamics.chord_of(curve, pt)
-            s11, s22, s12 = jacobi.sderiv_scalar(curve, phi_m, t)[:3]
+            d = jacobi.sderiv_scalar(curve, phi_m, t)
+            s11, s22, s12 = d["S11"], d["S22"], d["S12"]
             dmat = ob.differential_fd(curve, pt)
             for dp, dq in ((1.0, 0.0), (0.3, 0.7)):
                 dp1, dq1 = jacobi.jacobi_push(s11, s12, s22, dp, dq)
