@@ -81,32 +81,49 @@ class ConvexCurve:
 
     # -- radial function ---------------------------------------------------
 
-    def radius(self, phi):
-        """Vectorized (r, r', r'') at angle(s) phi."""
+    def radius(self, phi, cs=None):
+        """Vectorized (r, r', r'') at angle(s) phi.
+
+        The ellipse and Fourier kinds cost one cos and one sin per lane: the
+        ellipse works from cos^2, sin^2, 2 sin cos and cos^2 - sin^2, and the
+        Fourier kind steps cos k phi, sin k phi up by angle addition, skipping
+        the sums of all-zero harmonics.  A caller that already holds the pair
+        passes it as cs = (cos phi, sin phi) and pays no trig call; the result
+        is then bitwise equal to radius(phi).  All arithmetic is elementwise,
+        so a lane's result does not depend on the other lanes of the call.
+        """
         phi = np.asarray(phi, dtype=float)
         if self.kind == CIRCLE:
             r = np.full_like(phi, self.radius_value)
             z = np.zeros_like(phi)
             return r, z, z
+        c, s = (np.cos(phi), np.sin(phi)) if cs is None else cs
         if self.kind == ELLIPSE:
             a2, b2 = self.axis_a ** 2, self.axis_b ** 2
             ab = self.axis_a * self.axis_b
-            d = b2 * np.cos(phi) ** 2 + a2 * np.sin(phi) ** 2
-            dp = (a2 - b2) * np.sin(2.0 * phi)
-            dpp = 2.0 * (a2 - b2) * np.cos(2.0 * phi)
-            inv = d ** -1.5
-            r = ab / np.sqrt(d)
-            r1 = -0.5 * ab * dp * inv
-            r2 = 0.75 * ab * dp * dp * inv / d - 0.5 * ab * dpp * inv
+            cc, ss = c * c, s * s
+            d = b2 * cc + a2 * ss
+            dp = (a2 - b2) * (2.0 * s * c)
+            dpp = 2.0 * (a2 - b2) * (cc - ss)
+            sq = np.sqrt(d)
+            q = ab / (d * sq)              # ab d^-3/2
+            r = ab / sq
+            r1 = -0.5 * dp * q
+            r2 = 0.75 * dp * dp * q / d - 0.5 * dpp * q
             return r, r1, r2
-        k = self._harmonics
-        kphi = np.multiply.outer(phi, k)
-        ck, sk = np.cos(kphi), np.sin(kphi)
-        c = np.asarray(self.cos_coeffs, dtype=float)
-        s = np.asarray(self.sin_coeffs, dtype=float)
-        r = self.a0 + ck @ c + sk @ s
-        r1 = (ck * k) @ s - (sk * k) @ c
-        r2 = -(ck * k * k) @ c - (sk * k * k) @ s
+        r = np.full_like(c, self.a0)
+        r1 = np.zeros_like(c)
+        r2 = np.zeros_like(c)
+        ck, sk = c, s
+        for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), 1):
+            if k > 1:
+                ck, sk = ck * c - sk * s, sk * c + ck * s
+            if a == 0.0 and b == 0.0:
+                continue
+            u = a * ck + b * sk
+            r += u
+            r1 += k * (b * ck - a * sk)
+            r2 -= (k * k) * u
         return r, r1, r2
 
     def radius_scalar(self, phi: float):
@@ -133,23 +150,20 @@ class ConvexCurve:
             r2 -= k * k * (c * ck + s * sk)
         return r, r1, r2
 
-    @cached_property
-    def _harmonics(self) -> np.ndarray:
-        return np.arange(1, len(self.cos_coeffs) + 1, dtype=float)
-
     # -- geometry ----------------------------------------------------------
 
     def point(self, phi):
         """Boundary point(s) gamma(phi) in world coordinates: (x, y)."""
         phi = np.asarray(phi, dtype=float)
-        r, _, _ = self.radius(phi)
-        return self.origin[0] + r * np.cos(phi), self.origin[1] + r * np.sin(phi)
+        c, s = np.cos(phi), np.sin(phi)
+        r, _, _ = self.radius(phi, cs=(c, s))
+        return self.origin[0] + r * c, self.origin[1] + r * s
 
     def tangent(self, phi):
         """gamma'(phi) = r' e_phi + r e_phi_perp, as (tx, ty)."""
         phi = np.asarray(phi, dtype=float)
-        r, r1, _ = self.radius(phi)
         c, s = np.cos(phi), np.sin(phi)
+        r, r1, _ = self.radius(phi, cs=(c, s))
         return r1 * c - r * s, r1 * s + r * c
 
     def sample(self, phi):
@@ -209,13 +223,22 @@ def validate(curve: ConvexCurve, grid_size: int = VALIDATION_GRID,
     """Grid check of r > 0 and chi > chi_min (strict convexity).
 
     The curvature numerator chi must stay strictly positive for everything
-    downstream to make sense.
+    downstream to make sense.  Non-finite parameters, and values that
+    overflow on the grid, raise InvalidCurveError.
     """
     if grid_size < 256:
         raise ValueError("grid_size must be at least 256")
+    params = (*curve.origin, curve.radius_value, curve.axis_a, curve.axis_b, curve.a0,
+              *curve.cos_coeffs, *curve.sin_coeffs)
+    if not all(math.isfinite(v) for v in params):
+        raise InvalidCurveError("curve parameters must be finite numbers")
     phi = uniform_angles(grid_size)
-    r, r1, r2 = curve.radius(phi)
-    k = chi(r, r1, r2)
+    try:
+        with np.errstate(over="raise"):
+            r, r1, r2 = curve.radius(phi)
+            k = chi(r, r1, r2)
+    except (OverflowError, FloatingPointError) as exc:
+        raise InvalidCurveError(f"curve values overflow: {exc}") from exc
     i_r, i_chi = int(np.argmin(r)), int(np.argmin(k))
     ok = bool(r[i_r] > 0.0 and np.isfinite(r).all() and k[i_chi] > chi_min)
     msg = ""
@@ -330,7 +353,7 @@ def reorigin(curve: ConvexCurve, new_origin, grid_size: int = 2048) -> ConvexCur
 
 def curve_from_dict(spec: dict) -> ConvexCurve:
     kind = spec.get("kind")
-    origin = tuple(spec.get("origin", (0.0, 0.0)))
+    origin = tuple(float(v) for v in spec.get("origin", (0.0, 0.0)))
     if len(origin) != 2:
         raise InvalidCurveError("origin must be [x, y]")
     if kind == CIRCLE:
@@ -351,7 +374,9 @@ def load_curve(path) -> ConvexCurve:
             raise InvalidCurveError(f"curve file is not valid JSON: {exc}") from exc
     try:
         curve = curve_from_dict(spec)
-    except (KeyError, TypeError) as exc:
+    except InvalidCurveError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:        # e.g. "radius": "x"
         raise InvalidCurveError(f"bad curve specification: {exc}") from exc
     return require_valid(curve)
 

@@ -32,7 +32,7 @@ HOPF_CAP = 2 ** 14
 HOPF_TOL = 1e-4
 ZERO_TOL = 1e-12          # |dq| below this times the running max counts as a zero
 RENORM_LIMIT = 1e100
-SCAN_CHUNK = 256          # fixed chunk so results are worker-count independent
+SCAN_CHUNK = 1024         # seeds per batch; per-lane results do not depend on it
 
 
 def sderiv_scalar(curve: ConvexCurve, phi: float, t: float) -> dict:
@@ -257,20 +257,26 @@ class ConjugateScanResult:
 
 def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
                 n_max: int, zero_tol: float, stop_at_first: bool) -> np.ndarray:
-    """Vectorized radial conjugate scan; -1 marks seeds with no sign change."""
+    """Vectorized radial conjugate scan; -1 marks seeds with no sign change.
+
+    A lane drops out as soon as its index is known: after each step with a
+    hit the state is gathered down to the lanes still running, so later
+    steps cost only those.  Every kernel is elementwise, so which lanes
+    share a step never changes a lane's arithmetic.
+    """
     d = _sderiv_arrays(curve, seed_phi, seed_t)
     b_prev, s22_prev = d["S12"], d["S22"]
     dq_prev = np.zeros_like(seed_phi)
     dq = -1.0 / d["S12"]
     runmax = np.abs(dq)
     found = np.full(seed_phi.shape, -1, dtype=np.int64)
-    phi_m, t = seed_phi.copy(), seed_t.copy()
+    live = np.arange(seed_phi.size)           # seed index of each running lane
+    phi_m, t = seed_phi, seed_t
     for n in range(1, n_max):
         phi_m, t = chord_step_batch(curve, phi_m, t, 1)
         d = _sderiv_arrays(curve, phi_m, t)
         dq_next = -((s22_prev + d["S11"]) * dq + b_prev * dq_prev) / d["S12"]
-        hit = (found < 0) & ((dq_next < 0.0) | (np.abs(dq_next) <= zero_tol * runmax))
-        found[hit] = n + 1
+        hit = (dq_next < 0.0) | (np.abs(dq_next) <= zero_tol * runmax)
         dq_prev, dq = dq, dq_next
         b_prev, s22_prev = d["S12"], d["S22"]
         runmax = np.maximum(runmax, np.abs(dq))
@@ -279,9 +285,14 @@ def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
             dq_prev = np.where(big, dq_prev / runmax, dq_prev)
             dq = np.where(big, dq / runmax, dq)
             runmax = np.where(big, 1.0, runmax)
-        done = found >= 0
-        if done.all() or (stop_at_first and done.any()):
-            break
+        if hit.any():
+            found[live[hit]] = n + 1
+            keep = ~hit
+            live = live[keep]
+            if stop_at_first or live.size == 0:
+                break
+            phi_m, t, dq_prev, dq, b_prev, s22_prev, runmax = (
+                x[keep] for x in (phi_m, t, dq_prev, dq, b_prev, s22_prev, runmax))
     return found
 
 
@@ -297,10 +308,12 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
     """Radial conjugate scan over a (phi, t) grid of seed chords.
 
     Seeds are the tails M0 of the chords (phi_i, t_j), phi uniform on
-    [0, 2pi), t_j = t_max (j+1)/t_count.  The grid is processed in fixed
-    256-seed chunks so the per-seed arithmetic is identical for any worker
-    count; with stop_at_first the chunks run serially and the scan stops at
-    the first chunk containing a hit.
+    [0, 2pi), t_j = t_max (j+1)/t_count.  The grid is cut into chunks of
+    SCAN_CHUNK seeds, which run in up to min(workers, chunks, cores)
+    processes, or in this process when that is one.  Every kernel is
+    elementwise, so a seed's result is the same for any chunk size and
+    worker count.  With stop_at_first the chunks run serially and the scan
+    stops at the first chunk containing a hit.
     """
     phis = uniform_angles(phi_count)
     ts = t_max * np.arange(1, t_count + 1) / t_count
@@ -311,6 +324,8 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
               for i in range(0, n_seeds, SCAN_CHUNK)]
 
     results = []
+    # one process per chunk at most, and no more than the machine has cores
+    n_proc = min(workers, len(chunks), os.cpu_count() or 1)
     if stop_at_first:
         # serial, grid order; any hit stops the scan early, so rows past the
         # hit (None) only mean "not fully scanned" and complete goes False
@@ -323,11 +338,9 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
                 break
         while len(results) < len(chunks):
             results.append(np.full(chunks[len(results)][0].shape, -1, dtype=np.int64))
-    elif workers > 1:
+    elif n_proc > 1:
         complete = True
         jobs = [(curve, cp, ctt, n_max, zero_tol) for cp, ctt in chunks]
-        # one process per chunk at most, and no more than the machine has cores
-        n_proc = min(workers, len(chunks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=n_proc) as pool:
             results = list(pool.map(_scan_chunk_worker, jobs))
     else:

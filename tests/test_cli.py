@@ -107,6 +107,28 @@ def test_invalid_curve_exit_2(tmp_path):
     assert run(["--curve", str(missing), "--cmd", "verify"]) == 2
 
 
+def test_non_finite_curve_exit_2(tmp_path, capsys):
+    bad = tmp_path / "nan_origin.json"
+    bad.write_text('{"kind": "circle", "radius": 1.0, "origin": [NaN, 0.0]}')
+    for cmd in ("rigidity", "verify"):
+        assert run(["--curve", str(bad), "--cmd", cmd,
+                    "--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid curve:") and err.count("\n") == 1
+
+
+def test_overflowing_curve_exit_2(tmp_path, capsys):
+    # a^2 overflows in Python floats; r^2 of the circle overflows in numpy
+    for spec in ('{"kind": "ellipse", "a": 1e300, "b": 1}',
+                 '{"kind": "circle", "radius": 1e200}'):
+        bad = tmp_path / "huge.json"
+        bad.write_text(spec)
+        assert run(["--curve", str(bad), "--cmd", "rigidity",
+                    "--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid curve:") and err.count("\n") == 1
+
+
 def test_grid_flag_validation(circle_file):
     with pytest.raises(SystemExit) as exc:
         run(["--curve", circle_file, "--cmd", "verify", "--phi-grid", "100"])

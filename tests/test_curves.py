@@ -198,3 +198,53 @@ def test_scalar_and_vector_radius_agree(presets):
             rv = curve.radius(float(phi))
             for a, b in zip(rs, rv):
                 assert float(a) == pytest.approx(float(b), rel=1e-13, abs=1e-13)
+
+
+def _fourier8(seed=7):
+    """8 harmonics with seeded phases; the first moves the Santalo point off
+    the radial origin."""
+    rng = np.random.default_rng(seed)
+    amps = np.array([0.06] + [0.08 / k ** 2 for k in range(2, 9)])
+    phases = rng.uniform(0.0, TWO_PI, 8)
+    return ob.require_valid(ob.fourier(1.0, cos=amps * np.cos(phases),
+                                       sin=amps * np.sin(phases)))
+
+
+def test_radius_is_elementwise(presets):
+    # a lane's value may not depend on the other lanes of the call, and a
+    # passed (cos, sin) pair gives the same bits as computing it inside
+    curves = dict(presets, fourier8=_fourier8())
+    rng = np.random.default_rng(11)
+    phi = rng.uniform(-TWO_PI, 2 * TWO_PI, 1000)
+    pick = rng.permutation(phi.size)[:137]
+    for name, curve in curves.items():
+        full = curve.radius(phi)
+        part = curve.radius(phi[pick])
+        given = curve.radius(phi, cs=(np.cos(phi), np.sin(phi)))
+        for f, p, g in zip(full, part, given):
+            assert np.array_equal(f[pick], p), name
+            assert np.array_equal(f, g), name
+
+
+def test_fourier_radius_matches_mpmath():
+    # the seeded curve and its refit about the Santalo point (35 harmonics)
+    mp = pytest.importorskip("mpmath").mp
+    curve = _fourier8()
+    moved = ob.reorigin(curve, ob.santalo_point(curve))
+    assert len(moved.cos_coeffs) > 30
+    phi = np.random.default_rng(13).uniform(0.0, TWO_PI, 200)
+    worst = 0.0
+    with mp.workdps(40):
+        for c in (curve, moved):
+            r, r1, r2 = c.radius(phi)
+            for i, p in enumerate(phi):
+                p = mp.mpf(float(p))
+                ref = [mp.mpf(c.a0), mp.mpf(0), mp.mpf(0)]
+                for k, (a, b) in enumerate(zip(c.cos_coeffs, c.sin_coeffs), 1):
+                    ck, sk = mp.cos(k * p), mp.sin(k * p)
+                    ref[0] += a * ck + b * sk
+                    ref[1] += k * (b * ck - a * sk)
+                    ref[2] -= k * k * (a * ck + b * sk)
+                for got, want in zip((r[i], r1[i], r2[i]), ref):
+                    worst = max(worst, abs(float(got) - want))
+    assert worst < 4e-15

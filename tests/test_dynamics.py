@@ -169,6 +169,23 @@ def test_chord_kernels_refuse_near_boundary_t(presets):
                 dynamics.chord_step_scalar(curve, 0.3, math.nan, direction)
 
 
+def test_chord_kernels_refuse_t_below_accuracy_budget(presets, unit_circle):
+    # t = 1e-7 clears the tangency near-boundary flag, but t_new would be off
+    # by about 2%; from MIN_CHORD_T on, the unit circle keeps it within 1e-4
+    for curve in presets.values():
+        for direction in (1, -1):
+            with pytest.raises(ob.TangencyError):
+                dynamics.chord_step_scalar(curve, 0.3, 1e-7, direction)
+            with pytest.raises(ob.TangencyError):
+                dynamics.chord_step_batch(curve, np.array([0.3, 1.0]),
+                                          np.array([0.5, 1e-7]), direction)
+    phi = np.random.default_rng(37).uniform(0, TWO_PI, 2000)
+    t = np.full_like(phi, dynamics.MIN_CHORD_T)
+    for direction in (1, -1):
+        _, t_new = dynamics.chord_step_batch(unit_circle, phi, t, direction)
+        assert np.abs(t_new / t - 1.0).max() <= 1e-4
+
+
 def test_chord_step_batch_matches_scalar(presets):
     rng = np.random.default_rng(23)
     for curve in presets.values():

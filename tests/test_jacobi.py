@@ -162,12 +162,31 @@ def test_grid_scan_stop_at_first(wobbly3):
     assert scan.found
 
 
-def test_grid_scan_workers_bitwise_identical(wobbly3):
+def test_grid_scan_workers_bitwise_identical(wobbly3, monkeypatch):
+    # 64-seed chunks, so the 256 seeds run as 4 chunks across processes
+    monkeypatch.setattr(jacobi, "SCAN_CHUNK", 64)
     one = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, t_max=3.0,
                                  n_max=300, workers=1)
     four = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, t_max=3.0,
                                   n_max=300, workers=4)
     assert [r.n_conjugate for r in one.rows] == [r.n_conjugate for r in four.rows]
+
+
+def test_grid_scan_rows_do_not_depend_on_chunk_size(wobbly3, monkeypatch):
+    # lanes with hits drop out of their batch at different steps for the two
+    # chunk sizes; no row may change, and rows agree with the scalar scan
+    rows = []
+    for chunk in (64, 4096):
+        monkeypatch.setattr(jacobi, "SCAN_CHUNK", chunk)
+        scan = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, t_max=3.0,
+                                      n_max=300)
+        rows.append([(r.seed_phi, r.seed_t, r.n_conjugate) for r in scan.rows])
+    assert rows[0] == rows[1]
+    hits = [r for r in rows[0] if r[2] is not None]
+    assert 0 < len(hits) < len(rows[0])
+    for phi, t, n in rows[0][::17]:
+        seed = dynamics.chord_tail_point(wobbly3, phi, t)
+        assert ob.radial_conjugate_scan(wobbly3, seed, 300) == n
 
 
 def test_grid_scan_worker_count_is_bounded(wobbly3, monkeypatch):
@@ -190,13 +209,16 @@ def test_grid_scan_worker_count_is_bounded(wobbly3, monkeypatch):
 
     monkeypatch.setattr(jacobi, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 8)
-    # 2 chunks of 256 seeds: never more processes than chunks
-    ob.conjugate_grid_scan(wobbly3, phi_count=32, t_count=16, n_max=3, workers=1000)
-    # 16 chunks: no more processes than cores, and an unknown core count is one
-    ob.conjugate_grid_scan(wobbly3, phi_count=64, t_count=64, n_max=3, workers=1000)
+    per_t = jacobi.SCAN_CHUNK // 16          # phi_count giving one chunk at t_count = 16
+    # 2 chunks: never more processes than chunks
+    ob.conjugate_grid_scan(wobbly3, phi_count=2 * per_t, t_count=16, n_max=3, workers=1000)
+    # 16 chunks: no more processes than cores
+    ob.conjugate_grid_scan(wobbly3, phi_count=16 * per_t, t_count=16, n_max=3, workers=1000)
+    # one chunk, or an unknown core count: no pool, the chunks run in this process
+    ob.conjugate_grid_scan(wobbly3, phi_count=per_t, t_count=16, n_max=3, workers=4)
     monkeypatch.setattr(jacobi.os, "cpu_count", lambda: None)
-    ob.conjugate_grid_scan(wobbly3, phi_count=32, t_count=16, n_max=3, workers=4)
-    assert seen == [2, 8, 1]
+    ob.conjugate_grid_scan(wobbly3, phi_count=2 * per_t, t_count=16, n_max=3, workers=4)
+    assert seen == [2, 8]
 
 
 def test_hopf_circle(unit_circle, circle_seed):
