@@ -127,28 +127,44 @@ class ConvexCurve:
         return r, r1, r2
 
     def radius_scalar(self, phi: float):
-        """Scalar (r, r', r'') on plain floats; hot path for orbit stepping."""
+        """Scalar (r, r', r'') on plain floats; hot path for orbit stepping.
+
+        The same arithmetic as radius on one (math.cos, math.sin) pair: the
+        Fourier kind steps e^{ik phi} by one complex product per harmonic,
+        which is radius's angle-addition step.  The two agree to the
+        round-off of the trig calls.
+        """
         if self.kind == CIRCLE:
             return self.radius_value, 0.0, 0.0
+        c, s = math.cos(phi), math.sin(phi)
         if self.kind == ELLIPSE:
             a2, b2 = self.axis_a ** 2, self.axis_b ** 2
             ab = self.axis_a * self.axis_b
-            cp, sp = math.cos(phi), math.sin(phi)
-            d = b2 * cp * cp + a2 * sp * sp
-            dp = (a2 - b2) * math.sin(2.0 * phi)
-            dpp = 2.0 * (a2 - b2) * math.cos(2.0 * phi)
-            inv = d ** -1.5
-            return (ab / math.sqrt(d),
-                    -0.5 * ab * dp * inv,
-                    0.75 * ab * dp * dp * inv / d - 0.5 * ab * dpp * inv)
+            cc, ss = c * c, s * s
+            d = b2 * cc + a2 * ss
+            dp = (a2 - b2) * (2.0 * s * c)
+            dpp = 2.0 * (a2 - b2) * (cc - ss)
+            sq = math.sqrt(d)
+            q = ab / (d * sq)
+            return ab / sq, -0.5 * dp * q, 0.75 * dp * dp * q / d - 0.5 * dpp * q
         r, r1, r2 = self.a0, 0.0, 0.0
-        for k in range(1, len(self.cos_coeffs) + 1):
-            c, s = self.cos_coeffs[k - 1], self.sin_coeffs[k - 1]
-            ck, sk = math.cos(k * phi), math.sin(k * phi)
-            r += c * ck + s * sk
-            r1 += k * (s * ck - c * sk)
-            r2 -= k * k * (c * ck + s * sk)
+        z = complex(c, s)
+        zk = 1.0
+        for k, a, b in self._harmonics:
+            zk *= z
+            if a == 0.0 and b == 0.0:
+                continue
+            ck, sk = zk.real, zk.imag
+            u = a * ck + b * sk
+            r += u
+            r1 += k * (b * ck - a * sk)
+            r2 -= (k * k) * u
         return r, r1, r2
+
+    @cached_property
+    def _harmonics(self):
+        """(k, c_k, s_k) for k = 1..K, built once for radius_scalar's loop."""
+        return tuple(zip(range(1, len(self.cos_coeffs) + 1), self.cos_coeffs, self.sin_coeffs))
 
     # -- geometry ----------------------------------------------------------
 

@@ -29,6 +29,7 @@ from .quadrature import TWO_PI, gauss_panels, periodic_trapezoid, uniform_angles
 
 EQUALITY_TOL = 1e-7
 SANTALO_SNAP = 1e-8       # relative origin distance below which reorigin is skipped
+SANTALO_STEP_TOL = 1e-15  # Newton polish step tolerance, relative to max(1, diameter)
 
 
 # -- one-dimensional integrals ---------------------------------------------------
@@ -247,7 +248,9 @@ def santalo_point(curve: ConvexCurve, tol: Optional[float] = None,
     Simplex descent (with shrink-restart) from the area centroid in the
     support-function form of the objective, then a Newton polish on its
     analytic gradient; the Hessian 3 Int u u^T s^-4 dtheta is positive
-    definite, so the polish is safe and quadratically convergent.
+    definite, so the polish is safe and quadratically convergent.  A polish
+    whose step is still above SANTALO_STEP_TOL max(1, diameter) after 60
+    iterations raises ConvergenceError with that step as its residual.
     """
     if tol is None:
         tol = 1e-9 * curve.diameter
@@ -284,8 +287,12 @@ def santalo_point(curve: ConvexCurve, tol: Optional[float] = None,
         dy = (-hxy * gx + hxx * gy) / det
         x[0] -= dx
         x[1] -= dy
-        if math.hypot(dx, dy) < 1e-15 * max(1.0, curve.diameter):
+        step = math.hypot(dx, dy)
+        if step < SANTALO_STEP_TOL * max(1.0, curve.diameter):
             break
+    else:
+        raise ConvergenceError("Santalo point Newton polish did not converge in 60 "
+                               f"iterations (last step {step:.3g})", residual=step)
     return PlanePoint(float(x[0]), float(x[1]))
 
 

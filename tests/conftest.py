@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import outerbilliard as ob
+from outerbilliard.quadrature import TWO_PI
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +24,20 @@ def wobbly3():
 @pytest.fixture(scope="session")
 def presets(unit_circle, ellipse21, wobbly3):
     return {"circle": unit_circle, "ellipse": ellipse21, "fourier": wobbly3}
+
+
+@pytest.fixture(scope="session")
+def fourier8():
+    """8 harmonics with seeded phases; the first moves the Santalo point off
+    the radial origin."""
+    rng = np.random.default_rng(7)
+    amps = np.array([0.06] + [0.08 / k ** 2 for k in range(2, 9)])
+    phases = rng.uniform(0.0, TWO_PI, 8)
+    return ob.require_valid(ob.fourier(1.0, cos=amps * np.cos(phases),
+                                       sin=amps * np.sin(phases)))
+
+
+@pytest.fixture(scope="session")
+def fourier8_refit(fourier8):
+    """fourier8 refit about its Santalo point (35 harmonics)."""
+    return ob.reorigin(fourier8, ob.santalo_point(fourier8))

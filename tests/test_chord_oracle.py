@@ -6,7 +6,9 @@ root of cross(gamma'(psi), B - gamma(psi)) on the half-turn after arg B
 (before it for d = -1) by bisection and polishes it by Newton, all at 40
 digits.  Nothing is shared with the package beyond the curve constructors.
 Three routes are held to it: both chord-step kernels and the point map's
-tangency() from the chord head (CCW for d = +1, CW for d = -1).
+tangency() from the chord head (CCW for d = +1, CW for d = -1).  tangency()
+is also held, down to the smallest t the chord kernels accept, to the root
+from the exact double-precision point it was given.
 """
 
 import math
@@ -39,14 +41,17 @@ def _ellipse(a, b):
     return f
 
 
-def _cosine_series(a0, cos):
+def _fourier_series(a0, cos, sin=()):
+    sin = tuple(sin) + (0.0,) * (len(cos) - len(sin))
+
     def f(p):
         r, r1, r2 = mp.mpf(a0), mp.mpf(0), mp.mpf(0)
-        for k, c in enumerate(cos, 1):
-            c = mp.mpf(c)
-            r += c * mp.cos(k * p)
-            r1 -= k * c * mp.sin(k * p)
-            r2 -= k * k * c * mp.cos(k * p)
+        for k, (a, b) in enumerate(zip(cos, sin), 1):
+            a, b = mp.mpf(a), mp.mpf(b)
+            ck, sk = mp.cos(k * p), mp.sin(k * p)
+            r += a * ck + b * sk
+            r1 += k * (b * ck - a * sk)
+            r2 -= k * k * (a * ck + b * sk)
         return r, r1, r2
     return f
 
@@ -57,8 +62,15 @@ def _reference(rfun, phi_m, t, d):
     phi_m, t = mp.mpf(phi_m), mp.mpf(t)
     r, r1, _ = rfun(phi_m)
     c, s = mp.cos(phi_m), mp.sin(phi_m)
-    bx = r * c + d * t * (r1 * c - r * s)
-    by = r * s + d * t * (r1 * s + r * c)
+    return _tangency_reference(rfun, r * c + d * t * (r1 * c - r * s),
+                               r * s + d * t * (r1 * s + r * c), d)
+
+
+@mp.workdps(40)
+def _tangency_reference(rfun, bx, by, d):
+    """(psi, t) of the tangency from the point B on the half-turn after arg B
+    (d = +1) or before it (d = -1), 40 digits."""
+    bx, by = mp.mpf(bx), mp.mpf(by)
 
     def g_and_slope(p):
         r, r1, r2 = rfun(p)
@@ -91,7 +103,7 @@ def _reference(rfun, phi_m, t, d):
 CURVES = {
     "circle": (ob.circle(1.0), _circle(1.0)),
     "ellipse21": (ob.ellipse(2.0, 1.0), _ellipse(2.0, 1.0)),
-    "wobbly": (ob.fourier(1.0, cos=[0.0, 0.0, 0.05]), _cosine_series(1.0, [0.0, 0.0, 0.05])),
+    "wobbly": (ob.fourier(1.0, cos=[0.0, 0.0, 0.05]), _fourier_series(1.0, [0.0, 0.0, 0.05])),
     "ellipse51": (ob.ellipse(5.0, 1.0), _ellipse(5.0, 1.0)),
 }
 
@@ -101,10 +113,11 @@ BUDGETS = [(name, 1e-2, 5e-13) for name in ("circle", "ellipse21", "wobbly")] \
     + [("ellipse51", 1e-3, 1e-11)]
 
 
-def _samples(t_min, seed, n=16):
+def _samples(t_min, seed, n=16, t_max=3.0):
     rng = np.random.default_rng(seed)
     phi = np.concatenate([[0.0, 0.5 * math.pi], rng.uniform(0.0, 2.0 * math.pi, n - 2)])
-    t = np.concatenate([[t_min, 3.0], np.exp(rng.uniform(math.log(t_min), math.log(3.0), n - 2))])
+    t = np.concatenate([[t_min, t_max],
+                        np.exp(rng.uniform(math.log(t_min), math.log(t_max), n - 2))])
     return phi, t
 
 
@@ -130,3 +143,35 @@ def test_chord_kernels_match_mpmath_root(name, t_min, budget, direction):
             t_err = abs(float(t_new - t_ref)) / max(1.0, float(t[i]))
             assert psi_err <= budget, (phi[i], t[i], psi_err)
             assert t_err <= budget, (phi[i], t[i], t_err)
+
+
+# (budget on psi and on t / max(1, t) for t >= 1e-3, and c in the budget c / t
+# below: there g' = O(t) turns round-off in g into an angle error of order
+# 1e-16 / t; measured worst c 4.8e-16 on fourier8 and 5.3e-15 on ellipse51)
+TANGENCY_BUDGETS = {"fourier8": (5e-12, 2e-15), "ellipse51": (1e-11, 2e-14)}
+
+
+@pytest.mark.parametrize("name", sorted(TANGENCY_BUDGETS))
+@pytest.mark.parametrize("direction", [1, -1])
+def test_tangency_matches_mpmath_root(name, direction, fourier8):
+    if name == "fourier8":
+        curve = fourier8
+        rfun = _fourier_series(curve.a0, curve.cos_coeffs, curve.sin_coeffs)
+    else:
+        curve, rfun = CURVES[name]
+    far, near = TANGENCY_BUDGETS[name]
+    orientation = dynamics.CCW if direction > 0 else dynamics.CW
+    phi, t = _samples(dynamics.MIN_CHORD_T, seed=len(name) + direction, n=24, t_max=30.0)
+    for i in range(phi.size):
+        # the tail of the chord tangent at phi[i] in this orientation
+        r, r1, _ = curve.radius_scalar(float(phi[i]))
+        c, s = math.cos(phi[i]), math.sin(phi[i])
+        a = ob.phase_point(curve, r * c - direction * t[i] * (r1 * c - r * s),
+                           r * s - direction * t[i] * (r1 * s + r * c))
+        res = ob.tangency(curve, a, orientation)
+        psi_ref, t_ref = _tangency_reference(rfun, a.x, a.y, direction)
+        budget = far if t[i] >= 1e-3 else near / t[i]
+        psi_err = abs(math.remainder(float(res.phi_m - psi_ref), 2.0 * math.pi))
+        t_err = abs(float(res.t - t_ref)) / max(1.0, float(t[i]))
+        assert psi_err <= budget, (phi[i], t[i], psi_err)
+        assert t_err <= budget, (phi[i], t[i], t_err)

@@ -189,31 +189,22 @@ def test_load_curve_errors(tmp_path):
     assert float(s.r_second) == pytest.approx(-0.45, abs=1e-15)
 
 
-def test_scalar_and_vector_radius_agree(presets):
-    # two code paths, one formula; a few ulp of accumulation-order noise allowed
-    rng = np.random.default_rng(3)
-    for curve in presets.values():
-        for phi in rng.uniform(0, TWO_PI, 25):
-            rs = curve.radius_scalar(float(phi))
-            rv = curve.radius(float(phi))
-            for a, b in zip(rs, rv):
-                assert float(a) == pytest.approx(float(b), rel=1e-13, abs=1e-13)
+def test_scalar_and_vector_radius_agree(presets, fourier8, fourier8_refit):
+    # the scalar hot path repeats radius's arithmetic on one (cos, sin) pair
+    curves = dict(presets, fourier8=fourier8, fourier8_refit=fourier8_refit)
+    phi = np.random.default_rng(17).uniform(-TWO_PI, 2 * TWO_PI, 4096)
+    for name, curve in curves.items():
+        vector = curve.radius(phi)
+        worst = max(abs(got - float(want[i]))
+                    for i, p in enumerate(phi)
+                    for got, want in zip(curve.radius_scalar(float(p)), vector))
+        assert worst <= 4e-15, (name, worst)
 
 
-def _fourier8(seed=7):
-    """8 harmonics with seeded phases; the first moves the Santalo point off
-    the radial origin."""
-    rng = np.random.default_rng(seed)
-    amps = np.array([0.06] + [0.08 / k ** 2 for k in range(2, 9)])
-    phases = rng.uniform(0.0, TWO_PI, 8)
-    return ob.require_valid(ob.fourier(1.0, cos=amps * np.cos(phases),
-                                       sin=amps * np.sin(phases)))
-
-
-def test_radius_is_elementwise(presets):
+def test_radius_is_elementwise(presets, fourier8):
     # a lane's value may not depend on the other lanes of the call, and a
     # passed (cos, sin) pair gives the same bits as computing it inside
-    curves = dict(presets, fourier8=_fourier8())
+    curves = dict(presets, fourier8=fourier8)
     rng = np.random.default_rng(11)
     phi = rng.uniform(-TWO_PI, 2 * TWO_PI, 1000)
     pick = rng.permutation(phi.size)[:137]
@@ -226,18 +217,17 @@ def test_radius_is_elementwise(presets):
             assert np.array_equal(f, g), name
 
 
-def test_fourier_radius_matches_mpmath():
-    # the seeded curve and its refit about the Santalo point (35 harmonics)
+def test_fourier_radius_matches_mpmath(fourier8, fourier8_refit):
+    # the seeded curve and its refit about the Santalo point, both radius paths
     mp = pytest.importorskip("mpmath").mp
-    curve = _fourier8()
-    moved = ob.reorigin(curve, ob.santalo_point(curve))
-    assert len(moved.cos_coeffs) > 30
+    assert len(fourier8_refit.cos_coeffs) > 30
     phi = np.random.default_rng(13).uniform(0.0, TWO_PI, 200)
     worst = 0.0
     with mp.workdps(40):
-        for c in (curve, moved):
+        for c in (fourier8, fourier8_refit):
             r, r1, r2 = c.radius(phi)
             for i, p in enumerate(phi):
+                scalar = c.radius_scalar(float(p))
                 p = mp.mpf(float(p))
                 ref = [mp.mpf(c.a0), mp.mpf(0), mp.mpf(0)]
                 for k, (a, b) in enumerate(zip(c.cos_coeffs, c.sin_coeffs), 1):
@@ -245,6 +235,7 @@ def test_fourier_radius_matches_mpmath():
                     ref[0] += a * ck + b * sk
                     ref[1] += k * (b * ck - a * sk)
                     ref[2] -= k * k * (a * ck + b * sk)
-                for got, want in zip((r[i], r1[i], r2[i]), ref):
-                    worst = max(worst, abs(float(got) - want))
+                for got, got_scalar, want in zip((r[i], r1[i], r2[i]), scalar, ref):
+                    worst = max(worst, abs(float(got) - want), abs(got_scalar - want))
     assert worst < 4e-15
+

@@ -247,3 +247,86 @@ def test_orbit_csv_format(unit_circle):
     assert int(row[0]) == 0
     assert float(row[1]) == pts[0].x
     assert float(row[3]) == pts[0].p
+
+
+def _count_radius_scalar(monkeypatch, calls, replace=None):
+    """Wrap ConvexCurve.radius_scalar: append each angle to calls, and return
+    replace(curve, phi, k) for the k-th call when it is given."""
+    inner = ob.ConvexCurve.radius_scalar
+
+    def counted(curve, phi):
+        calls.append(phi)
+        if replace is None:
+            return inner(curve, phi)
+        return replace(curve, phi, len(calls))
+    monkeypatch.setattr(ob.ConvexCurve, "radius_scalar", counted)
+
+
+def test_step_radius_scalar_budget(monkeypatch, presets):
+    # the point map's cost per step: 1 call for the exterior check, the
+    # tangency solve, 1 for the image's exterior check.  Measured 4.4 at
+    # t = 1e-3, where the second-order start sits next to the root (17 from
+    # the half-turn midpoint), and 6.4-8.4 at t in [0.1, 3]
+    per_t = {t: [(curve, dynamics.chord_tail_point(curve, phi, t))
+                 for curve in presets.values()
+                 for phi in np.linspace(0.0, TWO_PI, 12, endpoint=False)]
+             for t in (1e-3, 0.1, 1.0, 3.0)}
+    calls = []
+    _count_radius_scalar(monkeypatch, calls)
+    counts = {}
+    for t, seeds in per_t.items():
+        before = len(calls)
+        for curve, a in seeds:
+            ob.step(curve, a)
+        counts[t] = (len(calls) - before) / len(seeds)
+    assert sum(counts.values()) / len(counts) <= 12, counts
+    assert counts[1e-3] <= 6, counts
+
+
+def test_tangency_falls_back_to_the_half_turn_midpoint(monkeypatch, unit_circle):
+    # far points, and a point over the flat side of a 5:1 ellipse (chi = 0.04
+    # there), put the second-order start outside the half-turn; the solve
+    # then starts at its midpoint and still meets the exact tangency
+    flat = ob.require_valid(ob.ellipse(5.0, 1.0))
+    cases = []
+    for phi in (0.0, 1.0, 4.0):      # t = 1e3 on the circle: tangency at phi
+        a = dynamics.chord_tail_point(unit_circle, phi, 1e3)
+        cases.append((unit_circle, a, (math.cos(phi), math.sin(phi))))
+    cases.append((flat, dynamics.chord_tail_point(flat, 0.0, 1e3), (5.0, 0.0)))
+    # (0, 1.5) maps to itself in the unit-circle frame x / 5, y: tangency at
+    # pi/2 + acos(2/3) there
+    theta = 0.5 * math.pi + math.acos(2.0 / 3.0)
+    cases.append((flat, ob.phase_point(flat, 0.0, 1.5), (5.0 * math.cos(theta), math.sin(theta))))
+    for curve, a, want in cases:
+        calls = []
+        with monkeypatch.context() as m:
+            _count_radius_scalar(m, calls)
+            res = ob.tangency(curve, a)
+        assert calls[1] == pytest.approx(a.phi + 0.5 * math.pi, abs=1e-15)
+        assert math.hypot(res.point.x - want[0], res.point.y - want[1]) < 1e-12
+
+
+def test_tangency_without_a_converging_root_raises(monkeypatch, unit_circle):
+    # after the exterior check the curve swells to radius 3 around the point
+    # at distance 2: g keeps one sign on the whole half-turn, the bracket
+    # never closes on a root, and the solve must give up loudly
+    a = ob.phase_point(unit_circle, 2.0, 0.0)
+    calls = []
+    _count_radius_scalar(monkeypatch, calls,
+                         lambda curve, phi, k: (1.0, 0.0, 0.0) if k == 1 else (3.0, 0.0, 0.0))
+    with pytest.raises(ob.TangencyError, match="did not converge"):
+        ob.tangency(unit_circle, a)
+    assert len(calls) == 1 + dynamics.TANGENCY_MAX_EVALS
+
+
+def test_ellipse_orbit_phase_drift_over_1000_steps(ellipse21):
+    # near the curve a one-sided error in every step's tangency angle adds up
+    # along the orbit; scaled to a unit circle the orbit is an exact rotation
+    # by 2 acos(1/rho) per step
+    for phi0 in (0.0, 0.7, 1.3, 2.9):
+        a = dynamics.chord_tail_point(ellipse21, phi0, 1e-3)
+        z0 = complex(a.x / 2.0, a.y)
+        last = ob.orbit(ellipse21, a, 1000)[-1]
+        z = complex(last.x / 2.0, last.y)
+        turn = math.atan2(z.imag, z.real) - math.atan2(z0.imag, z0.real)
+        assert abs(math.remainder(turn - 2000.0 * math.acos(1.0 / abs(z0)), TWO_PI)) < 2e-8

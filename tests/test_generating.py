@@ -276,3 +276,28 @@ def test_derivative_csv(unit_circle):
     row = lines[1].split(",")
     assert len(row) == 9
     assert float(row[1]) == tm[0]
+
+
+def test_csv_writers_match_per_element_formatting(monkeypatch):
+    # one %-template per row over .tolist() columns gives the bytes of
+    # f"{float(v):.17g}" on every element, across batch boundaries too
+    monkeypatch.setattr(generating, "CSV_CHUNK", 5)
+    vals = np.array([0.0, -0.0, 1.0, -2.5, 1e-300, -3.7e-310, 1e300, -1.7976931348623157e308,
+                     math.pi, -1.0 / 3.0, 123456789.123, 2.0 ** -1074])
+    rng = np.random.default_rng(41)
+    cols = [rng.permutation(vals) for _ in range(9)]
+    pm, tm = cols[0], cols[1]
+    names = ("S", "S1", "S2", "S11", "S12", "S22", "J")
+    d = dict(zip(names, cols[2:]))
+    buf = io.StringIO()
+    generating.write_derivative_csv(buf, pm, tm, d)
+    want = "phi,t,S,S1,S2,S11,S12,S22,J\n" + "".join(
+        ",".join(f"{float(c[i]):.17g}" for c in cols) + "\n" for i in range(vals.size))
+    assert buf.getvalue() == want
+
+    points = [ob.PhasePoint(*(float(c[i]) for c in cols[:4])) for i in range(vals.size)]
+    buf = io.StringIO()
+    ob.write_orbit_csv(buf, points, ["note=ok"])
+    want = "n,x,y,p,phi\n" + "".join(
+        f"{n:d},{p.x:.17g},{p.y:.17g},{p.p:.17g},{p.phi:.17g}\n" for n, p in enumerate(points))
+    assert buf.getvalue() == want + "# note=ok\n"

@@ -257,3 +257,12 @@ def test_integrand_rejects_inconsistent_split(unit_circle, monkeypatch):
     with pytest.raises(ob.ConvergenceError) as exc:
         rigidity.integrand(unit_circle, 0.0, 1.0)
     assert exc.value.residual == pytest.approx(0.25)
+
+
+def test_santalo_polish_that_never_converges_raises(monkeypatch, wobbly3):
+    # with a zero step tolerance no polish can stop: after 60 iterations the
+    # search must fail loudly, with the last step as its residual
+    monkeypatch.setattr(rigidity, "SANTALO_STEP_TOL", 0.0)
+    with pytest.raises(ob.ConvergenceError) as info:
+        ob.santalo_point(wobbly3)
+    assert 0.0 <= info.value.residual < 1e-12
