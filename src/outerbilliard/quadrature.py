@@ -37,13 +37,3 @@ def gauss_panels(t_max: float, n_geometric: int = 12, nodes: int = 24):
         ws.append(half * wg)
     return np.concatenate(ts), np.concatenate(ws)
 
-
-def fft_derivative(values: np.ndarray, period: float = TWO_PI) -> np.ndarray:
-    """Spectral derivative of samples on a uniform periodic grid."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    m = np.arange(n // 2 + 1, dtype=float)
-    if n % 2 == 0:
-        m[-1] = 0.0  # Nyquist mode carries no odd-derivative information
-    spec = np.fft.rfft(values) * (1j * m * (TWO_PI / period))
-    return np.fft.irfft(spec, n=n)

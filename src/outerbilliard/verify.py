@@ -7,6 +7,7 @@ All sampling is deterministic (fixed seed) so reruns are byte-identical.
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -23,6 +24,14 @@ class CheckResult:
     passed: bool
     value: float
     threshold: float
+    error: Optional[str] = None     # "Type: message" of the exception a check raised
+
+    def to_dict(self) -> dict:
+        doc = {"name": self.name, "passed": self.passed, "value": self.value,
+               "threshold": self.threshold}
+        if self.error is not None:
+            doc["error"] = self.error
+        return doc
 
 
 @dataclass(frozen=True)
@@ -33,11 +42,7 @@ class VerificationResult:
     def to_dict(self) -> dict:
         return {
             "all_passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "value": c.value,
-                 "threshold": c.threshold}
-                for c in self.checks
-            ],
+            "checks": [c.to_dict() for c in self.checks],
         }
 
 
@@ -62,13 +67,16 @@ def run_verification(curve: ConvexCurve, n_sample: int = 100) -> VerificationRes
     checks = []
 
     def check(name, fn, threshold):
-        # a crashing check is a failed check, not an aborted suite
+        # a crashing check is a failed check that says why, not an aborted suite
+        error = None
         try:
             value = float(fn())
-        except Exception:
+        except Exception as exc:
             value = math.inf
+            error = f"{type(exc).__name__}: {exc}"
         checks.append(CheckResult(name=name, passed=bool(value < threshold),
-                                  value=value, threshold=float(threshold)))
+                                  value=value, threshold=float(threshold),
+                                  error=error))
 
     cphi, ct = _random_chords(rng, 2 * n_sample)
     pts = _random_exterior(curve, rng, n_sample)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from outerbilliard import cli, generating
+from outerbilliard import cli, generating, verify
 
 
 @pytest.fixture()
@@ -161,6 +161,20 @@ def test_verify_fault_injection_fails(circle_file, tmp_path, monkeypatch):
     assert doc["all_passed"] is False
     twist = next(c for c in doc["checks"] if c["name"] == "twist_negative")
     assert twist["passed"] is False
+
+
+def test_verify_records_why_a_check_raised(circle_file, tmp_path, monkeypatch):
+    def broken(curve, pts):
+        raise RuntimeError("midpoint oracle unavailable")
+
+    monkeypatch.setattr(verify, "_midpoint_error", broken)
+    out = tmp_path / "verify.json"
+    assert run(["--curve", circle_file, "--cmd", "verify", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    errors = {c["name"]: c["error"] for c in doc["checks"] if "error" in c}
+    assert errors == {"midpoint_property": "RuntimeError: midpoint oracle unavailable"}
+    midpoint = next(c for c in doc["checks"] if c["name"] == "midpoint_property")
+    assert midpoint["passed"] is False
 
 
 def test_rigidity_ellipse(ellipse_file, tmp_path):

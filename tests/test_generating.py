@@ -104,6 +104,18 @@ def test_angles_to_chord_residual(ellipse21):
     assert a.phi1 == pytest.approx(0.4, abs=1e-12)
 
 
+def test_s_at_angles_is_s_derivatives_at_the_solved_chord(fourier8):
+    rng = np.random.default_rng(43)
+    phi0 = rng.uniform(0.0, TWO_PI, 8)
+    gap = rng.uniform(0.2, 2.8, 8)
+    for a0, a1 in zip(phi0, phi0 + gap):
+        chord = ob.angles_to_chord(fourier8, a0, a1)
+        assert ob.s_at_angles(fourier8, a0, a1) == ob.s_derivatives(fourier8, chord)
+        back = ob.chord_to_angles(fourier8, chord)
+        assert abs(back.phi0 - a0) < 1e-10
+        assert abs(back.phi1 - a1) < 1e-10
+
+
 def test_s_value_circle_triangle(unit_circle):
     assert ob.s_value(unit_circle, ob.ChordCoords(0.0, 1.0)) == pytest.approx(1.0)
     # triangle (0,0), (1,-1), (1,1) has area 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,9 @@ def test_integrand_decomposition_identity(presets, name):
     total, f1, f2, f3 = rigidity._integrand_arrays(curve, phi, t)
     err = np.abs(f1 + f2 + f3 - total) / np.maximum(1.0, np.abs(total))
     assert err.max() < 1e-10
+    # i_numeric's blocks assemble the total the same way, bit for bit
+    d = rigidity._sderiv_arrays(curve, phi, t)
+    assert np.array_equal(total, rigidity._weighted_total(d))
 
 
 def test_integrand_finite_at_zero(presets):
@@ -99,6 +103,35 @@ def test_i_numeric_tail_split_independent(wobbly3):
 def test_i_numeric_t_max_precondition(unit_circle):
     with pytest.raises(ValueError):
         ob.i_numeric(unit_circle, t_max=5.0)
+
+
+@pytest.mark.parametrize("phi_grid", [1, 0, -4])
+def test_i_numeric_phi_grid_precondition(unit_circle, phi_grid):
+    with pytest.raises(ValueError, match="phi_grid"):
+        ob.i_numeric(unit_circle, phi_grid=phi_grid)
+
+
+def test_i_numeric_memory_is_bounded_by_the_block(wobbly3):
+    # the whole 2048 x 312 grid in one piece peaks near 78 MiB of temporaries
+    tracemalloc.start()
+    try:
+        ob.i_numeric(wobbly3, phi_grid=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("name", ["wobbly3", "fourier8_refit"])
+def test_i_numeric_does_not_depend_on_the_block_size(request, monkeypatch, name):
+    curve = request.getfixturevalue(name)
+    ic = ob.i_closed(curve)
+    default = ob.i_numeric(curve)
+    monkeypatch.setattr(rigidity, "I_BLOCK", 1)       # one phi row per block
+    one_row = ob.i_numeric(curve)
+    assert abs(one_row.value - default.value) <= 1e-15
+    for res in (default, one_row):
+        assert abs(res.value - ic) <= res.error_estimate
 
 
 def test_area_and_dual_circle(unit_circle):
