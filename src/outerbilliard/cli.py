@@ -173,23 +173,32 @@ def cmd_twist_scan(curve, cfg: RunConfig, out):
     return EXIT_OK
 
 
-def _scan_to_rows(scan):
-    return [{"seed_phi": r.seed_phi, "seed_t": r.seed_t,
-             "n_conjugate": r.n_conjugate} for r in scan.rows]
+def _scan_row(r):
+    row = {"seed_phi": r.seed_phi, "seed_t": r.seed_t, "n_conjugate": r.n_conjugate}
+    if r.unscanned is not None:
+        row["unscanned"] = r.unscanned
+    return row
 
 
 def cmd_conjugate_scan(curve, cfg: RunConfig, out):
     scan = jacobi.conjugate_grid_scan(
         curve, phi_count=cfg.phi_grid, t_count=cfg.t_grid, t_max=cfg.t_max,
         n_max=cfg.steps, workers=cfg.workers)
+    # the unscanned fields appear only when some seed could not be stepped,
+    # so every other report keeps its bytes
+    n_unscanned = len(scan.unscanned)
     if cfg.out_format == "csv":
         out.write("seed_phi,seed_t,n_conjugate\n")
         for r in scan.rows:
             n = "" if r.n_conjugate is None else str(r.n_conjugate)
             out.write(f"{r.seed_phi:.17g},{r.seed_t:.17g},{n}\n")
+        if n_unscanned:
+            out.write(f"# unscanned_rows={n_unscanned}\n")
         return EXIT_OK
-    doc = {"found_count": len(scan.found), "rows": _scan_to_rows(scan),
-           "config": cfg.echo()}
+    doc = {"found_count": len(scan.found)}
+    if n_unscanned:
+        doc["unscanned_count"] = n_unscanned
+    doc.update(rows=[_scan_row(r) for r in scan.rows], config=cfg.echo())
     out.write(serialize.dumps(doc))
     return EXIT_OK
 
@@ -209,6 +218,8 @@ def cmd_rigidity(curve, cfg: RunConfig, out, with_scan: bool):
                 "seed_phi": found[0].seed_phi, "seed_t": found[0].seed_t,
                 "n_conjugate": found[0].n_conjugate},
         }
+        if scan.unscanned:
+            scan_doc["unscanned_count"] = len(scan.unscanned)
     report = rigidity.rigidity_report(
         curve, phi_grid=cfg.phi_grid, t_max=cfg.t_max, equality_tol=cfg.tol,
         conjugate_scan=scan_doc)

@@ -20,7 +20,8 @@ t = 1e-3 and 5-11 at t >= 0.1.  The chord chart (chord_step_scalar,
 chord_step_batch), which drives the Jacobi and conjugate-point machinery,
 steps from chord to chord on one fixed schedule: N_BISECT bisections, then
 N_NEWTON Newton steps with the incoming chord's tangency deflated out, 14
-radius evaluations per step.
+radius evaluations per step; the batch kernel makes 13 when the caller
+passes back the radial data of the step before.
 """
 
 import math
@@ -326,8 +327,15 @@ def chord_step_scalar(curve: ConvexCurve, phi_m: float, t: float, direction: int
 
 
 def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
-                     direction: int = 1):
+                     direction: int = 1, head=None):
     """Next (+1) or previous (-1) chords of many orbits at once.
+
+    Returns (psi, t_new, radial), where radial = (cos, sin, r, r', r'') at
+    psi from the kernel's last evaluation.  A caller stepping on passes that
+    tuple back as ``head=`` (the same data at phi_m, not the head point B
+    below), and the step skips its first trig pair and radius call: 13
+    radius calls instead of 14.  Since radius(phi, cs=...) is bitwise equal
+    to radius(phi), the result is the same with or without it.
 
     From the chord's head B the wanted tangency is the sign change of
     g(psi) = cross(gamma'(psi), B - gamma(psi)) in the half-turn after
@@ -338,7 +346,8 @@ def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
     t.  Newton starts from the circle guess phi_b + (phi_b - phi_m), exact
     for a circle, or from the bracket midpoint when that guess falls
     outside; each iterate narrows the sign bracket and is clipped to it.
-    That is 1 + N_BISECT + N_NEWTON + 1 = 14 radius calls per step.
+    That is 1 + N_BISECT + N_NEWTON + 1 = 14 radius calls per step, 13 with
+    a head.
 
     The schedule is fixed rather than convergence-driven, so every lane runs
     the same float operations whatever the other lanes hold: results are
@@ -359,8 +368,10 @@ def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
     """
     if not np.all(t >= MIN_CHORD_T):
         raise TangencyError(_near_boundary_message(np.min(t)))
-    c, s = np.cos(phi_m), np.sin(phi_m)
-    r, r1, _ = curve.radius(phi_m, cs=(c, s))
+    if head is None:
+        c, s = np.cos(phi_m), np.sin(phi_m)
+        head = (c, s) + curve.radius(phi_m, cs=(c, s))
+    c, s, r, r1, _ = head
     bx = r * c + direction * t * (r1 * c - r * s)
     by = r * s + direction * t * (r1 * s + r * c)
     phi_b = np.arctan2(by, bx)
@@ -397,9 +408,9 @@ def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
         den = gp - g / (psi - phi_b + direction * off)
         psi = np.clip(psi - g / np.where(g == 0.0, 1.0, den), lo, hi)
     cm, sm = np.cos(psi), np.sin(psi)
-    r, r1, _ = curve.radius(psi, cs=(cm, sm))
+    r, r1, r2 = curve.radius(psi, cs=(cm, sm))
     t_new = np.hypot(bx - r * cm, by - r * sm) / np.hypot(r1 * cm - r * sm, r1 * sm + r * cm)
-    return psi, t_new
+    return psi, t_new, (cm, sm, r, r1, r2)
 
 
 def chord_tail_point(curve: ConvexCurve, phi_m: float, t: float) -> PhasePoint:

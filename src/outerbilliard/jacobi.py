@@ -22,8 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .curves import ConvexCurve
-from .dynamics import PhasePoint, chord_of, chord_step_batch, chord_step_scalar
-from .errors import ConvergenceError
+from .dynamics import (MIN_CHORD_T, PhasePoint, _near_boundary_message, chord_of,
+                       chord_step_batch, chord_step_scalar)
+from .errors import ConvergenceError, TangencyError
 from .generating import _sderiv_arrays, s_closed_forms
 from .quadrature import uniform_angles
 
@@ -32,7 +33,10 @@ HOPF_CAP = 2 ** 14
 HOPF_TOL = 1e-4
 ZERO_TOL = 1e-12          # |dq| below this times the running max counts as a zero
 RENORM_LIMIT = 1e100
-SCAN_CHUNK = 1024         # seeds per batch; per-lane results do not depend on it
+# Most seeds per conjugate-scan chunk.  It caps a chunk's memory (about 1.8
+# MiB of numpy temporaries at 4096 lanes) while leaving each of the 13 radius
+# evaluations per lane-step a long array pass; rows do not depend on it.
+SCAN_CHUNK = 4096
 
 
 def sderiv_scalar(curve: ConvexCurve, phi: float, t: float) -> dict:
@@ -239,6 +243,7 @@ class ConjugateScanRow:
     seed_phi: float
     seed_t: float
     n_conjugate: Optional[int]
+    unscanned: Optional[str] = None     # why the seed was not stepped
 
 
 @dataclass(frozen=True)
@@ -254,17 +259,27 @@ class ConjugateScanResult:
     def found(self):
         return [r for r in self.rows if r.n_conjugate is not None]
 
+    @property
+    def unscanned(self):
+        return [r for r in self.rows if r.unscanned is not None]
+
 
 def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
                 n_max: int, zero_tol: float, stop_at_first: bool) -> np.ndarray:
     """Vectorized radial conjugate scan; -1 marks seeds with no sign change.
 
-    A lane drops out as soon as its index is known: after each step with a
-    hit the state is gathered down to the lanes still running, so later
-    steps cost only those.  Every kernel is elementwise, so which lanes
-    share a step never changes a lane's arithmetic.
+    The seeds' radial data is evaluated once; after that each step's
+    chord_step_batch hands back (cos, sin, r, r', r'') at the new tangency
+    angle, which feeds s_closed_forms and is passed back as the next step's
+    head, so a lane-step costs 13 radius evaluations.  A lane drops out as
+    soon as its index is known: after each step with a hit the state is
+    gathered down to the lanes still running, so later steps cost only
+    those.  Every kernel is elementwise, so which lanes share a step never
+    changes a lane's arithmetic.
     """
-    d = _sderiv_arrays(curve, seed_phi, seed_t)
+    c, s = np.cos(seed_phi), np.sin(seed_phi)
+    radial = (c, s) + curve.radius(seed_phi, cs=(c, s))
+    d = s_closed_forms(*radial[2:], seed_t)
     b_prev, s22_prev = d["S12"], d["S22"]
     dq_prev = np.zeros_like(seed_phi)
     dq = -1.0 / d["S12"]
@@ -273,8 +288,8 @@ def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
     live = np.arange(seed_phi.size)           # seed index of each running lane
     phi_m, t = seed_phi, seed_t
     for n in range(1, n_max):
-        phi_m, t = chord_step_batch(curve, phi_m, t, 1)
-        d = _sderiv_arrays(curve, phi_m, t)
+        phi_m, t, radial = chord_step_batch(curve, phi_m, t, 1, head=radial)
+        d = s_closed_forms(*radial[2:], t)
         dq_next = -((s22_prev + d["S11"]) * dq + b_prev * dq_prev) / d["S12"]
         hit = (dq_next < 0.0) | (np.abs(dq_next) <= zero_tol * runmax)
         dq_prev, dq = dq, dq_next
@@ -293,6 +308,7 @@ def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
                 break
             phi_m, t, dq_prev, dq, b_prev, s22_prev, runmax = (
                 x[keep] for x in (phi_m, t, dq_prev, dq, b_prev, s22_prev, runmax))
+            radial = tuple(x[keep] for x in radial)
     return found
 
 
@@ -308,49 +324,61 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
     """Radial conjugate scan over a (phi, t) grid of seed chords.
 
     Seeds are the tails M0 of the chords (phi_i, t_j), phi uniform on
-    [0, 2pi), t_j = t_max (j+1)/t_count.  The grid is cut into chunks of
-    SCAN_CHUNK seeds, which run in up to min(workers, chunks, cores)
-    processes, or in this process when that is one.  Every kernel is
-    elementwise, so a seed's result is the same for any chunk size and
-    worker count.  With stop_at_first the chunks run serially and the scan
-    stops at the first chunk containing a hit.
+    [0, 2pi), t_j = t_max (j+1)/t_count.  Seeds with t below MIN_CHORD_T
+    cannot be stepped: their rows carry an ``unscanned`` reason and
+    ``complete`` goes False, unless no seed at all can be stepped, which
+    raises TangencyError.  The other seeds are split into
+    max(n_proc, ceil(seeds / SCAN_CHUNK)) contiguous chunks of near-equal
+    size, n_proc = min(workers, cores, seeds); they run in n_proc processes,
+    or in this process when n_proc is one.  So --workers 1 scans a 64x64
+    grid as one 4096-lane chunk and --workers 2 as two chunks in two
+    processes; each lane-step costs 13 radius evaluations (see _scan_batch).
+    Every kernel is elementwise, so a seed's result is the same for any
+    chunk size and worker count.  With stop_at_first the chunks run serially
+    and the scan stops at the first chunk containing a hit.
     """
     phis = uniform_angles(phi_count)
     ts = t_max * np.arange(1, t_count + 1) / t_count
     seed_phi = np.repeat(phis, t_count)
     seed_t = np.tile(ts, phi_count)
     n_seeds = seed_phi.size
-    chunks = [(seed_phi[i:i + SCAN_CHUNK], seed_t[i:i + SCAN_CHUNK])
-              for i in range(0, n_seeds, SCAN_CHUNK)]
+    steppable = seed_t >= MIN_CHORD_T          # False for NaN too
+    if n_seeds and not steppable.any():
+        raise TangencyError(_near_boundary_message(np.min(seed_t)))
+    scan_phi, scan_t = seed_phi[steppable], seed_t[steppable]
+    n_scan = scan_phi.size
+    # at least one chunk per process, and none over SCAN_CHUNK lanes
+    n_proc = min(workers, os.cpu_count() or 1, n_scan)
+    n_chunks = max(n_proc, -(-n_scan // SCAN_CHUNK))
+    chunks = (list(zip(np.array_split(scan_phi, n_chunks), np.array_split(scan_t, n_chunks)))
+              if n_chunks else [])
 
-    results = []
-    # one process per chunk at most, and no more than the machine has cores
-    n_proc = min(workers, len(chunks), os.cpu_count() or 1)
+    complete = bool(steppable.all())
     if stop_at_first:
         # serial, grid order; any hit stops the scan early, so rows past the
         # hit (None) only mean "not fully scanned" and complete goes False
-        complete = True
+        results = []
         for cp, ctt in chunks:
-            found = _scan_batch(curve, cp, ctt, n_max, zero_tol, True)
-            results.append(found)
-            if (found >= 0).any():
+            results.append(_scan_batch(curve, cp, ctt, n_max, zero_tol, True))
+            if (results[-1] >= 0).any():
                 complete = False
                 break
-        while len(results) < len(chunks):
-            results.append(np.full(chunks[len(results)][0].shape, -1, dtype=np.int64))
     elif n_proc > 1:
-        complete = True
         jobs = [(curve, cp, ctt, n_max, zero_tol) for cp, ctt in chunks]
         with ProcessPoolExecutor(max_workers=n_proc) as pool:
             results = list(pool.map(_scan_chunk_worker, jobs))
     else:
-        complete = True
         results = [_scan_batch(curve, cp, ctt, n_max, zero_tol, False)
                    for cp, ctt in chunks]
 
-    found = np.concatenate(results) if results else np.empty(0, dtype=np.int64)
+    found = np.full(n_seeds, -1, dtype=np.int64)
+    if results:
+        done = np.concatenate(results)
+        found[np.flatnonzero(steppable)[:done.size]] = done
+    reason = f"t below {MIN_CHORD_T:g}"
     rows = [ConjugateScanRow(float(seed_phi[i]), float(seed_t[i]),
-                             int(found[i]) if found[i] >= 0 else None)
+                             int(found[i]) if found[i] >= 0 else None,
+                             None if steppable[i] else reason)
             for i in range(n_seeds)]
     return ConjugateScanResult(rows=rows, phi_count=phi_count, t_count=t_count,
                                t_max=t_max, n_max=n_max, complete=complete)

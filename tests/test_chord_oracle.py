@@ -126,7 +126,7 @@ def _samples(t_min, seed, n=16, t_max=3.0):
 def test_chord_kernels_match_mpmath_root(name, t_min, budget, direction):
     curve, rfun = CURVES[name]
     phi, t = _samples(t_min, seed=len(name) + int(-math.log10(t_min)))
-    batch_psi, batch_t = dynamics.chord_step_batch(curve, phi, t, direction)
+    batch_psi, batch_t, _ = dynamics.chord_step_batch(curve, phi, t, direction)
     orientation = dynamics.CCW if direction > 0 else dynamics.CW
     for i in range(phi.size):
         psi_ref, t_ref = _reference(rfun, float(phi[i]), float(t[i]), direction)

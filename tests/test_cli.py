@@ -99,6 +99,24 @@ def test_conjugate_scan_near_boundary_exit_3(circle_file, capsys):
     assert captured.err.count("\n") == 1 and "t >= 1e-08" in captured.err
 
 
+def test_conjugate_scan_reports_unscanned_rows(circle_file, tmp_path):
+    # t_j = 5e-5 (j+1)/64: only the t = 7.8e-7 row is below MIN_CHORD_T
+    out = tmp_path / "scan.json"
+    assert run(["--curve", circle_file, "--cmd", "conjugate-scan", "--t-max", "5e-5",
+                "--steps", "10", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["unscanned_count"] == 64
+    short = [r for r in doc["rows"] if r["seed_t"] < 1.5e-6]
+    assert {r["seed_t"] for r in short} == {5e-5 / 64}
+    assert [r for r in doc["rows"] if "unscanned" in r] == short
+    assert all(r["unscanned"] == "t below 1.5e-06" for r in short)
+    csv_out = tmp_path / "scan.csv"
+    assert run(["--curve", circle_file, "--cmd", "conjugate-scan", "--t-max", "5e-5",
+                "--steps", "10", "--format", "csv", "--out", str(csv_out)]) == 0
+    lines = csv_out.read_text().splitlines()
+    assert len(lines) == 1 + 64 * 64 + 1 and lines[-1] == "# unscanned_rows=64"
+
+
 def test_invalid_curve_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "fourier", "a0": 1.0, "cos": [0, 0, 0.2]}')
@@ -261,6 +279,7 @@ def test_conjugate_scan_json_rows(wobbly_file, tmp_path):
     assert len(doc["rows"]) == 64 * 64
     row = doc["rows"][0]
     assert set(row) == {"seed_phi", "seed_t", "n_conjugate"}
+    assert "unscanned_count" not in doc
     assert doc["found_count"] == sum(r["n_conjugate"] is not None for r in doc["rows"])
 
 

@@ -182,7 +182,7 @@ def test_chord_kernels_refuse_t_below_accuracy_budget(presets, unit_circle):
     phi = np.random.default_rng(37).uniform(0, TWO_PI, 2000)
     t = np.full_like(phi, dynamics.MIN_CHORD_T)
     for direction in (1, -1):
-        _, t_new = dynamics.chord_step_batch(unit_circle, phi, t, direction)
+        _, t_new, _ = dynamics.chord_step_batch(unit_circle, phi, t, direction)
         assert np.abs(t_new / t - 1.0).max() <= 1e-4
 
 
@@ -191,11 +191,32 @@ def test_chord_step_batch_matches_scalar(presets):
     for curve in presets.values():
         phi = rng.uniform(0, TWO_PI, 16)
         t = rng.uniform(0.1, 2.5, 16)
-        bp, bt = dynamics.chord_step_batch(curve, phi, t, 1)
+        bp, bt, _ = dynamics.chord_step_batch(curve, phi, t, 1)
         for i in range(16):
             sp, st = dynamics.chord_step_scalar(curve, float(phi[i]), float(t[i]), 1)
             assert sp == pytest.approx(float(bp[i]), abs=1e-12)
             assert st == pytest.approx(float(bt[i]), abs=1e-12)
+
+
+def test_chord_step_batch_head_reuse_is_bitwise(presets, fourier8):
+    # feeding each step's radial data back as the next head skips one radius
+    # call and changes no bit; the radial data is radius at the new angle
+    rng = np.random.default_rng(29)
+    curves = dict(presets, fourier8=fourier8)
+    for curve in curves.values():
+        phi0 = rng.uniform(0, TWO_PI, 64)
+        t0 = rng.uniform(0.01, 3.0, 64)
+        for direction in (1, -1):
+            phi, t, head = phi0, t0, None
+            phi_ref, t_ref = phi0, t0
+            for _ in range(5):
+                phi, t, head = dynamics.chord_step_batch(curve, phi, t, direction, head=head)
+                phi_ref, t_ref, _ = dynamics.chord_step_batch(curve, phi_ref, t_ref, direction)
+                assert np.array_equal(phi, phi_ref) and np.array_equal(t, t_ref)
+                assert np.array_equal(head[0], np.cos(phi))
+                assert np.array_equal(head[1], np.sin(phi))
+                for got, want in zip(head[2:], curve.radius(phi)):
+                    assert np.array_equal(got, want)
 
 
 def test_ellipse_orbit_is_an_exact_rotation_near_the_curve(ellipse21):

@@ -190,13 +190,15 @@ def test_grid_scan_rows_do_not_depend_on_chunk_size(wobbly3, monkeypatch):
 
 
 def test_grid_scan_worker_count_is_bounded(wobbly3, monkeypatch):
-    seen = []
+    # max(n_proc, ceil(seeds / SCAN_CHUNK)) near-equal chunks, run by
+    # n_proc = min(workers, cores, seeds) processes, with no pool at one
+    pools, chunks = [], []
 
     class RecordingPool:
         """Stand-in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
         def __init__(self, max_workers):
-            seen.append(max_workers)
+            pools.append(max_workers)
 
         def __enter__(self):
             return self
@@ -207,18 +209,82 @@ def test_grid_scan_worker_count_is_bounded(wobbly3, monkeypatch):
         def map(self, fn, jobs):
             return [fn(job) for job in jobs]
 
+    scan_batch = jacobi._scan_batch
+
+    def recording_batch(curve, seed_phi, *rest):
+        chunks.append(seed_phi.size)
+        return scan_batch(curve, seed_phi, *rest)
+
     monkeypatch.setattr(jacobi, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(jacobi, "_scan_batch", recording_batch)
+    monkeypatch.setattr(jacobi, "SCAN_CHUNK", 64)
     monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 8)
-    per_t = jacobi.SCAN_CHUNK // 16          # phi_count giving one chunk at t_count = 16
-    # 2 chunks: never more processes than chunks
-    ob.conjugate_grid_scan(wobbly3, phi_count=2 * per_t, t_count=16, n_max=3, workers=1000)
-    # 16 chunks: no more processes than cores
-    ob.conjugate_grid_scan(wobbly3, phi_count=16 * per_t, t_count=16, n_max=3, workers=1000)
-    # one chunk, or an unknown core count: no pool, the chunks run in this process
-    ob.conjugate_grid_scan(wobbly3, phi_count=per_t, t_count=16, n_max=3, workers=4)
+
+    def scan(phi_count, t_count, workers):
+        pools.clear()
+        chunks.clear()
+        ob.conjugate_grid_scan(wobbly3, phi_count=phi_count, t_count=t_count,
+                               n_max=3, workers=workers)
+        assert max(chunks) <= jacobi.SCAN_CHUNK
+        return list(pools), sorted(chunks)
+
+    # one worker: no pool, and chunks of at most SCAN_CHUNK seeds
+    assert scan(16, 16, 1) == ([], [64] * 4)
+    assert scan(17, 16, 1) == ([], [54, 54, 54, 55, 55])
+    # a grid below SCAN_CHUNK still gives each worker its own chunk
+    assert scan(2, 16, 2) == ([2], [16, 16])
+    # never more processes than cores, nor more than seeds
+    assert scan(64, 16, 1000) == ([8], [64] * 16)
+    assert scan(2, 16, 1000) == ([8], [4] * 8)
+    assert scan(1, 3, 1000) == ([3], [1, 1, 1])
+    # an unknown core count counts as one core: no pool
     monkeypatch.setattr(jacobi.os, "cpu_count", lambda: None)
-    ob.conjugate_grid_scan(wobbly3, phi_count=2 * per_t, t_count=16, n_max=3, workers=4)
-    assert seen == [2, 8]
+    assert scan(16, 16, 4) == ([], [64] * 4)
+
+
+def test_grid_scan_rows_bitwise_for_any_workers_and_chunk(wobbly3, monkeypatch):
+    monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 4)    # 3 workers use 3 processes
+    rows = {}
+    for chunk in (64, 4096):
+        monkeypatch.setattr(jacobi, "SCAN_CHUNK", chunk)
+        for workers in (1, 2, 3):
+            scan = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, t_max=3.0,
+                                          n_max=300, workers=workers)
+            rows[chunk, workers] = [(r.seed_phi, r.seed_t, r.n_conjugate, r.unscanned)
+                                    for r in scan.rows]
+    first = rows[64, 1]
+    assert any(r[2] is not None for r in first)
+    assert all(r == first for r in rows.values())
+
+
+def test_scan_batch_memory_per_chunk(wobbly3):
+    # one full chunk at the benchmark's 40 steps: its numpy temporaries stay
+    # within a few MiB, which is what SCAN_CHUNK bounds
+    import tracemalloc
+
+    phis = np.repeat(np.arange(64) * (TWO_PI / 64), 64)
+    ts = np.tile(3.0 * np.arange(1, 65) / 64, 64)
+    assert phis.size == jacobi.SCAN_CHUNK
+    tracemalloc.start()
+    try:
+        jacobi._scan_batch(wobbly3, phis, ts, 40, jacobi.ZERO_TOL, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_grid_scan_marks_seeds_below_min_chord_t(unit_circle):
+    scan = ob.conjugate_grid_scan(unit_circle, phi_count=8, t_count=64, t_max=5e-5,
+                                  n_max=10)
+    assert not scan.complete
+    short = [r for r in scan.rows if r.seed_t < dynamics.MIN_CHORD_T]
+    assert len(short) == 8
+    assert scan.unscanned == short
+    assert all(r.unscanned == "t below 1.5e-06" and r.n_conjugate is None for r in short)
+    # a grid with no seed to step is an error, as a single chord step is
+    with pytest.raises(ob.TangencyError):
+        ob.conjugate_grid_scan(unit_circle, phi_count=8, t_count=8, t_max=1e-6, n_max=10)
 
 
 def test_hopf_circle(unit_circle, circle_seed):
