@@ -218,8 +218,6 @@ def cmd_rigidity(curve, cfg: RunConfig, out, with_scan: bool):
                 "seed_phi": found[0].seed_phi, "seed_t": found[0].seed_t,
                 "n_conjugate": found[0].n_conjugate},
         }
-        if scan.unscanned:
-            scan_doc["unscanned_count"] = len(scan.unscanned)
     report = rigidity.rigidity_report(
         curve, phi_grid=cfg.phi_grid, t_max=cfg.t_max, equality_tol=cfg.tol,
         conjugate_scan=scan_doc)

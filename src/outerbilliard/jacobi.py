@@ -327,12 +327,11 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
     [0, 2pi), t_j = t_max (j+1)/t_count.  Seeds with t below MIN_CHORD_T
     cannot be stepped: their rows carry an ``unscanned`` reason and
     ``complete`` goes False, unless no seed at all can be stepped, which
-    raises TangencyError.  The other seeds are split into
-    max(n_proc, ceil(seeds / SCAN_CHUNK)) contiguous chunks of near-equal
-    size, n_proc = min(workers, cores, seeds); they run in n_proc processes,
-    or in this process when n_proc is one.  So --workers 1 scans a 64x64
-    grid as one 4096-lane chunk and --workers 2 as two chunks in two
-    processes; each lane-step costs 13 radius evaluations (see _scan_batch).
+    raises TangencyError.  The other seeds are cut, in grid order, into
+    chunks of SCAN_CHUNK seeds, which run in up to min(workers, chunks,
+    cores) processes, or in this process when that is one; so a grid of at
+    most SCAN_CHUNK seeds, such as 64x64, never starts a pool.  Each
+    lane-step costs 13 radius evaluations (see _scan_batch).
     Every kernel is elementwise, so a seed's result is the same for any
     chunk size and worker count.  With stop_at_first the chunks run serially
     and the scan stops at the first chunk containing a hit.
@@ -346,12 +345,10 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
     if n_seeds and not steppable.any():
         raise TangencyError(_near_boundary_message(np.min(seed_t)))
     scan_phi, scan_t = seed_phi[steppable], seed_t[steppable]
-    n_scan = scan_phi.size
-    # at least one chunk per process, and none over SCAN_CHUNK lanes
-    n_proc = min(workers, os.cpu_count() or 1, n_scan)
-    n_chunks = max(n_proc, -(-n_scan // SCAN_CHUNK))
-    chunks = (list(zip(np.array_split(scan_phi, n_chunks), np.array_split(scan_t, n_chunks)))
-              if n_chunks else [])
+    chunks = [(scan_phi[i:i + SCAN_CHUNK], scan_t[i:i + SCAN_CHUNK])
+              for i in range(0, scan_phi.size, SCAN_CHUNK)]
+    # one process per chunk at most, and no more than the machine has cores
+    n_proc = min(workers, len(chunks), os.cpu_count() or 1)
 
     complete = bool(steppable.all())
     if stop_at_first:

@@ -103,14 +103,13 @@ def integrand(curve: ConvexCurve, phi: float, t: float) -> IntegrandSample:
                            total=total)
 
 
-def _tail_arrays(curve: ConvexCurve, phi, t_max: float):
-    """Analytic Int_{t_max}^inf of the decomposition, per angle.
+def _tail_arrays(r, rp, rpp, t_max: float):
+    """Analytic Int_{t_max}^inf of the decomposition, per angle of (r, r', r'').
 
     First term: 2 sqrt(chi)/r * (pi/2 - arctan(sqrt(chi) t/r)).  The other
     two are integrated together; their log terms cancel in the limit, leaving
     -pi chi/(r^2+r'^2) minus the combined antiderivative at t_max.
     """
-    r, rp, rpp = curve.radius(phi)
     k = chi(r, rp, rpp)
     rp2 = r * r + rp * rp
     sq = np.sqrt(k)
@@ -156,8 +155,9 @@ def i_numeric(curve: ConvexCurve, t_max: float = 50.0, phi_grid: int = 2048,
     16384 nodes the result matched the whole-grid pass bit for bit on those
     curves, while 8192 moved value by 1e-16 and error_estimate by up to 1%.
 
-    r, r', r'' depend on phi alone, so each pass evaluates them once and the
-    blocks slice them, which leaves every bit of the result unchanged.  On
+    r, r', r'' depend on phi alone, so each pass evaluates them once, and
+    the blocks and the analytic tails share them; this leaves every bit of
+    the result unchanged.  On
     the same three curves (medians of 9, three interleaved rounds) that
     took a call from 81-95/83-95/118-128 ms to 68-78/72-81/75-100 ms; the
     refit gains most, since its 35-harmonic radius had run once per block.
@@ -170,7 +170,8 @@ def i_numeric(curve: ConvexCurve, t_max: float = 50.0, phi_grid: int = 2048,
     def pass_at(pg, nodes):
         t, w = gauss_panels(t_max, n_geometric=t_panels, nodes=nodes)
         phis = uniform_angles(pg)
-        r, rp, rpp = (x[:, None] for x in curve.radius(phis))
+        radial = curve.radius(phis)
+        r, rp, rpp = (x[:, None] for x in radial)
         inner = np.empty(pg)
         mass = np.empty(pg)
         rows = max(1, I_BLOCK // t.size)
@@ -179,7 +180,7 @@ def i_numeric(curve: ConvexCurve, t_max: float = 50.0, phi_grid: int = 2048,
             total = _weighted_total(s_closed_forms(r[block], rp[block], rpp[block], t[None, :]))
             inner[block] = total @ w
             mass[block] = np.abs(total) @ w
-        tail1, tail23 = _tail_arrays(curve, phis, t_max)
+        tail1, tail23 = _tail_arrays(*radial, t_max)
         value = periodic_trapezoid(inner + tail1 + tail23)
         return (value, periodic_trapezoid(tail1), periodic_trapezoid(tail23),
                 periodic_trapezoid(mass + np.abs(tail1) + np.abs(tail23)))

@@ -170,6 +170,11 @@ def test_grid_scan_workers_bitwise_identical(wobbly3, monkeypatch):
     four = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, t_max=3.0,
                                   n_max=300, workers=4)
     assert [r.n_conjugate for r in one.rows] == [r.n_conjugate for r in four.rows]
+    # three processes on four chunks, whole rows
+    monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 4)
+    three = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, t_max=3.0,
+                                   n_max=300, workers=3)
+    assert three.rows == one.rows
 
 
 def test_grid_scan_rows_do_not_depend_on_chunk_size(wobbly3, monkeypatch):
@@ -190,13 +195,43 @@ def test_grid_scan_rows_do_not_depend_on_chunk_size(wobbly3, monkeypatch):
 
 
 def test_grid_scan_worker_count_is_bounded(wobbly3, monkeypatch):
-    # max(n_proc, ceil(seeds / SCAN_CHUNK)) near-equal chunks, run by
-    # n_proc = min(workers, cores, seeds) processes, with no pool at one
-    pools, chunks = [], []
+    seen = []
 
     class RecordingPool:
         """Stand-in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(jacobi, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 8)
+    per_t = jacobi.SCAN_CHUNK // 16          # phi_count giving one chunk at t_count = 16
+    # 2 chunks: never more processes than chunks
+    ob.conjugate_grid_scan(wobbly3, phi_count=2 * per_t, t_count=16, n_max=3, workers=1000)
+    # 16 chunks: no more processes than cores
+    ob.conjugate_grid_scan(wobbly3, phi_count=16 * per_t, t_count=16, n_max=3, workers=1000)
+    # one chunk, or an unknown core count: no pool, the chunks run in this process
+    ob.conjugate_grid_scan(wobbly3, phi_count=per_t, t_count=16, n_max=3, workers=4)
+    monkeypatch.setattr(jacobi.os, "cpu_count", lambda: None)
+    ob.conjugate_grid_scan(wobbly3, phi_count=2 * per_t, t_count=16, n_max=3, workers=4)
+    assert seen == [2, 8]
+
+
+def test_grid_scan_chunks_are_capped_in_grid_order(wobbly3, monkeypatch):
+    # chunks of SCAN_CHUNK seeds in grid order, the last one shorter; a grid
+    # that fits one chunk runs in this process whatever the worker count
+    pools, chunks = [], []
+
+    class RecordingPool:
         def __init__(self, max_workers):
             pools.append(max_workers)
 
@@ -211,50 +246,28 @@ def test_grid_scan_worker_count_is_bounded(wobbly3, monkeypatch):
 
     scan_batch = jacobi._scan_batch
 
-    def recording_batch(curve, seed_phi, *rest):
-        chunks.append(seed_phi.size)
-        return scan_batch(curve, seed_phi, *rest)
+    def recording_batch(curve, seed_phi, seed_t, *rest):
+        chunks.append((seed_phi[0], seed_t[0], seed_phi.size))
+        return scan_batch(curve, seed_phi, seed_t, *rest)
 
     monkeypatch.setattr(jacobi, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(jacobi, "_scan_batch", recording_batch)
     monkeypatch.setattr(jacobi, "SCAN_CHUNK", 64)
     monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 8)
 
-    def scan(phi_count, t_count, workers):
+    def scan(phi_count, workers):
         pools.clear()
         chunks.clear()
-        ob.conjugate_grid_scan(wobbly3, phi_count=phi_count, t_count=t_count,
-                               n_max=3, workers=workers)
-        assert max(chunks) <= jacobi.SCAN_CHUNK
-        return list(pools), sorted(chunks)
+        rows = ob.conjugate_grid_scan(wobbly3, phi_count=phi_count, t_count=16,
+                                      n_max=3, workers=workers).rows
+        starts = [(rows[i].seed_phi, rows[i].seed_t) for i in range(0, len(rows), 64)]
+        assert [c[:2] for c in chunks] == starts
+        return list(pools), [c[2] for c in chunks]
 
-    # one worker: no pool, and chunks of at most SCAN_CHUNK seeds
-    assert scan(16, 16, 1) == ([], [64] * 4)
-    assert scan(17, 16, 1) == ([], [54, 54, 54, 55, 55])
-    # a grid below SCAN_CHUNK still gives each worker its own chunk
-    assert scan(2, 16, 2) == ([2], [16, 16])
-    # never more processes than cores, nor more than seeds
-    assert scan(64, 16, 1000) == ([8], [64] * 16)
-    assert scan(2, 16, 1000) == ([8], [4] * 8)
-    assert scan(1, 3, 1000) == ([3], [1, 1, 1])
-    # an unknown core count counts as one core: no pool
-    monkeypatch.setattr(jacobi.os, "cpu_count", lambda: None)
-    assert scan(16, 16, 4) == ([], [64] * 4)
-
-
-def test_grid_scan_rows_bitwise_for_any_workers_and_chunk(wobbly3, monkeypatch):
-    monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 4)    # 3 workers use 3 processes
-    rows = {}
-    for chunk in (64, 4096):
-        monkeypatch.setattr(jacobi, "SCAN_CHUNK", chunk)
-        for workers in (1, 2, 3):
-            scan = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, t_max=3.0,
-                                          n_max=300, workers=workers)
-            rows[chunk, workers] = [(r.seed_phi, r.seed_t, r.n_conjugate, r.unscanned)
-                                    for r in scan.rows]
-    first = rows[64, 1]
-    assert any(r[2] is not None for r in first)
-    assert all(r == first for r in rows.values())
+    assert scan(9, 1) == ([], [64, 64, 16])
+    assert scan(9, 2) == ([2], [64, 64, 16])
+    assert scan(4, 1000) == ([], [64])
+    assert scan(3, 1000) == ([], [48])
 
 
 def test_scan_batch_memory_per_chunk(wobbly3):
