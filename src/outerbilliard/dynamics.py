@@ -12,16 +12,17 @@ in the open half-turn (phi_A, phi_A + pi) and g = cross(gamma', A - gamma)
 changes sign exactly once there (twice-tangent property of convex curves),
 which gives an exact bracket for root isolation.
 
-The point map (step, inverse_step, tangency) runs Newton inside that
-bracket from the root of the second-order expansion of g about phi_A,
-bisects only when a Newton step would leave the bracket or stall, and stops
-once the step is at round-off: about 4 radius evaluations per tangency at
-t = 1e-3 and 5-11 at t >= 0.1.  The chord chart (chord_step_scalar,
-chord_step_batch), which drives the Jacobi and conjugate-point machinery,
-steps from chord to chord on one fixed schedule: N_BISECT bisections, then
-N_NEWTON Newton steps with the incoming chord's tangency deflated out, 14
-radius evaluations per step; the batch kernel makes 13 when the caller
-passes back the radial data of the step before.
+One solver serves the point map (step, inverse_step, tangency) and the
+scalar chord step (chord_step_scalar, behind the Jacobi and Hopf machinery
+along single orbits): Newton inside that bracket from the root of the
+second-order expansion of g about phi_A, bisecting only when a Newton step
+would leave the bracket or stall, stopping once the step is at round-off:
+about 4 radius evaluations per tangency at t = 1e-3 and 5-11 at t >= 0.1.
+The batch chord step (chord_step_batch, behind the conjugate grid scan)
+runs one fixed schedule instead, N_BISECT bisections and then N_NEWTON
+deflated Newton steps, 14 radius evaluations per step (13 when the caller
+passes back the radial data of the step before).  The scalar and batch
+chord steps agree within 1e-12, not bitwise.
 """
 
 import math
@@ -274,56 +275,25 @@ def _near_boundary_message(t) -> str:
             "rounding of the curve")
 
 
-def chord_step_scalar(curve: ConvexCurve, phi_m: float, t: float, direction: int = 1):
+def chord_step_scalar(curve: ConvexCurve, phi_m: float, t: float, direction: int = 1,
+                      head=None):
     """Next (+1) or previous (-1) chord of the orbit, on plain floats.
 
-    Same fixed schedule as chord_step_batch (14 radius_scalar calls) and the
-    same arithmetic, so the two agree to round-off of the trig calls; it
-    refuses t below MIN_CHORD_T in the same way.
+    The point map's tangency solve (_tangency_root) from the chord's head
+    B = gamma(phi_m) + direction t gamma'(phi_m): it stops once converged,
+    about 4-9 radius_scalar calls per step on the presets, counting the one
+    for the head.  A caller stepping on passes (r, r', r'') at phi_m as
+    ``head=`` and saves that call, with a bitwise equal result.  The batch
+    kernel runs its own fixed schedule, so the two agree within 1e-12, not
+    bitwise; t below MIN_CHORD_T is refused by both.
     """
     if not t >= MIN_CHORD_T:
         raise TangencyError(_near_boundary_message(t))
-    r, r1, _ = curve.radius_scalar(phi_m)
+    r, r1, _ = curve.radius_scalar(phi_m) if head is None else head
     c, s = math.cos(phi_m), math.sin(phi_m)
     bx = r * c + direction * t * (r1 * c - r * s)
     by = r * s + direction * t * (r1 * s + r * c)
-    phi_b = math.atan2(by, bx)
-    off = math.atan2(t * r, r + direction * t * r1)
-    if direction > 0:
-        lo, hi = phi_b, phi_b + math.pi
-        sign_lo = -1.0
-    else:
-        lo, hi = phi_b - math.pi, phi_b
-        sign_lo = 1.0
-    for _ in range(N_BISECT):
-        mid = 0.5 * (lo + hi)
-        r, r1, _ = curve.radius_scalar(mid)
-        cm, sm = math.cos(mid), math.sin(mid)
-        g = (r1 * cm - r * sm) * (by - r * sm) - (r1 * sm + r * cm) * (bx - r * cm)
-        if g * sign_lo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    psi = phi_b + direction * off
-    if not lo < psi < hi:
-        psi = 0.5 * (lo + hi)
-    for _ in range(N_NEWTON):
-        r, r1, r2 = curve.radius_scalar(psi)
-        cm, sm = math.cos(psi), math.sin(psi)
-        gx, gy = r * cm, r * sm
-        tx, ty = r1 * cm - r * sm, r1 * sm + r * cm
-        g = tx * (by - gy) - ty * (bx - gx)
-        gp = ((r2 - r) * cm - 2.0 * r1 * sm) * (by - gy) - ((r2 - r) * sm + 2.0 * r1 * cm) * (bx - gx)
-        if g * sign_lo > 0.0:
-            lo = psi
-        else:
-            hi = psi
-        if g != 0.0:
-            psi = min(max(psi - g / (gp - g / (psi - phi_b + direction * off)), lo), hi)
-    r, r1, _ = curve.radius_scalar(psi)
-    cm, sm = math.cos(psi), math.sin(psi)
-    t_new = math.hypot(bx - r * cm, by - r * sm) / math.hypot(r1 * cm - r * sm, r1 * sm + r * cm)
-    return psi, t_new
+    return _tangency_root(curve, bx, by, direction)[:2]
 
 
 def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
@@ -352,6 +322,8 @@ def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
     The schedule is fixed rather than convergence-driven, so every lane runs
     the same float operations whatever the other lanes hold: results are
     bitwise independent of batch composition, chunking and worker count.
+    chord_step_scalar stops once converged instead, so it agrees with this
+    kernel within 1e-12, not bitwise.
     8 + 4 is the shortest schedule that reaches the round-off floor of the
     chord chart: on 5:1 and 10:1 ellipses with t in [1e-3, 3], 6 + 3 left
     errors up to 7e-4 rad and 8 + 3 up to 5e-8 rad.

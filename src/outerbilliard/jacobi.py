@@ -44,10 +44,17 @@ def sderiv_scalar(curve: ConvexCurve, phi: float, t: float) -> dict:
     return s_closed_forms(*curve.radius_scalar(phi), t)
 
 
-def _gap(curve: ConvexCurve, phi: float, t: float) -> float:
-    """Angle advance q_{n+1} - q_n of one chord; always in (0, pi)."""
-    r, rp, _ = curve.radius_scalar(phi)
+def _gap(r: float, rp: float, t: float) -> float:
+    """Angle advance q_{n+1} - q_n of a chord with r, r' at its tangency
+    angle; always in (0, pi)."""
     return math.atan2(t * r, r - t * rp) + math.atan2(t * r, r + t * rp)
+
+
+def _nonzero_s12(s12: float, k: int) -> float:
+    """S12 of chord k, a divisor of the Jacobi recurrence; zero breaks the twist."""
+    if s12 == 0.0:
+        raise ConvergenceError(f"S12 = 0 at chord {k}: the twist condition S12 < 0 fails")
+    return s12
 
 
 # -- orbit windows -------------------------------------------------------------
@@ -106,32 +113,43 @@ class OmegaSample:
 
 
 class _ChordLine:
-    """Lazy doubly-infinite chord sequence with cached closed-form data."""
+    """Lazy doubly-infinite chord sequence with cached radial and closed-form
+    data: one radius_scalar call per chord, which also heads the steps from it."""
 
     def __init__(self, curve: ConvexCurve, seed: PhasePoint):
         self.curve = curve
         self._fwd = [chord_of(curve, seed)]     # chords 0, 1, 2, ...
         self._back = []                          # chords -1, -2, ...
+        self._radial = {}
         self._data = {}
 
     def chord(self, k: int):
         while k >= len(self._fwd):
-            self._fwd.append(chord_step_scalar(self.curve, *self._fwd[-1], 1))
+            last = len(self._fwd) - 1
+            self._fwd.append(chord_step_scalar(self.curve, *self._fwd[last], 1,
+                                               head=self.radial(last)))
         while k < -len(self._back):
-            prev = self._back[-1] if self._back else self._fwd[0]
-            self._back.append(chord_step_scalar(self.curve, *prev, -1))
+            last = -len(self._back)
+            self._back.append(chord_step_scalar(self.curve, *self.chord(last), -1,
+                                                head=self.radial(last)))
         return self._fwd[k] if k >= 0 else self._back[-k - 1]
+
+    def radial(self, k: int):
+        """(r, r', r'') at chord k's tangency angle."""
+        if k not in self._radial:
+            self._radial[k] = self.curve.radius_scalar(self.chord(k)[0])
+        return self._radial[k]
 
     def data(self, k: int):
         if k not in self._data:
-            self._data[k] = sderiv_scalar(self.curve, *self.chord(k))
+            self._data[k] = s_closed_forms(*self.radial(k), self.chord(k)[1])
         return self._data[k]
 
     def a_of(self, n: int) -> float:
         return self.data(n - 1)["S22"] + self.data(n)["S11"]
 
     def b_of(self, n: int) -> float:
-        return self.data(n)["S12"]
+        return _nonzero_s12(self.data(n)["S12"], n)
 
 
 def build_window(curve: ConvexCurve, seed: PhasePoint, m_back: int, n_fwd: int) -> OrbitWindow:
@@ -143,15 +161,17 @@ def build_window(curve: ConvexCurve, seed: PhasePoint, m_back: int, n_fwd: int) 
     if m_back < 0 or n_fwd < 0:
         raise ValueError("window extents must be non-negative")
     line = _ChordLine(curve, seed)
-    chords = [line.chord(k) for k in range(-m_back - 1, n_fwd + 1)]   # chord_k, k = M-1 .. N
+    ks = range(-m_back - 1, n_fwd + 1)                  # chord_k, k = M-1 .. N
+    chords = [line.chord(k) for k in ks]
     cphi = np.array([c[0] for c in chords])
     ct = np.array([c[1] for c in chords])
     d = _sderiv_arrays(curve, cphi, ct)
 
+    gaps = [_gap(*line.radial(k)[:2], line.chord(k)[1]) for k in ks]
     q = np.empty(len(chords) + 1)
-    q[0] = seed.phi - sum(_gap(curve, *c) for c in chords[:m_back + 1])
-    for i, c in enumerate(chords):
-        q[i + 1] = q[i] + _gap(curve, *c)
+    q[0] = seed.phi - sum(gaps[:m_back + 1])
+    for i, gap in enumerate(gaps):
+        q[i + 1] = q[i] + gap
 
     return OrbitWindow(angles=q,
                        a_coeffs=d["S22"][:-1] + d["S11"][1:],
@@ -169,12 +189,12 @@ def propagate_jacobi(window: OrbitWindow, dq0: float, dq1: float) -> JacobiState
     L = len(window)
     if L < 2:
         raise ValueError("propagation needs a window of at least two nodes")
-    a, b = window.a_coeffs, window.b_coeffs
+    a, b, m = window.a_coeffs, window.b_coeffs, window.node_start
     dq = np.empty(L)
     dq[0], dq[1] = dq0, dq1
-    for i in range(1, L - 1):
-        dq[i + 1] = -(a[i] * dq[i] + b[i] * dq[i - 1]) / b[i + 1]
-    dq_beyond = -(a[L - 1] * dq[L - 1] + b[L - 1] * dq[L - 2]) / b[L]
+    for i in range(1, L - 1):       # b[i] belongs to chord m - 1 + i
+        dq[i + 1] = -(a[i] * dq[i] + b[i] * dq[i - 1]) / _nonzero_s12(b[i + 1], m + i)
+    dq_beyond = -(a[L - 1] * dq[L - 1] + b[L - 1] * dq[L - 2]) / _nonzero_s12(b[L], m + L - 1)
 
     dq_ext = np.append(dq, dq_beyond)
     dp = -window.s11[1:] * dq - window.b_coeffs[1:] * dq_ext[1:]
@@ -215,17 +235,20 @@ def radial_conjugate_scan(curve: ConvexCurve, seed: PhasePoint, n_max: int,
     """First n with the radial-start Jacobi field back at radial, else None.
 
     Starts (dp, dq) = (1, 0) at the seed, so dq_1 = -1/b_0 > 0, and watches
-    for the first sign change or vanishing of dq_n, n <= n_max.
+    for the first sign change or vanishing of dq_n, n <= n_max.  One
+    radius_scalar call per chord feeds its closed forms and heads the next step.
     """
     phi_m, t = chord_of(curve, seed)
-    d = sderiv_scalar(curve, phi_m, t)
-    b_prev, s22_prev = d["S12"], d["S22"]
-    dq_prev, dq = 0.0, -1.0 / d["S12"]
+    radial = curve.radius_scalar(phi_m)
+    d = s_closed_forms(*radial, t)
+    b_prev, s22_prev = _nonzero_s12(d["S12"], 0), d["S22"]
+    dq_prev, dq = 0.0, -1.0 / b_prev
     runmax = abs(dq)
     for n in range(1, n_max):
-        phi_m, t = chord_step_scalar(curve, phi_m, t, 1)
-        d = sderiv_scalar(curve, phi_m, t)
-        dq_next = -((s22_prev + d["S11"]) * dq + b_prev * dq_prev) / d["S12"]
+        phi_m, t = chord_step_scalar(curve, phi_m, t, 1, head=radial)
+        radial = curve.radius_scalar(phi_m)
+        d = s_closed_forms(*radial, t)
+        dq_next = -((s22_prev + d["S11"]) * dq + b_prev * dq_prev) / _nonzero_s12(d["S12"], n)
         if dq_next < 0.0 or abs(dq_next) <= zero_tol * runmax:
             return n + 1
         dq_prev, dq = dq, dq_next

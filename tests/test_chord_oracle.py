@@ -175,3 +175,26 @@ def test_tangency_matches_mpmath_root(name, direction, fourier8):
         t_err = abs(float(res.t - t_ref)) / max(1.0, float(t[i]))
         assert psi_err <= budget, (phi[i], t[i], psi_err)
         assert t_err <= budget, (phi[i], t[i], t_err)
+
+
+@pytest.mark.parametrize("name", sorted(CURVES) + ["fourier8"])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_scalar_chord_step_near_the_curve_matches_mpmath_root(name, direction, fourier8):
+    # the scalar chord step is the tangency solve from the chord head, so
+    # below t = 1e-3 it keeps the tangency budget c / t (measured worst c
+    # over 192 samples per curve: 1.2e-15 on the presets and fourier8, 5.6e-15
+    # on ellipse51; 1.05e-15 and 6.8e-15 for the fixed 8 + 4 schedule)
+    if name == "fourier8":
+        curve = fourier8
+        rfun = _fourier_series(curve.a0, curve.cos_coeffs, curve.sin_coeffs)
+    else:
+        curve, rfun = CURVES[name]
+    near = TANGENCY_BUDGETS["ellipse51" if name == "ellipse51" else "fourier8"][1]
+    phi, t = _samples(dynamics.MIN_CHORD_T, seed=len(name) + 3 * direction, t_max=1e-3)
+    for i in range(phi.size):
+        psi_ref, t_ref = _reference(rfun, float(phi[i]), float(t[i]), direction)
+        psi, t_new = dynamics.chord_step_scalar(curve, float(phi[i]), float(t[i]), direction)
+        psi_err = abs(math.remainder(float(psi - psi_ref), 2.0 * math.pi))
+        t_err = abs(float(t_new - t_ref))
+        assert psi_err <= near / t[i], (phi[i], t[i], psi_err)
+        assert t_err <= near / t[i], (phi[i], t[i], t_err)

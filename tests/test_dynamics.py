@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import outerbilliard as ob
-from outerbilliard import dynamics
+from outerbilliard import dynamics, jacobi
 from outerbilliard.quadrature import TWO_PI
 
 SQRT3 = math.sqrt(3.0)
@@ -184,6 +184,9 @@ def test_chord_kernels_refuse_t_below_accuracy_budget(presets, unit_circle):
     for direction in (1, -1):
         _, t_new, _ = dynamics.chord_step_batch(unit_circle, phi, t, direction)
         assert np.abs(t_new / t - 1.0).max() <= 1e-4
+        for p in phi.tolist():
+            _, t_new = dynamics.chord_step_scalar(unit_circle, p, dynamics.MIN_CHORD_T, direction)
+            assert abs(t_new / dynamics.MIN_CHORD_T - 1.0) <= 1e-4
 
 
 def test_chord_step_batch_matches_scalar(presets):
@@ -302,6 +305,70 @@ def test_step_radius_scalar_budget(monkeypatch, presets):
         counts[t] = (len(calls) - before) / len(seeds)
     assert sum(counts.values()) / len(counts) <= 12, counts
     assert counts[1e-3] <= 6, counts
+
+
+CHORD_T = (1e-3, 0.02, 0.3, 1.0, 3.0)
+
+
+def test_chord_step_scalar_radius_scalar_budget(monkeypatch, presets):
+    # the tangency solve from the chord head stops once converged: measured
+    # 4.0-8.9 calls per step on the presets, 4.0-5.0 at t = 1e-3, counting
+    # the head, where the fixed 8 + 4 schedule took 14; a head passed in
+    # saves exactly that one call
+    rng = np.random.default_rng(41)
+    steps = [(curve, float(phi), t, d) for t in CHORD_T for curve in presets.values()
+             for phi in rng.uniform(0.0, TWO_PI, 20) for d in (1, -1)]
+    heads = [curve.radius_scalar(phi) for curve, phi, _, _ in steps]
+    calls = []
+    _count_radius_scalar(monkeypatch, calls)
+    counts = {t: [] for t in CHORD_T}
+    for (curve, phi, t, d), head in zip(steps, heads):
+        before = len(calls)
+        dynamics.chord_step_scalar(curve, phi, t, d)
+        mid = len(calls)
+        dynamics.chord_step_scalar(curve, phi, t, d, head=head)
+        assert len(calls) - mid == mid - before - 1
+        counts[t].append(mid - before)
+    mean = {t: sum(c) / len(c) for t, c in counts.items()}
+    assert max(mean.values()) <= 9, mean
+    assert mean[1e-3] <= 6, mean
+
+
+def test_radial_conjugate_scan_radius_scalar_budget(monkeypatch, presets):
+    # one radius_scalar call per chord besides its tangency solve: measured
+    # 5.0-6.5 per step from t = 0.02, against 15 on the 8 + 4 schedule
+    curves = dict(presets, ellipse51=ob.require_valid(ob.ellipse(5.0, 1.0)))
+    seeds = {name: dynamics.chord_tail_point(curve, 0.4, 0.02) for name, curve in curves.items()}
+    steps = []
+    chord_step = jacobi.chord_step_scalar
+
+    def counted_step(*args, **kwargs):
+        steps.append(args[1])
+        return chord_step(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "chord_step_scalar", counted_step)
+    calls = []
+    _count_radius_scalar(monkeypatch, calls)
+    per_step = {}
+    for name, curve in curves.items():
+        calls.clear()
+        steps.clear()
+        assert ob.radial_conjugate_scan(curve, seeds[name], 1000) is None
+        assert len(steps) == 999
+        per_step[name] = len(calls) / len(steps)
+    assert max(per_step.values()) <= 7.5, per_step
+
+
+def test_chord_step_scalar_head_is_bitwise(presets, fourier8):
+    rng = np.random.default_rng(43)
+    for curve in dict(presets, fourier8=fourier8).values():
+        phis = rng.uniform(0.0, TWO_PI, 16)
+        ts = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), 16))
+        for phi, t in zip(phis.tolist(), ts.tolist()):
+            head = curve.radius_scalar(phi)
+            for d in (1, -1):
+                assert (dynamics.chord_step_scalar(curve, phi, t, d, head=head)
+                        == dynamics.chord_step_scalar(curve, phi, t, d))
 
 
 def test_tangency_falls_back_to_the_half_turn_midpoint(monkeypatch, unit_circle):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -346,3 +347,112 @@ def test_jacobi_push_matches_differential(presets):
                 assert abs(fd[0] - dp1) / max(1.0, abs(dp1)) < 1e-5
                 assert abs(fd[1] - dq1) / max(1.0, abs(dq1)) < 1e-5
             pt = ob.step(curve, pt)
+
+
+# -- one radius evaluation per chord, and zero S12 -------------------------------
+
+def test_chord_line_caches_each_chords_data(wobbly3):
+    # each chord's closed forms come from its one cached radial evaluation,
+    # which also heads the steps from it: chords and data are bitwise those
+    # of a chain stepped without heads
+    seed = dynamics.chord_tail_point(wobbly3, 0.4, 0.3)
+    line = jacobi._ChordLine(wobbly3, seed)
+    for k in (3, -2, 5, -5, 0, 1, -1, 4, -4, 2, -3):
+        assert line.data(k) == jacobi.sderiv_scalar(wobbly3, *line.chord(k))
+    for direction in (1, -1):
+        chord = dynamics.chord_of(wobbly3, seed)
+        for k in range(1, 6):
+            chord = dynamics.chord_step_scalar(wobbly3, *chord, direction)
+            assert line.chord(direction * k) == chord
+
+
+def test_scalar_jacobi_paths_head_each_step_with_the_chords_radial_data(monkeypatch, wobbly3,
+                                                                        fourier8):
+    heads = []
+    chord_step = jacobi.chord_step_scalar
+
+    def recording(curve, phi_m, t, direction=1, head=None):
+        heads.append((curve, phi_m, head))
+        return chord_step(curve, phi_m, t, direction, head=head)
+
+    monkeypatch.setattr(jacobi, "chord_step_scalar", recording)
+    for curve in (wobbly3, fourier8):
+        seed = dynamics.chord_tail_point(curve, 0.4, 0.3)
+        ob.radial_conjugate_scan(curve, seed, 40)
+        ob.hopf_omega(curve, seed)
+        ob.build_window(curve, seed, 5, 5)
+    assert len(heads) > 100
+    for curve, phi_m, head in heads:
+        assert head == curve.radius_scalar(phi_m)
+
+
+def test_window_angles_from_one_radius_call_per_chord(monkeypatch, wobbly3):
+    # outside the tangency solves radius_scalar runs once per chord, and the
+    # angles are the atan2 gaps of that data, summed in the same order
+    seed = dynamics.chord_tail_point(wobbly3, 0.4, 0.3)
+    calls, solving = [], []
+    radius_scalar = ob.ConvexCurve.radius_scalar
+
+    def counted(curve, phi):
+        if not solving:
+            calls.append(phi)
+        return radius_scalar(curve, phi)
+
+    def solver(fn):
+        def inside(*args, **kwargs):
+            solving.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                solving.pop()
+        return inside
+
+    with monkeypatch.context() as m:
+        m.setattr(ob.ConvexCurve, "radius_scalar", counted)
+        m.setattr(jacobi, "chord_of", solver(jacobi.chord_of))
+        m.setattr(jacobi, "chord_step_scalar", solver(jacobi.chord_step_scalar))
+        w = ob.build_window(wobbly3, seed, 3, 5)
+    assert sorted(calls) == sorted(w.chords_phi.tolist())
+    gaps = []
+    for phi, t in zip(w.chords_phi.tolist(), w.chords_t.tolist()):
+        r, rp, _ = wobbly3.radius_scalar(phi)
+        gaps.append(math.atan2(t * r, r - t * rp) + math.atan2(t * r, r + t * rp))
+    q = [seed.phi - sum(gaps[:4])]
+    for gap in gaps:
+        q.append(q[-1] + gap)
+    assert np.array_equal(w.angles, q)
+
+
+def _zero_s12_at(monkeypatch, chord):
+    """jacobi.s_closed_forms with S12 = 0 at the chord (phi, t) (matched by t)."""
+    s_closed_forms = jacobi.s_closed_forms
+
+    def patched(r, rp, rpp, t):
+        d = s_closed_forms(r, rp, rpp, t)
+        return dict(d, S12=0.0) if t == chord[1] else d
+
+    monkeypatch.setattr(jacobi, "s_closed_forms", patched)
+
+
+@pytest.mark.parametrize("k", [3, -3])
+def test_zero_s12_stops_the_scalar_recurrences(monkeypatch, wobbly3, k):
+    # a zero S12 breaks the twist; the recurrence must not divide by it
+    seed = dynamics.chord_tail_point(wobbly3, 0.4, 0.3)
+    chord = jacobi._ChordLine(wobbly3, seed).chord(k)
+    _zero_s12_at(monkeypatch, chord)
+    with pytest.raises(ob.ConvergenceError, match=f"S12 = 0 at chord {k}:"):
+        if k > 0:
+            ob.radial_conjugate_scan(wobbly3, seed, 50)
+        else:
+            ob.hopf_omega(wobbly3, seed)
+
+
+def test_zero_s12_in_a_window_raises(wobbly3):
+    w = ob.build_window(wobbly3, dynamics.chord_tail_point(wobbly3, 0.4, 0.3), 2, 4)
+    # b_coeffs[j] belongs to chord M - 1 + j = j - 3; the recurrence divides
+    # by b_coeffs[2:], the first and the last of which are tried
+    for j in (2, 4, w.b_coeffs.size - 1):
+        b = w.b_coeffs.copy()
+        b[j] = 0.0
+        with pytest.raises(ob.ConvergenceError, match=f"S12 = 0 at chord {j - 3}:"):
+            ob.propagate_jacobi(dataclasses.replace(w, b_coeffs=b), 0.3, 1.1)
