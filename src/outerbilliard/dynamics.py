@@ -72,14 +72,7 @@ def _orientation_sign(orientation: str) -> int:
 
 def phase_point(curve: ConvexCurve, x: float, y: float) -> PhasePoint:
     """Build a PhasePoint from world coordinates; must be strictly exterior."""
-    dx, dy = x - curve.origin[0], y - curve.origin[1]
-    rho = math.hypot(dx, dy)
-    phi = math.atan2(dy, dx)
-    r, _, _ = curve.radius_scalar(phi)
-    if not rho > r:       # a NaN fails too
-        raise InsideCurveError(
-            f"point ({x:.6g}, {y:.6g}) is not strictly outside the curve "
-            f"(rho={rho:.6g}, r(phi)={r:.6g})")
+    phi, rho, _, _, _ = _require_exterior(curve, x - curve.origin[0], y - curve.origin[1])
     return PhasePoint(x=float(x), y=float(y), p=0.5 * rho * rho, phi=phi)
 
 

@@ -260,11 +260,8 @@ def twist_scan(curve: ConvexCurve, phi_grid: int = 256, t_grid: int = 256,
     """Maximum of S12 over a (phi, t) product grid; must be strictly negative."""
     if phi_grid < 64 or t_grid < 64:
         raise ValueError("scan grids must be at least 64")
-    phis = uniform_angles(phi_grid)
-    ts = t_max * np.arange(1, t_grid + 1) / t_grid
-    pm = np.repeat(phis, t_grid)
-    tm = np.tile(ts, phi_grid)
-    s12 = _sderiv_arrays(curve, pm, tm)["S12"]
+    pm, tm, d = derivative_table(curve, phi_grid, t_grid, t_max)
+    s12 = d["S12"]
     i = int(np.argmax(s12))
     return TwistScan(max_s12=float(s12[i]), phi_at_max=float(pm[i]), t_at_max=float(tm[i]),
                      phi_grid=phi_grid, t_grid=t_grid, t_max=t_max)

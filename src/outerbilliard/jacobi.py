@@ -25,7 +25,8 @@ from .curves import ConvexCurve
 from .dynamics import (MIN_CHORD_T, PhasePoint, _near_boundary_message, chord_of,
                        chord_step_batch, chord_step_scalar)
 from .errors import ConvergenceError, TangencyError
-from .generating import _sderiv_arrays, s_closed_forms
+# unused here, but bench/tracer.py wraps jacobi._sderiv_arrays by name
+from .generating import _sderiv_arrays, s_closed_forms  # noqa: F401
 from .quadrature import uniform_angles
 
 HOPF_START = 8
@@ -55,6 +56,11 @@ def _nonzero_s12(s12: float, k: int) -> float:
     if s12 == 0.0:
         raise ConvergenceError(f"S12 = 0 at chord {k}: the twist condition S12 < 0 fails")
     return s12
+
+
+def _jacobi_next(a, b_prev, b, dq, dq_prev):
+    """dq_{n+1} of b_{n-1} dq_{n-1} + a_n dq_n + b_n dq_{n+1} = 0, on floats or arrays."""
+    return -(a * dq + b_prev * dq_prev) / b
 
 
 # -- orbit windows -------------------------------------------------------------
@@ -165,7 +171,8 @@ def build_window(curve: ConvexCurve, seed: PhasePoint, m_back: int, n_fwd: int) 
     chords = [line.chord(k) for k in ks]
     cphi = np.array([c[0] for c in chords])
     ct = np.array([c[1] for c in chords])
-    d = _sderiv_arrays(curve, cphi, ct)
+    s11, s12, s22 = (np.array([line.data(k)[name] for k in ks])
+                     for name in ("S11", "S12", "S22"))
 
     gaps = [_gap(*line.radial(k)[:2], line.chord(k)[1]) for k in ks]
     q = np.empty(len(chords) + 1)
@@ -174,8 +181,8 @@ def build_window(curve: ConvexCurve, seed: PhasePoint, m_back: int, n_fwd: int) 
         q[i + 1] = q[i] + gap
 
     return OrbitWindow(angles=q,
-                       a_coeffs=d["S22"][:-1] + d["S11"][1:],
-                       b_coeffs=d["S12"], s11=d["S11"], s22=d["S22"],
+                       a_coeffs=s22[:-1] + s11[1:],
+                       b_coeffs=s12, s11=s11, s22=s22,
                        chords_phi=cphi, chords_t=ct, node_start=-m_back)
 
 
@@ -190,13 +197,13 @@ def propagate_jacobi(window: OrbitWindow, dq0: float, dq1: float) -> JacobiState
     if L < 2:
         raise ValueError("propagation needs a window of at least two nodes")
     a, b, m = window.a_coeffs, window.b_coeffs, window.node_start
-    dq = np.empty(L)
-    dq[0], dq[1] = dq0, dq1
-    for i in range(1, L - 1):       # b[i] belongs to chord m - 1 + i
-        dq[i + 1] = -(a[i] * dq[i] + b[i] * dq[i - 1]) / _nonzero_s12(b[i + 1], m + i)
-    dq_beyond = -(a[L - 1] * dq[L - 1] + b[L - 1] * dq[L - 2]) / _nonzero_s12(b[L], m + L - 1)
+    dq_ext = np.empty(L + 1)          # nodes M..N, then N+1
+    dq_ext[0], dq_ext[1] = dq0, dq1
+    for i in range(1, L):             # b[i] belongs to chord m - 1 + i
+        dq_ext[i + 1] = _jacobi_next(a[i], b[i], _nonzero_s12(b[i + 1], m + i),
+                                     dq_ext[i], dq_ext[i - 1])
+    dq, dq_beyond = dq_ext[:L], dq_ext[L]
 
-    dq_ext = np.append(dq, dq_beyond)
     dp = -window.s11[1:] * dq - window.b_coeffs[1:] * dq_ext[1:]
     dp_alt = window.s22[:-1][1:] * dq[1:] + window.b_coeffs[1:-1] * dq[:-1]
     scale = max(float(np.abs(dp).max()), 1e-300)
@@ -230,8 +237,7 @@ def hessian_minimality(window: OrbitWindow) -> MinimalityVerdict:
 
 # -- conjugate points ----------------------------------------------------------
 
-def radial_conjugate_scan(curve: ConvexCurve, seed: PhasePoint, n_max: int,
-                          zero_tol: float = ZERO_TOL) -> Optional[int]:
+def radial_conjugate_scan(curve: ConvexCurve, seed: PhasePoint, n_max: int) -> Optional[int]:
     """First n with the radial-start Jacobi field back at radial, else None.
 
     Starts (dp, dq) = (1, 0) at the seed, so dq_1 = -1/b_0 > 0, and watches
@@ -248,8 +254,8 @@ def radial_conjugate_scan(curve: ConvexCurve, seed: PhasePoint, n_max: int,
         phi_m, t = chord_step_scalar(curve, phi_m, t, 1, head=radial)
         radial = curve.radius_scalar(phi_m)
         d = s_closed_forms(*radial, t)
-        dq_next = -((s22_prev + d["S11"]) * dq + b_prev * dq_prev) / _nonzero_s12(d["S12"], n)
-        if dq_next < 0.0 or abs(dq_next) <= zero_tol * runmax:
+        dq_next = _jacobi_next(s22_prev + d["S11"], b_prev, _nonzero_s12(d["S12"], n), dq, dq_prev)
+        if dq_next < 0.0 or abs(dq_next) <= ZERO_TOL * runmax:
             return n + 1
         dq_prev, dq = dq, dq_next
         b_prev, s22_prev = d["S12"], d["S22"]
@@ -288,7 +294,7 @@ class ConjugateScanResult:
 
 
 def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
-                n_max: int, zero_tol: float, stop_at_first: bool) -> np.ndarray:
+                n_max: int, stop_at_first: bool) -> np.ndarray:
     """Vectorized radial conjugate scan; -1 marks seeds with no sign change.
 
     The seeds' radial data is evaluated once; after that each step's
@@ -313,8 +319,8 @@ def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
     for n in range(1, n_max):
         phi_m, t, radial = chord_step_batch(curve, phi_m, t, 1, head=radial)
         d = s_closed_forms(*radial[2:], t)
-        dq_next = -((s22_prev + d["S11"]) * dq + b_prev * dq_prev) / d["S12"]
-        hit = (dq_next < 0.0) | (np.abs(dq_next) <= zero_tol * runmax)
+        dq_next = _jacobi_next(s22_prev + d["S11"], b_prev, d["S12"], dq, dq_prev)
+        hit = (dq_next < 0.0) | (np.abs(dq_next) <= ZERO_TOL * runmax)
         dq_prev, dq = dq, dq_next
         b_prev, s22_prev = d["S12"], d["S22"]
         runmax = np.maximum(runmax, np.abs(dq))
@@ -336,13 +342,12 @@ def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
 
 
 def _scan_chunk_worker(args):
-    curve, seed_phi, seed_t, n_max, zero_tol = args
-    return _scan_batch(curve, seed_phi, seed_t, n_max, zero_tol, False)
+    curve, seed_phi, seed_t, n_max = args
+    return _scan_batch(curve, seed_phi, seed_t, n_max, False)
 
 
 def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 40,
-                        t_max: float = 3.0, n_max: int = 10_000,
-                        zero_tol: float = ZERO_TOL, workers: int = 1,
+                        t_max: float = 3.0, n_max: int = 10_000, workers: int = 1,
                         stop_at_first: bool = False) -> ConjugateScanResult:
     """Radial conjugate scan over a (phi, t) grid of seed chords.
 
@@ -374,22 +379,19 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
     n_proc = min(workers, len(chunks), os.cpu_count() or 1)
 
     complete = bool(steppable.all())
-    if stop_at_first:
-        # serial, grid order; any hit stops the scan early, so rows past the
-        # hit (None) only mean "not fully scanned" and complete goes False
-        results = []
-        for cp, ctt in chunks:
-            results.append(_scan_batch(curve, cp, ctt, n_max, zero_tol, True))
-            if (results[-1] >= 0).any():
-                complete = False
-                break
-    elif n_proc > 1:
-        jobs = [(curve, cp, ctt, n_max, zero_tol) for cp, ctt in chunks]
+    if n_proc > 1 and not stop_at_first:
+        jobs = [(curve, cp, ctt, n_max) for cp, ctt in chunks]
         with ProcessPoolExecutor(max_workers=n_proc) as pool:
             results = list(pool.map(_scan_chunk_worker, jobs))
     else:
-        results = [_scan_batch(curve, cp, ctt, n_max, zero_tol, False)
-                   for cp, ctt in chunks]
+        # serial, grid order; with stop_at_first any hit stops the scan early,
+        # so rows past the hit (None) only mean "not fully scanned"
+        results = []
+        for cp, ctt in chunks:
+            results.append(_scan_batch(curve, cp, ctt, n_max, stop_at_first))
+            if stop_at_first and (results[-1] >= 0).any():
+                complete = False
+                break
 
     found = np.full(n_seeds, -1, dtype=np.int64)
     if results:
@@ -420,8 +422,7 @@ def _window_field(line: _ChordLine, n_win: int):
             return None, n
         if n >= -1:
             stored[n] = u
-        u_next = -(line.a_of(n) * u + line.b_of(n - 1) * u_prev) / line.b_of(n)
-        u_prev, u = u, u_next
+        u_prev, u = u, _jacobi_next(line.a_of(n), line.b_of(n - 1), line.b_of(n), u, u_prev)
         if n < -2 and abs(u) > RENORM_LIMIT:
             scale = abs(u)
             u_prev /= scale
@@ -430,15 +431,15 @@ def _window_field(line: _ChordLine, n_win: int):
     return stored, None
 
 
-def hopf_omega(curve: ConvexCurve, seed: PhasePoint, tol: float = HOPF_TOL,
-               n_cap: int = HOPF_CAP) -> OmegaSample:
+def hopf_omega(curve: ConvexCurve, seed: PhasePoint) -> OmegaSample:
     """Finite-window Hopf construction of omega = dp0/dq0 at the seed.
 
     Window N solves the boundary problem dq_{-N} = 0, dq_0 = 1; N doubles
-    from 8 until |omega_2N - omega_N| < tol * scale, positivity of the window
-    field fails (reported as a finding, not an error), or N exceeds n_cap
-    (ConvergenceError).  On success the two evolution relations are evaluated
-    at the seed from the propagated field:
+    from HOPF_START until |omega_2N - omega_N| < HOPF_TOL * scale, positivity
+    of the window field fails (reported as a finding, not an error), or N
+    exceeds HOPF_CAP (ConvergenceError with the last two iterates).  On
+    success the two evolution relations are evaluated at the seed from the
+    propagated field:
 
         omega(T x) = S22(q0,q1) + S12(q0,q1)/dq1       (first form at node 1)
         omega(x)   = -S11(q0,q1) - S12(q0,q1) * dq1    (second form at node 0)
@@ -446,25 +447,23 @@ def hopf_omega(curve: ConvexCurve, seed: PhasePoint, tol: float = HOPF_TOL,
     and their residuals are returned; both sit at round-off when the
     closed-form coefficients of adjacent chords are mutually consistent.
     """
-    if n_cap < HOPF_START:
-        raise ValueError(f"n_cap must be at least {HOPF_START}")
     line = _ChordLine(curve, seed)
     d0 = line.data(0)
     s11_0, s22_0, s12_0 = d0["S11"], d0["S22"], d0["S12"]
     s22_prev = line.data(-1)["S22"]
     scale = max(1.0, abs(s11_0), abs(s22_prev))
 
-    omega_prev = None
+    omega = None
     n_win = HOPF_START
-    while n_win <= n_cap:
+    while n_win <= HOPF_CAP:
         stored, bad_node = _window_field(line, n_win)
         if stored is None:
             return OmegaSample(
                 omega=None, window=n_win, converged=False, minimizing=False,
                 message=("not locally minimizing along the computed window: "
                          f"field vanished at node {bad_node} of window {n_win}"))
-        omega = (-s11_0 * stored[0] - s12_0 * stored[1]) / stored[0]
-        if omega_prev is not None and abs(omega - omega_prev) < tol * scale:
+        omega_prev, omega = omega, (-s11_0 * stored[0] - s12_0 * stored[1]) / stored[0]
+        if omega_prev is not None and abs(omega - omega_prev) < HOPF_TOL * scale:
             dq1 = stored[1] / stored[0]
             d1 = line.data(1)
             omega_fwd = (-d1["S11"] * stored[1] - d1["S12"] * stored[2]) / stored[1]
@@ -476,10 +475,9 @@ def hopf_omega(curve: ConvexCurve, seed: PhasePoint, tol: float = HOPF_TOL,
                 bound_low=float(-s11_0), bound_high=float(s22_prev),
                 relation_fwd_residual=float(rel_fwd),
                 relation_here_residual=float(rel_here))
-        omega_prev = omega
         n_win *= 2
     raise ConvergenceError(
-        f"window doubling did not converge by N={n_cap}: last iterates "
+        f"window doubling did not converge by N={HOPF_CAP}: last iterates "
         f"{omega_prev:.17g}, {omega:.17g}", residual=abs(omega - omega_prev))
 
 

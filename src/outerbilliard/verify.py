@@ -121,11 +121,8 @@ def run_verification(curve: ConvexCurve, n_sample: int = 100) -> VerificationRes
           1e-10)
     check("integrand_decomposition",
           lambda: _decomposition_error(curve, rng), 1e-10)
-    dual = {}
-
     def dual_err():
         d = rigidity.area_and_dual(curve)
-        dual["d"] = d
         return abs(d.area_dual - d.area_dual_alt)
 
     check("dual_area_routes", dual_err, 1e-10)

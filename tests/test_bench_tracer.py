@@ -6,6 +6,7 @@ again without running a workload.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import outerbilliard
@@ -29,3 +30,22 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for owner, attr, original in wrapped:
         assert owner.__dict__[attr] is original
+
+
+def test_scan_batch_gets_n_max_as_its_fourth_argument(monkeypatch):
+    # the tracer's scan post-hook reads n_max as args[3] of jacobi._scan_batch
+    jacobi = outerbilliard.jacobi
+    assert list(inspect.signature(jacobi._scan_batch).parameters)[3] == "n_max"
+    calls = []
+    scan_batch = jacobi._scan_batch
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return scan_batch(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "_scan_batch", recording)
+    for stop_at_first in (False, True):
+        jacobi.conjugate_grid_scan(outerbilliard.circle(1.0), phi_count=4, t_count=4,
+                                   n_max=7, stop_at_first=stop_at_first)
+    assert len(calls) == 2
+    assert all(len(args) >= 4 and args[3] == 7 for args in calls)

@@ -418,3 +418,18 @@ def test_ellipse_orbit_phase_drift_over_1000_steps(ellipse21):
         z = complex(last.x / 2.0, last.y)
         turn = math.atan2(z.imag, z.real) - math.atan2(z0.imag, z0.real)
         assert abs(math.remainder(turn - 2000.0 * math.acos(1.0 / abs(z0)), TWO_PI)) < 2e-8
+
+
+def test_phase_point_fields_and_exterior_check(presets, fourier8):
+    # one exterior check serves phase_point and the tangency solve; the
+    # fields are the polar data of the origin-relative point
+    for curve in (*presets.values(), fourier8):
+        ox, oy = curve.origin
+        for x, y in ((ox + 2.5, oy - 1.0), (ox - 0.7, oy + 3.1)):
+            dx, dy = x - ox, y - oy
+            rho = math.hypot(dx, dy)
+            assert ob.phase_point(curve, x, y) == ob.PhasePoint(x, y, 0.5 * rho * rho,
+                                                                 math.atan2(dy, dx))
+        with pytest.raises(ob.InsideCurveError) as info:
+            ob.phase_point(curve, ox + 0.1, oy)
+        assert "\n" not in str(info.value)

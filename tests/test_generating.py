@@ -313,3 +313,10 @@ def test_csv_writers_match_per_element_formatting(monkeypatch):
     want = "n,x,y,p,phi\n" + "".join(
         f"{n:d},{p.x:.17g},{p.y:.17g},{p.p:.17g},{p.phi:.17g}\n" for n, p in enumerate(points))
     assert buf.getvalue() == want + "# note=ok\n"
+
+
+def test_twist_scan_is_the_derivative_tables_s12_maximum(wobbly3):
+    pm, tm, d = generating.derivative_table(wobbly3, 64, 128, 5.0)
+    i = int(np.argmax(d["S12"]))
+    assert ob.twist_scan(wobbly3, 64, 128, 5.0) == generating.TwistScan(
+        float(d["S12"][i]), float(pm[i]), float(tm[i]), 64, 128, 5.0)

@@ -281,7 +281,7 @@ def test_scan_batch_memory_per_chunk(wobbly3):
     assert phis.size == jacobi.SCAN_CHUNK
     tracemalloc.start()
     try:
-        jacobi._scan_batch(wobbly3, phis, ts, 40, jacobi.ZERO_TOL, False)
+        jacobi._scan_batch(wobbly3, phis, ts, 40, False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -456,3 +456,48 @@ def test_zero_s12_in_a_window_raises(wobbly3):
         b[j] = 0.0
         with pytest.raises(ob.ConvergenceError, match=f"S12 = 0 at chord {j - 3}:"):
             ob.propagate_jacobi(dataclasses.replace(w, b_coeffs=b), 0.3, 1.1)
+
+
+# -- one recurrence, one coefficient source ---------------------------------------
+
+def test_window_coefficients_are_the_chord_lines_data(monkeypatch, presets, fourier8):
+    # build_window reads S11, S12, S22 of chords k = M-1 .. N from the same
+    # cached closed forms hopf_omega uses, bitwise, and evaluates no radius array
+    def no_radius(*args, **kwargs):
+        raise AssertionError("build_window evaluated a radius array")
+
+    for curve in (*presets.values(), fourier8):
+        seed = dynamics.chord_tail_point(curve, 0.4, 0.3)
+        with monkeypatch.context() as m:
+            m.setattr(ob.ConvexCurve, "radius", no_radius)
+            w = ob.build_window(curve, seed, 4, 6)
+        line = jacobi._ChordLine(curve, seed)
+        data = [line.data(k) for k in range(-5, 7)]
+        assert w.s11.tolist() == [d["S11"] for d in data]
+        assert w.b_coeffs.tolist() == [d["S12"] for d in data]
+        assert w.s22.tolist() == [d["S22"] for d in data]
+        assert w.a_coeffs.tolist() == [d0["S22"] + d1["S11"] for d0, d1 in zip(data, data[1:])]
+
+
+def test_propagate_jacobi_is_the_recurrence_bit_for_bit(presets, fourier8):
+    for curve in (*presets.values(), fourier8):
+        w = ob.build_window(curve, dynamics.chord_tail_point(curve, 0.4, 0.3), 4, 6)
+        a, b = w.a_coeffs.tolist(), w.b_coeffs.tolist()
+        dq = [0.3, 1.1]
+        for i in range(1, len(w)):          # through node N + 1
+            dq.append(-(a[i] * dq[i] + b[i] * dq[i - 1]) / b[i + 1])
+        state = ob.propagate_jacobi(w, 0.3, 1.1)
+        assert state.dq.tolist() == dq[:-1]
+        assert state.dq_beyond == dq[-1]
+
+
+def test_hopf_non_convergence_reports_the_last_two_iterates(monkeypatch, unit_circle,
+                                                            circle_seed):
+    # windows 8 and 16 give different slopes; the error names both and their gap
+    monkeypatch.setattr(jacobi, "HOPF_CAP", 16)
+    with pytest.raises(ob.ConvergenceError, match="by N=16: last iterates") as info:
+        ob.hopf_omega(unit_circle, circle_seed)
+    first, last = (float(x) for x in str(info.value).rsplit("iterates ", 1)[1].split(", "))
+    assert first != last
+    assert info.value.residual == abs(last - first)
+    assert info.value.residual > 0.0
