@@ -279,6 +279,17 @@ def require_valid(curve: ConvexCurve, grid_size: int = VALIDATION_GRID,
     return curve
 
 
+def _angle_map_start(angle_of, thetas):
+    """Starting phi with angle_of(phi) = thetas (mod 2pi) for a monotone angle map:
+    angle_of on 4096 uniform phi, unwrapped, extended by one period, interpolated."""
+    dense = uniform_angles(4096)
+    ang = np.unwrap(angle_of(dense))
+    ang_ext = np.concatenate([ang, [ang[0] + TWO_PI]])
+    phi_ext = np.concatenate([dense, [TWO_PI]])
+    targets = ang[0] + np.mod(thetas - ang[0], TWO_PI)
+    return np.interp(targets, ang_ext, phi_ext)
+
+
 def radial_about(curve: ConvexCurve, point, thetas, tol: float = 1e-12):
     """Distance from an interior point to the boundary along each ray angle.
 
@@ -290,14 +301,11 @@ def radial_about(curve: ConvexCurve, point, thetas, tol: float = 1e-12):
     px, py = float(point[0]), float(point[1])
     _check_interior(curve, px, py)
 
-    dense = uniform_angles(4096)
-    gx, gy = curve.point(dense)
-    ang = np.unwrap(np.arctan2(gy - py, gx - px))
-    # periodic extension so every target angle falls inside the table
-    ang_ext = np.concatenate([ang, [ang[0] + TWO_PI]])
-    phi_ext = np.concatenate([dense, [TWO_PI]])
-    targets = ang[0] + np.mod(thetas - ang[0], TWO_PI)
-    phi = np.interp(targets, ang_ext, phi_ext)
+    def ray_angle(phi):
+        gx, gy = curve.point(phi)
+        return np.arctan2(gy - py, gx - px)
+
+    phi = _angle_map_start(ray_angle, thetas)
     ux, uy = np.cos(thetas), np.sin(thetas)
     for _ in range(6):
         gx, gy = curve.point(phi)
@@ -413,7 +421,7 @@ def curve_to_dict(curve: ConvexCurve) -> dict:
 
 
 def area_centroid(curve: ConvexCurve, grid: int = 2048):
-    """Centroid of the enclosed region (simplex-descent starting point)."""
+    """Centroid of the enclosed region (the Santalo point search starts here)."""
     phi = uniform_angles(grid)
     r, _, _ = curve.radius(phi)
     area = 0.5 * periodic_trapezoid(r * r)

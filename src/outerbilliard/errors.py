@@ -33,7 +33,7 @@ class TangencyError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve (Newton, refit, simplex descent) did not converge."""
+    """An iterative solve (Newton, refit, Santalo search) did not converge."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

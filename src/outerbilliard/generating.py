@@ -58,10 +58,11 @@ class SDerivatives:
 
 # -- chart transition ----------------------------------------------------------
 
-def _angles_arrays(curve: ConvexCurve, phi, t):
+def _angles_arrays(curve: ConvexCurve, phi, t, radial=None):
     """(phi0, phi1, r0sq, r1sq) for chord arrays; two-argument arctangents keep
-    the angular offsets in (0, pi) even past the half-turn r - t r' < 0."""
-    r, rp, _ = curve.radius(phi)
+    the angular offsets in (0, pi) even past the half-turn r - t r' < 0.  A
+    caller that already holds (r, r', r'') at phi passes it as ``radial``."""
+    r, rp, _ = curve.radius(phi) if radial is None else radial
     a0 = np.arctan2(t * r, r - t * rp)
     a1 = np.arctan2(t * r, r + t * rp)
     r0sq = (r - t * rp) ** 2 + (t * r) ** 2
@@ -159,7 +160,7 @@ def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, tol=1e-12,
     for _ in range(max_iter):
         r, rp, rpp = curve.radius(phi)
         excess = r * r + rp * rp - chi(r, rp, rpp)
-        f0, f1, r0sq, r1sq = _angles_arrays(curve, phi, t)
+        f0, f1, r0sq, r1sq = _angles_arrays(curve, phi, t, (r, rp, rpp))
         res0, res1 = f0 - phi0, f1 - phi1
         worst = float(np.max(np.maximum(np.abs(res0), np.abs(res1))))
         if worst < tol:

@@ -58,6 +58,15 @@ def _nonzero_s12(s12: float, k: int) -> float:
     return s12
 
 
+def _nonzero_s12_lanes(s12: np.ndarray, k: int, seed_phi, seed_t, live) -> np.ndarray:
+    """_nonzero_s12 on the scan's lanes at chord k; live[i] is lane i's seed."""
+    if not s12.all():
+        i = live[np.flatnonzero(s12 == 0.0)[0]]
+        raise ConvergenceError(f"S12 = 0 at chord {k} of the seed (phi, t) = ({seed_phi[i]:.17g}, "
+                               f"{seed_t[i]:.17g}): the twist condition S12 < 0 fails")
+    return s12
+
+
 def _jacobi_next(a, b_prev, b, dq, dq_prev):
     """dq_{n+1} of b_{n-1} dq_{n-1} + a_n dq_n + b_n dq_{n+1} = 0, on floats or arrays."""
     return -(a * dq + b_prev * dq_prev) / b
@@ -304,25 +313,27 @@ def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
     soon as its index is known: after each step with a hit the state is
     gathered down to the lanes still running, so later steps cost only
     those.  Every kernel is elementwise, so which lanes share a step never
-    changes a lane's arithmetic.
+    changes a lane's arithmetic.  A zero S12 on any lane raises
+    ConvergenceError naming its seed and chord.
     """
     c, s = np.cos(seed_phi), np.sin(seed_phi)
     radial = (c, s) + curve.radius(seed_phi, cs=(c, s))
     d = s_closed_forms(*radial[2:], seed_t)
-    b_prev, s22_prev = d["S12"], d["S22"]
+    live = np.arange(seed_phi.size)           # seed index of each running lane
+    b_prev, s22_prev = _nonzero_s12_lanes(d["S12"], 0, seed_phi, seed_t, live), d["S22"]
     dq_prev = np.zeros_like(seed_phi)
-    dq = -1.0 / d["S12"]
+    dq = -1.0 / b_prev
     runmax = np.abs(dq)
     found = np.full(seed_phi.shape, -1, dtype=np.int64)
-    live = np.arange(seed_phi.size)           # seed index of each running lane
     phi_m, t = seed_phi, seed_t
     for n in range(1, n_max):
         phi_m, t, radial = chord_step_batch(curve, phi_m, t, 1, head=radial)
         d = s_closed_forms(*radial[2:], t)
-        dq_next = _jacobi_next(s22_prev + d["S11"], b_prev, d["S12"], dq, dq_prev)
+        b = _nonzero_s12_lanes(d["S12"], n, seed_phi, seed_t, live)
+        dq_next = _jacobi_next(s22_prev + d["S11"], b_prev, b, dq, dq_prev)
         hit = (dq_next < 0.0) | (np.abs(dq_next) <= ZERO_TOL * runmax)
         dq_prev, dq = dq, dq_next
-        b_prev, s22_prev = d["S12"], d["S22"]
+        b_prev, s22_prev = b, d["S22"]
         runmax = np.maximum(runmax, np.abs(dq))
         big = runmax > RENORM_LIMIT
         if big.any():

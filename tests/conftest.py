@@ -22,6 +22,12 @@ def wobbly3():
 
 
 @pytest.fixture(scope="session")
+def egg():
+    """r = 1 + 0.25 cos(phi): no symmetry pins its Santalo point to the origin."""
+    return ob.require_valid(ob.fourier(1.0, cos=[0.25]))
+
+
+@pytest.fixture(scope="session")
 def presets(unit_circle, ellipse21, wobbly3):
     return {"circle": unit_circle, "ellipse": ellipse21, "fourier": wobbly3}
 

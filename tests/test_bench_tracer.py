@@ -14,12 +14,21 @@ import outerbilliard.cli  # noqa: F401  (the tracer wraps names in cli)
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
+# names that src/ imports only so that the tracer can wrap them; once the
+# tracer stops wrapping one, its import goes (and, for nelder_mead, optimize.py)
+TRACER_ONLY_IMPORTS = [(outerbilliard.jacobi, "_sderiv_arrays"),
+                       (outerbilliard.rigidity, "nelder_mead")]
 
-def test_tracer_installs_and_uninstalls():
+
+def _tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    tracer = module.Tracer()
+    return module.Tracer()
+
+
+def test_tracer_installs_and_uninstalls():
+    tracer = _tracer()
     tracer.install(outerbilliard)
     wrapped = list(tracer._originals)
     try:
@@ -30,6 +39,17 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for owner, attr, original in wrapped:
         assert owner.__dict__[attr] is original
+
+
+def test_tracer_still_wraps_the_imports_kept_for_it():
+    tracer = _tracer()
+    tracer.install(outerbilliard)
+    try:
+        wrapped = {(owner, attr) for owner, attr, _ in tracer._originals}
+    finally:
+        tracer.uninstall()
+    for owner, name in TRACER_ONLY_IMPORTS:
+        assert (owner, name) in wrapped, f"drop the import of {owner.__name__}.{name}"
 
 
 def test_scan_batch_gets_n_max_as_its_fourth_argument(monkeypatch):

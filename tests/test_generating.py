@@ -86,6 +86,20 @@ def test_angles_to_chord_reports_nonconvergence(ellipse21):
     assert exc.value.residual > 0
 
 
+def test_chart_inversion_evaluates_radius_once_per_iteration(monkeypatch, ellipse21):
+    calls = []
+    radius = ob.ConvexCurve.radius
+
+    def counted(curve, phi, cs=None):
+        calls.append(phi)
+        return radius(curve, phi, cs)
+
+    monkeypatch.setattr(ob.ConvexCurve, "radius", counted)
+    with pytest.raises(ob.ConvergenceError):
+        generating._chord_from_angles_arrays(ellipse21, -0.4, 1.9, max_iter=2)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])
 def test_chart_round_trip(presets, name):
     curve = presets[name]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -456,6 +457,27 @@ def test_zero_s12_in_a_window_raises(wobbly3):
         b[j] = 0.0
         with pytest.raises(ob.ConvergenceError, match=f"S12 = 0 at chord {j - 3}:"):
             ob.propagate_jacobi(dataclasses.replace(w, b_coeffs=b), 0.3, 1.1)
+
+
+@pytest.mark.parametrize("k", [0, 3, 10])
+def test_zero_s12_stops_the_grid_scan(monkeypatch, wobbly3, k):
+    # S12 = 0 on the last lane (seed 1, still running at chord 10) of the
+    # k-th chord; the scan must name that seed and chord, not divide by zero
+    s_closed_forms, calls = jacobi.s_closed_forms, []
+
+    def patched(r, rp, rpp, t):
+        d = s_closed_forms(r, rp, rpp, t)
+        if len(calls) == k:                     # one call per chord
+            d["S12"][-1] = 0.0
+        calls.append(t)
+        return d
+
+    monkeypatch.setattr(jacobi, "s_closed_forms", patched)
+    seed_phi, seed_t = np.array([0.3, 1.0]), np.array([0.5, 0.7])
+    seed = f"({seed_phi[1]:.17g}, {seed_t[1]:.17g})"
+    with pytest.raises(ob.ConvergenceError,
+                       match=re.escape(f"S12 = 0 at chord {k} of the seed (phi, t) = {seed}")):
+        jacobi._scan_batch(wobbly3, seed_phi, seed_t, 50, False)
 
 
 # -- one recurrence, one coefficient source ---------------------------------------

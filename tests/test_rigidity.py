@@ -229,6 +229,39 @@ def test_santalo_is_local_minimum(wobbly3):
         assert ob.dual_area_about(wobbly3, x) >= f0
 
 
+@pytest.mark.parametrize("name", ["ellipse21", "egg", "fourier8"])
+def test_santalo_newton_from_near_the_boundary(monkeypatch, request, name):
+    # full Newton steps, with no line search, reach the same point from
+    # starts at 0.99 r in eight directions as from the area centroid
+    curve = request.getfixturevalue(name)
+    ref = ob.santalo_point(curve)
+    for k in range(8):
+        a = k * math.pi / 4.0
+        r, _, _ = curve.radius_scalar(a)
+        start = (curve.origin[0] + 0.99 * r * math.cos(a),
+                 curve.origin[1] + 0.99 * r * math.sin(a))
+        monkeypatch.setattr(rigidity, "area_centroid", lambda c, start=start: start)
+        sp = ob.santalo_point(curve)
+        assert math.hypot(sp.x - ref.x, sp.y - ref.y) <= 1e-12 * curve.diameter
+
+
+@pytest.mark.parametrize("offset", [(0.12, -0.05), (-0.2, 0.15)])
+def test_santalo_point_does_not_depend_on_the_origin(fourier8, offset):
+    sp = ob.santalo_point(fourier8)
+    moved = ob.santalo_point(ob.reorigin(fourier8, offset))
+    assert math.hypot(moved.x - sp.x, moved.y - sp.y) <= 1e-12 * fourier8.diameter
+
+
+def test_rigidity_report_runs_no_simplex_search(monkeypatch, fourier8):
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("nelder_mead was called")
+
+    monkeypatch.setattr(rigidity, "nelder_mead", no_simplex)
+    rep = ob.rigidity_report(fourier8)
+    assert rep.metadata["origin_moved"]
+    assert rep.eq_qq_holds
+
+
 def test_santalo_objective_at_origin_is_dual_area(presets):
     for curve in presets.values():
         f0 = ob.dual_area_about(curve, curve.origin)
