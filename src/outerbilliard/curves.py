@@ -25,6 +25,7 @@ VALIDATION_GRID = 4096
 CHI_MIN_DEFAULT = 1e-6
 FOURIER_CUTOFF = 1e-13     # refit coefficients below this are dropped
 REFIT_RESIDUAL_MAX = 1e-8
+RAY_RESIDUAL_MAX = 1e-11    # radial_about's relative ray/boundary residual
 
 
 @dataclass(frozen=True)
@@ -290,12 +291,12 @@ def _angle_map_start(angle_of, thetas):
     return np.interp(targets, ang_ext, phi_ext)
 
 
-def radial_about(curve: ConvexCurve, point, thetas, tol: float = 1e-12):
+def radial_about(curve: ConvexCurve, point, thetas):
     """Distance from an interior point to the boundary along each ray angle.
 
     Solves cross(gamma(phi) - x, e_theta) = 0 for the boundary parameter of
-    each ray by monotone inversion of the angle map plus Newton polish.
-    Returns (rho, phi) arrays.
+    each ray by monotone inversion of the angle map plus Newton polish, one
+    radius evaluation per Newton step.  Returns (rho, phi) arrays.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     px, py = float(point[0]), float(point[1])
@@ -308,15 +309,17 @@ def radial_about(curve: ConvexCurve, point, thetas, tol: float = 1e-12):
     phi = _angle_map_start(ray_angle, thetas)
     ux, uy = np.cos(thetas), np.sin(thetas)
     for _ in range(6):
-        gx, gy = curve.point(phi)
-        tx, ty = curve.tangent(phi)
+        c, s = np.cos(phi), np.sin(phi)
+        r, r1, _ = curve.radius(phi, cs=(c, s))
+        gx, gy = curve.origin[0] + r * c, curve.origin[1] + r * s
+        tx, ty = r1 * c - r * s, r1 * s + r * c
         f = (gx - px) * uy - (gy - py) * ux
         fp = tx * uy - ty * ux
         phi = phi - f / fp
     gx, gy = curve.point(phi)
     rho = np.hypot(gx - px, gy - py)
     resid = np.abs((gx - px) * uy - (gy - py) * ux) / rho
-    if resid.max() > tol * 10:
+    if resid.max() > RAY_RESIDUAL_MAX:
         raise ConvergenceError("ray/boundary intersection did not converge",
                                residual=float(resid.max()))
     return rho, phi

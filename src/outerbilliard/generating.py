@@ -80,12 +80,13 @@ def chord_to_angles(curve: ConvexCurve, chord: ChordCoords) -> AngleCoords:
 
 def s_closed_forms(r, rp, rpp, t):
     """S, its partials, J, r0sq, r1sq and chi of chords (phi, t) from r, r', r''
-    at phi; returns a dict.  Plain arithmetic, so floats give floats and
-    arrays give arrays."""
+    at phi; returns a dict.  Plain arithmetic (squares as products: ** 2 on
+    a float calls pow), so floats and arrays give the same bits per element."""
     k = chi(r, rp, rpp)
     r2 = r * r
-    r0sq = (r - t * rp) ** 2 + t * t * r2
-    r1sq = (r + t * rp) ** 2 + t * t * r2
+    u0, u1 = r - t * rp, r + t * rp
+    r0sq = u0 * u0 + t * t * r2
+    r1sq = u1 * u1 + t * t * r2
     a = k * t * t + r2
     den = 2.0 * r2 * a
     common = k * t * (t * t - 1.0) * r2 + 2.0 * t * r2 * r2 + t * (k * t * t + 2.0 * r2) * rp * rp

@@ -491,11 +491,3 @@ def hopf_omega(curve: ConvexCurve, seed: PhasePoint) -> OmegaSample:
         f"window doubling did not converge by N={HOPF_CAP}: last iterates "
         f"{omega_prev:.17g}, {omega:.17g}", residual=abs(omega - omega_prev))
 
-
-def jacobi_push(s11: float, s12: float, s22: float, dp: float, dq: float):
-    """Tangent-map update ((dp, dq) at x) -> ((dp, dq) at T x) from the
-    generating relations; the oracle counterpart is the finite-difference
-    differential of the geometric map."""
-    dq1 = (-dp - s11 * dq) / s12
-    dp1 = s12 * dq + s22 * dq1
-    return dp1, dq1

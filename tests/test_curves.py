@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import outerbilliard as ob
-from outerbilliard.curves import area_centroid, radial_about
+from outerbilliard.curves import _angle_map_start, area_centroid, radial_about
 from outerbilliard.quadrature import TWO_PI, uniform_angles
 
 
@@ -143,6 +143,46 @@ def test_radial_about_matches_analytic(ellipse21):
     rho, _ = radial_about(ellipse21, (0.5, 0.0), [0.0, np.pi])
     assert rho[0] == pytest.approx(1.5, abs=1e-12)
     assert rho[1] == pytest.approx(2.5, abs=1e-12)
+
+
+def _radial_about_reference(curve, point, thetas):
+    """radial_about's Newton loop as it was, through curve.point and
+    curve.tangent: 14 radius calls."""
+    px, py = point
+
+    def ray_angle(phi):
+        gx, gy = curve.point(phi)
+        return np.arctan2(gy - py, gx - px)
+
+    phi = _angle_map_start(ray_angle, thetas)
+    ux, uy = np.cos(thetas), np.sin(thetas)
+    for _ in range(6):
+        gx, gy = curve.point(phi)
+        tx, ty = curve.tangent(phi)
+        phi = phi - ((gx - px) * uy - (gy - py) * ux) / (tx * uy - ty * ux)
+    gx, gy = curve.point(phi)
+    return np.hypot(gx - px, gy - py), phi
+
+
+def test_radial_about_evaluates_radius_once_per_newton_step(monkeypatch, ellipse21, fourier8):
+    # the start, 6 Newton steps and the final point: 8 radius calls (14 when
+    # each step called point and tangent), with the same rho and phi bit for bit
+    thetas = uniform_angles(2048)
+    cases = [(ellipse21, (0.5, 0.2)), (fourier8, (0.05, -0.03))]
+    refs = [_radial_about_reference(curve, pt, thetas) for curve, pt in cases]
+    calls = []
+    radius = ob.ConvexCurve.radius
+
+    def counted(curve, phi, cs=None):
+        calls.append(phi)
+        return radius(curve, phi, cs)
+
+    monkeypatch.setattr(ob.ConvexCurve, "radius", counted)
+    for (curve, pt), (rho_ref, phi_ref) in zip(cases, refs):
+        del calls[:]
+        rho, phi = radial_about(curve, pt, thetas)
+        assert len(calls) == 8
+        assert np.array_equal(rho, rho_ref) and np.array_equal(phi, phi_ref)
 
 
 def test_area_centroid(unit_circle):

@@ -222,6 +222,84 @@ def test_chord_step_batch_head_reuse_is_bitwise(presets, fourier8):
                     assert np.array_equal(got, want)
 
 
+def _chord_step_batch_trig(curve, phi_m, t, direction):
+    """chord_step_batch with np.cos/np.sin at every bisection midpoint, as
+    it was before the bisections carried (cos, sin) by angle addition."""
+    c, s = np.cos(phi_m), np.sin(phi_m)
+    r, r1, _ = curve.radius(phi_m, cs=(c, s))
+    bx = r * c + direction * t * (r1 * c - r * s)
+    by = r * s + direction * t * (r1 * s + r * c)
+    phi_b = np.arctan2(by, bx)
+    off = np.arctan2(t * r, r + direction * t * r1)
+    if direction > 0:
+        lo, hi, sign_lo = phi_b.copy(), phi_b + np.pi, -1.0
+    else:
+        lo, hi, sign_lo = phi_b - np.pi, phi_b.copy(), 1.0
+    for _ in range(dynamics.N_BISECT):
+        mid = 0.5 * (lo + hi)
+        cm, sm = np.cos(mid), np.sin(mid)
+        r, r1, _ = curve.radius(mid, cs=(cm, sm))
+        g = (r1 * cm - r * sm) * (by - r * sm) - (r1 * sm + r * cm) * (bx - r * cm)
+        take_lo = g * sign_lo > 0.0
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+    psi = phi_b + direction * off
+    psi = np.where((lo < psi) & (psi < hi), psi, 0.5 * (lo + hi))
+    for _ in range(dynamics.N_NEWTON):
+        cm, sm = np.cos(psi), np.sin(psi)
+        r, r1, r2 = curve.radius(psi, cs=(cm, sm))
+        gx, gy = r * cm, r * sm
+        tx, ty = r1 * cm - r * sm, r1 * sm + r * cm
+        g = tx * (by - gy) - ty * (bx - gx)
+        gp = ((r2 - r) * cm - 2.0 * r1 * sm) * (by - gy) - ((r2 - r) * sm + 2.0 * r1 * cm) * (bx - gx)
+        take_lo = g * sign_lo > 0.0
+        lo = np.where(take_lo, psi, lo)
+        hi = np.where(take_lo, hi, psi)
+        den = gp - g / (psi - phi_b + direction * off)
+        psi = np.clip(psi - g / np.where(g == 0.0, 1.0, den), lo, hi)
+    cm, sm = np.cos(psi), np.sin(psi)
+    r, r1, r2 = curve.radius(psi, cs=(cm, sm))
+    t_new = np.hypot(bx - r * cm, by - r * sm) / np.hypot(r1 * cm - r * sm, r1 * sm + r * cm)
+    return psi, t_new, (cm, sm, r, r1, r2)
+
+
+def test_chord_step_batch_bisections_match_trig_reference(presets, fourier8):
+    # the bisections' angle-addition (cos, sin) differs from np.cos/np.sin in
+    # the last bits, but on these 163840 lanes every sign decision, and so
+    # every output bit, matches
+    rng = np.random.default_rng(31)
+    curves = dict(presets, fourier8=fourier8, ellipse10=ob.require_valid(ob.ellipse(10.0, 1.0)))
+    for curve in curves.values():
+        for direction in (1, -1):
+            phi = rng.uniform(0, TWO_PI, 16384)
+            t = np.exp(rng.uniform(math.log(dynamics.MIN_CHORD_T), math.log(30.0), phi.size))
+            psi, t_new, radial = dynamics.chord_step_batch(curve, phi, t, direction)
+            psi_ref, t_ref, radial_ref = _chord_step_batch_trig(curve, phi, t, direction)
+            assert np.array_equal(psi, psi_ref) and np.array_equal(t_new, t_ref)
+            for got, want in zip(radial, radial_ref):
+                assert np.array_equal(got, want)
+
+
+def test_chord_step_batch_trig_calls(monkeypatch, wobbly3):
+    # with a head, np.cos runs only at the N_NEWTON Newton iterates and the
+    # final angle: 5 calls per step, where a cos per bisection made 13
+    phi = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    t = np.full_like(phi, 0.5)
+    head = (np.cos(phi), np.sin(phi)) + wobbly3.radius(phi)
+    calls = []
+    cos = np.cos
+
+    def counted(x, *args, **kwargs):
+        calls.append(x)
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counted)
+    for direction in (1, -1):
+        del calls[:]
+        dynamics.chord_step_batch(wobbly3, phi, t, direction, head=head)
+        assert len(calls) == dynamics.N_NEWTON + 1
+
+
 def test_ellipse_orbit_is_an_exact_rotation_near_the_curve(ellipse21):
     # scaled to a unit circle, each step turns the point at radius rho by
     # exactly 2 acos(1/rho); at t = 1e-3 the tangency polish must not stop

@@ -280,6 +280,22 @@ def test_s12_vanishes_linearly_at_zero(presets):
             assert d.S12 / t == pytest.approx(-float(s.chi) / 2, rel=1e-4)
 
 
+def test_s_closed_forms_floats_match_arrays_bitwise(wobbly3, fourier8):
+    # the float path (chord lines, Hopf windows) and the array path (scans,
+    # i_numeric) give the same bits per chord: a square written ** 2 would
+    # call pow on floats and round differently on about 1 chord in 1000
+    rng = np.random.default_rng(43)
+    for curve in (wobbly3, fourier8):
+        phi = rng.uniform(0, TWO_PI, 100_000)
+        t = np.exp(rng.uniform(math.log(1e-3), math.log(30.0), phi.size))
+        r, rp, rpp = curve.radius(phi)
+        d = generating.s_closed_forms(r, rp, rpp, t)
+        rows = zip(r.tolist(), rp.tolist(), rpp.tolist(), t.tolist())
+        got = [generating.s_closed_forms(*row) for row in rows]
+        for key, want in d.items():
+            assert np.array_equal(np.array([g[key] for g in got]), want), key
+
+
 def test_fault_hook_flips_twist(unit_circle, monkeypatch):
     closed_forms = generating._sderiv_arrays
 
