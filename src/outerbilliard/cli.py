@@ -72,8 +72,12 @@ class RunConfig:
     out_format: str
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # written so that NaN fails every comparison
+        for flag, value in (("--tol", self.tol), ("--t-max", self.t_max)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{flag} must be finite and positive, got {value!r}")
+        if self.command == "rigidity" and not self.t_max >= 10.0:
+            raise ValueError(f"rigidity needs --t-max of at least 10, got {self.t_max!r}")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
         if self.workers < 1:

@@ -85,13 +85,11 @@ class ConvexCurve:
     def radius(self, phi, cs=None):
         """Vectorized (r, r', r'') at angle(s) phi.
 
-        The ellipse and Fourier kinds cost one cos and one sin per lane: the
-        ellipse works from cos^2, sin^2, 2 sin cos and cos^2 - sin^2, and the
-        Fourier kind steps cos k phi, sin k phi up by angle addition, skipping
-        the sums of all-zero harmonics.  A caller that already holds the pair
-        passes it as cs = (cos phi, sin phi) and pays no trig call; the result
-        is then bitwise equal to radius(phi).  All arithmetic is elementwise,
-        so a lane's result does not depend on the other lanes of the call.
+        The ellipse and Fourier kinds cost one cos and one sin per lane, and
+        _radial does the rest.  A caller that already holds the pair passes it
+        as cs = (cos phi, sin phi) and pays no trig call; the result is then
+        bitwise equal to radius(phi).  All arithmetic is elementwise, so a
+        lane's result does not depend on the other lanes of the call.
         """
         phi = np.asarray(phi, dtype=float)
         if self.kind == CIRCLE:
@@ -99,6 +97,27 @@ class ConvexCurve:
             z = np.zeros_like(phi)
             return r, z, z
         c, s = (np.cos(phi), np.sin(phi)) if cs is None else cs
+        return self._radial(c, s, np.sqrt)
+
+    def radius_scalar(self, phi: float):
+        """Scalar (r, r', r'') on plain floats; hot path for orbit stepping.
+
+        The same body as radius on one (math.cos, math.sin) pair, so
+        radius_scalar(phi) equals radius(phi, cs=(math.cos(phi),
+        math.sin(phi))) bit for bit, signed zeros included.
+        """
+        if self.kind == CIRCLE:
+            return self.radius_value, 0.0, 0.0
+        return self._radial(math.cos(phi), math.sin(phi), math.sqrt)
+
+    def _radial(self, c, s, sqrt):
+        """(r, r', r'') of the ellipse or Fourier kind from (cos phi, sin phi).
+
+        Plain arithmetic only, so floats and numpy lanes round alike.  The
+        ellipse works from cos^2, sin^2, 2 sin cos and cos^2 - sin^2; the
+        Fourier kind steps cos k phi, sin k phi up by angle addition and skips
+        the sums of all-zero harmonics.
+        """
         if self.kind == ELLIPSE:
             a2, b2 = self.axis_a ** 2, self.axis_b ** 2
             ab = self.axis_a * self.axis_b
@@ -106,17 +125,14 @@ class ConvexCurve:
             d = b2 * cc + a2 * ss
             dp = (a2 - b2) * (2.0 * s * c)
             dpp = 2.0 * (a2 - b2) * (cc - ss)
-            sq = np.sqrt(d)
+            sq = sqrt(d)
             q = ab / (d * sq)              # ab d^-3/2
-            r = ab / sq
-            r1 = -0.5 * dp * q
-            r2 = 0.75 * dp * dp * q / d - 0.5 * dpp * q
-            return r, r1, r2
-        r = np.full_like(c, self.a0)
-        r1 = np.zeros_like(c)
-        r2 = np.zeros_like(c)
+            return ab / sq, -0.5 * dp * q, 0.75 * dp * dp * q / d - 0.5 * dpp * q
+        r1 = c - c                         # +0.0 in c's shape; r2 its own buffer
+        r2 = c - c
+        r = self.a0 + r1
         ck, sk = c, s
-        for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), 1):
+        for k, a, b in self._harmonics:
             if k > 1:
                 ck, sk = ck * c - sk * s, sk * c + ck * s
             if a == 0.0 and b == 0.0:
@@ -127,44 +143,9 @@ class ConvexCurve:
             r2 -= (k * k) * u
         return r, r1, r2
 
-    def radius_scalar(self, phi: float):
-        """Scalar (r, r', r'') on plain floats; hot path for orbit stepping.
-
-        The same arithmetic as radius on one (math.cos, math.sin) pair: the
-        Fourier kind steps e^{ik phi} by one complex product per harmonic,
-        which is radius's angle-addition step.  The two agree to the
-        round-off of the trig calls.
-        """
-        if self.kind == CIRCLE:
-            return self.radius_value, 0.0, 0.0
-        c, s = math.cos(phi), math.sin(phi)
-        if self.kind == ELLIPSE:
-            a2, b2 = self.axis_a ** 2, self.axis_b ** 2
-            ab = self.axis_a * self.axis_b
-            cc, ss = c * c, s * s
-            d = b2 * cc + a2 * ss
-            dp = (a2 - b2) * (2.0 * s * c)
-            dpp = 2.0 * (a2 - b2) * (cc - ss)
-            sq = math.sqrt(d)
-            q = ab / (d * sq)
-            return ab / sq, -0.5 * dp * q, 0.75 * dp * dp * q / d - 0.5 * dpp * q
-        r, r1, r2 = self.a0, 0.0, 0.0
-        z = complex(c, s)
-        zk = 1.0
-        for k, a, b in self._harmonics:
-            zk *= z
-            if a == 0.0 and b == 0.0:
-                continue
-            ck, sk = zk.real, zk.imag
-            u = a * ck + b * sk
-            r += u
-            r1 += k * (b * ck - a * sk)
-            r2 -= (k * k) * u
-        return r, r1, r2
-
     @cached_property
     def _harmonics(self):
-        """(k, c_k, s_k) for k = 1..K, built once for radius_scalar's loop."""
+        """(k, c_k, s_k) for k = 1..K, built once for _radial's loop."""
         return tuple(zip(range(1, len(self.cos_coeffs) + 1), self.cos_coeffs, self.sin_coeffs))
 
     # -- geometry ----------------------------------------------------------
@@ -379,6 +360,9 @@ def reorigin(curve: ConvexCurve, new_origin, grid_size: int = 2048) -> ConvexCur
 # -- curve specification files -----------------------------------------------
 
 def curve_from_dict(spec: dict) -> ConvexCurve:
+    if not isinstance(spec, dict):
+        raise InvalidCurveError(
+            f"curve specification must be a JSON object, not {type(spec).__name__}")
     kind = spec.get("kind")
     origin = tuple(float(v) for v in spec.get("origin", (0.0, 0.0)))
     if len(origin) != 2:

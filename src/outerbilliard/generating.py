@@ -271,6 +271,8 @@ def twist_scan(curve: ConvexCurve, phi_grid: int = 256, t_grid: int = 256,
 
 def derivative_table(curve: ConvexCurve, phi_grid: int, t_grid: int, t_max: float):
     """Flat (phi, t) grid with the full derivative bundle at each node."""
+    if not 0.0 < t_max < np.inf:           # a NaN fails too
+        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
     phis = uniform_angles(phi_grid)
     ts = t_max * np.arange(1, t_grid + 1) / t_grid
     pm = np.repeat(phis, t_grid)

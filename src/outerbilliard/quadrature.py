@@ -26,8 +26,8 @@ def gauss_panels(t_max: float, n_geometric: int = 12, nodes: int = 24):
     The mesh is graded toward 0: panel edges 0, t_max*2^-n, ..., t_max/2, t_max.
     Returns (t, w) flat arrays.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < np.inf:           # a NaN fails too
+        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     edges = [0.0] + [t_max * 2.0 ** (-k) for k in range(n_geometric, -1, -1)]
     ts, ws = [], []

@@ -162,8 +162,8 @@ def i_numeric(curve: ConvexCurve, t_max: float = 50.0, phi_grid: int = 2048,
     took a call from 81-95/83-95/118-128 ms to 68-78/72-81/75-100 ms; the
     refit gains most, since its 35-harmonic radius had run once per block.
     """
-    if t_max < 10.0:
-        raise ValueError("t_max must be at least 10")
+    if not 10.0 <= t_max < math.inf:       # a NaN fails too
+        raise ValueError(f"t_max must be finite and at least 10, got {t_max!r}")
     if phi_grid < 2:
         raise ValueError("phi_grid must be at least 2")
 
@@ -203,6 +203,12 @@ class DualAreaResult:
     bs_product: float
 
 
+def dual_support(r, rp, rpp):
+    """Support function h = 1/r of the polar dual, with h' and h'' =
+    (2r'^2 - r r'')/r^3, from (r, r', r'') on floats or arrays."""
+    return 1.0 / r, -rp / (r * r), (2.0 * rp * rp - r * rpp) / (r ** 3)
+
+
 def area_and_dual(curve: ConvexCurve, grid: int = 2048) -> DualAreaResult:
     """Enclosed area and the polar dual's area about the current origin.
 
@@ -212,9 +218,7 @@ def area_and_dual(curve: ConvexCurve, grid: int = 2048) -> DualAreaResult:
     phi = uniform_angles(grid)
     r, rp, rpp = curve.radius(phi)
     area_gamma = 0.5 * periodic_trapezoid(r * r)
-    h = 1.0 / r
-    hp = -rp / (r * r)
-    hpp = (2.0 * rp * rp - r * rpp) / (r ** 3)
+    h, hp, hpp = dual_support(r, rp, rpp)
     area_dual = 0.5 * periodic_trapezoid(h * h - hp * hp)
     area_dual_alt = 0.5 * periodic_trapezoid(h * h + h * hpp)
     return DualAreaResult(area_gamma=area_gamma, area_dual=area_dual,

@@ -310,8 +310,7 @@ def _chi_identity_error(curve, grid=1024):
     phi = uniform_angles(grid)
     r, rp, rpp = curve.radius(phi)
     k = chi(r, rp, rpp)
-    h = 1.0 / r
-    hpp = (2.0 * rp * rp - r * rpp) / r ** 3
+    h, _, hpp = rigidity.dual_support(r, rp, rpp)
     chi_h = (h + hpp) / h ** 3
     return float(np.max(np.abs(k - chi_h) / np.maximum(1.0, np.abs(k))))
 
@@ -319,8 +318,7 @@ def _chi_identity_error(curve, grid=1024):
 def _cauchy_schwarz(curve, grid=2048):
     phi = uniform_angles(grid)
     r, rp, rpp = curve.radius(phi)
-    h = 1.0 / r
-    hpp = (2.0 * rp * rp - r * rpp) / r ** 3
+    h, _, hpp = rigidity.dual_support(r, rp, rpp)
     q_val = rigidity.q_integral(curve, grid)
     bound_sq = periodic_trapezoid(h ** -2) * periodic_trapezoid(h * h + h * hpp)
     return q_val, math.sqrt(bound_sq)

@@ -147,6 +147,35 @@ def test_overflowing_curve_exit_2(tmp_path, capsys):
         assert err.startswith("error: invalid curve:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec", ["[1, 2]", "null", '"x"', "3"])
+def test_non_object_curve_file_exit_2(tmp_path, capsys, spec):
+    bad = tmp_path / "top.json"
+    bad.write_text(spec)
+    assert run(["--curve", str(bad), "--cmd", "verify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid curve:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd,flag,value", [
+    ("rigidity", "--t-max", "nan"),
+    ("rigidity", "--t-max", "5"),
+    ("rigidity", "--t-max", "inf"),
+    ("twist-scan", "--t-max", "-1"),
+    ("twist-scan", "--t-max", "nan"),
+    ("twist-scan", "--t-max", "0"),
+    ("conjugate-scan", "--t-max", "inf"),
+    ("verify", "--tol", "nan"),
+    ("verify", "--tol", "-1e-9"),
+    ("simulate", "--tol", "inf"),
+])
+def test_bad_t_max_or_tol_exit_2(wobbly_file, tmp_path, capsys, cmd, flag, value):
+    assert run(["--curve", wobbly_file, "--cmd", cmd, f"{flag}={value}",
+                "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_flag_validation(circle_file):
     with pytest.raises(SystemExit) as exc:
         run(["--curve", circle_file, "--cmd", "verify", "--phi-grid", "100"])

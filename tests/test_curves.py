@@ -279,3 +279,20 @@ def test_fourier_radius_matches_mpmath(fourier8, fourier8_refit):
                     worst = max(worst, abs(float(got) - want), abs(got_scalar - want))
     assert worst < 4e-15
 
+
+
+def test_radius_scalar_is_radius_on_math_trig_bitwise(presets, fourier8, fourier8_refit):
+    # one body serves both entry points: same bits, signed zeros included
+    curves = dict(presets, fourier8=fourier8, fourier8_refit=fourier8_refit,
+                  ellipse51_off=ob.ellipse(5.0, 1.0, origin=(0.3, -0.2)),
+                  a0_only=ob.fourier(1.3),
+                  sin_only=ob.fourier(1.0, sin=[0.1, 0.0, 0.02]))
+    phi = np.random.default_rng(29).uniform(-TWO_PI, 2 * TWO_PI, 4096)
+    c = np.array([math.cos(p) for p in phi.tolist()])
+    s = np.array([math.sin(p) for p in phi.tolist()])
+    for name, curve in curves.items():
+        vector = curve.radius(phi, cs=(c, s))
+        scalar = [curve.radius_scalar(p) for p in phi.tolist()]
+        for j, want in enumerate(vector):
+            got = np.array([t[j] for t in scalar], dtype=float)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, j)

@@ -6,7 +6,7 @@ import pytest
 
 import outerbilliard as ob
 from outerbilliard import rigidity, serialize
-from outerbilliard.quadrature import TWO_PI, uniform_angles
+from outerbilliard.quadrature import TWO_PI, gauss_panels, uniform_angles
 
 PI_SQ = math.pi ** 2
 
@@ -103,6 +103,17 @@ def test_i_numeric_tail_split_independent(wobbly3):
 def test_i_numeric_t_max_precondition(unit_circle):
     with pytest.raises(ValueError):
         ob.i_numeric(unit_circle, t_max=5.0)
+
+
+@pytest.mark.parametrize("t_max", [math.nan, math.inf, 0.0, -1.0])
+def test_t_max_must_be_finite_and_positive(unit_circle, t_max):
+    # i_numeric, its Gauss panels and the derivative table behind twist_scan
+    with pytest.raises(ValueError, match="t_max"):
+        ob.i_numeric(unit_circle, t_max=t_max)
+    with pytest.raises(ValueError, match="t_max"):
+        gauss_panels(t_max)
+    with pytest.raises(ValueError, match="t_max"):
+        ob.twist_scan(unit_circle, 64, 64, t_max)
 
 
 @pytest.mark.parametrize("phi_grid", [1, 0, -4])
