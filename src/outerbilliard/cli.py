@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid curve or usage,
 import argparse
 import contextlib
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -56,6 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conjugate-scan", action="store_true",
                    help="append a conjugate-point scan to the rigidity report")
     p.add_argument("--version", action="version", version=__version__)
+    # argparse's own pattern reads "--tol -1e-9" or "--seed -1e-05 2" as flags
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return p
 
 

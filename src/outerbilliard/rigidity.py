@@ -9,7 +9,7 @@ equality only for ellipses.  A non-ellipse therefore shows Q < 2pi at its
 Santalo point, certifying orbits that are not locally minimizing.
 
 I is evaluated two independent ways: the closed form pi (Q - 2pi), and a 2-D
-quadrature of the assembled weighted integrand over (phi, t) with analytic
+quadrature of the reduced weighted integrand over (phi, t) with analytic
 tails for t > t_max.  The tails use the arctangent antiderivative of the
 first decomposition term and the combined antiderivative of the other two,
 in which the logarithms cancel as t -> infinity.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .curves import ConvexCurve, PlanePoint, _angle_map_start, area_centroid, chi, reorigin
 from .errors import ConvergenceError, NotInteriorError
-from .generating import _sderiv_arrays, s_closed_forms
+from .generating import _sderiv_arrays
 from .optimize import nelder_mead  # noqa: F401  (unused; bench/tracer.py wraps the name)
 from .quadrature import TWO_PI, gauss_panels, periodic_trapezoid, uniform_angles
 
@@ -67,25 +67,31 @@ class IntegrandSample:
     total: float
 
 
-def _weighted_total(d):
-    """(A^2 S11 + 2AB S12 + B^2 S22)(-S12) J with A = 1/r0^2, B = 1/r1^2, from
-    an _sderiv_arrays dict: the assembled weighted integrand."""
-    a_w = 1.0 / d["r0sq"]
-    b_w = 1.0 / d["r1sq"]
-    return (a_w * a_w * d["S11"] + 2.0 * a_w * b_w * d["S12"]
-            + b_w * b_w * d["S22"]) * (-d["S12"]) * d["J"]
+def _weighted_total(r, rp, rpp, t):
+    """(A^2 S11 + 2AB S12 + B^2 S22)(-S12) J, A = 1/r0^2, B = 1/r1^2, reduced to
+    2 chi t^2 (alpha t^2 + beta) / ((chi t^2 + r^2) r0^2 r1^2) with alpha =
+    (r^2 + r'^2)^2 + chi (r'^2 - r^2) = r'^2 (r^2 + 3 r'^2) + r r'' (r^2 - r'^2)
+    and beta = r^2 (r r'' - 3 r'^2): S12 J = -chi t in s_closed_forms, and the
+    t^5 terms of the rest cancel exactly.  alpha and beta vanish term by term
+    on a centred circle; r0^2 r1^2 = (p - m)(p + m).  Floats or arrays."""
+    k = chi(r, rp, rpp)
+    r2, rp2, t2 = r * r, rp * rp, t * t
+    alpha = rp2 * (r2 + 3.0 * rp2) + r * rpp * ((r - rp) * (r + rp))
+    beta = r2 * (r * rpp - 3.0 * rp2)
+    p, m = r2 + t2 * (r2 + rp2), t * (2.0 * r * rp)
+    return (t2 * ((2.0 * k * alpha) * t2 + 2.0 * k * beta)
+            / ((k * t2 + r2) * (p - m) * (p + m)))
 
 
 def _integrand_arrays(curve: ConvexCurve, phi, t):
-    """Assembled weighted integrand and its three-term split, vectorized."""
+    """Weighted integrand and its three-term split, vectorized."""
     d = _sderiv_arrays(curve, phi, t)
-    total = _weighted_total(d)
-    r, rp, _ = curve.radius(phi)
+    r, rp, rpp = curve.radius(phi)
     k = d["chi"]
     f1 = 2.0 * k / (k * t * t + r * r)
     f2 = k * (t * rp - r) / (r * d["r0sq"])
     f3 = -k * (r + t * rp) / (r * d["r1sq"])
-    return total, f1, f2, f3
+    return _weighted_total(r, rp, rpp, t), f1, f2, f3
 
 
 def integrand(curve: ConvexCurve, phi: float, t: float) -> IntegrandSample:
@@ -96,7 +102,7 @@ def integrand(curve: ConvexCurve, phi: float, t: float) -> IntegrandSample:
     residual = abs(f1 + f2 + f3 - total)
     if not residual <= 1e-10 * max(1.0, abs(total)):      # a NaN fails too
         raise ConvergenceError(
-            f"integrand split f1 + f2 + f3 misses the assembled total {total:.17g} "
+            f"integrand split f1 + f2 + f3 misses the total {total:.17g} "
             f"by {residual:.3g} at phi={float(phi):.17g}, t={float(t):.17g}",
             residual=residual)
     return IntegrandSample(phi=float(phi), t=float(t), f1=f1, f2=f2, f3=f3,
@@ -136,31 +142,20 @@ class INumericResult:
 
 def i_numeric(curve: ConvexCurve, t_max: float = 50.0, phi_grid: int = 2048,
               t_nodes: int = 24, t_panels: int = 12) -> INumericResult:
-    """2-D quadrature of the assembled integrand plus analytic tails.
+    """2-D quadrature of the weighted integrand plus analytic tails.
 
     Composite Gauss-Legendre in t on panels graded toward 0, periodic
     trapezoid in phi.  The error estimate compares against a half-resolution
     pass and carries a round-off floor proportional to the integrand mass.
 
-    The grid is walked in blocks of max(1, I_BLOCK // t.size) phi rows, and
-    each block computes only the assembled total.  I_BLOCK = 16384 nodes (52
-    rows of the default 312 t nodes, 128 KiB per temporary) keeps a block's
-    temporaries in L2 cache and the peak allocation near 2 MiB, against 78
-    MiB for the whole grid at once.  One call at phi_grid 2048 on the 2:1
-    ellipse, 1 + 0.05 cos 3phi and a 35-harmonic off-centre refit (2-core
-    Xeon, one BLAS thread, medians of 7) took 91/91/124 ms at 8192 nodes,
-    77/80/106 ms at 16384, 89/96/106 ms at 32768 and 116/122/117 ms for the
-    whole grid.  Blocks change no bit of the elementwise totals; only the
-    BLAS row sums total @ w may round a block's last rows differently.  At
-    16384 nodes the result matched the whole-grid pass bit for bit on those
-    curves, while 8192 moved value by 1e-16 and error_estimate by up to 1%.
+    Each node evaluates _weighted_total, whose chi, alpha and beta depend on
+    phi alone: about 13 array passes per node against 57 for the assembled
+    S11, S12, S22 and J, and within 1e-15 of its magnitude scale of a
+    40-digit reference (tests/test_rigidity.py).
 
-    r, r', r'' depend on phi alone, so each pass evaluates them once, and
-    the blocks and the analytic tails share them; this leaves every bit of
-    the result unchanged.  On
-    the same three curves (medians of 9, three interleaved rounds) that
-    took a call from 81-95/83-95/118-128 ms to 68-78/72-81/75-100 ms; the
-    refit gains most, since its 35-harmonic radius had run once per block.
+    Blocks of max(1, I_BLOCK // t.size) phi rows keep the temporaries in L2
+    cache (peak about 2 MiB; 78 MiB for the whole grid); r, r', r'' are
+    evaluated once per pass, for the blocks and the tails.
     """
     if not 10.0 <= t_max < math.inf:       # a NaN fails too
         raise ValueError(f"t_max must be finite and at least 10, got {t_max!r}")
@@ -177,7 +172,7 @@ def i_numeric(curve: ConvexCurve, t_max: float = 50.0, phi_grid: int = 2048,
         rows = max(1, I_BLOCK // t.size)
         for i0 in range(0, pg, rows):
             block = slice(i0, i0 + rows)
-            total = _weighted_total(s_closed_forms(r[block], rp[block], rpp[block], t[None, :]))
+            total = _weighted_total(r[block], rp[block], rpp[block], t[None, :])
             inner[block] = total @ w
             mass[block] = np.abs(total) @ w
         tail1, tail23 = _tail_arrays(*radial, t_max)

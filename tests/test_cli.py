@@ -176,6 +176,31 @@ def test_bad_t_max_or_tol_exit_2(wobbly_file, tmp_path, capsys, cmd, flag, value
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_exponent_seed_is_a_value(circle_file, tmp_path):
+    # argparse's default number pattern reads "-1e-05" as a flag
+    out = tmp_path / "orbit.csv"
+    assert run(["--curve", circle_file, "--cmd", "simulate", "--seed", "-1e-05", "2.0",
+                "--steps", "1", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert (float(row[1]), float(row[2])) == (-1e-05, 2.0)
+
+
+@pytest.mark.parametrize("cmd,flag,value", [
+    ("verify", "--tol", "-1e-9"),
+    ("rigidity", "--t-max", "-1e-3"),
+    ("twist-scan", "--t-max", "-.5E+1"),
+])
+def test_negative_exponent_value_exit_2_one_line(wobbly_file, tmp_path, capsys,
+                                                 cmd, flag, value):
+    # the value follows the flag as its own argument, not as flag=value
+    assert run(["--curve", wobbly_file, "--cmd", cmd, flag, value,
+                "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite and positive" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_flag_validation(circle_file):
     with pytest.raises(SystemExit) as exc:
         run(["--curve", circle_file, "--cmd", "verify", "--phi-grid", "100"])

@@ -6,6 +6,7 @@ import pytest
 
 import outerbilliard as ob
 from outerbilliard import rigidity, serialize
+from outerbilliard.generating import s_closed_forms
 from outerbilliard.quadrature import TWO_PI, gauss_panels, uniform_angles
 
 PI_SQ = math.pi ** 2
@@ -53,8 +54,7 @@ def test_integrand_decomposition_identity(presets, name):
     err = np.abs(f1 + f2 + f3 - total) / np.maximum(1.0, np.abs(total))
     assert err.max() < 1e-10
     # i_numeric's blocks assemble the total the same way, bit for bit
-    d = rigidity._sderiv_arrays(curve, phi, t)
-    assert np.array_equal(total, rigidity._weighted_total(d))
+    assert np.array_equal(total, rigidity._weighted_total(*curve.radius(phi), t))
 
 
 def test_integrand_finite_at_zero(presets):
@@ -65,6 +65,84 @@ def test_integrand_finite_at_zero(presets):
             assert abs(s.total) < 1e-5
             s2 = ob.integrand(curve, phi, 2e-7)
             assert s2.total == pytest.approx(2.0 * s.total, rel=1e-4, abs=1e-12)
+
+
+# -- the reduced weighted integrand against the assembled form --------------------
+
+def _assembled(r, rp, rpp, t):
+    """(A^2 S11 + 2AB S12 + B^2 S22)(-S12) J from the closed forms, in
+    whatever arithmetic the arguments carry."""
+    d = s_closed_forms(r, rp, rpp, t)
+    a_w, b_w = 1 / d["r0sq"], 1 / d["r1sq"]
+    return (a_w * a_w * d["S11"] + 2 * a_w * b_w * d["S12"]
+            + b_w * b_w * d["S22"]) * (-d["S12"]) * d["J"]
+
+
+def test_weighted_total_is_the_assembled_form_exactly():
+    sympy = pytest.importorskip("sympy")
+    r, rp, rpp, t = sympy.symbols("r rp rpp t")
+    gap = _assembled(r, rp, rpp, t) - rigidity._weighted_total(r, rp, rpp, t)
+    assert sympy.cancel(sympy.nsimplify(gap, rational=True)) == 0
+
+
+ORACLE_T = (1e-6, 1e-3, 0.1, 1.0, 5.0, 20.0, 50.0)
+# |kernel - oracle| <= WEIGHTED_BUDGET * C, where C is the kernel with every
+# difference in chi, alpha, beta and alpha t^2 + beta taken as a sum of
+# magnitudes.  A plain relative error is ill-posed here: the integrand
+# changes sign at t^2 = -beta/alpha, and near a zero of beta the value at
+# t = 1e-6 rests on r r'' - 3 r'^2 cancelling (relative error 7.6e-5 on the
+# 2:1 ellipse among 500 angles, in any float evaluation).  Measured on these
+# 128 angles: at most 7.9e-16 C (1.0e-15 C on 500 angles; the assembled float
+# form: up to 1.7e-9 C); plain relative error 2.5e-13 at worst, on
+# 1 + 0.038459 cos 5phi.
+WEIGHTED_BUDGET = 1e-14
+
+
+@pytest.mark.parametrize("name", ["ellipse21", "ellipse101", "wobbly3", "wobbly5",
+                                  "fourier8_refit", "unit_circle"])
+def test_weighted_total_matches_mpmath(request, name):
+    mp = pytest.importorskip("mpmath").mp
+    curves = {"ellipse101": lambda: ob.require_valid(ob.ellipse(10.0, 1.0)),
+              "wobbly5": lambda: ob.require_valid(
+                  ob.fourier(1.0, cos=[0.0, 0.0, 0.0, 0.0, 0.038459]))}
+    curve = curves[name]() if name in curves else request.getfixturevalue(name)
+    phi = (np.arange(128) + 0.5) * (TWO_PI / 128)
+    r, rp, rpp = curve.radius(phi)
+    with mp.workdps(40):
+        for t in ORACLE_T:
+            total = rigidity._weighted_total(r, rp, rpp, t)
+            for i in range(phi.size):
+                x, xp, xpp, tm = (mp.mpf(float(v)) for v in (r[i], rp[i], rpp[i], t))
+                exact = _assembled(x, xp, xpp, tm)
+                if name == "unit_circle":
+                    assert abs(total[i] - exact) <= 1e-15
+                    continue
+                k_abs = x * x + 2 * xp * xp + abs(x * xpp)
+                a_abs = xp * xp * (x * x + 3 * xp * xp) + abs(x * xpp * (x * x - xp * xp))
+                b_abs = x * x * (abs(x * xpp) + 3 * xp * xp)
+                d = s_closed_forms(x, xp, xpp, tm)
+                scale = (2 * k_abs * tm * tm * (a_abs * tm * tm + b_abs)
+                         / ((d["chi"] * tm * tm + x * x) * d["r0sq"] * d["r1sq"]))
+                assert abs(total[i] - exact) <= WEIGHTED_BUDGET * scale, (t, float(phi[i]))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_i_routes_match_the_perturbation_series(k):
+    # r = 1 + eps cos k phi: Q - 2pi = 2pi eps^2 k^2 (4 - k^2)/16 + O(eps^4),
+    # and the k-fold symmetry puts the Santalo point at the origin.  Measured
+    # gap at eps = 1e-3: 4.4e-5, 9.1e-5, 1.9e-4 for k = 3, 4, 5, shrinking
+    # about 100x from eps = 1e-2 (the eps^2 of the truncation).
+    gaps = {}
+    for eps in (1e-2, 1e-3):
+        curve = ob.require_valid(ob.fourier(1.0, cos=[0.0] * (k - 1) + [eps]))
+        sp = ob.santalo_point(curve)
+        assert math.hypot(sp.x, sp.y) < 1e-12
+        series = math.pi * TWO_PI * eps * eps * k * k * (4 - k * k) / 16
+        gaps[eps] = [abs(value / series - 1.0)
+                     for value in (ob.i_numeric(curve).value, ob.i_closed(curve))]
+    assert max(gaps[1e-3]) < 5e-4
+    for coarse, fine in zip(gaps[1e-2], gaps[1e-3]):
+        assert fine * 50.0 < coarse
 
 
 def test_i_closed_circle(unit_circle):
