@@ -33,9 +33,6 @@ class PlanePoint:
     x: float
     y: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 @dataclass(frozen=True)
 class CurveSample:
@@ -304,6 +301,22 @@ def radial_about(curve: ConvexCurve, point, thetas):
         raise ConvergenceError("ray/boundary intersection did not converge",
                                residual=float(resid.max()))
     return rho, phi
+
+
+def radius_about(curve: ConvexCurve, point, thetas):
+    """(r, r', r'') about an interior point on ray angles: one radial_about
+    solve, then one radius call at its phi.  With d = gamma - point, r_p' =
+    r_p (d . gamma')/(d x gamma'); r_p'' comes from the curvature, which does
+    not depend on the origin: chi_p = kappa (r_p^2 + r_p'^2)^(3/2)."""
+    rho, phi = radial_about(curve, point, thetas)
+    c, s = np.cos(phi), np.sin(phi)
+    r, r1, r2 = curve.radius(phi, cs=(c, s))
+    dx = curve.origin[0] + r * c - float(point[0])
+    dy = curve.origin[1] + r * s - float(point[1])
+    tx, ty = r1 * c - r * s, r1 * s + r * c
+    rp = rho * (dx * tx + dy * ty) / (dx * ty - dy * tx)
+    chi_p = chi(r, r1, r2) * ((rho * rho + rp * rp) / (r * r + r1 * r1)) ** 1.5
+    return rho, rp, (rho * rho + 2.0 * rp * rp - chi_p) / rho
 
 
 def _check_interior(curve: ConvexCurve, px: float, py: float):

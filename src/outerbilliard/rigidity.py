@@ -12,7 +12,9 @@ I is evaluated two independent ways: the closed form pi (Q - 2pi), and a 2-D
 quadrature of the reduced weighted integrand over (phi, t) with analytic
 tails for t > t_max.  The tails use the arctangent antiderivative of the
 first decomposition term and the combined antiderivative of the other two,
-in which the logarithms cancel as t -> infinity.
+in which the logarithms cancel as t -> infinity.  Both take (r, r', r'') on
+uniform angles, which the report samples once about the Santalo point by ray
+solves (radius_about), with no refit of the curve there.
 """
 
 import math
@@ -21,38 +23,35 @@ from typing import Optional
 
 import numpy as np
 
-from .curves import ConvexCurve, PlanePoint, _angle_map_start, area_centroid, chi, reorigin
+from .curves import ConvexCurve, PlanePoint, _angle_map_start, area_centroid, chi, radius_about
+from .curves import reorigin  # noqa: F401  (unused; bench/tracer.py wraps the name)
 from .errors import ConvergenceError, NotInteriorError
-from .generating import _sderiv_arrays
+from .generating import _sderiv_arrays  # noqa: F401  (unused; bench/tracer.py wraps the name)
 from .optimize import nelder_mead  # noqa: F401  (unused; bench/tracer.py wraps the name)
 from .quadrature import TWO_PI, gauss_panels, periodic_trapezoid, uniform_angles
 
 EQUALITY_TOL = 1e-7
-SANTALO_SNAP = 1e-8       # relative origin distance below which reorigin is skipped
+SANTALO_SNAP = 1e-8       # relative origin distance below which the origin stays put
 SANTALO_STEP_TOL = 1e-15  # Newton step tolerance, relative to max(1, diameter)
 I_BLOCK = 16384           # (phi, t) nodes per i_numeric block; see i_numeric
 
 
 # -- one-dimensional integrals ---------------------------------------------------
 
-def q_integral(curve: ConvexCurve, grid: int = 2048) -> float:
+def q_integral(r, rp, rpp) -> float:
     """Q = Int sqrt(chi)/r dphi; equals 2pi exactly for centered circles and
     ellipses, and is < 2pi for any non-ellipse about its Santalo point."""
-    phi = uniform_angles(grid)
-    r, rp, rpp = curve.radius(phi)
     return periodic_trapezoid(np.sqrt(chi(r, rp, rpp)) / r)
 
 
-def total_curvature(curve: ConvexCurve, grid: int = 2048) -> float:
+def total_curvature(r, rp, rpp) -> float:
     """Int chi/(r^2 + r'^2) dphi = Int k ds; 2pi for any simple closed convex curve."""
-    phi = uniform_angles(grid)
-    r, rp, rpp = curve.radius(phi)
     return periodic_trapezoid(chi(r, rp, rpp) / (r * r + rp * rp))
 
 
-def i_closed(curve: ConvexCurve, grid: int = 2048) -> float:
+def i_closed(r, rp, rpp) -> float:
     """pi (Q - 2pi); the t-integral of the weighted integrand done in closed form."""
-    return math.pi * (q_integral(curve, grid) - TWO_PI)
+    return math.pi * (q_integral(r, rp, rpp) - TWO_PI)
 
 
 # -- the weighted integrand ------------------------------------------------------
@@ -84,13 +83,13 @@ def _weighted_total(r, rp, rpp, t):
 
 
 def _integrand_arrays(curve: ConvexCurve, phi, t):
-    """Weighted integrand and its three-term split, vectorized."""
-    d = _sderiv_arrays(curve, phi, t)
+    """Weighted integrand and its split, with r0^2, r1^2 as in s_closed_forms."""
     r, rp, rpp = curve.radius(phi)
-    k = d["chi"]
-    f1 = 2.0 * k / (k * t * t + r * r)
-    f2 = k * (t * rp - r) / (r * d["r0sq"])
-    f3 = -k * (r + t * rp) / (r * d["r1sq"])
+    k, r2 = chi(r, rp, rpp), r * r
+    u0, u1 = r - t * rp, r + t * rp
+    f1 = 2.0 * k / (k * t * t + r2)
+    f2 = k * (t * rp - r) / (r * (u0 * u0 + t * t * r2))
+    f3 = -k * (r + t * rp) / (r * (u1 * u1 + t * t * r2))
     return _weighted_total(r, rp, rpp, t), f1, f2, f3
 
 
@@ -135,18 +134,16 @@ class INumericResult:
     error_estimate: float
     tail_f1: float            # integrated over phi
     tail_f23: float
-    t_max: float
-    phi_grid: int
-    t_nodes: int
 
 
-def i_numeric(curve: ConvexCurve, t_max: float = 50.0, phi_grid: int = 2048,
-              t_nodes: int = 24, t_panels: int = 12) -> INumericResult:
+def i_numeric(r, rp, rpp, t_max: float = 50.0, t_nodes: int = 24,
+              t_panels: int = 12) -> INumericResult:
     """2-D quadrature of the weighted integrand plus analytic tails.
 
     Composite Gauss-Legendre in t on panels graded toward 0, periodic
     trapezoid in phi.  The error estimate compares against a half-resolution
-    pass and carries a round-off floor proportional to the integrand mass.
+    pass on every other sample, so the sample count phi_grid must be even,
+    and carries a round-off floor proportional to the integrand mass.
 
     Each node evaluates _weighted_total, whose chi, alpha and beta depend on
     phi alone: about 13 array passes per node against 57 for the assembled
@@ -154,18 +151,16 @@ def i_numeric(curve: ConvexCurve, t_max: float = 50.0, phi_grid: int = 2048,
     40-digit reference (tests/test_rigidity.py).
 
     Blocks of max(1, I_BLOCK // t.size) phi rows keep the temporaries in L2
-    cache (peak about 2 MiB; 78 MiB for the whole grid); r, r', r'' are
-    evaluated once per pass, for the blocks and the tails.
+    cache (peak about 2 MiB; 78 MiB for the whole grid).
     """
     if not 10.0 <= t_max < math.inf:       # a NaN fails too
         raise ValueError(f"t_max must be finite and at least 10, got {t_max!r}")
-    if phi_grid < 2:
-        raise ValueError("phi_grid must be at least 2")
+    if r.size < 2 or r.size % 2:
+        raise ValueError(f"phi_grid must be even and at least 2, got {r.size} samples")
 
-    def pass_at(pg, nodes):
+    def pass_at(radial, nodes):
         t, w = gauss_panels(t_max, n_geometric=t_panels, nodes=nodes)
-        phis = uniform_angles(pg)
-        radial = curve.radius(phis)
+        pg = radial[0].size
         r, rp, rpp = (x[:, None] for x in radial)
         inner = np.empty(pg)
         mass = np.empty(pg)
@@ -180,12 +175,10 @@ def i_numeric(curve: ConvexCurve, t_max: float = 50.0, phi_grid: int = 2048,
         return (value, periodic_trapezoid(tail1), periodic_trapezoid(tail23),
                 periodic_trapezoid(mass + np.abs(tail1) + np.abs(tail23)))
 
-    value, t1, t23, mass = pass_at(phi_grid, t_nodes)
-    coarse, _, _, _ = pass_at(phi_grid // 2, max(6, t_nodes // 2))
+    value, t1, t23, mass = pass_at((r, rp, rpp), t_nodes)
+    coarse, _, _, _ = pass_at((r[::2], rp[::2], rpp[::2]), max(6, t_nodes // 2))
     err = 4.0 * abs(value - coarse) + 1e-14 * (mass + 1.0)
-    return INumericResult(value=value, error_estimate=err, tail_f1=t1,
-                          tail_f23=t23, t_max=t_max, phi_grid=phi_grid,
-                          t_nodes=t_nodes)
+    return INumericResult(value=value, error_estimate=err, tail_f1=t1, tail_f23=t23)
 
 
 # -- areas, polar dual, Santalo point --------------------------------------------
@@ -204,14 +197,12 @@ def dual_support(r, rp, rpp):
     return 1.0 / r, -rp / (r * r), (2.0 * rp * rp - r * rpp) / (r ** 3)
 
 
-def area_and_dual(curve: ConvexCurve, grid: int = 2048) -> DualAreaResult:
-    """Enclosed area and the polar dual's area about the current origin.
+def area_and_dual(r, rp, rpp) -> DualAreaResult:
+    """Enclosed area and the polar dual's area about the samples' origin.
 
     The dual body's support function is h = 1/r; its area is computed both
     as Int (h^2 - h'^2)/2 and Int (h^2 + h h'')/2, which must agree.
     """
-    phi = uniform_angles(grid)
-    r, rp, rpp = curve.radius(phi)
     area_gamma = 0.5 * periodic_trapezoid(r * r)
     h, hp, hpp = dual_support(r, rp, rpp)
     area_dual = 0.5 * periodic_trapezoid(h * h - hp * hp)
@@ -253,7 +244,7 @@ def dual_area_about(curve: ConvexCurve, point, grid: int = 2048) -> float:
     With h the support function about the curve's origin, the support
     function about x is h - <x - origin, u>, and the dual area is
     1/2 Int (h - <x-origin, u>)^(-2) dtheta.  Equivalent to area_dual of the
-    reorigined curve; this form needs no per-point ray solves.
+    radial data about x; this form needs no per-point ray solves.
     """
     thetas = uniform_angles(grid)
     dx = float(point[0]) - curve.origin[0]
@@ -332,24 +323,22 @@ class RigidityReport:
 def rigidity_report(curve: ConvexCurve, phi_grid: int = 2048, t_max: float = 50.0,
                     equality_tol: float = EQUALITY_TOL,
                     conjugate_scan: Optional[dict] = None) -> RigidityReport:
-    """Relocate the origin to the Santalo point and evaluate everything there.
-
-    When the computed Santalo point is within 1e-8 * diameter of the current
-    origin the reorigin/refit is skipped, keeping analytic curve kinds exact
-    (the equality cases are precisely where that accuracy matters).
+    """Q, both I routes and the areas on one radial sample about the Santalo
+    point: radius_about's ray solves, or curve.radius itself when that point
+    is within SANTALO_SNAP * diameter of the origin, which keeps analytic
+    curve kinds exact (the equality cases are where that accuracy matters).
     """
     sp = santalo_point(curve, grid=phi_grid)
     dist = math.hypot(sp.x - curve.origin[0], sp.y - curve.origin[1])
     moved = dist > SANTALO_SNAP * curve.diameter
-    curve_s = reorigin(curve, (sp.x, sp.y), grid_size=phi_grid) if moved else curve
+    thetas = uniform_angles(phi_grid)
+    radial = radius_about(curve, (sp.x, sp.y), thetas) if moved else curve.radius(thetas)
 
-    q = q_integral(curve_s, phi_grid)
+    q = q_integral(*radial)
     defect = q - TWO_PI
     ic = math.pi * defect
-    inum = i_numeric(curve_s, t_max=t_max, phi_grid=phi_grid)
-    dual = area_and_dual(curve_s, phi_grid)
-    meta = {"phi_grid": phi_grid, "t_max": t_max, "equality_tol": equality_tol,
-            "origin_moved": moved, "curve": None}
+    inum = i_numeric(*radial, t_max=t_max)
+    dual = area_and_dual(*radial)
     return RigidityReport(
         q_value=q, q_defect=defect, i_closed=ic, i_numeric=inum.value,
         i_numeric_error=inum.error_estimate, area_gamma=dual.area_gamma,
@@ -359,4 +348,4 @@ def rigidity_report(curve: ConvexCurve, phi_grid: int = 2048, t_max: float = 50.
         eq_qq_holds=defect <= equality_tol,
         equality_case=abs(defect) < equality_tol,
         certifies_non_minimizing=defect < -equality_tol,
-        metadata=meta, conjugate_scan=conjugate_scan)
+        metadata={"origin_moved": moved}, conjugate_scan=conjugate_scan)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import outerbilliard as ob
-from outerbilliard.quadrature import TWO_PI
+from outerbilliard.quadrature import TWO_PI, uniform_angles
+
+
+def radial(curve, n=2048):
+    """(r, r', r'') on n uniform angles: the sample that q_integral,
+    total_curvature, i_closed, i_numeric and area_and_dual take."""
+    return curve.radius(uniform_angles(n))
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ import outerbilliard as ob
 from outerbilliard import cli, dynamics, generating, rigidity
 from outerbilliard.quadrature import TWO_PI
 
+from conftest import radial
+
 PI_SQ = math.pi ** 2
 
 
@@ -122,9 +124,9 @@ def test_c4_circle_laws(unit_circle):
         worst_rot = max(worst_rot, abs(math.sqrt(2 * q.p) - rho))
         adv = (q.phi - a.phi) % TWO_PI
         worst_rot = max(worst_rot, abs(adv - 2.0 * math.acos(1.0 / rho)))
-    q_val = ob.q_integral(unit_circle)
-    ic = ob.i_closed(unit_circle)
-    inum = ob.i_numeric(unit_circle)
+    q_val = ob.q_integral(*radial(unit_circle))
+    ic = ob.i_closed(*radial(unit_circle))
+    inum = ob.i_numeric(*radial(unit_circle))
     assert worst_rot < 1e-10
     assert abs(q_val - TWO_PI) < 1e-12
     assert abs(ic) < 1e-9
@@ -136,10 +138,10 @@ def test_c4_circle_laws(unit_circle):
 
 def test_c5_ellipse_equality_case(ellipse21):
     t0 = time.perf_counter()
-    q_val = ob.q_integral(ellipse21)
-    ic = ob.i_closed(ellipse21)
-    inum = ob.i_numeric(ellipse21)
-    dual = ob.area_and_dual(ellipse21)
+    q_val = ob.q_integral(*radial(ellipse21))
+    ic = ob.i_closed(*radial(ellipse21))
+    inum = ob.i_numeric(*radial(ellipse21))
+    dual = ob.area_and_dual(*radial(ellipse21))
 
     pts = ob.orbit(ellipse21, ob.phase_point(ellipse21, 4.0, 0.0), 1000)
     worst_fol = max(abs(p.x**2 / 16.0 + p.y**2 / 4.0 - 1.0) for p in pts)
@@ -169,9 +171,9 @@ def test_c6_non_ellipse_defect(wobbly3):
     curve = (ob.reorigin(wobbly3, (sp.x, sp.y))
              if moved > 1e-8 * wobbly3.diameter else wobbly3)
 
-    q1 = ob.q_integral(curve, 2048)
-    q2 = ob.q_integral(curve, 4096)
-    dual = ob.area_and_dual(curve)
+    q1 = ob.q_integral(*radial(curve, 2048))
+    q2 = ob.q_integral(*radial(curve, 4096))
+    dual = ob.area_and_dual(*radial(curve))
     scan = ob.conjugate_grid_scan(curve, phi_count=40, t_count=40, t_max=3.0,
                                   n_max=10_000, stop_at_first=True)
     elapsed = time.perf_counter() - t0
@@ -200,11 +202,12 @@ def test_c7_integral_identities(presets):
         total, f1, f2, f3 = rigidity._integrand_arrays(curve, phi, t)
         worst_dec = max(worst_dec, float(np.max(
             np.abs(f1 + f2 + f3 - total) / np.maximum(1.0, np.abs(total)))))
-        worst_tc = max(worst_tc, abs(ob.total_curvature(curve) - TWO_PI))
-        inum = ob.i_numeric(curve)
-        ic = ob.i_closed(curve)
+        worst_tc = max(worst_tc, abs(ob.total_curvature(*radial(curve)) - TWO_PI))
+        inum = ob.i_numeric(*radial(curve))
+        ic = ob.i_closed(*radial(curve))
         worst_two_routes.append(abs(inum.value - ic) / max(inum.error_estimate, 1e-300))
-    tails = [ob.i_numeric(presets["fourier"], t_max=tm).value for tm in (25.0, 50.0, 100.0)]
+    tails = [ob.i_numeric(*radial(presets["fourier"]), t_max=tm).value
+             for tm in (25.0, 50.0, 100.0)]
     spread = max(tails) - min(tails)
     assert worst_dec < 1e-10
     assert all(x <= 1.0 for x in worst_two_routes)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import outerbilliard as ob
-from outerbilliard.curves import _angle_map_start, area_centroid, radial_about
+from outerbilliard.curves import _angle_map_start, area_centroid, radial_about, radius_about
 from outerbilliard.quadrature import TWO_PI, uniform_angles
+
+from conftest import radial
 
 
 def test_circle_sample(unit_circle):
@@ -100,7 +102,7 @@ def test_boundary_point_and_tangent(unit_circle, ellipse21, wobbly3):
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])
 def test_total_curvature(presets, name):
-    assert ob.total_curvature(presets[name]) == pytest.approx(TWO_PI, abs=1e-10)
+    assert ob.total_curvature(*radial(presets[name])) == pytest.approx(TWO_PI, abs=1e-10)
 
 
 def test_reorigin_identity_circle():
@@ -183,6 +185,23 @@ def test_radial_about_evaluates_radius_once_per_newton_step(monkeypatch, ellipse
         rho, phi = radial_about(curve, pt, thetas)
         assert len(calls) == 8
         assert np.array_equal(rho, rho_ref) and np.array_equal(phi, phi_ref)
+
+
+def test_radius_about_circle_matches_closed_form():
+    # about p off the centre c of a circle of radius R, with w = p - c:
+    # r_p(theta) = -<w, u> + sqrt(R^2 - (w x u)^2), differentiated symbolically
+    sympy = pytest.importorskip("sympy")
+    big_r, centre, point = 1.25, (0.25, -0.125), (0.625, 0.375)
+    th = sympy.symbols("theta")
+    wx, wy = point[0] - centre[0], point[1] - centre[1]
+    ux, uy = sympy.cos(th), sympy.sin(th)
+    r_p = -(wx * ux + wy * uy) + sympy.sqrt(big_r ** 2 - (wx * uy - wy * ux) ** 2)
+    exact = [sympy.lambdify(th, sympy.diff(r_p, th, k), "mpmath") for k in range(3)]
+    thetas = uniform_angles(64) + 0.1
+    got = radius_about(ob.circle(big_r, origin=centre), point, thetas)
+    for k in range(3):
+        want = np.array([float(exact[k](float(x))) for x in thetas])
+        assert np.abs(got[k] - want).max() <= 1e-13, k
 
 
 def test_area_centroid(unit_circle):

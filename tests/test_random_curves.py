@@ -14,6 +14,8 @@ import outerbilliard as ob
 from outerbilliard import dynamics, generating
 from outerbilliard.quadrature import TWO_PI
 
+from conftest import radial
+
 
 def _random_convex_curves(count, seed=12345):
     """Small random trig polynomials, rejection-sampled for validity."""
@@ -53,7 +55,7 @@ def test_core_identities_random_curve(idx):
     assert np.abs(rphi - phi).max() < 1e-10
     assert np.abs(rt - t).max() < 1e-10
 
-    assert ob.total_curvature(curve) == pytest.approx(TWO_PI, abs=1e-9)
+    assert ob.total_curvature(*radial(curve)) == pytest.approx(TWO_PI, abs=1e-9)
 
 
 @pytest.mark.parametrize("idx", range(len(CURVES)))

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 import outerbilliard as ob
-from outerbilliard import rigidity, serialize
+from outerbilliard import curves, rigidity, serialize
+from outerbilliard.curves import _angle_map_start
 from outerbilliard.generating import s_closed_forms
 from outerbilliard.quadrature import TWO_PI, gauss_panels, uniform_angles
+
+from conftest import radial
 
 PI_SQ = math.pi ** 2
 
@@ -16,16 +19,16 @@ WOBBLY_Q_DEFECT = -0.04963664569418125
 
 
 def test_q_integral_circle(unit_circle):
-    assert ob.q_integral(unit_circle) == pytest.approx(TWO_PI, abs=1e-12)
+    assert ob.q_integral(*radial(unit_circle)) == pytest.approx(TWO_PI, abs=1e-12)
 
 
 def test_q_integral_ellipse_center(ellipse21):
-    assert ob.q_integral(ellipse21) == pytest.approx(TWO_PI, abs=1e-8)
+    assert ob.q_integral(*radial(ellipse21)) == pytest.approx(TWO_PI, abs=1e-8)
 
 
 def test_q_integral_wobbly(wobbly3):
-    q1 = ob.q_integral(wobbly3, 2048)
-    q2 = ob.q_integral(wobbly3, 4096)
+    q1 = ob.q_integral(*radial(wobbly3, 2048))
+    q2 = ob.q_integral(*radial(wobbly3, 4096))
     assert abs(q1 - q2) < 1e-9            # resolution-independent to spectral accuracy
     assert q1 - TWO_PI < -1e-6            # strictly below the ellipse value
     assert q1 - TWO_PI == pytest.approx(WOBBLY_Q_DEFECT, abs=1e-9)
@@ -33,7 +36,7 @@ def test_q_integral_wobbly(wobbly3):
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])
 def test_total_curvature_presets(presets, name):
-    assert ob.total_curvature(presets[name]) == pytest.approx(TWO_PI, abs=1e-9)
+    assert ob.total_curvature(*radial(presets[name])) == pytest.approx(TWO_PI, abs=1e-9)
 
 
 def test_integrand_circle_unit_chord(unit_circle):
@@ -138,73 +141,75 @@ def test_i_routes_match_the_perturbation_series(k):
         sp = ob.santalo_point(curve)
         assert math.hypot(sp.x, sp.y) < 1e-12
         series = math.pi * TWO_PI * eps * eps * k * k * (4 - k * k) / 16
+        sample = radial(curve)
         gaps[eps] = [abs(value / series - 1.0)
-                     for value in (ob.i_numeric(curve).value, ob.i_closed(curve))]
+                     for value in (ob.i_numeric(*sample).value, ob.i_closed(*sample))]
     assert max(gaps[1e-3]) < 5e-4
     for coarse, fine in zip(gaps[1e-2], gaps[1e-3]):
         assert fine * 50.0 < coarse
 
 
 def test_i_closed_circle(unit_circle):
-    assert ob.i_closed(unit_circle) == pytest.approx(0.0, abs=1e-12)
+    assert ob.i_closed(*radial(unit_circle)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_i_closed_ellipse(ellipse21):
-    assert ob.i_closed(ellipse21) == pytest.approx(0.0, abs=1e-7)
+    assert ob.i_closed(*radial(ellipse21)) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_i_numeric_circle(unit_circle):
-    res = ob.i_numeric(unit_circle)
+    res = ob.i_numeric(*radial(unit_circle))
     assert abs(res.value) < 1e-9
     assert abs(res.value) <= res.error_estimate
 
 
 def test_i_numeric_ellipse(ellipse21):
-    res = ob.i_numeric(ellipse21)
+    res = ob.i_numeric(*radial(ellipse21))
     assert abs(res.value) < 1e-6
-    assert abs(res.value - ob.i_closed(ellipse21)) <= res.error_estimate
+    assert abs(res.value - ob.i_closed(*radial(ellipse21))) <= res.error_estimate
 
 
 def test_i_numeric_matches_closed_wobbly(wobbly3):
-    res = ob.i_numeric(wobbly3)
-    ic = ob.i_closed(wobbly3)
+    res = ob.i_numeric(*radial(wobbly3))
+    ic = ob.i_closed(*radial(wobbly3))
     assert abs(res.value - ic) < 1e-6
     assert abs(res.value - ic) <= res.error_estimate
     assert ic == pytest.approx(math.pi * WOBBLY_Q_DEFECT, abs=1e-8)
 
 
 def test_i_numeric_tail_split_independent(wobbly3):
-    vals = [ob.i_numeric(wobbly3, t_max=tm).value for tm in (25.0, 50.0, 100.0)]
+    vals = [ob.i_numeric(*radial(wobbly3), t_max=tm).value for tm in (25.0, 50.0, 100.0)]
     assert max(vals) - min(vals) < 1e-8
 
 
 def test_i_numeric_t_max_precondition(unit_circle):
     with pytest.raises(ValueError):
-        ob.i_numeric(unit_circle, t_max=5.0)
+        ob.i_numeric(*radial(unit_circle), t_max=5.0)
 
 
 @pytest.mark.parametrize("t_max", [math.nan, math.inf, 0.0, -1.0])
 def test_t_max_must_be_finite_and_positive(unit_circle, t_max):
     # i_numeric, its Gauss panels and the derivative table behind twist_scan
     with pytest.raises(ValueError, match="t_max"):
-        ob.i_numeric(unit_circle, t_max=t_max)
+        ob.i_numeric(*radial(unit_circle), t_max=t_max)
     with pytest.raises(ValueError, match="t_max"):
         gauss_panels(t_max)
     with pytest.raises(ValueError, match="t_max"):
         ob.twist_scan(unit_circle, 64, 64, t_max)
 
 
-@pytest.mark.parametrize("phi_grid", [1, 0, -4])
-def test_i_numeric_phi_grid_precondition(unit_circle, phi_grid):
+@pytest.mark.parametrize("phi_grid", [0, 1, 3])
+def test_i_numeric_phi_grid_precondition(phi_grid):
+    # the half-resolution pass takes every other sample: the count must be even
     with pytest.raises(ValueError, match="phi_grid"):
-        ob.i_numeric(unit_circle, phi_grid=phi_grid)
+        ob.i_numeric(*[np.ones(phi_grid)] * 3)
 
 
 def test_i_numeric_memory_is_bounded_by_the_block(wobbly3):
     # the whole 2048 x 312 grid in one piece peaks near 78 MiB of temporaries
     tracemalloc.start()
     try:
-        ob.i_numeric(wobbly3, phi_grid=2048)
+        ob.i_numeric(*radial(wobbly3, 2048))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -214,17 +219,18 @@ def test_i_numeric_memory_is_bounded_by_the_block(wobbly3):
 @pytest.mark.parametrize("name", ["wobbly3", "fourier8_refit"])
 def test_i_numeric_does_not_depend_on_the_block_size(request, monkeypatch, name):
     curve = request.getfixturevalue(name)
-    ic = ob.i_closed(curve)
-    default = ob.i_numeric(curve)
+    sample = radial(curve)
+    ic = ob.i_closed(*sample)
+    default = ob.i_numeric(*sample)
     monkeypatch.setattr(rigidity, "I_BLOCK", 1)       # one phi row per block
-    one_row = ob.i_numeric(curve)
+    one_row = ob.i_numeric(*sample)
     assert abs(one_row.value - default.value) <= 1e-15
     for res in (default, one_row):
         assert abs(res.value - ic) <= res.error_estimate
 
 
 def test_area_and_dual_circle(unit_circle):
-    d = ob.area_and_dual(unit_circle)
+    d = ob.area_and_dual(*radial(unit_circle))
     assert d.area_gamma == pytest.approx(math.pi, abs=1e-12)
     assert d.area_dual == pytest.approx(math.pi, abs=1e-12)
     assert d.bs_product == pytest.approx(PI_SQ, abs=1e-9)
@@ -233,7 +239,7 @@ def test_area_and_dual_circle(unit_circle):
 
 def test_area_and_dual_ellipse(ellipse21):
     # the polar dual of the (2, 1) ellipse is the (1/2, 1) ellipse
-    d = ob.area_and_dual(ellipse21)
+    d = ob.area_and_dual(*radial(ellipse21))
     assert d.area_gamma == pytest.approx(2.0 * math.pi, abs=1e-10)
     assert d.area_dual == pytest.approx(math.pi / 2.0, abs=1e-10)
     assert d.bs_product == pytest.approx(PI_SQ, abs=1e-7)
@@ -241,7 +247,7 @@ def test_area_and_dual_ellipse(ellipse21):
 
 
 def test_area_and_dual_wobbly(wobbly3):
-    d = ob.area_and_dual(wobbly3)
+    d = ob.area_and_dual(*radial(wobbly3))
     assert d.bs_product < PI_SQ - 1e-6
     assert abs(d.area_dual - d.area_dual_alt) < 1e-10
 
@@ -262,7 +268,7 @@ def test_cauchy_schwarz_chain(presets):
         r, rp, rpp = curve.radius(phi)
         h = 1.0 / r
         hpp = (2 * rp * rp - r * rpp) / r**3
-        q = ob.q_integral(curve)
+        q = ob.q_integral(r, rp, rpp)
         bound = math.sqrt(float(np.mean(h**-2) * TWO_PI)
                           * float(np.mean(h * h + h * hpp) * TWO_PI))
         assert q <= bound + 1e-9
@@ -282,7 +288,7 @@ def test_support_samples_circle():
 def test_dual_area_about_matches_reorigin(ellipse21):
     x = (0.1, 0.05)
     direct = ob.dual_area_about(ellipse21, x)
-    via_reorigin = ob.area_and_dual(ob.reorigin(ellipse21, x)).area_dual
+    via_reorigin = ob.area_and_dual(*radial(ob.reorigin(ellipse21, x))).area_dual
     assert direct == pytest.approx(via_reorigin, rel=1e-9)
 
 
@@ -351,10 +357,112 @@ def test_rigidity_report_runs_no_simplex_search(monkeypatch, fourier8):
     assert rep.eq_qq_holds
 
 
+@pytest.fixture(scope="module")
+def shifted_ellipse():
+    """The 2:1 ellipse refit about (0.4, 0.1): its Santalo point is 0.41 off."""
+    return ob.reorigin(ob.ellipse(2.0, 1.0), (0.4, 0.1))
+
+
+def _q_support_route(curve, point, n=2048):
+    """Q as the planar L2 affine surface area Int sqrt(rho/h_p) dtheta
+    (Lutwak 1996) over outward normal angles theta: rho the radius of
+    curvature and h_p = <gamma - point, u_theta> at the boundary point whose
+    normal is u_theta.  No ray solve about the point."""
+    theta = uniform_angles(n)
+    ux, uy = np.cos(theta), np.sin(theta)
+
+    def normal_angle(f):
+        tx, ty = curve.tangent(f)
+        return np.arctan2(-tx, ty)
+
+    phi = _angle_map_start(normal_angle, theta)
+    for _ in range(8):                   # Newton on <gamma'(phi), u_theta> = 0
+        c, s = np.cos(phi), np.sin(phi)
+        r, r1, r2 = curve.radius(phi)
+        g = (r1 * c - r * s) * ux + (r1 * s + r * c) * uy
+        gp = ((r2 - r) * c - 2 * r1 * s) * ux + ((r2 - r) * s + 2 * r1 * c) * uy
+        phi = phi - g / gp
+    assert np.abs(g).max() < 1e-14
+    c, s = np.cos(phi), np.sin(phi)
+    r, r1, r2 = curve.radius(phi)
+    rho = (r * r + r1 * r1) ** 1.5 / (r * r + 2 * r1 * r1 - r * r2)
+    h_p = ((curve.origin[0] + r * c - point[0]) * ux
+           + (curve.origin[1] + r * s - point[1]) * uy)
+    return float(np.mean(np.sqrt(rho / h_p))) * TWO_PI
+
+
+@pytest.mark.parametrize("name", ["fourier8", "egg", "shifted_ellipse"])
+def test_q_from_radius_about_matches_the_support_route(request, name):
+    curve = request.getfixturevalue(name)
+    sp = ob.santalo_point(curve)
+    sample = curves.radius_about(curve, (sp.x, sp.y), uniform_angles(2048))
+    assert abs(ob.q_integral(*sample) - _q_support_route(curve, (sp.x, sp.y))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["fourier8", "egg", "shifted_ellipse"])
+def test_rigidity_report_matches_the_refit_route(request, name):
+    # the report's one sample about the Santalo point against the Fourier
+    # refit about it that earlier reports evaluated
+    curve = request.getfixturevalue(name)
+    rep = ob.rigidity_report(curve)
+    assert rep.metadata["origin_moved"]
+    sample = radial(ob.reorigin(curve, (rep.santalo_x, rep.santalo_y)))
+    q = ob.q_integral(*sample)
+    inum = ob.i_numeric(*sample)
+    dual = ob.area_and_dual(*sample)
+    refit = {"q_value": q, "i_closed": ob.i_closed(*sample), "i_numeric": inum.value,
+             "i_numeric_error": inum.error_estimate, "area_gamma": dual.area_gamma,
+             "area_dual": dual.area_dual, "bs_product": dual.bs_product}
+    for field, value in refit.items():
+        assert abs(getattr(rep, field) - value) <= 1e-14, field
+
+
+@pytest.mark.parametrize("name, moved", [("wobbly3", False), ("fourier8", True)])
+def test_rigidity_report_reads_one_radial_sample(monkeypatch, request, name, moved):
+    # after the Santalo search: one curve.radius call when the origin stays,
+    # one radius_about call when it moves; no refit, no revalidation
+    curve = request.getfixturevalue(name)
+    log, nested = [], []
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the report refit or revalidated the curve")
+
+    santalo, about, radius = rigidity.santalo_point, rigidity.radius_about, ob.ConvexCurve.radius
+
+    def santalo_point(*args, **kwargs):
+        sp = santalo(*args, **kwargs)
+        log.append("santalo_point")
+        return sp
+
+    def radius_about(*args, **kwargs):
+        log.append("radius_about")
+        nested.append(True)
+        try:
+            return about(*args, **kwargs)
+        finally:
+            nested.pop()
+
+    def counted(self, phi, cs=None):
+        if not nested:
+            log.append("radius")
+        return radius(self, phi, cs)
+
+    for owner, attr in ((rigidity, "reorigin"), (curves, "reorigin"),
+                        (curves, "require_valid"), (curves, "validate")):
+        monkeypatch.setattr(owner, attr, forbidden)
+    monkeypatch.setattr(rigidity, "santalo_point", santalo_point)
+    monkeypatch.setattr(rigidity, "radius_about", radius_about)
+    monkeypatch.setattr(ob.ConvexCurve, "radius", counted)
+    rep = ob.rigidity_report(curve)
+    assert rep.metadata["origin_moved"] == moved
+    after = log[log.index("santalo_point") + 1:]
+    assert after == (["radius_about"] if moved else ["radius"])
+
+
 def test_santalo_objective_at_origin_is_dual_area(presets):
     for curve in presets.values():
         f0 = ob.dual_area_about(curve, curve.origin)
-        assert f0 == pytest.approx(ob.area_and_dual(curve).area_dual, rel=1e-11)
+        assert f0 == pytest.approx(ob.area_and_dual(*radial(curve)).area_dual, rel=1e-11)
 
 
 def test_rigidity_report_ellipse(ellipse21):
