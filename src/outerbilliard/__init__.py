@@ -28,5 +28,5 @@ from .jacobi import (ConjugateScanResult, JacobiState, MinimalityVerdict,
 from .rigidity import (DualAreaResult, INumericResult, IntegrandSample,
                        RigidityReport, area_and_dual, dual_area_about, i_closed,
                        i_numeric, integrand, q_integral, rigidity_report,
-                       santalo_point, support_samples, total_curvature)
+                       santalo_point, total_curvature)
 from .verify import VerificationResult, run_verification

@@ -211,23 +211,8 @@ def cmd_conjugate_scan(curve, cfg: RunConfig, out):
 
 
 def cmd_rigidity(curve, cfg: RunConfig, out, with_scan: bool):
-    scan_doc = None
-    if with_scan:
-        scan = jacobi.conjugate_grid_scan(
-            curve, phi_count=cfg.t_grid, t_count=cfg.t_grid, t_max=3.0,
-            n_max=cfg.steps, workers=cfg.workers)
-        found = scan.found
-        scan_doc = {
-            "seeds": scan.phi_count * scan.t_count,
-            "n_max": scan.n_max,
-            "found_count": len(found),
-            "first_found": None if not found else {
-                "seed_phi": found[0].seed_phi, "seed_t": found[0].seed_t,
-                "n_conjugate": found[0].n_conjugate},
-        }
     report = rigidity.rigidity_report(
-        curve, phi_grid=cfg.phi_grid, t_max=cfg.t_max, equality_tol=cfg.tol,
-        conjugate_scan=scan_doc)
+        curve, phi_grid=cfg.phi_grid, t_max=cfg.t_max, equality_tol=cfg.tol)
     doc = {
         "q_value": report.q_value,
         "q_defect": report.q_defect,
@@ -242,11 +227,22 @@ def cmd_rigidity(curve, cfg: RunConfig, out, with_scan: bool):
         "eq_qq_holds": report.eq_qq_holds,
         "equality_case": report.equality_case,
         "certifies_non_minimizing": report.certifies_non_minimizing,
-        "origin_moved": report.metadata["origin_moved"],
+        "origin_moved": report.origin_moved,
         "config": cfg.echo(),
     }
-    if scan_doc is not None:
-        doc["conjugate_scan"] = scan_doc
+    if with_scan:
+        scan = jacobi.conjugate_grid_scan(
+            curve, phi_count=cfg.t_grid, t_count=cfg.t_grid, t_max=3.0,
+            n_max=cfg.steps, workers=cfg.workers)
+        found = scan.found
+        doc["conjugate_scan"] = {
+            "seeds": len(scan.rows),
+            "n_max": cfg.steps,
+            "found_count": len(found),
+            "first_found": None if not found else {
+                "seed_phi": found[0].seed_phi, "seed_t": found[0].seed_t,
+                "n_conjugate": found[0].n_conjugate},
+        }
     out.write(serialize.dumps(doc))
     return EXIT_OK
 

@@ -24,6 +24,10 @@ from .errors import ConvergenceError, InsideCurveError
 from .quadrature import uniform_angles
 
 CSV_CHUNK = 1024          # derivative-table rows formatted per batch
+CHART_TOL = 1e-12         # chart inversion: worst angle residual accepted
+CHART_MAX_ITER = 50       # chart inversion: Newton iterations before ConvergenceError
+FMAP_DELTA = 1e-9         # forward map: phi1 is bracketed in (phi0 + d, phi0 + pi - d)
+FMAP_TOL = 1e-12          # forward map: Newton step in phi1 accepted as converged
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,7 @@ def chain_rule_s1_s2(curve: ConvexCurve, phi, t):
 
 # -- inverse chart transition --------------------------------------------------
 
-def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, tol=1e-12,
-                              max_iter=50, guess=None):
+def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, guess=None):
     """Newton solve of the chart transition for (phi, t), vectorized.
 
     Initial guess is the circle geometry: phi the mid-ray, t = tan(gap/2).
@@ -158,13 +161,13 @@ def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, tol=1e-12,
     else:
         phi, t = np.array(guess[0], dtype=float), np.array(guess[1], dtype=float)
     worst = np.inf
-    for _ in range(max_iter):
+    for _ in range(CHART_MAX_ITER):
         r, rp, rpp = curve.radius(phi)
         excess = r * r + rp * rp - chi(r, rp, rpp)
         f0, f1, r0sq, r1sq = _angles_arrays(curve, phi, t, (r, rp, rpp))
         res0, res1 = f0 - phi0, f1 - phi1
         worst = float(np.max(np.maximum(np.abs(res0), np.abs(res1))))
-        if worst < tol:
+        if worst < CHART_TOL:
             return phi, t
         j00 = 1.0 - t * t * excess / r0sq
         j01 = -r * r / r0sq
@@ -177,13 +180,12 @@ def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, tol=1e-12,
         phi = phi - scale * dphi
         t = t - scale * dt
     raise ConvergenceError(
-        f"chart inversion did not converge in {max_iter} iterations "
+        f"chart inversion did not converge in {CHART_MAX_ITER} iterations "
         f"(worst residual {worst:.3g})", residual=worst)
 
 
-def angles_to_chord(curve: ConvexCurve, phi0: float, phi1: float,
-                    tol: float = 1e-12) -> ChordCoords:
-    phi, t = _chord_from_angles_arrays(curve, phi0, phi1, tol=tol)
+def angles_to_chord(curve: ConvexCurve, phi0: float, phi1: float) -> ChordCoords:
+    phi, t = _chord_from_angles_arrays(curve, phi0, phi1)
     return ChordCoords(float(phi), float(t))
 
 
@@ -195,11 +197,11 @@ def s_at_angles(curve: ConvexCurve, phi0: float, phi1: float) -> SDerivatives:
 
 # -- the map through the generating function ----------------------------------
 
-def forward_map_batch(curve: ConvexCurve, p0, phi0, delta=1e-9, tol=1e-12):
+def forward_map_batch(curve: ConvexCurve, p0, phi0):
     """(p1, phi1) from S1(phi0, phi1) = -p0, S2 = p1; vectorized.
 
     S1 is strictly decreasing in phi1 (twist), so the root of
-    g(phi1) = p0 + S1 is unique in (phi0 + delta, phi0 + pi - delta);
+    g(phi1) = p0 + S1 is unique in (phi0 + FMAP_DELTA, phi0 + pi - FMAP_DELTA);
     bracketed bisection hands over to Newton with derivative S12.
     """
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
@@ -207,8 +209,8 @@ def forward_map_batch(curve: ConvexCurve, p0, phi0, delta=1e-9, tol=1e-12):
     r, _, _ = curve.radius(phi0)
     if np.any(2.0 * p0 <= r * r):
         raise InsideCurveError("phase point (p0, phi0) is not exterior")
-    lo = phi0 + delta
-    hi = phi0 + np.pi - delta
+    lo = phi0 + FMAP_DELTA
+    hi = phi0 + np.pi - FMAP_DELTA
     guess = None
 
     def g_of(phi1):
@@ -230,10 +232,10 @@ def forward_map_batch(curve: ConvexCurve, p0, phi0, delta=1e-9, tol=1e-12):
         g, d = g_of(phi1)
         newton = g / d["S12"]
         worst = float(np.abs(newton).max())   # step size in angle units
-        if worst < tol:
+        if worst < FMAP_TOL:
             break
         phi1 = np.clip(phi1 - newton, lo, hi)
-    if worst > tol:
+    if worst > FMAP_TOL:
         raise ConvergenceError("monotone solve for phi1 did not converge",
                                residual=worst)
     return d["S2"], phi1
@@ -252,9 +254,6 @@ class TwistScan:
     max_s12: float
     phi_at_max: float
     t_at_max: float
-    phi_grid: int
-    t_grid: int
-    t_max: float
 
 
 def twist_scan(curve: ConvexCurve, phi_grid: int = 256, t_grid: int = 256,
@@ -265,8 +264,7 @@ def twist_scan(curve: ConvexCurve, phi_grid: int = 256, t_grid: int = 256,
     pm, tm, d = derivative_table(curve, phi_grid, t_grid, t_max)
     s12 = d["S12"]
     i = int(np.argmax(s12))
-    return TwistScan(max_s12=float(s12[i]), phi_at_max=float(pm[i]), t_at_max=float(tm[i]),
-                     phi_grid=phi_grid, t_grid=t_grid, t_max=t_max)
+    return TwistScan(max_s12=float(s12[i]), phi_at_max=float(pm[i]), t_at_max=float(tm[i]))
 
 
 def derivative_table(curve: ConvexCurve, phi_grid: int, t_grid: int, t_max: float):

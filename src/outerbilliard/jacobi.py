@@ -287,10 +287,6 @@ class ConjugateScanRow:
 @dataclass(frozen=True)
 class ConjugateScanResult:
     rows: list
-    phi_count: int
-    t_count: int
-    t_max: float
-    n_max: int
     complete: bool
 
     @property
@@ -413,8 +409,7 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
                              int(found[i]) if found[i] >= 0 else None,
                              None if steppable[i] else reason)
             for i in range(n_seeds)]
-    return ConjugateScanResult(rows=rows, phi_count=phi_count, t_count=t_count,
-                               t_max=t_max, n_max=n_max, complete=complete)
+    return ConjugateScanResult(rows=rows, complete=complete)
 
 
 # -- Hopf construction ----------------------------------------------------------

@@ -1,8 +1,16 @@
 """Quadrature helpers: periodic trapezoid grids and composite Gauss panels."""
 
+from functools import lru_cache
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+
+@lru_cache(maxsize=None)
+def _leggauss(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], shared and read only."""
+    return np.polynomial.legendre.leggauss(nodes)
 
 
 def uniform_angles(n: int) -> np.ndarray:
@@ -28,7 +36,7 @@ def gauss_panels(t_max: float, n_geometric: int = 12, nodes: int = 24):
     """
     if not 0.0 < t_max < np.inf:           # a NaN fails too
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = _leggauss(nodes)
     edges = [0.0] + [t_max * 2.0 ** (-k) for k in range(n_geometric, -1, -1)]
     ts, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):

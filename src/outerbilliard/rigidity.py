@@ -18,12 +18,11 @@ solves (radius_about), with no refit of the curve there.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ConvexCurve, PlanePoint, _angle_map_start, area_centroid, chi, radius_about
+from .curves import ConvexCurve, PlanePoint, area_centroid, chi, radius_about
 from .curves import reorigin  # noqa: F401  (unused; bench/tracer.py wraps the name)
 from .errors import ConvergenceError, NotInteriorError
 from .generating import _sderiv_arrays  # noqa: F401  (unused; bench/tracer.py wraps the name)
@@ -58,8 +57,6 @@ def i_closed(r, rp, rpp) -> float:
 
 @dataclass(frozen=True)
 class IntegrandSample:
-    phi: float
-    t: float
     f1: float
     f2: float
     f3: float
@@ -104,8 +101,7 @@ def integrand(curve: ConvexCurve, phi: float, t: float) -> IntegrandSample:
             f"integrand split f1 + f2 + f3 misses the total {total:.17g} "
             f"by {residual:.3g} at phi={float(phi):.17g}, t={float(t):.17g}",
             residual=residual)
-    return IntegrandSample(phi=float(phi), t=float(t), f1=f1, f2=f2, f3=f3,
-                           total=total)
+    return IntegrandSample(f1=f1, f2=f2, f3=f3, total=total)
 
 
 def _tail_arrays(r, rp, rpp, t_max: float):
@@ -132,8 +128,6 @@ def _tail_arrays(r, rp, rpp, t_max: float):
 class INumericResult:
     value: float
     error_estimate: float
-    tail_f1: float            # integrated over phi
-    tail_f23: float
 
 
 def i_numeric(r, rp, rpp, t_max: float = 50.0, t_nodes: int = 24,
@@ -171,14 +165,13 @@ def i_numeric(r, rp, rpp, t_max: float = 50.0, t_nodes: int = 24,
             inner[block] = total @ w
             mass[block] = np.abs(total) @ w
         tail1, tail23 = _tail_arrays(*radial, t_max)
-        value = periodic_trapezoid(inner + tail1 + tail23)
-        return (value, periodic_trapezoid(tail1), periodic_trapezoid(tail23),
+        return (periodic_trapezoid(inner + tail1 + tail23),
                 periodic_trapezoid(mass + np.abs(tail1) + np.abs(tail23)))
 
-    value, t1, t23, mass = pass_at((r, rp, rpp), t_nodes)
-    coarse, _, _, _ = pass_at((r[::2], rp[::2], rpp[::2]), max(6, t_nodes // 2))
+    value, mass = pass_at((r, rp, rpp), t_nodes)
+    coarse, _ = pass_at((r[::2], rp[::2], rpp[::2]), max(6, t_nodes // 2))
     err = 4.0 * abs(value - coarse) + 1e-14 * (mass + 1.0)
-    return INumericResult(value=value, error_estimate=err, tail_f1=t1, tail_f23=t23)
+    return INumericResult(value=value, error_estimate=err)
 
 
 # -- areas, polar dual, Santalo point --------------------------------------------
@@ -212,78 +205,63 @@ def area_and_dual(r, rp, rpp) -> DualAreaResult:
                           bs_product=area_gamma * area_dual)
 
 
-def support_samples(curve: ConvexCurve, grid: int = 2048) -> np.ndarray:
-    """Support function of the curve about its origin on uniform direction angles.
-
-    The outward normal angle is monotone in phi (convexity), so the
-    maximizing boundary parameter is found by inverting it, then polished by
-    Newton on <gamma'(phi), u> = 0.
-    """
-    def normal_angle(phi):          # outward normal angle, increasing
-        tx, ty = curve.tangent(phi)
-        return np.arctan2(-tx, ty)
-
-    thetas = uniform_angles(grid)
-    phi = _angle_map_start(normal_angle, thetas)
-    ux, uy = np.cos(thetas), np.sin(thetas)
-    for _ in range(5):
-        c, s = np.cos(phi), np.sin(phi)
-        r, rp, rpp = curve.radius(phi, cs=(c, s))
-        g = (rp * c - r * s) * ux + (rp * s + r * c) * uy      # <gamma'(phi), u>
-        gxx = (rpp - r) * c - 2.0 * rp * s
-        gyy = (rpp - r) * s + 2.0 * rp * c
-        gp = gxx * ux + gyy * uy
-        phi = phi - g / gp
-    r, _, _ = curve.radius(phi)
-    return r * (np.cos(phi) * ux + np.sin(phi) * uy)
+def _support_frame(curve: ConvexCurve, grid: int):
+    """On grid uniform boundary angles phi, n = sqrt(r^2 + r'^2): the support
+    function h = r^2/n about the origin, the outward normal u = (r' sin + r cos,
+    r sin - r' cos)/n, and w = chi/n^2 2pi/grid, so that sum(w f) = Int f dtheta
+    by dtheta = kappa ds (Schneider, Convex Bodies, 1.7).  One radius call."""
+    phi = uniform_angles(grid)
+    c, s = np.cos(phi), np.sin(phi)
+    r, rp, rpp = curve.radius(phi, cs=(c, s))
+    n2 = r * r + rp * rp
+    n = np.sqrt(n2)
+    ux, uy = (rp * s + r * c) / n, (r * s - rp * c) / n
+    return r * r / n, ux, uy, chi(r, rp, rpp) / n2 * (TWO_PI / grid)
 
 
 def dual_area_about(curve: ConvexCurve, point, grid: int = 2048) -> float:
     """Area of the polar dual about an interior point, support-function form.
 
     With h the support function about the curve's origin, the support
-    function about x is h - <x - origin, u>, and the dual area is
-    1/2 Int (h - <x-origin, u>)^(-2) dtheta.  Equivalent to area_dual of the
-    radial data about x; this form needs no per-point ray solves.
+    function about x is s = h - <x - origin, u>, and the dual area 1/2 Int
+    s^-2 dtheta is summed on boundary angles (_support_frame).  Equivalent to
+    area_dual of the radial data about x, with no per-point ray solves.
     """
-    thetas = uniform_angles(grid)
+    h, ux, uy, w = _support_frame(curve, grid)
     dx = float(point[0]) - curve.origin[0]
     dy = float(point[1]) - curve.origin[1]
-    s = support_samples(curve, grid) - (dx * np.cos(thetas) + dy * np.sin(thetas))
+    s = h - (dx * ux + dy * uy)
     if s.min() <= 0.0:
         raise NotInteriorError("point is not strictly inside the curve")
-    return 0.5 * periodic_trapezoid(s ** -2)
+    return 0.5 * float(np.sum(w / (s * s)))
 
 
 def santalo_point(curve: ConvexCurve, grid: int = 2048) -> PlanePoint:
     """The unique interior point minimizing the polar dual's area.
 
     Full Newton steps from the area centroid on the support-function form
-    1/2 Int s^-2 dtheta, s = h - <x - origin, u>.  Its Hessian
+    1/2 Int s^-2 dtheta, s = h - <x - origin, u>, summed on boundary angles
+    (_support_frame) with no inversion of the normal-angle map.  Its Hessian
     3 Int u u^T s^-4 dtheta is positive definite on the interior, and the
     steps converge even from 0.999 r(phi) on a 10:1 ellipse, so no line
     search is taken.  An iterate outside the interior raises
     ConvergenceError, and so does a step still above SANTALO_STEP_TOL
     max(1, diameter) after 60 iterations, with that step as its residual.
     """
-    h = support_samples(curve, grid)
-    thetas = uniform_angles(grid)
-    ux, uy = np.cos(thetas), np.sin(thetas)
-    ox, oy = curve.origin
-    dtheta = TWO_PI / grid
-
     x = np.array(area_centroid(curve))
+    h, ux, uy, w = _support_frame(curve, grid)
+    ox, oy = curve.origin
     for _ in range(60):
         s = h - ((x[0] - ox) * ux + (x[1] - oy) * uy)
         if s.min() <= 0.0:
             raise ConvergenceError("Santalo point Newton iterate left the interior")
-        s3 = s ** -3
-        s4 = s ** -4
-        gx = float(np.sum(ux * s3)) * dtheta
-        gy = float(np.sum(uy * s3)) * dtheta
-        hxx = 3.0 * float(np.sum(ux * ux * s4)) * dtheta
-        hxy = 3.0 * float(np.sum(ux * uy * s4)) * dtheta
-        hyy = 3.0 * float(np.sum(uy * uy * s4)) * dtheta
+        s3 = w * s ** -3
+        s4 = w * s ** -4
+        gx = float(np.sum(ux * s3))
+        gy = float(np.sum(uy * s3))
+        hxx = 3.0 * float(np.sum(ux * ux * s4))
+        hxy = 3.0 * float(np.sum(ux * uy * s4))
+        hyy = 3.0 * float(np.sum(uy * uy * s4))
         det = hxx * hyy - hxy * hxy
         dx = (hyy * gx - hxy * gy) / det
         dy = (-hxy * gx + hxx * gy) / det
@@ -316,17 +294,16 @@ class RigidityReport:
     eq_qq_holds: bool               # Q <= 2pi + tol (true for every convex curve)
     equality_case: bool             # |Q - 2pi| < tol: the ellipse signature
     certifies_non_minimizing: bool  # Q < 2pi - tol: some orbits cannot minimize
-    metadata: dict = field(default_factory=dict)
-    conjugate_scan: Optional[dict] = None
+    origin_moved: bool              # the sample was taken about the Santalo point
 
 
 def rigidity_report(curve: ConvexCurve, phi_grid: int = 2048, t_max: float = 50.0,
-                    equality_tol: float = EQUALITY_TOL,
-                    conjugate_scan: Optional[dict] = None) -> RigidityReport:
+                    equality_tol: float = EQUALITY_TOL) -> RigidityReport:
     """Q, both I routes and the areas on one radial sample about the Santalo
     point: radius_about's ray solves, or curve.radius itself when that point
     is within SANTALO_SNAP * diameter of the origin, which keeps analytic
     curve kinds exact (the equality cases are where that accuracy matters).
+    origin_moved says which of the two was sampled.
     """
     sp = santalo_point(curve, grid=phi_grid)
     dist = math.hypot(sp.x - curve.origin[0], sp.y - curve.origin[1])
@@ -348,4 +325,4 @@ def rigidity_report(curve: ConvexCurve, phi_grid: int = 2048, t_max: float = 50.
         eq_qq_holds=defect <= equality_tol,
         equality_case=abs(defect) < equality_tol,
         certifies_non_minimizing=defect < -equality_tol,
-        metadata={"origin_moved": moved}, conjugate_scan=conjugate_scan)
+        origin_moved=moved)

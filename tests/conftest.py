@@ -33,6 +33,23 @@ def egg():
     return ob.require_valid(ob.fourier(1.0, cos=[0.25]))
 
 
+def _near_flat(k):
+    """r = 1 + eps cos(k phi) with eps = 0.999/(k^2 + 1): at its flattest points
+    chi = (1 - eps)(1 - (k^2 + 1) eps) is about 1e-3, yet k-fold symmetry pins
+    its Santalo point at the origin."""
+    return ob.require_valid(ob.fourier(1.0, cos=[0.0] * (k - 1) + [0.999 / (k * k + 1)]))
+
+
+@pytest.fixture(scope="session")
+def near_flat3():
+    return _near_flat(3)
+
+
+@pytest.fixture(scope="session")
+def near_flat5():
+    return _near_flat(5)
+
+
 @pytest.fixture(scope="session")
 def presets(unit_circle, ellipse21, wobbly3):
     return {"circle": unit_circle, "ellipse": ellipse21, "fourier": wobbly3}

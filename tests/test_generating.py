@@ -79,9 +79,10 @@ def test_angles_to_chord_rejects_bad_pairs(unit_circle):
         ob.angles_to_chord(unit_circle, 0.0, 3.5)
 
 
-def test_angles_to_chord_reports_nonconvergence(ellipse21):
+def test_angles_to_chord_reports_nonconvergence(monkeypatch, ellipse21):
+    monkeypatch.setattr(generating, "CHART_MAX_ITER", 2)
     with pytest.raises(ob.ConvergenceError) as exc:
-        generating._chord_from_angles_arrays(ellipse21, -0.4, 1.9, max_iter=2)
+        generating._chord_from_angles_arrays(ellipse21, -0.4, 1.9)
     assert exc.value.residual is not None
     assert exc.value.residual > 0
 
@@ -95,8 +96,9 @@ def test_chart_inversion_evaluates_radius_once_per_iteration(monkeypatch, ellips
         return radius(curve, phi, cs)
 
     monkeypatch.setattr(ob.ConvexCurve, "radius", counted)
+    monkeypatch.setattr(generating, "CHART_MAX_ITER", 2)
     with pytest.raises(ob.ConvergenceError):
-        generating._chord_from_angles_arrays(ellipse21, -0.4, 1.9, max_iter=2)
+        generating._chord_from_angles_arrays(ellipse21, -0.4, 1.9)
     assert len(calls) == 2
 
 
@@ -349,4 +351,4 @@ def test_twist_scan_is_the_derivative_tables_s12_maximum(wobbly3):
     pm, tm, d = generating.derivative_table(wobbly3, 64, 128, 5.0)
     i = int(np.argmax(d["S12"]))
     assert ob.twist_scan(wobbly3, 64, 128, 5.0) == generating.TwistScan(
-        float(d["S12"][i]), float(pm[i]), float(tm[i]), 64, 128, 5.0)
+        float(d["S12"][i]), float(pm[i]), float(tm[i]))

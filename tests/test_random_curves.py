@@ -86,7 +86,7 @@ def test_rigidity_report_random_curve(idx):
     assert not rep.equality_case
     assert rep.certifies_non_minimizing == (rep.q_defect < -1e-7)
     assert rep.bs_product < math.pi ** 2 + 1e-9
-    assert rep.metadata["origin_moved"]      # no symmetry pins the origin
+    assert rep.origin_moved      # no symmetry pins the origin
     assert abs(rep.i_numeric - rep.i_closed) <= rep.i_numeric_error
 
 

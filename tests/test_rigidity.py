@@ -278,11 +278,58 @@ def test_cauchy_schwarz_chain(presets):
             assert q < bound - 1e-4
 
 
-def test_support_samples_circle():
+def test_support_frame_circle():
     c = ob.circle(1.0, origin=(0.3, 0.0))
-    h = ob.support_samples(c, 256)
+    h, _, _, _ = rigidity._support_frame(c, 256)
     # support of a unit disk about its center is 1 in every direction
     assert np.abs(h - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("a", [2.0, 5.0, 10.0])
+@pytest.mark.parametrize("u, v", [(0.0, 0.0), (0.3, 0.2), (-0.5, 0.4), (0.2, -0.6)])
+def test_dual_area_about_ellipse_closed_form(a, u, v):
+    # the polar dual of the ellipse x^2/a^2 + y^2 = 1 about (u a, v) is an
+    # ellipse of area pi / (a (1 - u^2 - v^2)^(3/2))
+    want = math.pi / (a * (1.0 - u * u - v * v) ** 1.5)
+    got = ob.dual_area_about(ob.ellipse(a, 1.0), (u * a, v))
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("name", ["near_flat3", "near_flat5"])
+def test_santalo_near_flat_symmetric(request, name):
+    # k-fold symmetry pins the Santalo point at the origin, flat spots or not
+    curve = request.getfixturevalue(name)
+    sp = ob.santalo_point(curve)
+    assert math.hypot(sp.x, sp.y) <= 1e-14 * curve.diameter
+
+
+def test_rigidity_report_near_flat_keeps_the_origin(near_flat3):
+    assert not ob.rigidity_report(near_flat3).origin_moved
+
+
+@pytest.mark.parametrize("call", [ob.santalo_point, lambda c: ob.dual_area_about(c, (0.01, 0.02))],
+                         ids=["santalo_point", "dual_area_about"])
+def test_support_form_evaluates_radius_once(monkeypatch, fourier8, call):
+    # one radius call beyond area_centroid's: no inversion of the normal-angle map
+    calls, in_centroid = [], []
+    radius, centroid = ob.ConvexCurve.radius, rigidity.area_centroid
+
+    def counted(self, phi, cs=None):
+        calls.append(bool(in_centroid))
+        return radius(self, phi, cs)
+
+    def area_centroid(curve):
+        in_centroid.append(True)
+        try:
+            return centroid(curve)
+        finally:
+            in_centroid.pop()
+
+    fourier8.diameter                    # cached; its one radius call is not the search's
+    monkeypatch.setattr(ob.ConvexCurve, "radius", counted)
+    monkeypatch.setattr(rigidity, "area_centroid", area_centroid)
+    call(fourier8)
+    assert calls.count(False) == 1
 
 
 def test_dual_area_about_matches_reorigin(ellipse21):
@@ -353,7 +400,7 @@ def test_rigidity_report_runs_no_simplex_search(monkeypatch, fourier8):
 
     monkeypatch.setattr(rigidity, "nelder_mead", no_simplex)
     rep = ob.rigidity_report(fourier8)
-    assert rep.metadata["origin_moved"]
+    assert rep.origin_moved
     assert rep.eq_qq_holds
 
 
@@ -405,7 +452,7 @@ def test_rigidity_report_matches_the_refit_route(request, name):
     # refit about it that earlier reports evaluated
     curve = request.getfixturevalue(name)
     rep = ob.rigidity_report(curve)
-    assert rep.metadata["origin_moved"]
+    assert rep.origin_moved
     sample = radial(ob.reorigin(curve, (rep.santalo_x, rep.santalo_y)))
     q = ob.q_integral(*sample)
     inum = ob.i_numeric(*sample)
@@ -454,7 +501,7 @@ def test_rigidity_report_reads_one_radial_sample(monkeypatch, request, name, mov
     monkeypatch.setattr(rigidity, "radius_about", radius_about)
     monkeypatch.setattr(ob.ConvexCurve, "radius", counted)
     rep = ob.rigidity_report(curve)
-    assert rep.metadata["origin_moved"] == moved
+    assert rep.origin_moved == moved
     after = log[log.index("santalo_point") + 1:]
     assert after == (["radius_about"] if moved else ["radius"])
 
@@ -474,7 +521,7 @@ def test_rigidity_report_ellipse(ellipse21):
     assert abs(rep.i_closed) < 1e-6
     assert abs(rep.i_numeric) < 1e-6
     assert rep.bs_product == pytest.approx(PI_SQ, abs=1e-7)
-    assert not rep.metadata["origin_moved"]
+    assert not rep.origin_moved
 
 
 def test_rigidity_report_circle_offset():
@@ -498,7 +545,7 @@ def test_rigidity_report_wobbly(wobbly3):
 def test_rigidity_report_moves_origin():
     shifted = ob.reorigin(ob.ellipse(2.0, 1.0), (0.4, 0.1))
     rep = ob.rigidity_report(shifted)
-    assert rep.metadata["origin_moved"]
+    assert rep.origin_moved
     assert (rep.santalo_x, rep.santalo_y) == pytest.approx((0.0, 0.0), abs=1e-7)
     assert rep.equality_case          # still the same ellipse geometrically
     assert rep.bs_product == pytest.approx(PI_SQ, abs=1e-6)
