@@ -274,7 +274,8 @@ def radial_about(curve: ConvexCurve, point, thetas):
 
     Solves cross(gamma(phi) - x, e_theta) = 0 for the boundary parameter of
     each ray by monotone inversion of the angle map plus Newton polish, one
-    radius evaluation per Newton step.  Returns (rho, phi) arrays.
+    radius evaluation per Newton step.  Returns (rho, phi, cs, radial), the
+    last two (cos phi, sin phi) and (r, r', r'') at phi for radius_about.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     px, py = float(point[0]), float(point[1])
@@ -294,23 +295,23 @@ def radial_about(curve: ConvexCurve, point, thetas):
         f = (gx - px) * uy - (gy - py) * ux
         fp = tx * uy - ty * ux
         phi = phi - f / fp
-    gx, gy = curve.point(phi)
+    c, s = np.cos(phi), np.sin(phi)
+    radial = curve.radius(phi, cs=(c, s))
+    gx, gy = curve.origin[0] + radial[0] * c, curve.origin[1] + radial[0] * s
     rho = np.hypot(gx - px, gy - py)
     resid = np.abs((gx - px) * uy - (gy - py) * ux) / rho
     if resid.max() > RAY_RESIDUAL_MAX:
         raise ConvergenceError("ray/boundary intersection did not converge",
                                residual=float(resid.max()))
-    return rho, phi
+    return rho, phi, (c, s), radial
 
 
 def radius_about(curve: ConvexCurve, point, thetas):
-    """(r, r', r'') about an interior point on ray angles: one radial_about
-    solve, then one radius call at its phi.  With d = gamma - point, r_p' =
+    """(r, r', r'') about an interior point on ray angles from one radial_about
+    solve and its final (r, r', r'') at phi.  With d = gamma - point, r_p' =
     r_p (d . gamma')/(d x gamma'); r_p'' comes from the curvature, which does
     not depend on the origin: chi_p = kappa (r_p^2 + r_p'^2)^(3/2)."""
-    rho, phi = radial_about(curve, point, thetas)
-    c, s = np.cos(phi), np.sin(phi)
-    r, r1, r2 = curve.radius(phi, cs=(c, s))
+    rho, _, (c, s), (r, r1, r2) = radial_about(curve, point, thetas)
     dx = curve.origin[0] + r * c - float(point[0])
     dy = curve.origin[1] + r * s - float(point[1])
     tx, ty = r1 * c - r * s, r1 * s + r * c
@@ -344,7 +345,7 @@ def reorigin(curve: ConvexCurve, new_origin, grid_size: int = 2048) -> ConvexCur
         new_origin = (new_origin.x, new_origin.y)
     nx, ny = float(new_origin[0]), float(new_origin[1])
     thetas = uniform_angles(grid_size)
-    rho, _ = radial_about(curve, (nx, ny), thetas)
+    rho = radial_about(curve, (nx, ny), thetas)[0]
 
     spec = np.fft.rfft(rho) / grid_size
     a0 = float(spec[0].real)
@@ -360,7 +361,7 @@ def reorigin(curve: ConvexCurve, new_origin, grid_size: int = 2048) -> ConvexCur
     out = fourier(a0, cos=cos_c[:keep], sin=sin_c[:keep], origin=(nx, ny))
 
     dbl = uniform_angles(2 * grid_size)
-    rho_direct, _ = radial_about(curve, (nx, ny), dbl)
+    rho_direct = radial_about(curve, (nx, ny), dbl)[0]
     r_fit, _, _ = out.radius(dbl)
     residual = float(np.abs(r_fit - rho_direct).max())
     if residual > REFIT_RESIDUAL_MAX:

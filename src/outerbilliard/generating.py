@@ -26,8 +26,10 @@ from .quadrature import uniform_angles
 CSV_CHUNK = 1024          # derivative-table rows formatted per batch
 CHART_TOL = 1e-12         # chart inversion: worst angle residual accepted
 CHART_MAX_ITER = 50       # chart inversion: Newton iterations before ConvergenceError
+CHART_PHI_STEP = 0.1      # chart inversion: longest phi step of one Newton iteration
 FMAP_DELTA = 1e-9         # forward map: phi1 is bracketed in (phi0 + d, phi0 + pi - d)
 FMAP_TOL = 1e-12          # forward map: Newton step in phi1 accepted as converged
+FMAP_MAX_ITER = 50        # forward map: Newton iterations before ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,8 @@ def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, guess=None):
 
     Initial guess is the circle geometry: phi the mid-ray, t = tan(gap/2).
     The analytic chart Jacobian drives the iteration; steps shrinking t
-    through zero are damped.
+    through zero are damped; phi moves at most CHART_PHI_STEP per step, as
+    from the mid-ray of an eccentric ellipse a full step can diverge.
     """
     phi0 = np.asarray(phi0, dtype=float)
     phi1 = np.asarray(phi1, dtype=float)
@@ -177,6 +180,7 @@ def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, guess=None):
         dphi = (j11 * res0 - j01 * res1) / det
         dt = (-j10 * res0 + j00 * res1) / det
         scale = np.where(dt >= t, 0.5 * t / np.maximum(dt, 1e-300), 1.0)
+        scale = np.minimum(scale, CHART_PHI_STEP / np.maximum(np.abs(scale * dphi), 1e-300))
         phi = phi - scale * dphi
         t = t - scale * dt
     raise ConvergenceError(
@@ -198,47 +202,43 @@ def s_at_angles(curve: ConvexCurve, phi0: float, phi1: float) -> SDerivatives:
 # -- the map through the generating function ----------------------------------
 
 def forward_map_batch(curve: ConvexCurve, p0, phi0):
-    """(p1, phi1) from S1(phi0, phi1) = -p0, S2 = p1; vectorized.
+    """(p1, phi1) from S1(phi0, phi1) = -p0, S2 = p1, vectorized.  Nothing here
+    calls dynamics: verify compares this route to the map with step.
 
-    S1 is strictly decreasing in phi1 (twist), so the root of
-    g(phi1) = p0 + S1 is unique in (phi0 + FMAP_DELTA, phi0 + pi - FMAP_DELTA);
-    bracketed bisection hands over to Newton with derivative S12.
+    S1 = -r0^2/2 falls strictly in phi1 (twist), so the root in (phi0 + FMAP_DELTA,
+    phi0 + pi - FMAP_DELTA) is unique.  Newton on 1/r0 - 1/rho0, with derivative
+    S12/r0^3 (bounded where r0^2 blows up at the half turn), starts at the circle
+    law phi0 + 2 acos(r(phi0)/rho0) and makes one warm-started chart inversion per
+    step.  A step that would leave the lane's sign bracket bisects it instead; a
+    lane whose step is below FMAP_TOL stops.  The last step is taken to first
+    order: phi1 - delta, p1 = S2 - S22 delta.
     """
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
     r, _, _ = curve.radius(phi0)
     if np.any(2.0 * p0 <= r * r):
         raise InsideCurveError("phase point (p0, phi0) is not exterior")
-    lo = phi0 + FMAP_DELTA
-    hi = phi0 + np.pi - FMAP_DELTA
-    guess = None
-
-    def g_of(phi1):
-        nonlocal guess
-        phi, t = _chord_from_angles_arrays(curve, phi0, phi1, guess=guess)
-        guess = (phi, t)
-        d = _sderiv_arrays(curve, phi, t)
-        return p0 + d["S1"], d
-
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        g, _ = g_of(mid)
-        pos = g > 0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    phi1 = 0.5 * (lo + hi)
-    worst = np.inf
-    for _ in range(8):
-        g, d = g_of(phi1)
-        newton = g / d["S12"]
-        worst = float(np.abs(newton).max())   # step size in angle units
-        if worst < FMAP_TOL:
-            break
-        phi1 = np.clip(phi1 - newton, lo, hi)
-    if worst > FMAP_TOL:
-        raise ConvergenceError("monotone solve for phi1 did not converge",
-                               residual=worst)
-    return d["S2"], phi1
+    rho0 = np.sqrt(2.0 * p0)
+    lo, hi = phi0 + FMAP_DELTA, phi0 + np.pi - FMAP_DELTA
+    phi1 = np.clip(phi0 + 2.0 * np.arccos(r / rho0), lo, hi)
+    done = np.zeros(phi1.shape, dtype=bool)
+    chord = None
+    for _ in range(FMAP_MAX_ITER):
+        chord = _chord_from_angles_arrays(curve, phi0, phi1, guess=chord)
+        d = _sderiv_arrays(curve, *chord)
+        step = d["r0sq"] * (1.0 - np.sqrt(d["r0sq"]) / rho0) / d["S12"]
+        done |= np.abs(step) < FMAP_TOL
+        if done.all():
+            return d["S2"] - d["S22"] * step, phi1 - step
+        above = p0 + d["S1"] > 0            # the root lies above phi1
+        lo = np.where(above, phi1, lo)
+        hi = np.where(above, hi, phi1)
+        newton = phi1 - step
+        inside = (lo < newton) & (newton < hi)
+        phi1 = np.where(done, phi1, np.where(inside, newton, 0.5 * (lo + hi)))
+    worst = float(np.abs(step[~done]).max())   # step size in angle units
+    raise ConvergenceError(f"monotone solve for phi1 did not converge in {FMAP_MAX_ITER} "
+                           f"iterations (worst step {worst:.3g})", residual=worst)
 
 
 def forward_map_via_s(curve: ConvexCurve, p0: float, phi0: float):

@@ -18,26 +18,25 @@ def uniform_angles(n: int) -> np.ndarray:
     return np.arange(n) * (TWO_PI / n)
 
 
-def periodic_trapezoid(values: np.ndarray, period: float = TWO_PI) -> float:
-    """Trapezoid rule on a uniform periodic grid.
+def periodic_trapezoid(values: np.ndarray) -> float:
+    """Trapezoid rule on a uniform grid over one period 2pi.
 
     Spectrally accurate for smooth periodic integrands, which is all this
     package integrates over the angle variable.
     """
-    values = np.asarray(values, dtype=float)
-    return float(values.mean() * period)
+    return float(np.mean(values) * TWO_PI)
 
 
-def gauss_panels(t_max: float, n_geometric: int = 12, nodes: int = 24):
+def gauss_panels(t_max: float, nodes: int = 24):
     """Composite Gauss-Legendre nodes/weights on (0, t_max].
 
-    The mesh is graded toward 0: panel edges 0, t_max*2^-n, ..., t_max/2, t_max.
+    The mesh is graded toward 0: panel edges 0, t_max*2^-12, ..., t_max/2, t_max.
     Returns (t, w) flat arrays.
     """
     if not 0.0 < t_max < np.inf:           # a NaN fails too
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
     xg, wg = _leggauss(nodes)
-    edges = [0.0] + [t_max * 2.0 ** (-k) for k in range(n_geometric, -1, -1)]
+    edges = [0.0] + [t_max * 2.0 ** (-k) for k in range(12, -1, -1)]
     ts, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)

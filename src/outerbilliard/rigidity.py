@@ -33,6 +33,7 @@ EQUALITY_TOL = 1e-7
 SANTALO_SNAP = 1e-8       # relative origin distance below which the origin stays put
 SANTALO_STEP_TOL = 1e-15  # Newton step tolerance, relative to max(1, diameter)
 I_BLOCK = 16384           # (phi, t) nodes per i_numeric block; see i_numeric
+I_T_NODES = 24            # Gauss nodes per t panel; the error pass takes max(6, I_T_NODES // 2)
 
 
 # -- one-dimensional integrals ---------------------------------------------------
@@ -130,8 +131,7 @@ class INumericResult:
     error_estimate: float
 
 
-def i_numeric(r, rp, rpp, t_max: float = 50.0, t_nodes: int = 24,
-              t_panels: int = 12) -> INumericResult:
+def i_numeric(r, rp, rpp, t_max: float = 50.0) -> INumericResult:
     """2-D quadrature of the weighted integrand plus analytic tails.
 
     Composite Gauss-Legendre in t on panels graded toward 0, periodic
@@ -153,7 +153,7 @@ def i_numeric(r, rp, rpp, t_max: float = 50.0, t_nodes: int = 24,
         raise ValueError(f"phi_grid must be even and at least 2, got {r.size} samples")
 
     def pass_at(radial, nodes):
-        t, w = gauss_panels(t_max, n_geometric=t_panels, nodes=nodes)
+        t, w = gauss_panels(t_max, nodes)
         pg = radial[0].size
         r, rp, rpp = (x[:, None] for x in radial)
         inner = np.empty(pg)
@@ -168,8 +168,8 @@ def i_numeric(r, rp, rpp, t_max: float = 50.0, t_nodes: int = 24,
         return (periodic_trapezoid(inner + tail1 + tail23),
                 periodic_trapezoid(mass + np.abs(tail1) + np.abs(tail23)))
 
-    value, mass = pass_at((r, rp, rpp), t_nodes)
-    coarse, _ = pass_at((r[::2], rp[::2], rpp[::2]), max(6, t_nodes // 2))
+    value, mass = pass_at((r, rp, rpp), I_T_NODES)
+    coarse, _ = pass_at((r[::2], rp[::2], rpp[::2]), max(6, I_T_NODES // 2))
     err = 4.0 * abs(value - coarse) + 1e-14 * (mass + 1.0)
     return INumericResult(value=value, error_estimate=err)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import outerbilliard as ob
-from outerbilliard.curves import _angle_map_start, area_centroid, radial_about, radius_about
+from outerbilliard.curves import _angle_map_start, area_centroid, chi, radial_about, radius_about
 from outerbilliard.quadrature import TWO_PI, uniform_angles
 
 from conftest import radial
@@ -142,7 +142,7 @@ def test_reorigin_rejects_exterior_origin(ellipse21):
 
 def test_radial_about_matches_analytic(ellipse21):
     # ray from (0.5, 0) at angle 0 hits (2, 0); at angle pi hits (-2, 0)
-    rho, _ = radial_about(ellipse21, (0.5, 0.0), [0.0, np.pi])
+    rho = radial_about(ellipse21, (0.5, 0.0), [0.0, np.pi])[0]
     assert rho[0] == pytest.approx(1.5, abs=1e-12)
     assert rho[1] == pytest.approx(2.5, abs=1e-12)
 
@@ -182,9 +182,39 @@ def test_radial_about_evaluates_radius_once_per_newton_step(monkeypatch, ellipse
     monkeypatch.setattr(ob.ConvexCurve, "radius", counted)
     for (curve, pt), (rho_ref, phi_ref) in zip(cases, refs):
         del calls[:]
-        rho, phi = radial_about(curve, pt, thetas)
+        rho, phi, _, _ = radial_about(curve, pt, thetas)
         assert len(calls) == 8
         assert np.array_equal(rho, rho_ref) and np.array_equal(phi, phi_ref)
+
+
+def test_radius_about_reuses_the_final_radial_evaluation(monkeypatch, ellipse21, fourier8):
+    # radius_about makes radial_about's 8 radius calls and no ninth at the
+    # same phi, with the bits of the formula evaluated on a fresh radius call
+    thetas = uniform_angles(2048)
+    cases = [(ellipse21, (0.5, 0.2)), (fourier8, (0.05, -0.03))]
+    refs = []
+    for curve, (px, py) in cases:
+        rho, phi, _, _ = radial_about(curve, (px, py), thetas)
+        c, s = np.cos(phi), np.sin(phi)
+        r, r1, r2 = curve.radius(phi)
+        dx, dy = curve.origin[0] + r * c - px, curve.origin[1] + r * s - py
+        tx, ty = r1 * c - r * s, r1 * s + r * c
+        rp = rho * (dx * tx + dy * ty) / (dx * ty - dy * tx)
+        chi_p = chi(r, r1, r2) * ((rho * rho + rp * rp) / (r * r + r1 * r1)) ** 1.5
+        refs.append((rho, rp, (rho * rho + 2.0 * rp * rp - chi_p) / rho))
+    calls = []
+    radius = ob.ConvexCurve.radius
+
+    def counted(curve, phi, cs=None):
+        calls.append(phi)
+        return radius(curve, phi, cs)
+
+    monkeypatch.setattr(ob.ConvexCurve, "radius", counted)
+    for (curve, pt), ref in zip(cases, refs):
+        del calls[:]
+        got = radius_about(curve, pt, thetas)
+        assert len(calls) == 8
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_radius_about_circle_matches_closed_form():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import outerbilliard as ob
-from outerbilliard import generating
+from outerbilliard import dynamics, generating
 from outerbilliard.quadrature import TWO_PI
 
 PI = math.pi
@@ -111,6 +111,19 @@ def test_chart_round_trip(presets, name):
     rphi, rt = generating._chord_from_angles_arrays(curve, a0, a1)
     assert np.abs(rphi - phi).max() < 1e-10
     assert np.abs(rt - t).max() < 1e-10
+
+
+@pytest.mark.parametrize("a", [5.0, 10.0])
+def test_chart_round_trip_on_eccentric_ellipses(a):
+    # from the mid-ray start a full Newton step can overshoot the tangency
+    # angle on these ellipses and diverge; CHART_PHI_STEP bounds it
+    curve = ob.require_valid(ob.ellipse(a, 1.0))
+    rng = np.random.default_rng(3)
+    phi, t = _random_chords(rng, 2000, 0.01, 20.0)
+    a0, a1, _, _ = generating._angles_arrays(curve, phi, t)
+    rphi, rt = generating._chord_from_angles_arrays(curve, a0, a1)
+    assert np.abs(rphi - phi).max() < 1e-10
+    assert np.abs(rt / t - 1.0).max() < 1e-10
 
 
 def test_angles_to_chord_residual(ellipse21):
@@ -252,6 +265,68 @@ def test_forward_map_ellipse_hand_seed(ellipse21):
     p1, phi1 = ob.forward_map_via_s(ellipse21, 8.0, 0.0)
     assert p1 == pytest.approx(q.p, rel=1e-10)
     assert phi1 == pytest.approx(q.phi, abs=1e-10)
+
+
+def _exterior_lanes(curve, lo, hi, n=100, seed=61):
+    """(p0, phi0) of n seeded points with rho/r(phi) - 1 in [lo, hi]."""
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(0, TWO_PI, n)
+    r, _, _ = curve.radius(phi)
+    rho = r * (1.0 + rng.uniform(lo, hi, n))
+    return 0.5 * rho * rho, phi
+
+
+@pytest.mark.parametrize("name, most", [("unit_circle", 8), ("wobbly3", 8),
+                                        ("fourier8", 8), ("ellipse21", 16)])
+def test_forward_map_chart_inversions_per_map(monkeypatch, request, name, most):
+    # one warm-started chart inversion per Newton step on phi1
+    curve = request.getfixturevalue(name)
+    calls = []
+    invert = generating._chord_from_angles_arrays
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return invert(*args, **kwargs)
+
+    monkeypatch.setattr(generating, "_chord_from_angles_arrays", counted)
+    generating.forward_map_batch(curve, *_exterior_lanes(curve, 0.15, 1.5))
+    assert 1 <= len(calls) <= most
+
+
+@pytest.mark.parametrize("band", [(1e-3, 1e-2), (0.15, 1.5), (2.0, 50.0)])
+@pytest.mark.parametrize("name", ["unit_circle", "ellipse21", "wobbly3", "fourier8", "egg"])
+def test_forward_map_agrees_with_step_near_and_far(request, name, band):
+    curve = request.getfixturevalue(name)
+    p0, phi0 = _exterior_lanes(curve, *band)
+    p1, phi1 = generating.forward_map_batch(curve, p0, phi0)
+    for a, f, b, g in zip(p0, phi0, p1, phi1):
+        q = ob.step(curve, ob.phase_point_polar(curve, a, f))
+        assert abs(q.p - b) / max(1.0, q.p) < 1e-13
+        assert abs((q.phi - g + PI) % TWO_PI - PI) < 1e-13
+
+
+def test_forward_map_reports_nonconvergence(monkeypatch, ellipse21):
+    monkeypatch.setattr(generating, "FMAP_MAX_ITER", 1)
+    with pytest.raises(ob.ConvergenceError) as exc:
+        generating.forward_map_batch(ellipse21, *_exterior_lanes(ellipse21, 0.15, 1.5))
+    assert 0.0 < exc.value.residual < math.inf
+
+
+def test_forward_map_does_not_call_dynamics(monkeypatch, fourier8):
+    # verify checks the generating-function map against step: the two routes
+    # must not share the tangency solve
+    p0, phi0 = _exterior_lanes(fourier8, 0.15, 1.5, n=20)
+    want = [ob.step(fourier8, ob.phase_point_polar(fourier8, p, f)) for p, f in zip(p0, phi0)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("forward_map_batch called into dynamics")
+
+    for attr in ("step", "_tangency_root", "tangency", "chord_step_scalar"):
+        monkeypatch.setattr(dynamics, attr, forbidden)
+    p1, phi1 = generating.forward_map_batch(fourier8, p0, phi0)
+    for q, a, b in zip(want, p1, phi1):
+        assert abs(q.p - a) / max(1.0, q.p) < 1e-13
+        assert abs((q.phi - b + PI) % TWO_PI - PI) < 1e-13
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])

@@ -1,5 +1,6 @@
 import pytest
 
+import outerbilliard as ob
 from outerbilliard import verify
 
 
@@ -19,6 +20,16 @@ def test_verification_suite_passes(presets, name):
             "integrand_decomposition", "dual_area_routes",
             "chi_support_identity", "cauchy_schwarz_chain",
             "i_two_routes"} <= names
+
+
+@pytest.mark.parametrize("a, b, origin", [(5.0, 1.0, (0.0, 0.0)), (3.0, 1.0, (0.5, -0.2))],
+                         ids=["ellipse51", "ellipse31_off_centre"])
+def test_verification_suite_passes_on_eccentric_ellipses(a, b, origin):
+    # the generating-function map starts its chart inversion cold; on these
+    # curves that diverged until the chart's phi step was capped
+    result = verify.run_verification(ob.require_valid(ob.ellipse(a, b, origin=origin)))
+    failed = [(c.name, c.error) for c in result.checks if not c.passed]
+    assert result.all_passed, f"failed checks: {failed}"
 
 
 def test_kind_specific_checks(presets):
