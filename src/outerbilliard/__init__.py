@@ -9,18 +9,16 @@ integral-geometric rigidity quantities down to the Blaschke-Santalo product.
 __version__ = "0.1.0"
 
 from .curves import (CHI_MIN_DEFAULT, ConvexCurve, CurveSample, CurveValidation,
-                     PlanePoint, area_centroid, boundary_point, circle,
-                     curve_from_dict, curve_to_dict, ellipse, evaluate, fourier,
-                     load_curve, radial_about, radius_about, reorigin, require_valid,
-                     tangent_vector, validate)
+                     PlanePoint, area_centroid, circle, curve_from_dict, curve_to_dict,
+                     ellipse, evaluate, fourier, load_curve, radial_about, radius_about,
+                     reorigin, require_valid, validate)
 from .dynamics import (PhasePoint, TangencyResult, differential_fd, inverse_step,
                        orbit, phase_point, phase_point_polar, step, tangency,
                        write_orbit_csv)
 from .errors import (ConvergenceError, InsideCurveError, InvalidCurveError,
                      NotInteriorError, TangencyError)
-from .generating import (AngleCoords, ChordCoords, SDerivatives, angles_to_chord,
-                         chain_rule_s1_s2, chord_to_angles, forward_map_via_s,
-                         s_at_angles, s_derivatives, s_value, twist_scan)
+from .generating import (angles_to_chord, chain_rule_s1_s2, chord_to_angles,
+                         forward_map_via_s, s_derivatives, twist_scan)
 from .jacobi import (ConjugateScanResult, JacobiState, MinimalityVerdict,
                      OmegaSample, OrbitWindow, build_window, conjugate_grid_scan,
                      hessian_minimality, hopf_omega, propagate_jacobi,

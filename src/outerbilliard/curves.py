@@ -161,14 +161,6 @@ class ConvexCurve:
         r, r1, _ = self.radius(phi, cs=(c, s))
         return r1 * c - r * s, r1 * s + r * c
 
-    def sample(self, phi):
-        r, r1, r2 = self.radius(phi)
-        k = chi(r, r1, r2)
-        rp2 = r * r + r1 * r1
-        return CurveSample(phi=phi, r=r, r_prime=r1, r_second=r2, chi=k,
-                           curvature=k * rp2 ** -1.5,
-                           arc_element=np.sqrt(rp2))
-
     @cached_property
     def diameter(self) -> float:
         x, y = self.point(uniform_angles(1024))
@@ -200,17 +192,11 @@ def fourier(a0: float, cos=(), sin=(), origin=(0.0, 0.0)) -> ConvexCurve:
 
 def evaluate(curve: ConvexCurve, phi) -> CurveSample:
     """Radial value, two derivatives, chi, curvature and arc element at phi."""
-    return curve.sample(phi)
-
-
-def boundary_point(curve: ConvexCurve, phi: float) -> PlanePoint:
-    x, y = curve.point(phi)
-    return PlanePoint(float(x), float(y))
-
-
-def tangent_vector(curve: ConvexCurve, phi: float):
-    tx, ty = curve.tangent(phi)
-    return float(tx), float(ty)
+    r, r1, r2 = curve.radius(phi)
+    k = chi(r, r1, r2)
+    rp2 = r * r + r1 * r1
+    return CurveSample(phi=phi, r=r, r_prime=r1, r_second=r2, chi=k,
+                       curvature=k * rp2 ** -1.5, arc_element=np.sqrt(rp2))
 
 
 def validate(curve: ConvexCurve, grid_size: int = VALIDATION_GRID,

@@ -196,18 +196,22 @@ def _require_exterior(curve: ConvexCurve, ax: float, ay: float):
     return phi_a, rho, r, r1, r2
 
 
+def _reflect(curve: ConvexCurve, a: PhasePoint, direction: int) -> PhasePoint:
+    """Reflect A about its tangency point on the given branch (see _tangency_root)."""
+    _, _, gx, gy = _tangency_root(curve, a.x - curve.origin[0], a.y - curve.origin[1],
+                                  direction)
+    return phase_point(curve, 2.0 * (curve.origin[0] + gx) - a.x,
+                       2.0 * (curve.origin[1] + gy) - a.y)
+
+
 def step(curve: ConvexCurve, a: PhasePoint, orientation: str = CCW) -> PhasePoint:
     """One application of the outer billiard map: reflect A about the tangency point."""
-    res = tangency(curve, a, orientation)
-    return phase_point(curve, 2.0 * res.point.x - a.x, 2.0 * res.point.y - a.y)
+    return _reflect(curve, a, _orientation_sign(orientation))
 
 
 def inverse_step(curve: ConvexCurve, b: PhasePoint, orientation: str = CCW) -> PhasePoint:
     """The point A with step(A) = B (mirrored tangency branch)."""
-    sign = _orientation_sign(orientation)
-    _, _, gx, gy = _tangency_root(curve, b.x - curve.origin[0], b.y - curve.origin[1], -sign)
-    return phase_point(curve, 2.0 * (curve.origin[0] + gx) - b.x,
-                       2.0 * (curve.origin[1] + gy) - b.y)
+    return _reflect(curve, b, -_orientation_sign(orientation))
 
 
 def orbit(curve: ConvexCurve, a: PhasePoint, n: int, orientation: str = CCW):
@@ -258,8 +262,8 @@ def differential_fd(curve: ConvexCurve, a: PhasePoint, h: float = 1e-5,
 
 def chord_of(curve: ConvexCurve, a: PhasePoint, orientation: str = CCW):
     """Forward chord (phi_m, t) through an exterior point (A is the chord's tail)."""
-    res = tangency(curve, a, orientation)
-    return res.phi_m, res.t
+    return _tangency_root(curve, a.x - curve.origin[0], a.y - curve.origin[1],
+                          _orientation_sign(orientation))[:2]
 
 
 def _near_boundary_message(t) -> str:

@@ -7,12 +7,12 @@ phi is the tangency angle and t the chord parameter, it is simply
 S = t r^2(phi).  The partials satisfy S1 = -r0^2/2, S2 = r1^2/2 and all
 second derivatives are rational in t with coefficients in r, r', r''.
 
-Two charts are used throughout:
+Two charts are used throughout, both on plain floats or arrays:
 
-* ChordCoords (phi, t):  chord tangent at gamma(phi), endpoints
+* chord (phi, t):  chord tangent at gamma(phi), endpoints
   M0 = gamma - t gamma' and M1 = gamma + t gamma'.
-* AngleCoords (phi0, phi1):  polar angles of M0, M1 with
-  phi0 < phi1 < phi0 + pi.
+* angles (phi0, phi1):  polar angles of M0, M1 with
+  phi0 < phi1 < phi0 + pi; chord_to_angles and angles_to_chord map between them.
 """
 
 from dataclasses import dataclass
@@ -32,36 +32,6 @@ FMAP_TOL = 1e-12          # forward map: Newton step in phi1 accepted as converg
 FMAP_MAX_ITER = 50        # forward map: Newton iterations before ConvergenceError
 
 
-@dataclass(frozen=True)
-class ChordCoords:
-    phi: float
-    t: float
-
-
-@dataclass(frozen=True)
-class AngleCoords:
-    phi0: float
-    phi1: float
-    r0sq: float
-    r1sq: float
-
-
-@dataclass(frozen=True)
-class SDerivatives:
-    """S and its partials w.r.t. (phi0, phi1) at one chord, plus |J| and chi."""
-
-    S: float
-    S1: float
-    S2: float
-    S11: float
-    S12: float
-    S22: float
-    jac_det: float
-    r0sq: float
-    r1sq: float
-    chi: float
-
-
 # -- chart transition ----------------------------------------------------------
 
 def _angles_arrays(curve: ConvexCurve, phi, t, radial=None):
@@ -76,12 +46,11 @@ def _angles_arrays(curve: ConvexCurve, phi, t, radial=None):
     return phi - a0, phi + a1, r0sq, r1sq
 
 
-def chord_to_angles(curve: ConvexCurve, chord: ChordCoords) -> AngleCoords:
-    if chord.t <= 0:
+def chord_to_angles(curve: ConvexCurve, phi: float, t: float):
+    """(phi0, phi1, r0sq, r1sq) of the chord (phi, t) as floats."""
+    if t <= 0:
         raise ValueError("chord parameter t must be positive")
-    phi0, phi1, r0sq, r1sq = _angles_arrays(
-        curve, np.asarray(chord.phi, dtype=float), np.asarray(chord.t, dtype=float))
-    return AngleCoords(float(phi0), float(phi1), float(r0sq), float(r1sq))
+    return tuple(float(v) for v in _angles_arrays(curve, phi, t))
 
 
 def s_closed_forms(r, rp, rpp, t):
@@ -108,19 +77,9 @@ def _sderiv_arrays(curve: ConvexCurve, phi, t):
     return s_closed_forms(*curve.radius(phi), t)
 
 
-def s_value(curve: ConvexCurve, chord: ChordCoords) -> float:
-    """S = t r^2(phi), the area of the triangle between the two rays and the chord."""
-    r, _, _ = curve.radius_scalar(chord.phi)
-    return chord.t * r * r
-
-
-def s_derivatives(curve: ConvexCurve, chord: ChordCoords) -> SDerivatives:
-    d = _sderiv_arrays(curve, np.asarray(chord.phi, dtype=float),
-                       np.asarray(chord.t, dtype=float))
-    return SDerivatives(S=float(d["S"]), S1=float(d["S1"]), S2=float(d["S2"]),
-                        S11=float(d["S11"]), S12=float(d["S12"]), S22=float(d["S22"]),
-                        jac_det=float(d["J"]), r0sq=float(d["r0sq"]),
-                        r1sq=float(d["r1sq"]), chi=float(d["chi"]))
+def s_derivatives(curve: ConvexCurve, phi: float, t: float) -> dict:
+    """s_closed_forms at one chord on plain floats (radius_scalar)."""
+    return s_closed_forms(*curve.radius_scalar(phi), t)
 
 
 def chain_rule_s1_s2(curve: ConvexCurve, phi, t):
@@ -188,15 +147,10 @@ def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, guess=None):
         f"(worst residual {worst:.3g})", residual=worst)
 
 
-def angles_to_chord(curve: ConvexCurve, phi0: float, phi1: float) -> ChordCoords:
+def angles_to_chord(curve: ConvexCurve, phi0: float, phi1: float):
+    """The chord (phi, t) with endpoint angles (phi0, phi1), as floats."""
     phi, t = _chord_from_angles_arrays(curve, phi0, phi1)
-    return ChordCoords(float(phi), float(t))
-
-
-def s_at_angles(curve: ConvexCurve, phi0: float, phi1: float) -> SDerivatives:
-    """Derivative bundle for an angle pair (solves for the chord first)."""
-    chord = angles_to_chord(curve, phi0, phi1)
-    return s_derivatives(curve, chord)
+    return float(phi), float(t)
 
 
 # -- the map through the generating function ----------------------------------

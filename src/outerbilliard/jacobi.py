@@ -25,8 +25,10 @@ from .curves import ConvexCurve
 from .dynamics import (MIN_CHORD_T, PhasePoint, _near_boundary_message, chord_of,
                        chord_step_batch, chord_step_scalar)
 from .errors import ConvergenceError, TangencyError
-# unused here, but bench/tracer.py wraps jacobi._sderiv_arrays by name
+# unused here, but bench/tracer.py wraps jacobi._sderiv_arrays and
+# jacobi.sderiv_scalar by name
 from .generating import _sderiv_arrays, s_closed_forms  # noqa: F401
+from .generating import s_derivatives as sderiv_scalar  # noqa: F401
 from .quadrature import uniform_angles
 
 HOPF_START = 8
@@ -38,11 +40,6 @@ RENORM_LIMIT = 1e100
 # MiB of numpy temporaries at 4096 lanes) while leaving each of the 13 radius
 # evaluations per lane-step a long array pass; rows do not depend on it.
 SCAN_CHUNK = 4096
-
-
-def sderiv_scalar(curve: ConvexCurve, phi: float, t: float) -> dict:
-    """s_closed_forms at one chord on plain floats (radius_scalar)."""
-    return s_closed_forms(*curve.radius_scalar(phi), t)
 
 
 def _gap(r: float, rp: float, t: float) -> float:

@@ -5,6 +5,7 @@ differences, direct geometry, the shoelace formula, or a second quadrature.
 All sampling is deterministic (fixed seed) so reruns are byte-identical.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -16,6 +17,7 @@ from .curves import ConvexCurve, chi
 from .quadrature import TWO_PI, periodic_trapezoid, uniform_angles
 
 RNG_SEED = 20231005
+STENCIL_H = 1e-4          # angle step of the nine-point stencil of S(phi0, phi1)
 
 
 @dataclass(frozen=True)
@@ -81,24 +83,25 @@ def run_verification(curve: ConvexCurve, n_sample: int = 100) -> VerificationRes
     cphi, ct = _random_chords(rng, 2 * n_sample)
     pts = _random_exterior(curve, rng, n_sample)
     radial = curve.radius(uniform_angles(2048))
-    half = curve.radius(uniform_angles(1024))
+    half = tuple(v[::2] for v in radial)   # the 1024-angle sample, bit for bit
+    # samples that several checks share; a raise is not cached, so every
+    # check that reads a failed sample records why
+    fd_n = (cphi[:n_sample], ct[:n_sample])
+    stencil = functools.cache(lambda: _s_stencil(curve, *fd_n))
+    jac = functools.cache(lambda: _jacobian_fd_error(curve, *fd_n, stencil()))
+    images = functools.cache(lambda: [dynamics.step(curve, p) for p in pts])
+    fmap = functools.cache(lambda: _map_consistency_error(curve, pts, images()))
 
     check("radial_fd_consistency", lambda: _radial_fd_error(curve, rng), 1e-6)
     check("total_curvature",
           lambda: abs(rigidity.total_curvature(*radial) - TWO_PI), 1e-10)
     check("chain_rule_exactness", lambda: _chain_rule_error(curve, cphi, ct), 1e-12)
     check("fd_partial_derivatives",
-          lambda: _fd_partials_error(curve, cphi[:n_sample], ct[:n_sample]), 1e-5)
+          lambda: _fd_partials_error(curve, *fd_n, stencil()), 1e-5)
     check("mixed_partial_symmetry",
           lambda: _mixed_partial_error(curve, cphi[:40], ct[:40]), 1e-5)
-    jd = {}
-
-    def jac_err():
-        jd["j"], jd["mu"] = _jacobian_fd_error(curve, cphi[:n_sample], ct[:n_sample])
-        return jd["j"]
-
-    check("jacobian_fd_consistency", jac_err, 1e-6)
-    check("measure_density_consistency", lambda: jd.get("mu", math.inf), 1e-5)
+    check("jacobian_fd_consistency", lambda: jac()[0], 1e-6)
+    check("measure_density_consistency", lambda: jac()[1], 1e-5)
     check("chart_roundtrip", lambda: _roundtrip_error(curve, cphi, ct), 1e-10)
     check("triangle_area_identity",
           lambda: _shoelace_error(curve, cphi, ct), 1e-12)
@@ -107,16 +110,11 @@ def run_verification(curve: ConvexCurve, n_sample: int = 100) -> VerificationRes
     check("symplecticity",
           lambda: max(abs(float(np.linalg.det(dynamics.differential_fd(curve, p))) - 1.0)
                       for p in pts), 1e-6)
-    check("midpoint_property", lambda: _midpoint_error(curve, pts), 1e-10)
-    mp = {}
-
-    def map_err():
-        mp["p"], mp["phi"] = _map_consistency_error(curve, pts)
-        return mp["p"]
-
-    check("map_consistency_p", map_err, 1e-9)
-    check("map_consistency_phi", lambda: mp.get("phi", math.inf), 1e-9)
-    check("inverse_roundtrip", lambda: _inverse_error(curve, pts[:50]), 1e-10)
+    check("midpoint_property", lambda: _midpoint_error(curve, pts, images()), 1e-10)
+    check("map_consistency_p", lambda: fmap()[0], 1e-9)
+    check("map_consistency_phi", lambda: fmap()[1], 1e-9)
+    check("inverse_roundtrip",
+          lambda: _inverse_error(curve, pts[:50], images()[:50]), 1e-10)
     check("dp_form_consistency",
           lambda: jacobi.propagate_jacobi(
               jacobi.build_window(curve, pts[0], 3, 6), 0.3, 1.1).form_residual,
@@ -144,7 +142,8 @@ def run_verification(curve: ConvexCurve, n_sample: int = 100) -> VerificationRes
     check("i_two_routes", two_routes, 1.0)
 
     if curve.kind == "circle":
-        check("circle_rotation_law", lambda: _circle_law_error(curve, pts[:20]), 1e-10)
+        check("circle_rotation_law",
+              lambda: _circle_law_error(curve, pts[:20], images()[:20]), 1e-10)
     if curve.kind == "ellipse":
         check("ellipse_foliation", lambda: _foliation_error(curve, steps=300), 1e-8)
 
@@ -175,20 +174,18 @@ def _roundtrip_error(curve, cphi, ct):
     return max(float(np.abs(rphi - cphi).max()), float(np.abs(rt - ct).max()))
 
 
-def _midpoint_error(curve, pts):
+def _midpoint_error(curve, pts, images):
     worst = 0.0
-    for p in pts:
+    for p, q in zip(pts, images):
         res = dynamics.tangency(curve, p)
-        q = dynamics.step(curve, p)
         worst = max(worst, math.hypot(0.5 * (p.x + q.x) - res.point.x,
                                       0.5 * (p.y + q.y) - res.point.y))
     return worst / curve.diameter
 
 
-def _inverse_error(curve, pts):
+def _inverse_error(curve, pts, images):
     worst = 0.0
-    for p in pts:
-        q = dynamics.step(curve, p)
+    for p, q in zip(pts, images):
         back = dynamics.inverse_step(curve, q)
         worst = max(worst, math.hypot(back.x - p.x, back.y - p.y))
     return worst / max(1.0, curve.diameter)
@@ -203,19 +200,23 @@ def _decomposition_error(curve, rng):
 # -- helpers -------------------------------------------------------------------
 
 
-def _s_of_angles(curve, a0, a1, guess=None):
-    phi, t = generating._chord_from_angles_arrays(curve, a0, a1, guess=guess)
-    r, _, _ = curve.radius(phi)
-    return t * r * r
-
-
-def _fd_partials_error(curve, cphi, ct, h=1e-4):
+def _s_stencil(curve, cphi, ct):
+    """S at (phi0 + da h, phi1 + db h) of each chord, h = STENCIL_H, keyed by
+    (da, db) in {-1, 0, 1}^2."""
     a0, a1, _, _ = generating._angles_arrays(curve, cphi, ct)
-    d = generating._sderiv_arrays(curve, cphi, ct)
     s = {}
-    for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1), (0, 0),
-                   (1, 1), (1, -1), (-1, 1), (-1, -1)):
-        s[(da, db)] = _s_of_angles(curve, a0 + da * h, a1 + db * h, guess=(cphi, ct))
+    for da in (-1, 0, 1):
+        for db in (-1, 0, 1):
+            phi, t = generating._chord_from_angles_arrays(
+                curve, a0 + da * STENCIL_H, a1 + db * STENCIL_H, guess=(cphi, ct))
+            r, _, _ = curve.radius(phi)
+            s[(da, db)] = t * r * r
+    return s
+
+
+def _fd_partials_error(curve, cphi, ct, s):
+    d = generating._sderiv_arrays(curve, cphi, ct)
+    h = STENCIL_H
     fd = {
         "S1": (s[(1, 0)] - s[(-1, 0)]) / (2 * h),
         "S2": (s[(0, 1)] - s[(0, -1)]) / (2 * h),
@@ -252,7 +253,7 @@ def _mixed_partial_error(curve, cphi, ct, h=1e-4):
                      np.max(np.abs(g1 - g2) / sc)))
 
 
-def _jacobian_fd_error(curve, cphi, ct, h=1e-6):
+def _jacobian_fd_error(curve, cphi, ct, s, h=1e-6):
     d = generating._sderiv_arrays(curve, cphi, ct)
 
     def angles(p, t):
@@ -270,14 +271,8 @@ def _jacobian_fd_error(curve, cphi, ct, h=1e-6):
     det_fd = j00 * j11 - j01 * j10
     rel_j = float(np.max(np.abs(det_fd - d["J"]) / np.abs(d["J"])))
     mu_closed = -d["S12"] * d["J"]
-    # S12 by finite differences, paired with the FD Jacobian
-    a0, a1, _, _ = generating._angles_arrays(curve, cphi, ct)
-    hh = 1e-4
-    s_pp = _s_of_angles(curve, a0 + hh, a1 + hh, guess=(cphi, ct))
-    s_pm = _s_of_angles(curve, a0 + hh, a1 - hh, guess=(cphi, ct))
-    s_mp = _s_of_angles(curve, a0 - hh, a1 + hh, guess=(cphi, ct))
-    s_mm = _s_of_angles(curve, a0 - hh, a1 - hh, guess=(cphi, ct))
-    s12_fd = (s_pp - s_pm - s_mp + s_mm) / (4 * hh * hh)
+    # S12 from the corners of the S stencil, paired with the FD Jacobian
+    s12_fd = (s[(1, 1)] - s[(1, -1)] - s[(-1, 1)] + s[(-1, -1)]) / (4 * STENCIL_H * STENCIL_H)
     mu_fd = -s12_fd * det_fd
     rel_mu = float(np.max(np.abs(mu_fd - mu_closed) / np.maximum(1.0, np.abs(mu_closed))))
     return rel_j, rel_mu
@@ -295,13 +290,12 @@ def _shoelace_error(curve, cphi, ct):
     return float(np.max(np.abs(shoelace - svals) / np.maximum(1.0, svals)))
 
 
-def _map_consistency_error(curve, pts):
+def _map_consistency_error(curve, pts, images):
     p0 = np.array([p.p for p in pts])
     f0 = np.array([p.phi for p in pts])
     p1, f1 = generating.forward_map_batch(curve, p0, f0)
     err_p = err_f = 0.0
-    for i, pt in enumerate(pts):
-        q = dynamics.step(curve, pt)
+    for i, q in enumerate(images):
         err_p = max(err_p, abs(q.p - p1[i]) / max(1.0, q.p))
         dphi = (q.phi - f1[i] + math.pi) % TWO_PI - math.pi
         err_f = max(err_f, abs(dphi))
@@ -322,11 +316,10 @@ def _cauchy_schwarz(r, rp, rpp):
     return q_val, math.sqrt(bound_sq)
 
 
-def _circle_law_error(curve, pts):
+def _circle_law_error(curve, pts, images):
     radius = curve.radius_value
     worst = 0.0
-    for p in pts:
-        q = dynamics.step(curve, p)
+    for p, q in zip(pts, images):
         rho = math.sqrt(2.0 * p.p)
         worst = max(worst, abs(math.sqrt(2.0 * q.p) - rho))
         adv = (q.phi - p.phi) % TWO_PI

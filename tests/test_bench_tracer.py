@@ -17,6 +17,7 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # names that src/ imports only so that the tracer can wrap them; once the
 # tracer stops wrapping one, its import goes (and, for nelder_mead, optimize.py)
 TRACER_ONLY_IMPORTS = [(outerbilliard.jacobi, "_sderiv_arrays"),
+                       (outerbilliard.jacobi, "sderiv_scalar"),
                        (outerbilliard.rigidity, "nelder_mead"),
                        (outerbilliard.rigidity, "reorigin"),
                        (outerbilliard.rigidity, "_sderiv_arrays")]

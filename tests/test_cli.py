@@ -236,7 +236,7 @@ def test_verify_fault_injection_fails(circle_file, tmp_path, monkeypatch):
 
 
 def test_verify_records_why_a_check_raised(circle_file, tmp_path, monkeypatch):
-    def broken(curve, pts):
+    def broken(curve, pts, images):
         raise RuntimeError("midpoint oracle unavailable")
 
     monkeypatch.setattr(verify, "_midpoint_error", broken)

@@ -91,13 +91,11 @@ def test_validate_grid_size_precondition(unit_circle):
 
 
 def test_boundary_point_and_tangent(unit_circle, ellipse21, wobbly3):
-    p = ob.boundary_point(unit_circle, math.pi / 2)
-    assert (p.x, p.y) == pytest.approx((0.0, 1.0), abs=1e-15)
-    assert ob.tangent_vector(unit_circle, math.pi / 2) == pytest.approx((-1.0, 0.0), abs=1e-15)
-    assert ob.boundary_point(ellipse21, 0.0).x == pytest.approx(2.0, abs=1e-15)
-    pf = ob.boundary_point(wobbly3, 0.0)
-    assert (pf.x, pf.y) == pytest.approx((1.05, 0.0), abs=1e-15)
-    assert ob.tangent_vector(wobbly3, 0.0) == pytest.approx((0.0, 1.05), abs=1e-15)
+    assert unit_circle.point(math.pi / 2) == pytest.approx((0.0, 1.0), abs=1e-15)
+    assert unit_circle.tangent(math.pi / 2) == pytest.approx((-1.0, 0.0), abs=1e-15)
+    assert ellipse21.point(0.0)[0] == pytest.approx(2.0, abs=1e-15)
+    assert wobbly3.point(0.0) == pytest.approx((1.05, 0.0), abs=1e-15)
+    assert wobbly3.tangent(0.0) == pytest.approx((0.0, 1.05), abs=1e-15)
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])
@@ -255,8 +253,7 @@ def test_load_curve_with_origin(tmp_path):
     path.write_text('{"kind": "circle", "radius": 1.0, "origin": [0.3, -0.1]}')
     curve = ob.load_curve(path)
     assert curve.origin == (0.3, -0.1)
-    p = ob.boundary_point(curve, 0.0)
-    assert (p.x, p.y) == pytest.approx((1.3, -0.1), abs=1e-15)
+    assert curve.point(0.0) == pytest.approx((1.3, -0.1), abs=1e-15)
 
 
 def test_load_curve_errors(tmp_path):

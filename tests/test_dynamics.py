@@ -133,7 +133,7 @@ def test_circle_twist_entry(unit_circle):
     expected = 2.0 / (rho**2 * math.sqrt(rho**2 - 1.0))
     assert d[1, 0] == pytest.approx(expected, rel=1e-5)
     phi_m, t = dynamics.chord_of(unit_circle, p)
-    s12 = ob.s_derivatives(unit_circle, ob.ChordCoords(phi_m, t)).S12
+    s12 = ob.s_derivatives(unit_circle, phi_m, t)["S12"]
     assert d[1, 0] == pytest.approx(-1.0 / s12, rel=1e-5)
 
 

@@ -16,31 +16,31 @@ def _random_chords(rng, n, t_lo=0.05, t_hi=3.0):
 
 
 def test_chord_to_angles_circle(unit_circle):
-    a = ob.chord_to_angles(unit_circle, ob.ChordCoords(0.0, 1.0))
-    assert a.phi0 == pytest.approx(-PI / 4, abs=1e-15)
-    assert a.phi1 == pytest.approx(PI / 4, abs=1e-15)
-    assert a.r0sq == pytest.approx(2.0, abs=1e-15)
-    assert a.r1sq == pytest.approx(2.0, abs=1e-15)
+    phi0, phi1, r0sq, r1sq = ob.chord_to_angles(unit_circle, 0.0, 1.0)
+    assert phi0 == pytest.approx(-PI / 4, abs=1e-15)
+    assert phi1 == pytest.approx(PI / 4, abs=1e-15)
+    assert r0sq == pytest.approx(2.0, abs=1e-15)
+    assert r1sq == pytest.approx(2.0, abs=1e-15)
 
 
 def test_chord_to_angles_fourier(wobbly3):
     # r(0) = 1.05, r'(0) = 0: same arctangents as the circle, radii scaled
-    a = ob.chord_to_angles(wobbly3, ob.ChordCoords(0.0, 1.0))
-    assert a.phi0 == pytest.approx(-PI / 4, abs=1e-15)
-    assert a.phi1 == pytest.approx(PI / 4, abs=1e-15)
-    assert a.r0sq == pytest.approx(2.205, abs=1e-14)
-    assert a.r1sq == pytest.approx(2.205, abs=1e-14)
+    phi0, phi1, r0sq, r1sq = ob.chord_to_angles(wobbly3, 0.0, 1.0)
+    assert phi0 == pytest.approx(-PI / 4, abs=1e-15)
+    assert phi1 == pytest.approx(PI / 4, abs=1e-15)
+    assert r0sq == pytest.approx(2.205, abs=1e-14)
+    assert r1sq == pytest.approx(2.205, abs=1e-14)
 
 
 def test_chord_to_angles_degenerate_limit(presets):
     for curve in presets.values():
         for phi in (0.0, 1.3, 4.4):
-            a = ob.chord_to_angles(curve, ob.ChordCoords(phi, 1e-9))
+            phi0, phi1, r0sq, r1sq = ob.chord_to_angles(curve, phi, 1e-9)
             r, _, _ = curve.radius_scalar(phi)
-            assert a.phi0 == pytest.approx(phi, abs=2e-9)
-            assert a.phi1 == pytest.approx(phi, abs=2e-9)
-            assert a.r0sq == pytest.approx(r * r, rel=1e-8)
-            assert a.r1sq == pytest.approx(r * r, rel=1e-8)
+            assert phi0 == pytest.approx(phi, abs=2e-9)
+            assert phi1 == pytest.approx(phi, abs=2e-9)
+            assert r0sq == pytest.approx(r * r, rel=1e-8)
+            assert r1sq == pytest.approx(r * r, rel=1e-8)
 
 
 def test_angle_gap_stays_below_half_turn(presets):
@@ -59,17 +59,17 @@ def test_arctan_branch_past_half_turn(ellipse21):
     r, rp, _ = ellipse21.radius_scalar(phi)
     assert rp > 0
     t = 1.5 * r / rp
-    a = ob.chord_to_angles(ellipse21, ob.ChordCoords(phi, t))
-    assert phi - a.phi0 > PI / 2            # offset beyond the principal branch
-    back = ob.angles_to_chord(ellipse21, a.phi0, a.phi1)
-    assert back.phi == pytest.approx(phi, abs=1e-10)
-    assert back.t == pytest.approx(t, rel=1e-10)
+    phi0, phi1, _, _ = ob.chord_to_angles(ellipse21, phi, t)
+    assert phi - phi0 > PI / 2              # offset beyond the principal branch
+    back_phi, back_t = ob.angles_to_chord(ellipse21, phi0, phi1)
+    assert back_phi == pytest.approx(phi, abs=1e-10)
+    assert back_t == pytest.approx(t, rel=1e-10)
 
 
 def test_angles_to_chord_circle(unit_circle):
-    c = ob.angles_to_chord(unit_circle, -PI / 4, PI / 4)
-    assert c.phi == pytest.approx(0.0, abs=1e-12)
-    assert c.t == pytest.approx(1.0, abs=1e-12)
+    phi, t = ob.angles_to_chord(unit_circle, -PI / 4, PI / 4)
+    assert phi == pytest.approx(0.0, abs=1e-12)
+    assert t == pytest.approx(1.0, abs=1e-12)
 
 
 def test_angles_to_chord_rejects_bad_pairs(unit_circle):
@@ -127,31 +127,30 @@ def test_chart_round_trip_on_eccentric_ellipses(a):
 
 
 def test_angles_to_chord_residual(ellipse21):
-    c = ob.angles_to_chord(ellipse21, -0.3, 0.4)
-    a = ob.chord_to_angles(ellipse21, c)
-    assert a.phi0 == pytest.approx(-0.3, abs=1e-12)
-    assert a.phi1 == pytest.approx(0.4, abs=1e-12)
+    phi0, phi1, _, _ = ob.chord_to_angles(ellipse21, *ob.angles_to_chord(ellipse21, -0.3, 0.4))
+    assert phi0 == pytest.approx(-0.3, abs=1e-12)
+    assert phi1 == pytest.approx(0.4, abs=1e-12)
 
 
-def test_s_at_angles_is_s_derivatives_at_the_solved_chord(fourier8):
+def test_angles_to_chord_round_trips_through_chord_to_angles(fourier8):
     rng = np.random.default_rng(43)
     phi0 = rng.uniform(0.0, TWO_PI, 8)
     gap = rng.uniform(0.2, 2.8, 8)
     for a0, a1 in zip(phi0, phi0 + gap):
         chord = ob.angles_to_chord(fourier8, a0, a1)
-        assert ob.s_at_angles(fourier8, a0, a1) == ob.s_derivatives(fourier8, chord)
-        back = ob.chord_to_angles(fourier8, chord)
-        assert abs(back.phi0 - a0) < 1e-10
-        assert abs(back.phi1 - a1) < 1e-10
+        assert all(type(v) is float for v in chord)
+        back = ob.chord_to_angles(fourier8, *chord)
+        assert abs(back[0] - a0) < 1e-10
+        assert abs(back[1] - a1) < 1e-10
 
 
 def test_s_value_circle_triangle(unit_circle):
-    assert ob.s_value(unit_circle, ob.ChordCoords(0.0, 1.0)) == pytest.approx(1.0)
+    assert ob.s_derivatives(unit_circle, 0.0, 1.0)["S"] == pytest.approx(1.0)
     # triangle (0,0), (1,-1), (1,1) has area 1
 
 
 def test_s_value_ellipse(ellipse21):
-    assert ob.s_value(ellipse21, ob.ChordCoords(0.0, 0.5)) == pytest.approx(2.0)
+    assert ob.s_derivatives(ellipse21, 0.0, 0.5)["S"] == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])
@@ -167,19 +166,19 @@ def test_s_value_is_shoelace_area(presets, name):
         m0 = (gx - t * tx, gy - t * ty)
         m1 = (gx + t * tx, gy + t * ty)
         shoelace = 0.5 * abs(m0[0] * m1[1] - m0[1] * m1[0])
-        sv = ob.s_value(curve, ob.ChordCoords(phi, t))
+        sv = ob.s_derivatives(curve, phi, t)["S"]
         assert sv == pytest.approx(shoelace, rel=1e-12)
 
 
 def test_s_derivatives_circle_unit_chord(unit_circle):
-    d = ob.s_derivatives(unit_circle, ob.ChordCoords(0.0, 1.0))
-    assert d.S11 == pytest.approx(1.0, abs=1e-14)
-    assert d.S22 == pytest.approx(1.0, abs=1e-14)
-    assert d.S12 == pytest.approx(-1.0, abs=1e-14)
-    assert d.jac_det == pytest.approx(1.0, abs=1e-14)
-    assert d.S1 == pytest.approx(-1.0, abs=1e-14)
-    assert d.S2 == pytest.approx(1.0, abs=1e-14)
-    assert d.S == pytest.approx(1.0, abs=1e-14)
+    d = ob.s_derivatives(unit_circle, 0.0, 1.0)
+    assert d["S11"] == pytest.approx(1.0, abs=1e-14)
+    assert d["S22"] == pytest.approx(1.0, abs=1e-14)
+    assert d["S12"] == pytest.approx(-1.0, abs=1e-14)
+    assert d["J"] == pytest.approx(1.0, abs=1e-14)
+    assert d["S1"] == pytest.approx(-1.0, abs=1e-14)
+    assert d["S2"] == pytest.approx(1.0, abs=1e-14)
+    assert d["S"] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_s12_circle_closed_form(unit_circle):
@@ -187,8 +186,8 @@ def test_s12_circle_closed_form(unit_circle):
     # S12 = -t (1 + t^2)/2 at any chord
     rng = np.random.default_rng(47)
     for t in rng.uniform(0.05, 5.0, 50):
-        d = ob.s_derivatives(unit_circle, ob.ChordCoords(float(rng.uniform(0, TWO_PI)), float(t)))
-        assert d.S12 == pytest.approx(-t * (1 + t * t) / 2, rel=1e-13)
+        d = ob.s_derivatives(unit_circle, float(rng.uniform(0, TWO_PI)), float(t))
+        assert d["S12"] == pytest.approx(-t * (1 + t * t) / 2, rel=1e-13)
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])
@@ -351,10 +350,10 @@ def test_s12_vanishes_linearly_at_zero(presets):
     for curve in presets.values():
         for phi in (0.2, 2.8):
             t = 1e-6
-            d = ob.s_derivatives(curve, ob.ChordCoords(phi, t))
+            d = ob.s_derivatives(curve, phi, t)
             s = ob.evaluate(curve, phi)
             # S12 / t -> -chi/2 as t -> 0
-            assert d.S12 / t == pytest.approx(-float(s.chi) / 2, rel=1e-4)
+            assert d["S12"] / t == pytest.approx(-float(s.chi) / 2, rel=1e-4)
 
 
 def test_s_closed_forms_floats_match_arrays_bitwise(wobbly3, fourier8):

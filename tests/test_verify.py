@@ -1,7 +1,12 @@
+import json
+from pathlib import Path
+
 import pytest
 
 import outerbilliard as ob
-from outerbilliard import verify
+from outerbilliard import cli, dynamics, verify
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])
@@ -45,3 +50,48 @@ def test_result_serialization(presets):
     assert doc["all_passed"] is True
     assert all(set(c) == {"name", "passed", "value", "threshold"}
                for c in doc["checks"])
+
+
+@pytest.mark.parametrize("name", ["unit_circle", "ellipse21", "wobbly3", "fourier8"])
+def test_verify_report_matches_its_golden(request, tmp_path, name):
+    # the goldens pin every check's value; a change that moves one edits its golden
+    spec = tmp_path / "curve.json"
+    spec.write_text(json.dumps(ob.curve_to_dict(request.getfixturevalue(name))))
+    out = tmp_path / "verify.json"
+    cli.main(["--curve", str(spec), "--cmd", "verify", "--out", str(out)])
+    golden = (GOLDEN / f"verify_{name}.json").read_bytes()
+    if out.read_bytes() != golden:
+        old = {c["name"]: c for c in json.loads(golden)["checks"]}
+        new = {c["name"]: c for c in json.loads(out.read_bytes())["checks"]}
+        moved = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+        pytest.fail(f"verify on {name} no longer matches its golden; checks that moved: {moved}")
+
+
+def test_both_checks_of_a_pair_record_why_they_raised(monkeypatch, unit_circle):
+    def broken(*args):
+        raise RuntimeError("oracle unavailable")
+
+    monkeypatch.setattr(verify, "_jacobian_fd_error", broken)
+    monkeypatch.setattr(verify, "_map_consistency_error", broken)
+    checks = {c.name: c for c in verify.run_verification(unit_circle).checks}
+    for name in ("jacobian_fd_consistency", "measure_density_consistency",
+                 "map_consistency_p", "map_consistency_phi"):
+        assert checks[name].error == "RuntimeError: oracle unavailable", name
+        assert not checks[name].passed
+
+
+def test_verify_steps_each_sample_point_once(monkeypatch, unit_circle, ellipse21):
+    # symplecticity 500 tangency solves, midpoint 100 and the shared step
+    # images 100, inverse 50, dp_form 11; the ellipse adds 300 foliation steps
+    calls = []
+    root = dynamics._tangency_root
+
+    def counted(*args):
+        calls.append(args)
+        return root(*args)
+
+    monkeypatch.setattr(dynamics, "_tangency_root", counted)
+    for curve, expected in ((unit_circle, 761), (ellipse21, 1061)):
+        calls.clear()
+        verify.run_verification(curve)
+        assert len(calls) == expected
