@@ -33,8 +33,15 @@ def _grid(value: str) -> int:
     return n
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a one-line usage error instead of the usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID_CURVE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="outerbilliard",
         description="Outer billiard laboratory: orbits, generating-function "
                     "verification, and convex-geometry rigidity reports.")

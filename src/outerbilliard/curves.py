@@ -359,20 +359,47 @@ def reorigin(curve: ConvexCurve, new_origin, grid_size: int = 2048) -> ConvexCur
 
 # -- curve specification files -----------------------------------------------
 
+_JSON_TYPES = {bool: "a boolean", str: "a string", list: "an array", dict: "an object",
+               type(None): "null"}
+
+
+def _number(value, name: str) -> float:
+    """A JSON number: an int or a float, not a bool, a string or an array."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidCurveError(f"{name} must be a number, not "
+                                f"{_JSON_TYPES.get(type(value), type(value).__name__)}")
+    try:
+        return float(value)
+    except OverflowError:                   # an integer literal past 1.8e308
+        raise InvalidCurveError(f"{name} is too large for a float") from None
+
+
+def _numbers(value, name: str) -> list:
+    """A JSON array of numbers."""
+    if not isinstance(value, list):
+        raise InvalidCurveError(f"{name} must be an array of numbers, not "
+                                f"{_JSON_TYPES.get(type(value), type(value).__name__)}")
+    return [_number(v, f"{name}[{i}]") for i, v in enumerate(value)]
+
+
 def curve_from_dict(spec: dict) -> ConvexCurve:
+    """The curve of a parsed specification file.  Every value must be a JSON
+    number, or an array of them for "cos", "sin" and "origin"; a string or a
+    boolean raises InvalidCurveError rather than being read as a number."""
     if not isinstance(spec, dict):
         raise InvalidCurveError(
             f"curve specification must be a JSON object, not {type(spec).__name__}")
     kind = spec.get("kind")
-    origin = tuple(float(v) for v in spec.get("origin", (0.0, 0.0)))
+    origin = tuple(_numbers(spec.get("origin", [0.0, 0.0]), "origin"))
     if len(origin) != 2:
         raise InvalidCurveError("origin must be [x, y]")
     if kind == CIRCLE:
-        return circle(spec["radius"], origin)
+        return circle(_number(spec["radius"], "radius"), origin)
     if kind == ELLIPSE:
-        return ellipse(spec["a"], spec["b"], origin)
+        return ellipse(_number(spec["a"], "a"), _number(spec["b"], "b"), origin)
     if kind == FOURIER:
-        return fourier(spec.get("a0", 0.0), spec.get("cos", ()), spec.get("sin", ()), origin)
+        return fourier(_number(spec.get("a0", 0.0), "a0"), _numbers(spec.get("cos", []), "cos"),
+                       _numbers(spec.get("sin", []), "sin"), origin)
     raise InvalidCurveError(f"unknown curve kind: {kind!r}")
 
 
@@ -381,7 +408,9 @@ def load_curve(path) -> ConvexCurve:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError: bad JSON, bad UTF-8 or an integer of over 4300 digits;
+        # RecursionError: arrays nested thousands deep
+        except (ValueError, RecursionError) as exc:
             raise InvalidCurveError(f"curve file is not valid JSON: {exc}") from exc
     try:
         curve = curve_from_dict(spec)

@@ -72,9 +72,10 @@ def s_closed_forms(r, rp, rpp, t):
             "r0sq": r0sq, "r1sq": r1sq, "chi": k}
 
 
-def _sderiv_arrays(curve: ConvexCurve, phi, t):
-    """All closed forms at chord arrays; returns a dict of arrays."""
-    return s_closed_forms(*curve.radius(phi), t)
+def _sderiv_arrays(curve: ConvexCurve, phi, t, radial=None):
+    """All closed forms at chord arrays; returns a dict of arrays.  A caller
+    that already holds (r, r', r'') at phi passes it as ``radial``."""
+    return s_closed_forms(*(curve.radius(phi) if radial is None else radial), t)
 
 
 def s_derivatives(curve: ConvexCurve, phi: float, t: float) -> dict:
@@ -222,14 +223,20 @@ def twist_scan(curve: ConvexCurve, phi_grid: int = 256, t_grid: int = 256,
 
 
 def derivative_table(curve: ConvexCurve, phi_grid: int, t_grid: int, t_max: float):
-    """Flat (phi, t) grid with the full derivative bundle at each node."""
+    """Flat (phi, t) grid with the full derivative bundle at each node.
+
+    radius runs once per grid angle, phi_grid lanes, and np.repeat spreads
+    (r, r', r'') over that angle's t_grid nodes.  radius is elementwise, so
+    the table has the bits of _sderiv_arrays(curve, pm, tm).
+    """
     if not 0.0 < t_max < np.inf:           # a NaN fails too
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
     phis = uniform_angles(phi_grid)
     ts = t_max * np.arange(1, t_grid + 1) / t_grid
     pm = np.repeat(phis, t_grid)
     tm = np.tile(ts, phi_grid)
-    d = _sderiv_arrays(curve, pm, tm)
+    radial = tuple(np.repeat(v, t_grid) for v in curve.radius(phis))
+    d = _sderiv_arrays(curve, pm, tm, radial)
     return pm, tm, d
 
 

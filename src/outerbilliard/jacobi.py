@@ -15,7 +15,6 @@ closed form in the curve data at the chord (no chart inversion needed).
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -384,6 +383,10 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
 
     complete = bool(steppable.all())
     if n_proc > 1 and not stop_at_first:
+        # imported here: a one-process scan never needs the pool machinery,
+        # and importing it would slow every CLI start
+        from concurrent.futures import ProcessPoolExecutor
+
         jobs = [(curve, cp, ctt, n_max) for cp, ctt in chunks]
         with ProcessPoolExecutor(max_workers=n_proc) as pool:
             results = list(pool.map(_scan_chunk_worker, jobs))

@@ -89,7 +89,12 @@ def run_verification(curve: ConvexCurve, n_sample: int = 100) -> VerificationRes
     fd_n = (cphi[:n_sample], ct[:n_sample])
     stencil = functools.cache(lambda: _s_stencil(curve, *fd_n))
     jac = functools.cache(lambda: _jacobian_fd_error(curve, *fd_n, stencil()))
-    images = functools.cache(lambda: [dynamics.step(curve, p) for p in pts])
+    # one tangency solve per sample point: its image T(A) = 2 gamma - A is
+    # built as step builds it, bit for bit, and the midpoint check reads it
+    tangencies = functools.cache(lambda: [dynamics.tangency(curve, p) for p in pts])
+    images = functools.cache(lambda: [
+        dynamics.phase_point(curve, 2.0 * res.point.x - p.x, 2.0 * res.point.y - p.y)
+        for p, res in zip(pts, tangencies())])
     fmap = functools.cache(lambda: _map_consistency_error(curve, pts, images()))
 
     check("radial_fd_consistency", lambda: _radial_fd_error(curve, rng), 1e-6)
@@ -108,9 +113,10 @@ def run_verification(curve: ConvexCurve, n_sample: int = 100) -> VerificationRes
     check("twist_negative",
           lambda: generating.twist_scan(curve, 128, 128, 20.0).max_s12, 0.0)
     check("symplecticity",
-          lambda: max(abs(float(np.linalg.det(dynamics.differential_fd(curve, p))) - 1.0)
-                      for p in pts), 1e-6)
-    check("midpoint_property", lambda: _midpoint_error(curve, pts, images()), 1e-10)
+          lambda: max(abs(float(np.linalg.det(dynamics.differential_fd(curve, p, base=q)))
+                          - 1.0) for p, q in zip(pts, images())), 1e-6)
+    check("midpoint_property",
+          lambda: _midpoint_error(curve, pts, images(), tangencies()), 1e-10)
     check("map_consistency_p", lambda: fmap()[0], 1e-9)
     check("map_consistency_phi", lambda: fmap()[1], 1e-9)
     check("inverse_roundtrip",
@@ -174,10 +180,9 @@ def _roundtrip_error(curve, cphi, ct):
     return max(float(np.abs(rphi - cphi).max()), float(np.abs(rt - ct).max()))
 
 
-def _midpoint_error(curve, pts, images):
+def _midpoint_error(curve, pts, images, tangencies):
     worst = 0.0
-    for p, q in zip(pts, images):
-        res = dynamics.tangency(curve, p)
+    for p, q, res in zip(pts, images, tangencies):
         worst = max(worst, math.hypot(0.5 * (p.x + q.x) - res.point.x,
                                       0.5 * (p.y + q.y) - res.point.y))
     return worst / curve.diameter

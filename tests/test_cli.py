@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import outerbilliard
 from outerbilliard import cli, generating, verify
 
 
@@ -201,6 +206,102 @@ def test_negative_exponent_value_exit_2_one_line(wobbly_file, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+BAD_CURVE_FILES = {
+    "truncated": '{"kind": "circle", "rad',
+    "empty": "",
+    "unknown_kind": '{"kind": "polygon", "radius": 1}',
+    "missing_key": '{"kind": "circle"}',
+    "nan": '{"kind": "circle", "radius": NaN}',
+    "infinity": '{"kind": "ellipse", "a": Infinity, "b": 1}',
+    "huge_harmonic": '{"kind": "fourier", "a0": 1, "cos": [1e308]}',
+    "non_convex": '{"kind": "fourier", "a0": 1, "cos": [0, 0, 0.2]}',
+    "negative_axis": '{"kind": "ellipse", "a": -2, "b": 1}',
+    "string_radius": '{"kind": "circle", "radius": "2"}',
+    "bool_radius": '{"kind": "circle", "radius": true}',
+    "null_radius": '{"kind": "circle", "radius": null}',
+    "string_harmonics": '{"kind": "fourier", "a0": 1, "cos": "000"}',
+    "bool_harmonic": '{"kind": "fourier", "a0": 1, "cos": [0, false, 0.05]}',
+    "nested_harmonics": '{"kind": "fourier", "a0": 1, "cos": [[0, 0, 0.05]]}',
+    "string_a0": '{"kind": "fourier", "a0": "1", "cos": [0, 0, 0.05]}',
+    "string_origin": '{"kind": "circle", "radius": 1, "origin": "12"}',
+    "short_origin": '{"kind": "circle", "radius": 1, "origin": [1]}',
+    "bool_origin": '{"kind": "circle", "radius": 1, "origin": [true, 0]}',
+    "nested_origin": '{"kind": "circle", "radius": 1, "origin": [[0.1], 0]}',
+    "int_past_float": '{"kind": "circle", "radius": 1' + "0" * 400 + "}",
+    "int_past_digit_limit": '{"kind": "circle", "radius": 1' + "0" * 5000 + "}",
+    "deep_nesting": '{"kind": "circle", "radius": ' + "[" * 100000 + "]" * 100000 + "}",
+}
+
+
+def _exit_and_stderr(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:      # argparse's usage errors
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CURVE_FILES))
+def test_bad_curve_file_exit_2_one_line(tmp_path, capsys, name):
+    bad = tmp_path / "bad.json"
+    bad.write_text(BAD_CURVE_FILES[name])
+    code, err = _exit_and_stderr(["--curve", str(bad), "--cmd", "twist-scan",
+                                  "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith("error: invalid curve:") and err.count("\n") == 1, err
+
+
+def test_curve_file_that_is_not_utf8_exit_2_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"kind": "circle", "radius": 1}')
+    code, err = _exit_and_stderr(["--curve", str(bad), "--cmd", "verify"], capsys)
+    assert code == 2
+    assert err.startswith("error: invalid curve:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cmd", "verify", "--phi-grid", "100"],
+    ["--cmd", "verify", "--t-grid", "abc"],
+    ["--cmd", "polish"],
+    ["--cmd", "verify", "--steps", "x"],
+    ["--cmd", "verify", "--bogus"],
+    ["--cmd", "verify", "--format", "xml"],
+    ["--cmd"],
+    None,
+], ids=["phi_grid_100", "t_grid_abc", "unknown_cmd", "steps_x", "unknown_flag",
+        "unknown_format", "cmd_without_value", "missing_cmd"])
+def test_usage_error_exit_2_one_line(circle_file, capsys, argv):
+    full = ["--curve", circle_file] + (argv or [])
+    code, err = _exit_and_stderr(full, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_missing_curve_flag_exit_2_one_line(capsys):
+    code, err = _exit_and_stderr(["--cmd", "verify"], capsys)
+    assert code == 2
+    assert err == "error: the following arguments are required: --curve\n"
+
+
+def test_fourier_curve_with_no_harmonics_runs(tmp_path):
+    spec = tmp_path / "disc.json"
+    spec.write_text('{"kind": "fourier", "a0": 1, "cos": []}')
+    assert run(["--curve", str(spec), "--cmd", "twist-scan",
+                "--out", str(tmp_path / "out.json")]) == 0
+
+
+def test_cli_import_loads_no_process_pool():
+    # a --workers 1 run never starts a pool, so the CLI must not pay for
+    # importing one at start-up
+    src = str(Path(outerbilliard.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, outerbilliard.cli; print(sorted(m for m in sys.modules if "
+            "m.startswith(('multiprocessing', 'concurrent.futures.process'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_grid_flag_validation(circle_file):
     with pytest.raises(SystemExit) as exc:
         run(["--curve", circle_file, "--cmd", "verify", "--phi-grid", "100"])
@@ -222,8 +323,8 @@ def test_verify_passes(circle_file, tmp_path):
 def test_verify_fault_injection_fails(circle_file, tmp_path, monkeypatch):
     closed_forms = generating._sderiv_arrays
 
-    def flipped(curve, phi, t):
-        d = closed_forms(curve, phi, t)
+    def flipped(*args):
+        d = closed_forms(*args)
         return {**d, "S12": -d["S12"]}
 
     monkeypatch.setattr(generating, "_sderiv_arrays", flipped)
@@ -236,7 +337,7 @@ def test_verify_fault_injection_fails(circle_file, tmp_path, monkeypatch):
 
 
 def test_verify_records_why_a_check_raised(circle_file, tmp_path, monkeypatch):
-    def broken(curve, pts, images):
+    def broken(*args):
         raise RuntimeError("midpoint oracle unavailable")
 
     monkeypatch.setattr(verify, "_midpoint_error", broken)

@@ -275,6 +275,34 @@ def test_load_curve_errors(tmp_path):
     assert float(s.r_second) == pytest.approx(-0.45, abs=1e-15)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "circle", "radius": "2"},
+    {"kind": "circle", "radius": True},
+    {"kind": "circle", "radius": None},
+    {"kind": "circle", "radius": [1.0]},
+    {"kind": "ellipse", "a": 2.0, "b": False},
+    {"kind": "fourier", "a0": "1", "cos": [0.0, 0.0, 0.05]},
+    {"kind": "fourier", "a0": 1.0, "cos": "000"},
+    {"kind": "fourier", "a0": 1.0, "cos": [0.0, True]},
+    {"kind": "fourier", "a0": 1.0, "sin": [[0.05]]},
+    {"kind": "fourier", "a0": 1.0, "cos": {"3": 0.05}},
+    {"kind": "circle", "radius": 1.0, "origin": "12"},
+    {"kind": "circle", "radius": 1.0, "origin": [True, 0.0]},
+    {"kind": "circle", "radius": 1.0, "origin": {"x": 0, "y": 0}},
+    {"kind": "circle", "radius": 10 ** 400},
+])
+def test_curve_from_dict_takes_only_json_numbers(spec):
+    with pytest.raises(ob.InvalidCurveError):
+        ob.curve_from_dict(spec)
+
+
+def test_curve_from_dict_reads_ints_and_floats():
+    curve = ob.curve_from_dict({"kind": "circle", "radius": 2, "origin": [1, -0.5]})
+    assert ob.curve_to_dict(curve) == {"kind": "circle", "radius": 2.0, "origin": [1.0, -0.5]}
+    curve = ob.curve_from_dict({"kind": "fourier", "a0": 1, "cos": []})
+    assert ob.curve_to_dict(curve) == {"kind": "fourier", "a0": 1.0, "cos": [], "sin": []}
+
+
 def test_scalar_and_vector_radius_agree(presets, fourier8, fourier8_refit):
     # the scalar hot path repeats radius's arithmetic on one (cos, sin) pair
     curves = dict(presets, fourier8=fourier8, fourier8_refit=fourier8_refit)

@@ -365,10 +365,10 @@ def _count_radius_scalar(monkeypatch, calls, replace=None):
 
 
 def test_step_radius_scalar_budget(monkeypatch, presets):
-    # the point map's cost per step: 1 call for the exterior check, the
-    # tangency solve, 1 for the image's exterior check.  Measured 4.4 at
-    # t = 1e-3, where the second-order start sits next to the root (17 from
-    # the half-turn midpoint), and 6.4-8.4 at t in [0.1, 3]
+    # the point map's cost per step: the tangency solve and 1 call for the
+    # image's exterior check (the point keeps its own).  Measured 3.4 at
+    # t = 1e-3, where the second-order start sits next to the root (16 from
+    # the half-turn midpoint), and 5.4-7.4 at t in [0.1, 3]
     per_t = {t: [(curve, dynamics.chord_tail_point(curve, phi, t))
                  for curve in presets.values()
                  for phi in np.linspace(0.0, TWO_PI, 12, endpoint=False)]
@@ -468,21 +468,22 @@ def test_tangency_falls_back_to_the_half_turn_midpoint(monkeypatch, unit_circle)
         with monkeypatch.context() as m:
             _count_radius_scalar(m, calls)
             res = ob.tangency(curve, a)
-        assert calls[1] == pytest.approx(a.phi + 0.5 * math.pi, abs=1e-15)
+        # a keeps its exterior check, so the solve's first call is its start
+        assert calls[0] == pytest.approx(a.phi + 0.5 * math.pi, abs=1e-15)
         assert math.hypot(res.point.x - want[0], res.point.y - want[1]) < 1e-12
 
 
 def test_tangency_without_a_converging_root_raises(monkeypatch, unit_circle):
-    # after the exterior check the curve swells to radius 3 around the point
-    # at distance 2: g keeps one sign on the whole half-turn, the bracket
-    # never closes on a root, and the solve must give up loudly
+    # after the exterior check (which a keeps from phase_point) the curve
+    # swells to radius 3 around the point at distance 2: g keeps one sign on
+    # the whole half-turn, the bracket never closes on a root, and the solve
+    # must give up loudly
     a = ob.phase_point(unit_circle, 2.0, 0.0)
     calls = []
-    _count_radius_scalar(monkeypatch, calls,
-                         lambda curve, phi, k: (1.0, 0.0, 0.0) if k == 1 else (3.0, 0.0, 0.0))
+    _count_radius_scalar(monkeypatch, calls, lambda curve, phi, k: (3.0, 0.0, 0.0))
     with pytest.raises(ob.TangencyError, match="did not converge"):
         ob.tangency(unit_circle, a)
-    assert len(calls) == 1 + dynamics.TANGENCY_MAX_EVALS
+    assert len(calls) == dynamics.TANGENCY_MAX_EVALS
 
 
 def test_ellipse_orbit_phase_drift_over_1000_steps(ellipse21):
@@ -511,3 +512,77 @@ def test_phase_point_fields_and_exterior_check(presets, fourier8):
         with pytest.raises(ob.InsideCurveError) as info:
             ob.phase_point(curve, ox + 0.1, oy)
         assert "\n" not in str(info.value)
+
+
+def _bare(a):
+    """A with its fields only: the next solve runs its own exterior check."""
+    return ob.PhasePoint(a.x, a.y, a.p, a.phi)
+
+
+def _off_centre8(fourier8):
+    return ob.require_valid(ob.fourier(fourier8.a0, fourier8.cos_coeffs, fourier8.sin_coeffs,
+                                       origin=(0.3, -0.2)))
+
+
+@pytest.mark.parametrize("orientation", [ob.dynamics.CCW, ob.dynamics.CW])
+def test_orbit_is_chained_step_bitwise(presets, fourier8, orientation):
+    # the exterior data a point keeps changes no bit: an orbit equals steps
+    # from bare points, each of which runs its own exterior check
+    for curve in (*presets.values(), _off_centre8(fourier8)):
+        for t in (1e-3, 0.3, 2.0):
+            a = dynamics.chord_tail_point(curve, 0.4, t)
+            pts = ob.orbit(curve, a, 60, orientation)
+            current = a
+            for k, pt in enumerate(pts[1:]):
+                current = ob.step(curve, _bare(current), orientation)
+                assert (current.x, current.y, current.p, current.phi) == \
+                    (pt.x, pt.y, pt.p, pt.phi), (curve.kind, t, k)
+
+
+def test_orbit_saves_one_radius_scalar_call_per_step(monkeypatch, presets, fourier8):
+    n = 40
+    for curve in (*presets.values(), fourier8):
+        a = dynamics.chord_tail_point(curve, 1.1, 0.5)
+        calls = []
+        with monkeypatch.context() as m:
+            _count_radius_scalar(m, calls)
+            ob.orbit(curve, a, n)
+            kept = len(calls)
+            current = a
+            for _ in range(n):
+                current = ob.step(curve, _bare(current))
+        assert len(calls) - kept == kept + n, curve.kind
+
+
+def test_kept_exterior_data_serves_only_its_curve(monkeypatch, wobbly3, ellipse21):
+    # a point built on one curve and stepped on another runs that curve's
+    # exterior check; the kept data takes no part in ==, hash or repr
+    a = ob.phase_point(wobbly3, 2.2, 0.7)
+    assert ob.step(ellipse21, a) == ob.step(ellipse21, _bare(a))
+    assert a == _bare(a) and hash(a) == hash(_bare(a)) and repr(a) == repr(_bare(a))
+    calls = []
+    _count_radius_scalar(monkeypatch, calls)
+    ob.tangency(wobbly3, a)
+    own = len(calls)
+    ob.tangency(wobbly3, _bare(a))
+    assert len(calls) - own == own + 1
+
+
+def test_orbit_points_do_not_keep_exterior_data(wobbly3):
+    # so a long orbit costs no more memory per point; its last point keeps
+    # the data for a caller that steps on
+    a = ob.phase_point(wobbly3, 2.2, 0.7)
+    pts = ob.orbit(wobbly3, a, 5)
+    assert all(p._exterior is None for p in pts[1:-1])
+    assert pts[-1]._exterior[0] is wobbly3 and a._exterior[0] is wobbly3
+
+
+def test_differential_fd_with_its_base_image(presets):
+    rng = np.random.default_rng(47)
+    for curve in presets.values():
+        for p in _exterior_sample(curve, rng, 5):
+            for orientation in (ob.dynamics.CCW, ob.dynamics.CW):
+                base = ob.step(curve, p, orientation)
+                assert np.array_equal(
+                    ob.differential_fd(curve, p, orientation=orientation, base=base),
+                    ob.differential_fd(curve, p, orientation=orientation))

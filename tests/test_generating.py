@@ -375,8 +375,8 @@ def test_s_closed_forms_floats_match_arrays_bitwise(wobbly3, fourier8):
 def test_fault_hook_flips_twist(unit_circle, monkeypatch):
     closed_forms = generating._sderiv_arrays
 
-    def flipped(curve, phi, t):
-        d = closed_forms(curve, phi, t)
+    def flipped(*args):
+        d = closed_forms(*args)
         return {**d, "S12": -d["S12"]}
 
     monkeypatch.setattr(generating, "_sderiv_arrays", flipped)
@@ -426,3 +426,30 @@ def test_twist_scan_is_the_derivative_tables_s12_maximum(wobbly3):
     i = int(np.argmax(d["S12"]))
     assert ob.twist_scan(wobbly3, 64, 128, 5.0) == generating.TwistScan(
         float(d["S12"][i]), float(pm[i]), float(tm[i]))
+
+
+def test_derivative_table_is_the_per_node_bundle_bitwise(presets, fourier8):
+    # one radius call per grid angle, repeated over its t nodes, gives the
+    # bits of the closed forms evaluated node by node
+    off_centre = ob.require_valid(ob.fourier(fourier8.a0, fourier8.cos_coeffs,
+                                             fourier8.sin_coeffs, origin=(0.3, -0.2)))
+    for curve in (*presets.values(), fourier8, off_centre):
+        for phi_grid, t_grid, t_max in ((256, 256, 20.0), (64, 128, 3.0)):
+            pm, tm, d = generating.derivative_table(curve, phi_grid, t_grid, t_max)
+            want = generating._sderiv_arrays(curve, pm, tm)
+            assert d.keys() == want.keys()
+            for key in want:
+                assert np.array_equal(d[key], want[key]), (curve.kind, key)
+
+
+def test_twist_scan_evaluates_radius_once_per_grid_angle(monkeypatch, wobbly3):
+    lanes = []
+    inner = ob.ConvexCurve.radius
+
+    def counted(curve, phi, cs=None):
+        lanes.append(np.size(phi))
+        return inner(curve, phi, cs)
+
+    monkeypatch.setattr(ob.ConvexCurve, "radius", counted)
+    ob.twist_scan(wobbly3)
+    assert lanes == [256]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import re
@@ -214,7 +215,8 @@ def test_grid_scan_worker_count_is_bounded(wobbly3, monkeypatch):
         def map(self, fn, jobs):
             return [fn(job) for job in jobs]
 
-    monkeypatch.setattr(jacobi, "ProcessPoolExecutor", RecordingPool)
+    # conjugate_grid_scan imports the pool class when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 8)
     per_t = jacobi.SCAN_CHUNK // 16          # phi_count giving one chunk at t_count = 16
     # 2 chunks: never more processes than chunks
@@ -252,7 +254,8 @@ def test_grid_scan_chunks_are_capped_in_grid_order(wobbly3, monkeypatch):
         chunks.append((seed_phi[0], seed_t[0], seed_phi.size))
         return scan_batch(curve, seed_phi, seed_t, *rest)
 
-    monkeypatch.setattr(jacobi, "ProcessPoolExecutor", RecordingPool)
+    # conjugate_grid_scan imports the pool class when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(jacobi, "_scan_batch", recording_batch)
     monkeypatch.setattr(jacobi, "SCAN_CHUNK", 64)
     monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 8)

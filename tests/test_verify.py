@@ -81,8 +81,10 @@ def test_both_checks_of_a_pair_record_why_they_raised(monkeypatch, unit_circle):
 
 
 def test_verify_steps_each_sample_point_once(monkeypatch, unit_circle, ellipse21):
-    # symplecticity 500 tangency solves, midpoint 100 and the shared step
-    # images 100, inverse 50, dp_form 11; the ellipse adds 300 foliation steps
+    # one tangency per sample point (100), which gives the shared images and
+    # the midpoint check; symplecticity 400 (four stencil images per point,
+    # the image itself shared), inverse 50, dp_form 11; the ellipse adds 300
+    # foliation steps
     calls = []
     root = dynamics._tangency_root
 
@@ -91,7 +93,7 @@ def test_verify_steps_each_sample_point_once(monkeypatch, unit_circle, ellipse21
         return root(*args)
 
     monkeypatch.setattr(dynamics, "_tangency_root", counted)
-    for curve, expected in ((unit_circle, 761), (ellipse21, 1061)):
+    for curve, expected in ((unit_circle, 561), (ellipse21, 861)):
         calls.clear()
         verify.run_verification(curve)
         assert len(calls) == expected
