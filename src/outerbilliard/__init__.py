@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .curves import (CHI_MIN_DEFAULT, ConvexCurve, CurveSample, CurveValidation,
                      PlanePoint, area_centroid, circle, curve_from_dict, curve_to_dict,
                      ellipse, evaluate, fourier, load_curve, radial_about, radius_about,
-                     reorigin, require_valid, validate)
+                     require_valid, validate)
 from .dynamics import (PhasePoint, TangencyResult, differential_fd, inverse_step,
                        orbit, phase_point, phase_point_polar, step, tangency,
                        write_orbit_csv)

@@ -23,8 +23,6 @@ FOURIER = "fourier"
 
 VALIDATION_GRID = 4096
 CHI_MIN_DEFAULT = 1e-6
-FOURIER_CUTOFF = 1e-13     # refit coefficients below this are dropped
-REFIT_RESIDUAL_MAX = 1e-8
 RAY_RESIDUAL_MAX = 1e-11    # radial_about's relative ray/boundary residual
 
 
@@ -54,7 +52,6 @@ class CurveValidation:
     min_chi: float
     phi_at_min_r: float
     phi_at_min_chi: float
-    grid_size: int
     message: str = ""
 
 
@@ -199,21 +196,19 @@ def evaluate(curve: ConvexCurve, phi) -> CurveSample:
                        curvature=k * rp2 ** -1.5, arc_element=np.sqrt(rp2))
 
 
-def validate(curve: ConvexCurve, grid_size: int = VALIDATION_GRID,
-             chi_min: float = CHI_MIN_DEFAULT) -> CurveValidation:
-    """Grid check of r > 0 and chi > chi_min (strict convexity).
+def validate(curve: ConvexCurve) -> CurveValidation:
+    """Check r > 0 and chi > CHI_MIN_DEFAULT (strict convexity) on
+    VALIDATION_GRID uniform angles.
 
     The curvature numerator chi must stay strictly positive for everything
     downstream to make sense.  Non-finite parameters, and values that
     overflow on the grid, raise InvalidCurveError.
     """
-    if grid_size < 256:
-        raise ValueError("grid_size must be at least 256")
     params = (*curve.origin, curve.radius_value, curve.axis_a, curve.axis_b, curve.a0,
               *curve.cos_coeffs, *curve.sin_coeffs)
     if not all(math.isfinite(v) for v in params):
         raise InvalidCurveError("curve parameters must be finite numbers")
-    phi = uniform_angles(grid_size)
+    phi = uniform_angles(VALIDATION_GRID)
     try:
         with np.errstate(over="raise"):
             r, r1, r2 = curve.radius(phi)
@@ -221,22 +216,21 @@ def validate(curve: ConvexCurve, grid_size: int = VALIDATION_GRID,
     except (OverflowError, FloatingPointError) as exc:
         raise InvalidCurveError(f"curve values overflow: {exc}") from exc
     i_r, i_chi = int(np.argmin(r)), int(np.argmin(k))
-    ok = bool(r[i_r] > 0.0 and np.isfinite(r).all() and k[i_chi] > chi_min)
+    ok = bool(r[i_r] > 0.0 and np.isfinite(r).all() and k[i_chi] > CHI_MIN_DEFAULT)
     msg = ""
     if not ok:
         if not (r[i_r] > 0.0 and np.isfinite(r).all()):
             msg = f"radial function not strictly positive: r({phi[i_r]:.6f}) = {r[i_r]:.6g}"
         else:
             msg = (f"curvature numerator below threshold: chi({phi[i_chi]:.6f}) = "
-                   f"{k[i_chi]:.6g} <= {chi_min:g}")
+                   f"{k[i_chi]:.6g} <= {CHI_MIN_DEFAULT:g}")
     return CurveValidation(ok=ok, min_r=float(r[i_r]), min_chi=float(k[i_chi]),
                            phi_at_min_r=float(phi[i_r]), phi_at_min_chi=float(phi[i_chi]),
-                           grid_size=grid_size, message=msg)
+                           message=msg)
 
 
-def require_valid(curve: ConvexCurve, grid_size: int = VALIDATION_GRID,
-                  chi_min: float = CHI_MIN_DEFAULT) -> ConvexCurve:
-    v = validate(curve, grid_size, chi_min)
+def require_valid(curve: ConvexCurve) -> ConvexCurve:
+    v = validate(curve)
     if not v.ok:
         bad_phi = v.phi_at_min_r if v.min_r <= 0 else v.phi_at_min_chi
         bad_val = v.min_r if v.min_r <= 0 else v.min_chi
@@ -317,46 +311,6 @@ def _check_interior(curve: ConvexCurve, px: float, py: float):
             f"point ({px:.6g}, {py:.6g}) is not strictly inside the curve")
 
 
-def reorigin(curve: ConvexCurve, new_origin, grid_size: int = 2048) -> ConvexCurve:
-    """Re-express the curve with its radial function taken about new_origin.
-
-    Per-angle ray/boundary intersection followed by an FFT refit on
-    grid_size uniform angles.  The refit is checked against direct ray
-    intersections on a doubled grid; the residual must stay below 1e-8.
-
-    Raises NotInteriorError when new_origin is not strictly inside, and
-    ConvergenceError when the refit residual is too large (raise grid_size).
-    """
-    if isinstance(new_origin, PlanePoint):
-        new_origin = (new_origin.x, new_origin.y)
-    nx, ny = float(new_origin[0]), float(new_origin[1])
-    thetas = uniform_angles(grid_size)
-    rho = radial_about(curve, (nx, ny), thetas)[0]
-
-    spec = np.fft.rfft(rho) / grid_size
-    a0 = float(spec[0].real)
-    cos_c = 2.0 * spec[1:].real
-    sin_c = -2.0 * spec[1:].imag
-    if grid_size % 2 == 0:
-        cos_c[-1] *= 0.5        # the Nyquist bin is not doubled
-        sin_c[-1] = 0.0
-    small = (np.abs(cos_c) <= FOURIER_CUTOFF) & (np.abs(sin_c) <= FOURIER_CUTOFF)
-    cos_c[np.abs(cos_c) <= FOURIER_CUTOFF] = 0.0
-    sin_c[np.abs(sin_c) <= FOURIER_CUTOFF] = 0.0
-    keep = 0 if small.all() else int(np.max(np.nonzero(~small)[0])) + 1
-    out = fourier(a0, cos=cos_c[:keep], sin=sin_c[:keep], origin=(nx, ny))
-
-    dbl = uniform_angles(2 * grid_size)
-    rho_direct = radial_about(curve, (nx, ny), dbl)[0]
-    r_fit, _, _ = out.radius(dbl)
-    residual = float(np.abs(r_fit - rho_direct).max())
-    if residual > REFIT_RESIDUAL_MAX:
-        raise ConvergenceError(
-            f"reorigin refit residual {residual:.3g} exceeds {REFIT_RESIDUAL_MAX:g}; "
-            "raise grid_size or the coefficient cutoff", residual=residual)
-    return require_valid(out)
-
-
 # -- curve specification files -----------------------------------------------
 
 _JSON_TYPES = {bool: "a boolean", str: "a string", list: "an array", dict: "an object",
@@ -382,14 +336,27 @@ def _numbers(value, name: str) -> list:
     return [_number(v, f"{name}[{i}]") for i, v in enumerate(value)]
 
 
+# each kind's own keys, all required but the Fourier kind's
+_KIND_KEYS = {CIRCLE: ("radius",), ELLIPSE: ("a", "b"), FOURIER: ("a0", "cos", "sin")}
+
+
 def curve_from_dict(spec: dict) -> ConvexCurve:
-    """The curve of a parsed specification file.  Every value must be a JSON
-    number, or an array of them for "cos", "sin" and "origin"; a string or a
-    boolean raises InvalidCurveError rather than being read as a number."""
+    """The curve of a parsed specification file: "kind", an optional "origin"
+    and the kind's own keys, no others.  Every value must be a JSON number,
+    or an array of them for "cos", "sin" and "origin"; a string or a boolean
+    raises InvalidCurveError rather than being read as a number."""
     if not isinstance(spec, dict):
         raise InvalidCurveError(
             f"curve specification must be a JSON object, not {type(spec).__name__}")
     kind = spec.get("kind")
+    if kind not in _KIND_KEYS:
+        raise InvalidCurveError(f"unknown curve kind: {kind!r}")
+    for key in spec:
+        if key not in ("kind", "origin") + _KIND_KEYS[kind]:
+            raise InvalidCurveError(f"unknown key {key!r} for kind {kind!r}")
+    for key in _KIND_KEYS[kind] if kind != FOURIER else ():
+        if key not in spec:
+            raise InvalidCurveError(f"missing key {key!r} for kind {kind!r}")
     origin = tuple(_numbers(spec.get("origin", [0.0, 0.0]), "origin"))
     if len(origin) != 2:
         raise InvalidCurveError("origin must be [x, y]")
@@ -397,10 +364,8 @@ def curve_from_dict(spec: dict) -> ConvexCurve:
         return circle(_number(spec["radius"], "radius"), origin)
     if kind == ELLIPSE:
         return ellipse(_number(spec["a"], "a"), _number(spec["b"], "b"), origin)
-    if kind == FOURIER:
-        return fourier(_number(spec.get("a0", 0.0), "a0"), _numbers(spec.get("cos", []), "cos"),
-                       _numbers(spec.get("sin", []), "sin"), origin)
-    raise InvalidCurveError(f"unknown curve kind: {kind!r}")
+    return fourier(_number(spec.get("a0", 0.0), "a0"), _numbers(spec.get("cos", []), "cos"),
+                   _numbers(spec.get("sin", []), "sin"), origin)
 
 
 def load_curve(path) -> ConvexCurve:
@@ -412,13 +377,7 @@ def load_curve(path) -> ConvexCurve:
         # RecursionError: arrays nested thousands deep
         except (ValueError, RecursionError) as exc:
             raise InvalidCurveError(f"curve file is not valid JSON: {exc}") from exc
-    try:
-        curve = curve_from_dict(spec)
-    except InvalidCurveError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:        # e.g. "radius": "x"
-        raise InvalidCurveError(f"bad curve specification: {exc}") from exc
-    return require_valid(curve)
+    return require_valid(curve_from_dict(spec))
 
 
 def curve_to_dict(curve: ConvexCurve) -> dict:

@@ -33,7 +33,8 @@ class TangencyError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve (Newton, refit, Santalo search) did not converge."""
+    """An iterative solve (Newton, Santalo search, Hopf window doubling) did
+    not converge, or a computed result (a Jacobi field, i_numeric) is not finite."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

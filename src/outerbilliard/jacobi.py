@@ -35,6 +35,8 @@ HOPF_CAP = 2 ** 14
 HOPF_TOL = 1e-4
 ZERO_TOL = 1e-12          # |dq| below this times the running max counts as a zero
 RENORM_LIMIT = 1e100
+NO_TWIST = "the twist condition S12 < 0 fails"
+OVERFLOW = "the closed forms or the recurrence overflowed"
 # Most seeds per conjugate-scan chunk.  It caps a chunk's memory (about 1.8
 # MiB of numpy temporaries at 4096 lanes) while leaving each of the 13 radius
 # evaluations per lane-step a long array pass; rows do not depend on it.
@@ -50,17 +52,17 @@ def _gap(r: float, rp: float, t: float) -> float:
 def _nonzero_s12(s12: float, k: int) -> float:
     """S12 of chord k, a divisor of the Jacobi recurrence; zero breaks the twist."""
     if s12 == 0.0:
-        raise ConvergenceError(f"S12 = 0 at chord {k}: the twist condition S12 < 0 fails")
+        raise ConvergenceError(f"S12 = 0 at chord {k}: {NO_TWIST}")
     return s12
 
 
-def _nonzero_s12_lanes(s12: np.ndarray, k: int, seed_phi, seed_t, live) -> np.ndarray:
-    """_nonzero_s12 on the scan's lanes at chord k; live[i] is lane i's seed."""
-    if not s12.all():
-        i = live[np.flatnonzero(s12 == 0.0)[0]]
-        raise ConvergenceError(f"S12 = 0 at chord {k} of the seed (phi, t) = ({seed_phi[i]:.17g}, "
-                               f"{seed_t[i]:.17g}): the twist condition S12 < 0 fails")
-    return s12
+def _check_lanes(ok: np.ndarray, k: int, seed_phi, seed_t, live, what: str, why: str):
+    """ConvergenceError at chord k naming the seed of the first of the scan's
+    lanes where ok fails; live[i] is lane i's seed."""
+    if not ok.all():
+        i = live[np.flatnonzero(~ok)[0]]
+        raise ConvergenceError(f"{what} at chord {k} of the seed (phi, t) = ({seed_phi[i]:.17g}, "
+                               f"{seed_t[i]:.17g}): {why}")
 
 
 def _jacobi_next(a, b_prev, b, dq, dq_prev):
@@ -246,8 +248,9 @@ def radial_conjugate_scan(curve: ConvexCurve, seed: PhasePoint, n_max: int) -> O
     """First n with the radial-start Jacobi field back at radial, else None.
 
     Starts (dp, dq) = (1, 0) at the seed, so dq_1 = -1/b_0 > 0, and watches
-    for the first sign change or vanishing of dq_n, n <= n_max.  One
-    radius_scalar call per chord feeds its closed forms and heads the next step.
+    for the first sign change or vanishing of dq_n, n <= n_max; a non-finite
+    dq_n raises ConvergenceError.  One radius_scalar call per chord feeds its
+    closed forms and heads the next step.
     """
     phi_m, t = chord_of(curve, seed)
     radial = curve.radius_scalar(phi_m)
@@ -260,6 +263,9 @@ def radial_conjugate_scan(curve: ConvexCurve, seed: PhasePoint, n_max: int) -> O
         radial = curve.radius_scalar(phi_m)
         d = s_closed_forms(*radial, t)
         dq_next = _jacobi_next(s22_prev + d["S11"], b_prev, _nonzero_s12(d["S12"], n), dq, dq_prev)
+        if not math.isfinite(dq_next):
+            raise ConvergenceError(f"non-finite Jacobi field at chord {n} of the seed (x, y) = "
+                                   f"({seed.x:.17g}, {seed.y:.17g}): {OVERFLOW}")
         if dq_next < 0.0 or abs(dq_next) <= ZERO_TOL * runmax:
             return n + 1
         dq_prev, dq = dq, dq_next
@@ -305,14 +311,15 @@ def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
     soon as its index is known: after each step with a hit the state is
     gathered down to the lanes still running, so later steps cost only
     those.  Every kernel is elementwise, so which lanes share a step never
-    changes a lane's arithmetic.  A zero S12 on any lane raises
-    ConvergenceError naming its seed and chord.
+    changes a lane's arithmetic.  A zero S12 or a non-finite field on any
+    lane raises ConvergenceError naming its seed and chord.
     """
     c, s = np.cos(seed_phi), np.sin(seed_phi)
     radial = (c, s) + curve.radius(seed_phi, cs=(c, s))
     d = s_closed_forms(*radial[2:], seed_t)
     live = np.arange(seed_phi.size)           # seed index of each running lane
-    b_prev, s22_prev = _nonzero_s12_lanes(d["S12"], 0, seed_phi, seed_t, live), d["S22"]
+    b_prev, s22_prev = d["S12"], d["S22"]
+    _check_lanes(b_prev != 0.0, 0, seed_phi, seed_t, live, "S12 = 0", NO_TWIST)
     dq_prev = np.zeros_like(seed_phi)
     dq = -1.0 / b_prev
     runmax = np.abs(dq)
@@ -321,8 +328,11 @@ def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
     for n in range(1, n_max):
         phi_m, t, radial = chord_step_batch(curve, phi_m, t, 1, head=radial)
         d = s_closed_forms(*radial[2:], t)
-        b = _nonzero_s12_lanes(d["S12"], n, seed_phi, seed_t, live)
+        b = d["S12"]
+        _check_lanes(b != 0.0, n, seed_phi, seed_t, live, "S12 = 0", NO_TWIST)
         dq_next = _jacobi_next(s22_prev + d["S11"], b_prev, b, dq, dq_prev)
+        _check_lanes(np.isfinite(dq_next), n, seed_phi, seed_t, live, "non-finite Jacobi field",
+                     OVERFLOW)
         hit = (dq_next < 0.0) | (np.abs(dq_next) <= ZERO_TOL * runmax)
         dq_prev, dq = dq, dq_next
         b_prev, s22_prev = b, d["S22"]

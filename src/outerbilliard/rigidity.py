@@ -23,11 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ConvexCurve, PlanePoint, area_centroid, chi, radius_about
-from .curves import reorigin  # noqa: F401  (unused; bench/tracer.py wraps the name)
 from .errors import ConvergenceError, NotInteriorError
 from .generating import _sderiv_arrays  # noqa: F401  (unused; bench/tracer.py wraps the name)
-from .optimize import nelder_mead  # noqa: F401  (unused; bench/tracer.py wraps the name)
 from .quadrature import TWO_PI, gauss_panels, periodic_trapezoid, uniform_angles
+
+# bench/tracer.py still wraps these two names, which nothing here calls; the
+# change to the benchmark that drops those wraps deletes this line
+nelder_mead = reorigin = None
 
 EQUALITY_TOL = 1e-7
 SANTALO_SNAP = 1e-8       # relative origin distance below which the origin stays put
@@ -137,7 +139,8 @@ def i_numeric(r, rp, rpp, t_max: float = 50.0) -> INumericResult:
     Composite Gauss-Legendre in t on panels graded toward 0, periodic
     trapezoid in phi.  The error estimate compares against a half-resolution
     pass on every other sample, so the sample count phi_grid must be even,
-    and carries a round-off floor proportional to the integrand mass.
+    and carries a round-off floor proportional to the integrand mass.  A
+    value or estimate that is not finite raises ConvergenceError.
 
     Each node evaluates _weighted_total, whose chi, alpha and beta depend on
     phi alone: about 13 array passes per node against 57 for the assembled
@@ -171,6 +174,9 @@ def i_numeric(r, rp, rpp, t_max: float = 50.0) -> INumericResult:
     value, mass = pass_at((r, rp, rpp), I_T_NODES)
     coarse, _ = pass_at((r[::2], rp[::2], rpp[::2]), max(6, I_T_NODES // 2))
     err = 4.0 * abs(value - coarse) + 1e-14 * (mass + 1.0)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise ConvergenceError(f"i_numeric is {value!r} with error estimate {err!r} at "
+                               f"t_max={t_max!r}: the integrand overflowed")
     return INumericResult(value=value, error_estimate=err)
 
 

@@ -7,6 +7,8 @@ bytes and every scalar carries full double precision.
 
 import math
 
+INDENT = 2
+
 
 def _fmt_float(x: float) -> str:
     if math.isnan(x):
@@ -15,19 +17,19 @@ def _fmt_float(x: float) -> str:
         return "Infinity" if x > 0 else "-Infinity"
     s = f"{x:.17g}"
     # keep the token a valid JSON number
-    return s if any(c in s for c in ".eE") or s in ("inf", "-inf") else s + ".0"
+    return s if any(c in s for c in ".eE") else s + ".0"
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     out = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _write(obj, out, indent, level):
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+def _write(obj, out, level):
+    pad = " " * (INDENT * (level + 1))
+    closing = " " * (INDENT * level)
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -47,7 +49,7 @@ def _write(obj, out, indent, level):
         out.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
             out.append(f'{pad}"{k}": ')
-            _write(v, out, indent, level + 1)
+            _write(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing + "}")
     elif isinstance(obj, (list, tuple)):
@@ -57,7 +59,7 @@ def _write(obj, out, indent, level):
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad)
-            _write(v, out, indent, level + 1)
+            _write(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing + "]")
     else:

@@ -17,6 +17,7 @@ from .curves import ConvexCurve, chi
 from .quadrature import TWO_PI, periodic_trapezoid, uniform_angles
 
 RNG_SEED = 20231005
+N_SAMPLE = 100            # sample points of the map checks; twice as many chords
 STENCIL_H = 1e-4          # angle step of the nine-point stencil of S(phi0, phi1)
 
 
@@ -64,7 +65,7 @@ def _random_exterior(curve, rng, n, lo=0.15, hi=1.5):
             for i in range(n)]
 
 
-def run_verification(curve: ConvexCurve, n_sample: int = 100) -> VerificationResult:
+def run_verification(curve: ConvexCurve) -> VerificationResult:
     rng = np.random.default_rng(RNG_SEED)
     checks = []
 
@@ -80,21 +81,16 @@ def run_verification(curve: ConvexCurve, n_sample: int = 100) -> VerificationRes
                                   value=value, threshold=float(threshold),
                                   error=error))
 
-    cphi, ct = _random_chords(rng, 2 * n_sample)
-    pts = _random_exterior(curve, rng, n_sample)
+    cphi, ct = _random_chords(rng, 2 * N_SAMPLE)
+    pts = _random_exterior(curve, rng, N_SAMPLE)
     radial = curve.radius(uniform_angles(2048))
     half = tuple(v[::2] for v in radial)   # the 1024-angle sample, bit for bit
     # samples that several checks share; a raise is not cached, so every
     # check that reads a failed sample records why
-    fd_n = (cphi[:n_sample], ct[:n_sample])
+    fd_n = (cphi[:N_SAMPLE], ct[:N_SAMPLE])
     stencil = functools.cache(lambda: _s_stencil(curve, *fd_n))
     jac = functools.cache(lambda: _jacobian_fd_error(curve, *fd_n, stencil()))
-    # one tangency solve per sample point: its image T(A) = 2 gamma - A is
-    # built as step builds it, bit for bit, and the midpoint check reads it
-    tangencies = functools.cache(lambda: [dynamics.tangency(curve, p) for p in pts])
-    images = functools.cache(lambda: [
-        dynamics.phase_point(curve, 2.0 * res.point.x - p.x, 2.0 * res.point.y - p.y)
-        for p, res in zip(pts, tangencies())])
+    images = functools.cache(lambda: [dynamics.step(curve, p) for p in pts])
     fmap = functools.cache(lambda: _map_consistency_error(curve, pts, images()))
 
     check("radial_fd_consistency", lambda: _radial_fd_error(curve, rng), 1e-6)
@@ -116,7 +112,7 @@ def run_verification(curve: ConvexCurve, n_sample: int = 100) -> VerificationRes
           lambda: max(abs(float(np.linalg.det(dynamics.differential_fd(curve, p, base=q)))
                           - 1.0) for p, q in zip(pts, images())), 1e-6)
     check("midpoint_property",
-          lambda: _midpoint_error(curve, pts, images(), tangencies()), 1e-10)
+          lambda: _midpoint_error(curve, pts, images()), 1e-10)
     check("map_consistency_p", lambda: fmap()[0], 1e-9)
     check("map_consistency_phi", lambda: fmap()[1], 1e-9)
     check("inverse_roundtrip",
@@ -180,12 +176,20 @@ def _roundtrip_error(curve, cphi, ct):
     return max(float(np.abs(rphi - cphi).max()), float(np.abs(rt - ct).max()))
 
 
-def _midpoint_error(curve, pts, images, tangencies):
-    worst = 0.0
-    for p, q, res in zip(pts, images, tangencies):
-        worst = max(worst, math.hypot(0.5 * (p.x + q.x) - res.point.x,
-                                      0.5 * (p.y + q.y) - res.point.y))
-    return worst / curve.diameter
+def _midpoint_error(curve, pts, images):
+    """The midpoint M of A and T(A) lies on the curve, and A - M is tangent to
+    it there, both read at M's own polar angle psi: the worse of |M -
+    gamma(psi)| / diameter and the sine of the angle between A - M and
+    gamma'(psi).  Nothing here comes from the tangency solve behind T."""
+    a = np.array([(p.x, p.y) for p in pts])
+    mx, my = 0.5 * (a + np.array([(q.x, q.y) for q in images])).T
+    psi = np.arctan2(my - curve.origin[1], mx - curve.origin[0])
+    gx, gy = curve.point(psi)
+    tx, ty = curve.tangent(psi)
+    dx, dy = a[:, 0] - mx, a[:, 1] - my
+    off = np.hypot(mx - gx, my - gy) / curve.diameter
+    sine = np.abs(dx * ty - dy * tx) / (np.hypot(dx, dy) * np.hypot(tx, ty))
+    return float(max(off.max(), sine.max()))
 
 
 def _inverse_error(curve, pts, images):

@@ -4,6 +4,8 @@ import pytest
 import outerbilliard as ob
 from outerbilliard.quadrature import TWO_PI, uniform_angles
 
+from oracles import reorigin
+
 
 def radial(curve, n=2048):
     """(r, r', r'') on n uniform angles: the sample that q_integral,
@@ -69,4 +71,4 @@ def fourier8():
 @pytest.fixture(scope="session")
 def fourier8_refit(fourier8):
     """fourier8 refit about its Santalo point (35 harmonics)."""
-    return ob.reorigin(fourier8, ob.santalo_point(fourier8))
+    return reorigin(fourier8, ob.santalo_point(fourier8))

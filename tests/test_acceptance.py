@@ -15,6 +15,7 @@ from outerbilliard import cli, dynamics, generating, rigidity
 from outerbilliard.quadrature import TWO_PI
 
 from conftest import radial
+from oracles import reorigin
 
 PI_SQ = math.pi ** 2
 
@@ -168,7 +169,7 @@ def test_c6_non_ellipse_defect(wobbly3):
     t0 = time.perf_counter()
     sp = ob.santalo_point(wobbly3)
     moved = math.hypot(sp.x - wobbly3.origin[0], sp.y - wobbly3.origin[1])
-    curve = (ob.reorigin(wobbly3, (sp.x, sp.y))
+    curve = (reorigin(wobbly3, (sp.x, sp.y))
              if moved > 1e-8 * wobbly3.diameter else wobbly3)
 
     q1 = ob.q_integral(*radial(curve, 2048))

@@ -14,8 +14,9 @@ import outerbilliard.cli  # noqa: F401  (the tracer wraps names in cli)
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
-# names that src/ imports only so that the tracer can wrap them; once the
-# tracer stops wrapping one, its import goes (and, for nelder_mead, optimize.py)
+# names that src/ keeps only so that the tracer can wrap them (rigidity's
+# nelder_mead and reorigin are placeholders bound to None); once the tracer
+# stops wrapping one, its line in src/ goes
 TRACER_ONLY_IMPORTS = [(outerbilliard.jacobi, "_sderiv_arrays"),
                        (outerbilliard.jacobi, "sderiv_scalar"),
                        (outerbilliard.rigidity, "nelder_mead"),

@@ -211,6 +211,8 @@ BAD_CURVE_FILES = {
     "empty": "",
     "unknown_kind": '{"kind": "polygon", "radius": 1}',
     "missing_key": '{"kind": "circle"}',
+    "misspelt_origin": '{"kind": "ellipse", "a": 2, "b": 1, "orign": [0.5, 0]}',
+    "harmonics_on_ellipse": '{"kind": "ellipse", "a": 2, "b": 1, "cos": [0.1]}',
     "nan": '{"kind": "circle", "radius": NaN}',
     "infinity": '{"kind": "ellipse", "a": Infinity, "b": 1}',
     "huge_harmonic": '{"kind": "fourier", "a0": 1, "cos": [1e308]}',
@@ -233,6 +235,14 @@ BAD_CURVE_FILES = {
 }
 
 
+# the key a message must name
+BAD_CURVE_MESSAGES = {
+    "missing_key": "missing key 'radius' for kind 'circle'",
+    "misspelt_origin": "unknown key 'orign' for kind 'ellipse'",
+    "harmonics_on_ellipse": "unknown key 'cos' for kind 'ellipse'",
+}
+
+
 def _exit_and_stderr(argv, capsys):
     try:
         code = run(argv)
@@ -249,6 +259,7 @@ def test_bad_curve_file_exit_2_one_line(tmp_path, capsys, name):
                                   "--out", str(tmp_path / "out")], capsys)
     assert code == 2
     assert err.startswith("error: invalid curve:") and err.count("\n") == 1, err
+    assert BAD_CURVE_MESSAGES.get(name, "") in err, err
 
 
 def test_curve_file_that_is_not_utf8_exit_2_one_line(tmp_path, capsys):
@@ -300,6 +311,24 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["--cmd", "conjugate-scan", "--phi-grid", "64", "--t-grid", "64", "--steps", "50",
+      "--t-max", "1e100"], "non-finite Jacobi field at chord 1"),
+    (["--cmd", "rigidity", "--t-max", "1e300"], "i_numeric is nan"),
+], ids=["conjugate_scan", "rigidity"])
+def test_overflowing_arithmetic_exit_4(wobbly_file, tmp_path, argv, why):
+    # in a fresh interpreter, where numpy's overflow is a warning on stderr
+    # and not an error: the run must still fail, not report NaN or no hit
+    src = str(Path(outerbilliard.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "outerbilliard.cli", "--curve", wobbly_file]
+                          + argv + ["--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 4
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("error: optimizer failure: ") and why in last, proc.stderr
 
 
 def test_grid_flag_validation(circle_file):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import outerbilliard as ob
-from outerbilliard import dynamics, jacobi
+from outerbilliard import dynamics, generating, jacobi
 from outerbilliard.quadrature import TWO_PI
 
 
@@ -351,7 +351,7 @@ def test_jacobi_push_matches_differential(presets):
         pt = dynamics.chord_tail_point(curve, 0.9, 1.1)
         for _ in range(100):
             phi_m, t = dynamics.chord_of(curve, pt)
-            d = jacobi.sderiv_scalar(curve, phi_m, t)
+            d = generating.s_derivatives(curve, phi_m, t)
             s11, s22, s12 = d["S11"], d["S22"], d["S12"]
             dmat = ob.differential_fd(curve, pt)
             for dp, dq in ((1.0, 0.0), (0.3, 0.7)):
@@ -371,7 +371,7 @@ def test_chord_line_caches_each_chords_data(wobbly3):
     seed = dynamics.chord_tail_point(wobbly3, 0.4, 0.3)
     line = jacobi._ChordLine(wobbly3, seed)
     for k in (3, -2, 5, -5, 0, 1, -1, 4, -4, 2, -3):
-        assert line.data(k) == jacobi.sderiv_scalar(wobbly3, *line.chord(k))
+        assert line.data(k) == generating.s_derivatives(wobbly3, *line.chord(k))
     for direction in (1, -1):
         chord = dynamics.chord_of(wobbly3, seed)
         for k in range(1, 6):
@@ -490,6 +490,43 @@ def test_zero_s12_stops_the_grid_scan(monkeypatch, wobbly3, k):
     with pytest.raises(ob.ConvergenceError,
                        match=re.escape(f"S12 = 0 at chord {k} of the seed (phi, t) = {seed}")):
         jacobi._scan_batch(wobbly3, seed_phi, seed_t, 50, False)
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_non_finite_field_stops_the_grid_scan(monkeypatch, wobbly3, k):
+    # an overflow in the closed forms (S11 = NaN on the last lane at chord k)
+    # must stop the scan with its seed and chord, not read as "no conjugate point"
+    s_closed_forms, calls = jacobi.s_closed_forms, []
+
+    def patched(r, rp, rpp, t):
+        d = s_closed_forms(r, rp, rpp, t)
+        if len(calls) == k:
+            d["S11"][-1] = math.nan
+        calls.append(t)
+        return d
+
+    monkeypatch.setattr(jacobi, "s_closed_forms", patched)
+    seed_phi, seed_t = np.array([0.3, 1.0]), np.array([0.5, 0.7])
+    seed = f"({seed_phi[1]:.17g}, {seed_t[1]:.17g})"
+    with pytest.raises(ob.ConvergenceError, match=re.escape(
+            f"non-finite Jacobi field at chord {k} of the seed (phi, t) = {seed}")):
+        jacobi._scan_batch(wobbly3, seed_phi, seed_t, 50, False)
+
+
+def test_non_finite_field_stops_the_radial_scan(monkeypatch, wobbly3):
+    seed = dynamics.chord_tail_point(wobbly3, 0.4, 0.3)
+    chord = jacobi._ChordLine(wobbly3, seed).chord(3)
+    s_closed_forms = jacobi.s_closed_forms
+
+    def patched(r, rp, rpp, t):
+        d = s_closed_forms(r, rp, rpp, t)
+        return dict(d, S11=math.nan) if t == chord[1] else d
+
+    monkeypatch.setattr(jacobi, "s_closed_forms", patched)
+    with pytest.raises(ob.ConvergenceError, match=re.escape(
+            f"non-finite Jacobi field at chord 3 of the seed (x, y) = ({seed.x:.17g}, "
+            f"{seed.y:.17g})")):
+        ob.radial_conjugate_scan(wobbly3, seed, 50)
 
 
 # -- one recurrence, one coefficient source ---------------------------------------

@@ -11,6 +11,7 @@ from outerbilliard.generating import s_closed_forms
 from outerbilliard.quadrature import TWO_PI, gauss_panels, uniform_angles
 
 from conftest import radial
+from oracles import reorigin
 
 PI_SQ = math.pi ** 2
 
@@ -198,6 +199,22 @@ def test_t_max_must_be_finite_and_positive(unit_circle, t_max):
         ob.twist_scan(unit_circle, 64, 64, t_max)
 
 
+@pytest.mark.parametrize("part", [0, 1])
+def test_i_numeric_that_is_not_finite_raises(monkeypatch, wobbly3, part):
+    # a NaN in either tail (an overflow at huge t_max) reaches the value and
+    # the estimate; neither may come back as a number
+    tail_arrays = rigidity._tail_arrays
+
+    def nan_tail(*args):
+        tails = list(tail_arrays(*args))
+        tails[part] = np.where(np.arange(tails[part].size) == 5, math.nan, tails[part])
+        return tuple(tails)
+
+    monkeypatch.setattr(rigidity, "_tail_arrays", nan_tail)
+    with pytest.raises(ob.ConvergenceError, match="i_numeric is nan with error estimate nan"):
+        ob.i_numeric(*radial(wobbly3))
+
+
 @pytest.mark.parametrize("phi_grid", [0, 1, 3])
 def test_i_numeric_phi_grid_precondition(phi_grid):
     # the half-resolution pass takes every other sample: the count must be even
@@ -335,7 +352,7 @@ def test_support_form_evaluates_radius_once(monkeypatch, fourier8, call):
 def test_dual_area_about_matches_reorigin(ellipse21):
     x = (0.1, 0.05)
     direct = ob.dual_area_about(ellipse21, x)
-    via_reorigin = ob.area_and_dual(*radial(ob.reorigin(ellipse21, x))).area_dual
+    via_reorigin = ob.area_and_dual(*radial(reorigin(ellipse21, x))).area_dual
     assert direct == pytest.approx(via_reorigin, rel=1e-9)
 
 
@@ -390,7 +407,7 @@ def test_santalo_newton_from_near_the_boundary(monkeypatch, request, name):
 @pytest.mark.parametrize("offset", [(0.12, -0.05), (-0.2, 0.15)])
 def test_santalo_point_does_not_depend_on_the_origin(fourier8, offset):
     sp = ob.santalo_point(fourier8)
-    moved = ob.santalo_point(ob.reorigin(fourier8, offset))
+    moved = ob.santalo_point(reorigin(fourier8, offset))
     assert math.hypot(moved.x - sp.x, moved.y - sp.y) <= 1e-12 * fourier8.diameter
 
 
@@ -407,7 +424,7 @@ def test_rigidity_report_runs_no_simplex_search(monkeypatch, fourier8):
 @pytest.fixture(scope="module")
 def shifted_ellipse():
     """The 2:1 ellipse refit about (0.4, 0.1): its Santalo point is 0.41 off."""
-    return ob.reorigin(ob.ellipse(2.0, 1.0), (0.4, 0.1))
+    return reorigin(ob.ellipse(2.0, 1.0), (0.4, 0.1))
 
 
 def _q_support_route(curve, point, n=2048):
@@ -453,7 +470,7 @@ def test_rigidity_report_matches_the_refit_route(request, name):
     curve = request.getfixturevalue(name)
     rep = ob.rigidity_report(curve)
     assert rep.origin_moved
-    sample = radial(ob.reorigin(curve, (rep.santalo_x, rep.santalo_y)))
+    sample = radial(reorigin(curve, (rep.santalo_x, rep.santalo_y)))
     q = ob.q_integral(*sample)
     inum = ob.i_numeric(*sample)
     dual = ob.area_and_dual(*sample)
@@ -494,7 +511,7 @@ def test_rigidity_report_reads_one_radial_sample(monkeypatch, request, name, mov
             log.append("radius")
         return radius(self, phi, cs)
 
-    for owner, attr in ((rigidity, "reorigin"), (curves, "reorigin"),
+    for owner, attr in ((rigidity, "reorigin"),
                         (curves, "require_valid"), (curves, "validate")):
         monkeypatch.setattr(owner, attr, forbidden)
     monkeypatch.setattr(rigidity, "santalo_point", santalo_point)
@@ -543,7 +560,7 @@ def test_rigidity_report_wobbly(wobbly3):
 
 
 def test_rigidity_report_moves_origin():
-    shifted = ob.reorigin(ob.ellipse(2.0, 1.0), (0.4, 0.1))
+    shifted = reorigin(ob.ellipse(2.0, 1.0), (0.4, 0.1))
     rep = ob.rigidity_report(shifted)
     assert rep.origin_moved
     assert (rep.santalo_x, rep.santalo_y) == pytest.approx((0.0, 0.0), abs=1e-7)

@@ -81,8 +81,8 @@ def test_both_checks_of_a_pair_record_why_they_raised(monkeypatch, unit_circle):
 
 
 def test_verify_steps_each_sample_point_once(monkeypatch, unit_circle, ellipse21):
-    # one tangency per sample point (100), which gives the shared images and
-    # the midpoint check; symplecticity 400 (four stencil images per point,
+    # one step per sample point (100), which gives the shared images that
+    # the midpoint check reads; symplecticity 400 (four stencil images per point,
     # the image itself shared), inverse 50, dp_form 11; the ellipse adds 300
     # foliation steps
     calls = []
@@ -97,3 +97,20 @@ def test_verify_steps_each_sample_point_once(monkeypatch, unit_circle, ellipse21
         calls.clear()
         verify.run_verification(curve)
         assert len(calls) == expected
+
+
+@pytest.mark.parametrize("name", ["unit_circle", "ellipse21", "wobbly3", "fourier8"])
+def test_midpoint_check_fails_on_images_reflected_off_the_tangency(monkeypatch, request, name):
+    # a defect the check must see: each image reflected about gamma(psi + 1e-6)
+    # instead of the tangency point gamma(psi); the midpoint is then still on
+    # the curve, but A - midpoint is no longer tangent there
+    curve = request.getfixturevalue(name)
+
+    def skewed_step(curve, a, orientation=dynamics.CCW):
+        gx, gy = curve.point(dynamics.tangency(curve, a, orientation).phi_m + 1e-6)
+        return dynamics.phase_point(curve, 2.0 * float(gx) - a.x, 2.0 * float(gy) - a.y)
+
+    monkeypatch.setattr(dynamics, "step", skewed_step)
+    check = {c.name: c for c in verify.run_verification(curve).checks}["midpoint_property"]
+    assert not check.passed and check.error is None
+    assert 1e-7 < check.value < 1e-4
