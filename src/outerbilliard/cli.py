@@ -6,10 +6,10 @@ Exit codes: 0 success, 1 verification failure, 2 invalid curve or usage,
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__, dynamics, generating, jacobi, rigidity, serialize, verify
@@ -23,7 +23,25 @@ EXIT_INVALID_CURVE = 2
 EXIT_DYNAMICS = 3
 EXIT_OPTIMIZER = 4
 
-COMMANDS = ("simulate", "verify", "rigidity", "portrait", "twist-scan", "conjugate-scan")
+# One row per command: the settings it reads, with their defaults (None: the
+# flag is required), and nothing else.  A flag outside its row exits 2.
+ROWS = {
+    "simulate": {"seed": None, "steps": 100, "orientation": dynamics.CCW},
+    "portrait": {"steps": 500, "t_grid": 64, "t_max": 3.0, "orientation": dynamics.CCW},
+    "verify": {},
+    "rigidity": {"phi_grid": 2048, "t_max": 50.0, "tol": rigidity.EQUALITY_TOL,
+                 "conjugate_scan": False},
+    "twist-scan": {"phi_grid": 256, "t_grid": 256, "t_max": 20.0, "format": "json"},
+    "conjugate-scan": {"steps": 10_000, "phi_grid": 64, "t_grid": 64, "t_max": 3.0,
+                       "workers": 1, "format": "json"},
+}
+# what rigidity reads besides its row with --conjugate-scan; that scan runs on
+# a t_grid x t_grid seed grid up to SCAN_T_MAX
+SCAN_ROW = {"steps": 2000, "t_grid": 64, "workers": 1}
+SCAN_T_MAX = 3.0
+# what a JSON report's config echoes, in this order, when its row holds it;
+# never workers, so reports are byte-identical for any worker count
+ECHOED = ("command", "steps", "phi_grid", "t_grid", "t_max", "tol")
 
 
 def _grid(value: str) -> int:
@@ -46,21 +64,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Outer billiard laboratory: orbits, generating-function "
                     "verification, and convex-geometry rigidity reports.")
     p.add_argument("--curve", required=True, help="curve specification JSON file")
-    p.add_argument("--cmd", required=True, choices=COMMANDS)
+    p.add_argument("--cmd", required=True, choices=ROWS)
+    p.add_argument("--out", help="output path (default stdout)")
+    # every flag below defaults to None: a command reads only the flags in its row
     p.add_argument("--seed", nargs=2, type=float, metavar=("X", "Y"),
                    help="orbit seed in world coordinates (simulate)")
-    p.add_argument("--steps", type=int, default=None,
-                   help="orbit steps / conjugate-scan iteration cap")
-    p.add_argument("--phi-grid", type=_grid, default=None)
-    p.add_argument("--t-grid", type=_grid, default=None)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None,
-                   help="primary tolerance of the command (echoed in reports)")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--orientation", choices=(dynamics.CCW, dynamics.CW),
-                   default=dynamics.CCW)
+    p.add_argument("--steps", type=int, help="orbit steps / conjugate-scan iteration cap")
+    p.add_argument("--phi-grid", type=_grid)
+    p.add_argument("--t-grid", type=_grid)
+    p.add_argument("--t-max", type=float)
+    p.add_argument("--tol", type=float, help="rigidity's equality tolerance on |Q - 2pi|")
+    p.add_argument("--workers", type=int)
+    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--orientation", choices=(dynamics.CCW, dynamics.CW))
     p.add_argument("--conjugate-scan", action="store_true",
                    help="append a conjugate-point scan to the rigidity report")
     p.add_argument("--version", action="version", version=__version__)
@@ -69,63 +85,45 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@dataclass
-class RunConfig:
-    command: str
-    steps: int
-    phi_grid: int
-    t_grid: int
-    t_max: float
-    tol: float
-    workers: int
-    orientation: str
-    out_format: str
-
-    def __post_init__(self):
-        # written so that NaN fails every comparison
-        for flag, value in (("--tol", self.tol), ("--t-max", self.t_max)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{flag} must be finite and positive, got {value!r}")
-        if self.command == "rigidity" and not self.t_max >= 10.0:
-            raise ValueError(f"rigidity needs --t-max of at least 10, got {self.t_max!r}")
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
-        if self.workers < 1:
-            raise ValueError("--workers must be at least 1")
-
-    def echo(self) -> dict:
-        # workers deliberately not echoed: reports must be byte-identical
-        # for any worker count
-        return {"command": self.command, "steps": self.steps,
-                "phi_grid": self.phi_grid, "t_grid": self.t_grid,
-                "t_max": self.t_max, "tol": self.tol,
-                "orientation": self.orientation}
+def flag(setting: str) -> str:
+    return "--" + setting.replace("_", "-")
 
 
-_DEFAULTS = {
-    "simulate": dict(steps=100, phi_grid=2048, t_grid=64, t_max=3.0, tol=1e-12, fmt="csv"),
-    "portrait": dict(steps=500, phi_grid=2048, t_grid=64, t_max=3.0, tol=1e-12, fmt="csv"),
-    "verify": dict(steps=0, phi_grid=2048, t_grid=128, t_max=20.0, tol=1e-9, fmt="json"),
-    "rigidity": dict(steps=2000, phi_grid=2048, t_grid=64, t_max=50.0, tol=1e-7, fmt="json"),
-    "twist-scan": dict(steps=0, phi_grid=256, t_grid=256, t_max=20.0, tol=1e-12, fmt="json"),
-    "conjugate-scan": dict(steps=10_000, phi_grid=64, t_grid=64, t_max=3.0, tol=1e-12, fmt="json"),
-}
+def settings(args) -> dict:
+    """The command's row with the given flags in place of its defaults.
+
+    ValueError names a given flag outside the row, or a value out of range.
+    """
+    s = dict(ROWS[args.cmd])
+    if args.cmd == "rigidity" and args.conjugate_scan:
+        s.update(SCAN_ROW)
+    for key, value in vars(args).items():
+        if key in ("curve", "cmd", "out") or value is None or value is False:
+            continue
+        if key not in s:
+            raise ValueError(f"{flag(key)} does not apply to {args.cmd}")
+        s[key] = value
+    s["command"] = args.cmd
+    seed = s.get("seed", ())
+    if seed is None:
+        raise ValueError(f"{args.cmd} requires --seed X Y")
+    if not all(map(math.isfinite, seed)):
+        raise ValueError(f"--seed must be finite, got {seed[0]!r} {seed[1]!r}")
+    # written so that NaN fails every comparison
+    for key in ("tol", "t_max"):
+        if key in s and not 0.0 < s[key] < math.inf:
+            raise ValueError(f"{flag(key)} must be finite and positive, got {s[key]!r}")
+    if args.cmd == "rigidity" and not s["t_max"] >= 10.0:
+        raise ValueError(f"rigidity needs --t-max of at least 10, got {s['t_max']!r}")
+    if s.get("steps", 0) < 0:
+        raise ValueError("--steps must be non-negative")
+    if s.get("workers", 1) < 1:
+        raise ValueError("--workers must be at least 1")
+    return s
 
 
-def make_config(args) -> RunConfig:
-    if args.seed is not None and not all(map(math.isfinite, args.seed)):
-        raise ValueError(f"--seed must be finite, got {args.seed[0]!r} {args.seed[1]!r}")
-    d = _DEFAULTS[args.cmd]
-    return RunConfig(
-        command=args.cmd,
-        steps=d["steps"] if args.steps is None else args.steps,
-        phi_grid=d["phi_grid"] if args.phi_grid is None else args.phi_grid,
-        t_grid=d["t_grid"] if args.t_grid is None else args.t_grid,
-        t_max=d["t_max"] if args.t_max is None else args.t_max,
-        tol=d["tol"] if args.tol is None else args.tol,
-        workers=args.workers,
-        orientation=args.orientation,
-        out_format=d["fmt"] if args.format is None else args.format)
+def _echo(s: dict) -> dict:
+    return {key: s[key] for key in ECHOED if key in s}
 
 
 @contextlib.contextmanager
@@ -139,11 +137,9 @@ def _output(path: Optional[str]):
 
 # -- commands -------------------------------------------------------------------
 
-def cmd_simulate(curve, cfg: RunConfig, seed, out):
-    if seed is None:
-        raise InvalidCurveError("simulate requires --seed X Y")
-    a = dynamics.phase_point(curve, seed[0], seed[1])
-    pts = dynamics.orbit(curve, a, cfg.steps, cfg.orientation)
+def cmd_simulate(curve, s, out):
+    a = dynamics.phase_point(curve, *s["seed"])
+    pts = dynamics.orbit(curve, a, s["steps"], s["orientation"])
     footer = []
     if curve.kind == "ellipse":
         aa, bb = curve.axis_a, curve.axis_b
@@ -155,34 +151,32 @@ def cmd_simulate(curve, cfg: RunConfig, seed, out):
     return EXIT_OK
 
 
-def cmd_portrait(curve, cfg: RunConfig, out):
+def cmd_portrait(curve, s, out):
     out.write("seed,n,x,y,p,phi\n")
-    for j in range(1, cfg.t_grid + 1):
-        t = cfg.t_max * j / cfg.t_grid
+    for j in range(1, s["t_grid"] + 1):
+        t = s["t_max"] * j / s["t_grid"]
         a = dynamics.chord_tail_point(curve, 0.0, t)
-        pts = dynamics.orbit(curve, a, cfg.steps, cfg.orientation)
+        pts = dynamics.orbit(curve, a, s["steps"], s["orientation"])
         for n, pt in enumerate(pts):
             out.write(f"{j:d},{n:d},{pt.x:.17g},{pt.y:.17g},{pt.p:.17g},{pt.phi:.17g}\n")
     return EXIT_OK
 
 
-def cmd_verify(curve, cfg: RunConfig, out):
+def cmd_verify(curve, s, out):
     result = verify.run_verification(curve)
-    doc = result.to_dict()
-    doc["config"] = cfg.echo()
+    doc = {**result.to_dict(), "config": _echo(s)}
     out.write(serialize.dumps(doc))
     return EXIT_OK if result.all_passed else EXIT_VERIFY_FAILED
 
 
-def cmd_twist_scan(curve, cfg: RunConfig, out):
-    if cfg.out_format == "csv":
-        pm, tm, d = generating.derivative_table(curve, cfg.phi_grid, cfg.t_grid, cfg.t_max)
-        generating.write_derivative_csv(out, pm, tm, d)
+def cmd_twist_scan(curve, s, out):
+    grid = (curve, s["phi_grid"], s["t_grid"], s["t_max"])
+    if s["format"] == "csv":
+        generating.write_derivative_csv(out, *generating.derivative_table(*grid))
         return EXIT_OK
-    scan = generating.twist_scan(curve, cfg.phi_grid, cfg.t_grid, cfg.t_max)
-    doc = {"max_s12": scan.max_s12, "phi_at_max": scan.phi_at_max,
-           "t_at_max": scan.t_at_max, "twist_negative": scan.max_s12 < 0.0,
-           "config": cfg.echo()}
+    scan = generating.twist_scan(*grid)
+    doc = {**dataclasses.asdict(scan), "twist_negative": scan.max_s12 < 0.0,
+           "config": _echo(s)}
     out.write(serialize.dumps(doc))
     return EXIT_OK
 
@@ -194,14 +188,14 @@ def _scan_row(r):
     return row
 
 
-def cmd_conjugate_scan(curve, cfg: RunConfig, out):
+def cmd_conjugate_scan(curve, s, out):
     scan = jacobi.conjugate_grid_scan(
-        curve, phi_count=cfg.phi_grid, t_count=cfg.t_grid, t_max=cfg.t_max,
-        n_max=cfg.steps, workers=cfg.workers)
+        curve, phi_count=s["phi_grid"], t_count=s["t_grid"], t_max=s["t_max"],
+        n_max=s["steps"], workers=s["workers"])
     # the unscanned fields appear only when some seed could not be stepped,
     # so every other report keeps its bytes
     n_unscanned = len(scan.unscanned)
-    if cfg.out_format == "csv":
+    if s["format"] == "csv":
         out.write("seed_phi,seed_t,n_conjugate\n")
         for r in scan.rows:
             n = "" if r.n_conjugate is None else str(r.n_conjugate)
@@ -212,55 +206,38 @@ def cmd_conjugate_scan(curve, cfg: RunConfig, out):
     doc = {"found_count": len(scan.found)}
     if n_unscanned:
         doc["unscanned_count"] = n_unscanned
-    doc.update(rows=[_scan_row(r) for r in scan.rows], config=cfg.echo())
+    doc.update(rows=[_scan_row(r) for r in scan.rows], config=_echo(s))
     out.write(serialize.dumps(doc))
     return EXIT_OK
 
 
-def cmd_rigidity(curve, cfg: RunConfig, out, with_scan: bool):
+def cmd_rigidity(curve, s, out):
     report = rigidity.rigidity_report(
-        curve, phi_grid=cfg.phi_grid, t_max=cfg.t_max, equality_tol=cfg.tol)
-    doc = {
-        "q_value": report.q_value,
-        "q_defect": report.q_defect,
-        "i_closed": report.i_closed,
-        "i_numeric": report.i_numeric,
-        "i_numeric_error": report.i_numeric_error,
-        "area_gamma": report.area_gamma,
-        "area_dual": report.area_dual,
-        "bs_product": report.bs_product,
-        "santalo_point": [report.santalo_x, report.santalo_y],
-        "eq_q_holds": report.eq_q_holds,
-        "eq_qq_holds": report.eq_qq_holds,
-        "equality_case": report.equality_case,
-        "certifies_non_minimizing": report.certifies_non_minimizing,
-        "origin_moved": report.origin_moved,
-        "config": cfg.echo(),
-    }
-    if with_scan:
+        curve, phi_grid=s["phi_grid"], t_max=s["t_max"], equality_tol=s["tol"])
+    doc = {**dataclasses.asdict(report), "config": _echo(s)}
+    if s["conjugate_scan"]:
         scan = jacobi.conjugate_grid_scan(
-            curve, phi_count=cfg.t_grid, t_count=cfg.t_grid, t_max=3.0,
-            n_max=cfg.steps, workers=cfg.workers)
+            curve, phi_count=s["t_grid"], t_count=s["t_grid"], t_max=SCAN_T_MAX,
+            n_max=s["steps"], workers=s["workers"])
         found = scan.found
         doc["conjugate_scan"] = {
-            "seeds": len(scan.rows),
-            "n_max": cfg.steps,
-            "found_count": len(found),
-            "first_found": None if not found else {
-                "seed_phi": found[0].seed_phi, "seed_t": found[0].seed_t,
-                "n_conjugate": found[0].n_conjugate},
-        }
+            "seeds": len(scan.rows), "n_max": s["steps"], "t_max": SCAN_T_MAX,
+            "found_count": len(found), "first_found": _scan_row(found[0]) if found else None}
     out.write(serialize.dumps(doc))
     return EXIT_OK
+
+
+COMMANDS = {"simulate": cmd_simulate, "portrait": cmd_portrait, "verify": cmd_verify,
+            "rigidity": cmd_rigidity, "twist-scan": cmd_twist_scan,
+            "conjugate-scan": cmd_conjugate_scan}
 
 
 # -- entry points ----------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = make_config(args)
+        s = settings(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CURVE
@@ -271,17 +248,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID_CURVE
     try:
         with _output(args.out) as out:
-            if args.cmd == "simulate":
-                return cmd_simulate(curve, cfg, args.seed, out)
-            if args.cmd == "portrait":
-                return cmd_portrait(curve, cfg, out)
-            if args.cmd == "verify":
-                return cmd_verify(curve, cfg, out)
-            if args.cmd == "twist-scan":
-                return cmd_twist_scan(curve, cfg, out)
-            if args.cmd == "conjugate-scan":
-                return cmd_conjugate_scan(curve, cfg, out)
-            return cmd_rigidity(curve, cfg, out, args.conjugate_scan)
+            return COMMANDS[args.cmd](curve, s, out)
     except InvalidCurveError as exc:
         print(f"error: invalid curve: {exc}", file=sys.stderr)
         return EXIT_INVALID_CURVE

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import ConvexCurve, PlanePoint, chi
-from .errors import InsideCurveError, TangencyError
+from .errors import ConvergenceError, InsideCurveError, TangencyError
 
 CCW = "ccw"
 CW = "cw"
@@ -87,11 +87,15 @@ def _orientation_sign(orientation: str) -> int:
 
 
 def phase_point(curve: ConvexCurve, x: float, y: float) -> PhasePoint:
-    """Build a PhasePoint from world coordinates; must be strictly exterior."""
+    """Build a PhasePoint from world coordinates; must be strictly exterior,
+    with p = rho^2/2 finite (ConvergenceError when it overflows)."""
     x, y = float(x), float(y)
     exterior = _require_exterior(curve, x - curve.origin[0], y - curve.origin[1])
     phi, rho = exterior[:2]
-    a = PhasePoint(x=x, y=y, p=0.5 * rho * rho, phi=phi)
+    p = 0.5 * rho * rho
+    if not math.isfinite(p):
+        raise ConvergenceError(f"p = rho^2/2 is {p!r} at the point ({x!r}, {y!r})")
+    a = PhasePoint(x=x, y=y, p=p, phi=phi)
     object.__setattr__(a, "_exterior", (curve,) + exterior)
     return a
 

@@ -227,7 +227,8 @@ def derivative_table(curve: ConvexCurve, phi_grid: int, t_grid: int, t_max: floa
 
     radius runs once per grid angle, phi_grid lanes, and np.repeat spreads
     (r, r', r'') over that angle's t_grid nodes.  radius is elementwise, so
-    the table has the bits of _sderiv_arrays(curve, pm, tm).
+    the table has the bits of _sderiv_arrays(curve, pm, tm).  An S12 that is
+    not finite at some node raises ConvergenceError.
     """
     if not 0.0 < t_max < np.inf:           # a NaN fails too
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
@@ -237,6 +238,9 @@ def derivative_table(curve: ConvexCurve, phi_grid: int, t_grid: int, t_max: floa
     tm = np.tile(ts, phi_grid)
     radial = tuple(np.repeat(v, t_grid) for v in curve.radius(phis))
     d = _sderiv_arrays(curve, pm, tm, radial)
+    if not np.isfinite(d["S12"]).all():
+        raise ConvergenceError(f"S12 is not finite on the grid at t_max={t_max!r}: "
+                               "the derivatives overflowed")
     return pm, tm, d
 
 

@@ -294,8 +294,7 @@ class RigidityReport:
     area_gamma: float
     area_dual: float
     bs_product: float
-    santalo_x: float
-    santalo_y: float
+    santalo_point: tuple            # (x, y) in world coordinates
     eq_q_holds: bool                # Q >= 2pi - tol (true when all orbits minimize)
     eq_qq_holds: bool               # Q <= 2pi + tol (true for every convex curve)
     equality_case: bool             # |Q - 2pi| < tol: the ellipse signature
@@ -326,7 +325,7 @@ def rigidity_report(curve: ConvexCurve, phi_grid: int = 2048, t_max: float = 50.
         q_value=q, q_defect=defect, i_closed=ic, i_numeric=inum.value,
         i_numeric_error=inum.error_estimate, area_gamma=dual.area_gamma,
         area_dual=dual.area_dual, bs_product=dual.bs_product,
-        santalo_x=sp.x, santalo_y=sp.y,
+        santalo_point=(sp.x, sp.y),
         eq_q_holds=defect >= -equality_tol,
         eq_qq_holds=defect <= equality_tol,
         equality_case=abs(defect) < equality_tol,

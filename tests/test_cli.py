@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,13 +170,24 @@ def test_non_object_curve_file_exit_2(tmp_path, capsys, spec):
     ("twist-scan", "--t-max", "nan"),
     ("twist-scan", "--t-max", "0"),
     ("conjugate-scan", "--t-max", "inf"),
-    ("verify", "--tol", "nan"),
-    ("verify", "--tol", "-1e-9"),
-    ("simulate", "--tol", "inf"),
+    ("rigidity", "--tol", "nan"),
+    ("rigidity", "--tol", "-1e-9"),
+    ("rigidity", "--tol", "inf"),
 ])
 def test_bad_t_max_or_tol_exit_2(wobbly_file, tmp_path, capsys, cmd, flag, value):
     assert run(["--curve", wobbly_file, "--cmd", cmd, f"{flag}={value}",
                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--cmd", "simulate"], "--seed"),
+    (["--cmd", "portrait", "--steps", "-1"], "--steps"),
+], ids=["simulate_without_seed", "negative_steps"])
+def test_missing_seed_or_negative_steps_exit_2(circle_file, tmp_path, capsys, argv, flag):
+    assert run(["--curve", circle_file] + argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
@@ -191,7 +203,7 @@ def test_negative_exponent_seed_is_a_value(circle_file, tmp_path):
 
 
 @pytest.mark.parametrize("cmd,flag,value", [
-    ("verify", "--tol", "-1e-9"),
+    ("rigidity", "--tol", "-1e-9"),
     ("rigidity", "--t-max", "-1e-3"),
     ("twist-scan", "--t-max", "-.5E+1"),
 ])
@@ -317,7 +329,12 @@ def test_cli_import_loads_no_process_pool():
     (["--cmd", "conjugate-scan", "--phi-grid", "64", "--t-grid", "64", "--steps", "50",
       "--t-max", "1e100"], "non-finite Jacobi field at chord 1"),
     (["--cmd", "rigidity", "--t-max", "1e300"], "i_numeric is nan"),
-], ids=["conjugate_scan", "rigidity"])
+    (["--cmd", "twist-scan", "--t-max", "1e70"], "S12 is not finite"),
+    (["--cmd", "twist-scan", "--t-max", "1e200", "--format", "csv"], "S12 is not finite"),
+    (["--cmd", "simulate", "--seed", "1e200", "0"], "p = rho^2/2 is inf"),
+    (["--cmd", "portrait", "--t-max", "1e160"], "p = rho^2/2 is inf"),
+], ids=["conjugate_scan", "rigidity", "twist_scan_json", "twist_scan_csv", "simulate",
+        "portrait"])
 def test_overflowing_arithmetic_exit_4(wobbly_file, tmp_path, argv, why):
     # in a fresh interpreter, where numpy's overflow is a warning on stderr
     # and not an error: the run must still fail, not report NaN or no hit
@@ -488,3 +505,79 @@ def test_reports_are_deterministic(wobbly_file, tmp_path):
                     "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# a value for each optional flag, none of them a default; every command's row
+# in cli.ROWS (and cli.SCAN_ROW for rigidity --conjugate-scan) reads a subset
+FLAG_VALUES = {"--seed": ["2", "0"], "--steps": ["1"], "--phi-grid": ["128"],
+               "--t-grid": ["128"], "--t-max": ["12.5"], "--tol": ["1e-6"],
+               "--workers": ["2"], "--format": ["csv"], "--orientation": ["cw"],
+               "--conjugate-scan": []}
+ROW_VARIANTS = [(cmd, False) for cmd in cli.ROWS] + [("rigidity", True)]
+
+
+def _row(cmd, scan):
+    return {**cli.ROWS[cmd], **(cli.SCAN_ROW if scan else {})}
+
+
+def test_flag_values_cover_every_optional_flag():
+    optional = {s for a in cli.build_parser()._actions for s in a.option_strings}
+    assert optional - {"-h", "--help", "--version", "--curve", "--cmd", "--out"} == set(FLAG_VALUES)
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("cmd, scan", ROW_VARIANTS,
+                         ids=[cmd + ("+scan" if scan else "") for cmd, scan in ROW_VARIANTS])
+def test_a_command_takes_exactly_the_flags_in_its_row(circle_file, tmp_path, capsys,
+                                                      cmd, scan, flag):
+    argv = ["--curve", circle_file, "--cmd", cmd] + ["--conjugate-scan"] * scan
+    if cmd == "simulate" and flag != "--seed":
+        argv += ["--seed", "2", "0"]
+    argv += [flag, *FLAG_VALUES[flag]]
+    row, key = _row(cmd, scan), flag[2:].replace("-", "_")
+    if key in row:
+        args = cli.build_parser().parse_args(argv)
+        s = cli.settings(args)
+        assert s[key] == getattr(args, key) and s[key] != row[key]
+        return
+    out = tmp_path / "out"
+    code, err = _exit_and_stderr(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: {flag} does not apply to {cmd}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, scan, extra, keys", [
+    ("verify", False, [], ["command"]),
+    ("rigidity", False, [], ["command", "phi_grid", "t_max", "tol"]),
+    ("rigidity", True, ["--steps", "5"],
+     ["command", "steps", "phi_grid", "t_grid", "t_max", "tol"]),
+    ("twist-scan", False, [], ["command", "phi_grid", "t_grid", "t_max"]),
+    ("conjugate-scan", False, ["--steps", "5"],
+     ["command", "steps", "phi_grid", "t_grid", "t_max"]),
+], ids=["verify", "rigidity", "rigidity+scan", "twist-scan", "conjugate-scan"])
+def test_json_config_echoes_the_rows_numeric_settings(circle_file, tmp_path,
+                                                      cmd, scan, extra, keys):
+    out = tmp_path / "report.json"
+    assert run(["--curve", circle_file, "--cmd", cmd, "--out", str(out)]
+               + ["--conjugate-scan"] * scan + extra) == 0
+    setting = {**_row(cmd, scan), "command": cmd, **({"steps": 5} if extra else {})}
+    assert json.loads(out.read_text())["config"] == {k: setting[k] for k in keys}
+
+
+def test_readme_lists_each_commands_row():
+    # README's "- `cmd`: flags" bullets under Command line must name exactly
+    # the flags in the command's row
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line")[1].split("\n## ")[0]
+    bullets = dict(re.findall(r"^- `([a-z-]+)`: (.*?)(?=\n- `|\n\n)", section, re.M | re.S))
+    assert set(bullets) == set(cli.ROWS)
+
+    def flags(text):
+        return set(re.findall(r"`(--[a-z-]+)", text))
+
+    for cmd, text in bullets.items():
+        text, _, scan_text = " ".join(text.split()).partition("with `--conjugate-scan` also")
+        assert flags(text) == {cli.flag(k) for k in cli.ROWS[cmd]}, cmd
+        assert flags(scan_text) == ({cli.flag(k) for k in cli.SCAN_ROW}
+                                    if cmd == "rigidity" else set()), cmd

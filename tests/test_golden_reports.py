@@ -1,4 +1,5 @@
-"""Golden outputs of rigidity, twist-scan and simulate, compared byte for byte.
+"""Golden outputs of rigidity, twist-scan, simulate and portrait, compared byte
+for byte.
 
 Each golden is the CLI's output on one of four curves: the unit circle, the
 2:1 ellipse, 1 + 0.05 cos 3phi and the seeded 8-harmonic curve whose Santalo
@@ -27,6 +28,7 @@ COMMANDS = {
     "rigidity_scan": (["--cmd", "rigidity", "--conjugate-scan", "--steps", "30"], "json"),
     "twist": (["--cmd", "twist-scan", "--format", "json"], "json"),
     "simulate": (["--cmd", "simulate", "--seed", "2.5", "0.5", "--steps", "50"], "csv"),
+    "portrait": (["--cmd", "portrait", "--steps", "1"], "csv"),
 }
 
 
@@ -49,14 +51,16 @@ def _flat_json(text):
 
 
 def _flat_csv(text):
-    """Cells of an orbit CSV keyed by row and column, e.g. n=3.x; footer
-    lines keyed by themselves."""
+    """Cells of an orbit or portrait CSV keyed by row and column, e.g. n=3.x
+    or seed=2.n=1.p, since n repeats across a portrait's seeds; footer lines
+    keyed by themselves."""
     lines = text.splitlines()
     body = [line for line in lines if not line.startswith("#")]
     cells = {line: True for line in lines if line.startswith("#")}
     for row in csv.DictReader(io.StringIO("\n".join(body))):
+        key = "".join(f"{k}={row[k]}." for k in ("seed", "n") if k in row)
         for col, value in row.items():
-            cells[f"n={row['n']}.{col}"] = value
+            cells[key + col] = value
     return cells
 
 
@@ -88,3 +92,6 @@ def test_moved_fields_names_each_changed_leaf():
     old_csv = "n,x,y\n0,1.0,2.0\n1,3.0,4.0\n# dev=1\n"
     new_csv = "n,x,y\n0,1.0,2.0\n1,3.0,4.5\n# dev=2\n"
     assert moved_fields(old_csv, new_csv, "csv") == ["# dev=1", "# dev=2", "n=1.y"]
+    old_portrait = "seed,n,x\n1,0,1.0\n1,1,2.0\n2,0,3.0\n2,1,4.0\n"
+    new_portrait = "seed,n,x\n1,0,1.0\n1,1,2.0\n2,0,3.0\n2,1,4.5\n"
+    assert moved_fields(old_portrait, new_portrait, "csv") == ["seed=2.n=1.x"]

@@ -470,7 +470,7 @@ def test_rigidity_report_matches_the_refit_route(request, name):
     curve = request.getfixturevalue(name)
     rep = ob.rigidity_report(curve)
     assert rep.origin_moved
-    sample = radial(reorigin(curve, (rep.santalo_x, rep.santalo_y)))
+    sample = radial(reorigin(curve, rep.santalo_point))
     q = ob.q_integral(*sample)
     inum = ob.i_numeric(*sample)
     dual = ob.area_and_dual(*sample)
@@ -544,7 +544,7 @@ def test_rigidity_report_ellipse(ellipse21):
 def test_rigidity_report_circle_offset():
     rep = ob.rigidity_report(ob.circle(1.0, origin=(0.3, 0.0)))
     assert rep.equality_case
-    assert (rep.santalo_x, rep.santalo_y) == pytest.approx((0.3, 0.0), abs=1e-8)
+    assert rep.santalo_point == pytest.approx((0.3, 0.0), abs=1e-8)
     assert rep.bs_product == pytest.approx(PI_SQ, abs=1e-9)
 
 
@@ -563,7 +563,7 @@ def test_rigidity_report_moves_origin():
     shifted = reorigin(ob.ellipse(2.0, 1.0), (0.4, 0.1))
     rep = ob.rigidity_report(shifted)
     assert rep.origin_moved
-    assert (rep.santalo_x, rep.santalo_y) == pytest.approx((0.0, 0.0), abs=1e-7)
+    assert rep.santalo_point == pytest.approx((0.0, 0.0), abs=1e-7)
     assert rep.equality_case          # still the same ellipse geometrically
     assert rep.bs_product == pytest.approx(PI_SQ, abs=1e-6)
 
