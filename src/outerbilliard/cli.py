@@ -8,9 +8,12 @@ import argparse
 import contextlib
 import dataclasses
 import math
+import os
 import re
 import sys
 from typing import Optional
+
+import numpy as np
 
 from . import __version__, dynamics, generating, jacobi, rigidity, serialize, verify
 from .curves import load_curve
@@ -128,11 +131,20 @@ def _echo(s: dict) -> dict:
 
 @contextlib.contextmanager
 def _output(path: Optional[str]):
+    """stdout, or a file beside path that replaces path once the command
+    returns; a command that raises leaves no file and path untouched."""
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
             yield fh
+    except BaseException:
+        os.remove(tmp)
+        raise
+    os.replace(tmp, path)
 
 
 # -- commands -------------------------------------------------------------------
@@ -247,7 +259,9 @@ def main(argv=None) -> int:
         print(f"error: invalid curve: {exc}", file=sys.stderr)
         return EXIT_INVALID_CURVE
     try:
-        with _output(args.out) as out:
+        # a non-finite result ends the run with its one-line error below, so
+        # numpy's floating-point warnings would only repeat it on stderr
+        with np.errstate(all="ignore"), _output(args.out) as out:
             return COMMANDS[args.cmd](curve, s, out)
     except InvalidCurveError as exc:
         print(f"error: invalid curve: {exc}", file=sys.stderr)

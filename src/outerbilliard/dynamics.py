@@ -25,10 +25,10 @@ the image's own check, 3.4 on average at t = 1e-3 and 5.4-7.4 at t in
 [0.1, 3] on the presets.
 The batch chord step (chord_step_batch, behind the conjugate grid scan)
 runs one fixed schedule instead, N_BISECT bisections and then N_NEWTON
-deflated Newton steps, 14 radius evaluations per step (13 when the caller
-passes back the radial data of the step before) and no trig call in the
-bisections.  The scalar and batch chord steps agree within 1e-12, not
-bitwise.
+deflated Newton steps: 14 radius evaluations per step (13 when the caller
+passes back the radial data of the step before), the 8 bisection ones for
+r and r' only, no trig call in the bisections and about 460 array passes
+on an ellipse.  The two chord steps agree to round-off, not bitwise.
 """
 
 import math
@@ -48,9 +48,11 @@ STEP_TOL = 4e-16          # tangency Newton stops once its step is at round-off
 TANGENCY_MAX_EVALS = 100  # bisection alone reaches that floor in about 53
 N_BISECT = 8              # chord-step schedule: bisections of the half-turn bracket,
 N_NEWTON = 4              # then deflated Newton steps (see chord_step_batch)
-# (cos, sin) of the half-width pi / 2^(k+1) of the chord-step bracket at bisection k
-_HALF_WIDTH_CS = tuple((math.cos(math.pi / 2 ** (k + 1)), math.sin(math.pi / 2 ** (k + 1)))
-                       for k in range(N_BISECT))
+# the half-width pi / 2^(k+1) of the chord-step bracket at bisection k, and
+# exp(-i pi / 2^(k+1)), which turns conj(cos, sin) of an angle by it
+_HALF_TURNS = tuple((math.pi / 2 ** (k + 1), complex(math.cos(math.pi / 2 ** (k + 1)),
+                                                     -math.sin(math.pi / 2 ** (k + 1))))
+                    for k in range(N_BISECT))
 
 
 @dataclass(frozen=True)
@@ -324,8 +326,8 @@ def chord_step_scalar(curve: ConvexCurve, phi_m: float, t: float, direction: int
     about 4-9 radius_scalar calls per step on the presets, counting the one
     for the head.  A caller stepping on passes (r, r', r'') at phi_m as
     ``head=`` and saves that call, with a bitwise equal result.  The batch
-    kernel runs its own fixed schedule, so the two agree within 1e-12, not
-    bitwise; t below MIN_CHORD_T is refused by both.
+    kernel runs its own fixed schedule, so the two agree to round-off, not
+    bitwise (see chord_step_batch); t below MIN_CHORD_T is refused by both.
     """
     if not t >= MIN_CHORD_T:
         raise TangencyError(_near_boundary_message(t))
@@ -357,31 +359,39 @@ def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
     for a circle, or from the bracket midpoint when that guess falls
     outside; each iterate narrows the sign bracket and is clipped to it.
     That is 1 + N_BISECT + N_NEWTON + 1 = 14 radius calls per step, 13 with
-    a head.
+    a head; the bisections ask for r and r' only.
 
     The schedule is fixed rather than convergence-driven, so every lane runs
     the same float operations whatever the other lanes hold: results are
     bitwise independent of batch composition, chunking and worker count.
-    chord_step_scalar stops once converged instead, so it agrees with this
-    kernel within 1e-12, not bitwise.
+    chord_step_scalar stops once converged instead, so the two agree to
+    round-off, not bitwise: measured worst |difference| in psi and t_new
+    (6000 lanes each, both directions) for t log-uniform in [1e-3, 3] is
+    1.2e-13 on the circle, 3.2e-13 on 1 + 0.05 cos 3phi, 1.1e-12 on the 2:1,
+    1.1e-11 on the 5:1 and 3.2e-11 on the 10:1 ellipse; for t in [0.1, 2.5]
+    it is at most 8.9e-14 on these curves but the 10:1 ellipse (7.7e-13).
     8 + 4 is the shortest schedule that reaches the round-off floor of the
     chord chart: on 5:1 and 10:1 ellipses with t in [1e-3, 3], 6 + 3 left
     errors up to 7e-4 rad and 8 + 3 up to 5e-8 rad.
 
     Near the curve the head B lies within |B|^2 - r^2 = O(t^2) of it, so the
     relative error of t_new grows like 1e-16 / t^2: on the unit circle, worst
-    of 20000 random phi in both directions, it is 1.05e-4 at t = 1.4e-6,
-    9.4e-5 at 1.5e-6, 1.8e-2 at 1e-7 and 100% at 1e-8.  Both kernels raise
-    TangencyError unless every t is at least MIN_CHORD_T = 1.5e-6, the
+    of 20000 random phi in both directions, it is 1.1e-4 at t = 1.4e-6,
+    9.9e-5 at 1.5e-6, 2.3e-2 at 1e-7 and about 100% at 1e-8.  Both kernels
+    raise TangencyError unless every t is at least MIN_CHORD_T = 1.5e-6, the
     smallest t that keeps that error within 1e-4.
 
-    Each radius call gets the (cos, sin) pair the step needs anyway.  The
-    bisections compute it without trig: every lane's bracket has width
-    pi / 2^k at bisection k, so the midpoint's pair is the lower end's (first
-    B / |B|, negated for direction -1) turned by a constant angle.  Its last
-    bits differ from cos(mid), sin(mid), which could flip a sign of g; on
-    3.16M random lanes (five curves, both directions, t from MIN_CHORD_T to
-    30) none did.  That is measured, not proven.
+    The step makes few, long array passes: about 460 on an ellipse with a
+    head.  B and each (cos, sin) pair e are complex lanes, and one product
+    conj(e) B gives (e . B) + i (e x B); with d = e . B - r, g is
+    r' (e x B) - r d and g' is (r'' - r)(e x B) - 2 r' d.  The bisections
+    take no trig call: every lane's bracket has width pi / 2^k at bisection
+    k, so only its lower end is kept, and the midpoint's pair is the lower
+    end's (first B / |B|, negated for direction -1) turned by a constant
+    angle in one complex product.  Its last bits differ from cos(mid),
+    sin(mid), which could flip a sign of g; on 3.15M random lanes (six
+    curves, both directions, t from MIN_CHORD_T to 30) none did.  That is
+    measured, not proven.
     """
     if not np.all(t >= MIN_CHORD_T):
         raise TangencyError(_near_boundary_message(np.min(t)))
@@ -392,44 +402,46 @@ def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
     bx = r * c + direction * t * (r1 * c - r * s)
     by = r * s + direction * t * (r1 * s + r * c)
     phi_b = np.arctan2(by, bx)
-    # phi_b - phi_m without a 2 pi wrap: psi - phi_m = psi - phi_b + direction * off
     off = np.arctan2(t * r, r + direction * t * r1)
-    rb = direction * np.hypot(bx, by)
-    cl, sl = bx / rb, by / rb     # (cos, sin) of lo, which is phi_b or phi_b - pi
-    if direction > 0:
-        lo, hi = phi_b.copy(), phi_b + np.pi
-        sign_lo = -1.0
-    else:
-        lo, hi = phi_b - np.pi, phi_b.copy()
-        sign_lo = 1.0
-    for ch, sh in _HALF_WIDTH_CS:
-        mid = 0.5 * (lo + hi)
-        cm, sm = cl * ch - sl * sh, sl * ch + cl * sh
-        r, r1, _ = curve.radius(mid, cs=(cm, sm))
-        g = (r1 * cm - r * sm) * (by - r * sm) - (r1 * sm + r * cm) * (bx - r * cm)
-        take_lo = g * sign_lo > 0.0
+    ref = phi_b - direction * off     # phi_m without a 2 pi wrap
+    b = np.empty(phi_b.shape, complex)
+    b.real, b.imag = bx, by
+    lo_side = np.less if direction > 0 else np.greater   # lo_side(g, 0): g as at lo
+    # conj(e) at the lower end, phi_b or phi_b - pi
+    e = b.conj() / (direction * np.hypot(bx, by))
+    lo = phi_b if direction > 0 else phi_b - np.pi
+    for half, turn in _HALF_TURNS:
+        mid = lo + half
+        em = e * turn
+        cm, sm = em.real.copy(), -em.imag
+        r, r1 = curve.radius(mid, cs=(cm, sm), second=False)
+        p = em * b
+        take_lo = lo_side(r1 * p.imag, r * (p.real - r))   # lo_side(g, 0)
+        e = np.where(take_lo, em, e)
         lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-        cl, sl = np.where(take_lo, cm, cl), np.where(take_lo, sm, sl)
+    hi = lo + math.pi / 2 ** N_BISECT
     psi = phi_b + direction * off
-    psi = np.where((lo < psi) & (psi < hi), psi, 0.5 * (lo + hi))
+    psi = np.where((lo < psi) & (psi < hi), psi, lo + math.pi / 2 ** (N_BISECT + 1))
+    e = np.empty_like(b)
     for _ in range(N_NEWTON):
         cm, sm = np.cos(psi), np.sin(psi)
         r, r1, r2 = curve.radius(psi, cs=(cm, sm))
-        gx, gy = r * cm, r * sm
-        tx, ty = r1 * cm - r * sm, r1 * sm + r * cm
-        g = tx * (by - gy) - ty * (bx - gx)
-        gp = ((r2 - r) * cm - 2.0 * r1 * sm) * (by - gy) - ((r2 - r) * sm + 2.0 * r1 * cm) * (bx - gx)
-        take_lo = g * sign_lo > 0.0
+        e.real = cm
+        np.negative(sm, out=e.imag)
+        p = e * b
+        d = p.real - r
+        g = r1 * p.imag - r * d
+        gp = (r2 - r) * p.imag - 2.0 * r1 * d
+        take_lo = lo_side(g, 0.0)
         lo = np.where(take_lo, psi, lo)
         hi = np.where(take_lo, hi, psi)
         # Newton on h = g / (psi - phi_m): h / h' = g / (g' - g / (psi - phi_m));
         # an exact root (g == 0, where g' may vanish too) stays put
-        den = gp - g / (psi - phi_b + direction * off)
+        den = gp - g / (psi - ref)
         psi = np.clip(psi - g / np.where(g == 0.0, 1.0, den), lo, hi)
     cm, sm = np.cos(psi), np.sin(psi)
     r, r1, r2 = curve.radius(psi, cs=(cm, sm))
-    t_new = np.hypot(bx - r * cm, by - r * sm) / np.hypot(r1 * cm - r * sm, r1 * sm + r * cm)
+    t_new = np.hypot(bx - r * cm, by - r * sm) / np.hypot(r1, r)
     return psi, t_new, (cm, sm, r, r1, r2)
 
 

@@ -37,7 +37,7 @@ ZERO_TOL = 1e-12          # |dq| below this times the running max counts as a ze
 RENORM_LIMIT = 1e100
 NO_TWIST = "the twist condition S12 < 0 fails"
 OVERFLOW = "the closed forms or the recurrence overflowed"
-# Most seeds per conjugate-scan chunk.  It caps a chunk's memory (about 1.8
+# Most seeds per conjugate-scan chunk.  It caps a chunk's memory (about 1.9
 # MiB of numpy temporaries at 4096 lanes) while leaving each of the 13 radius
 # evaluations per lane-step a long array pass; rows do not depend on it.
 SCAN_CHUNK = 4096
@@ -415,10 +415,9 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
         done = np.concatenate(results)
         found[np.flatnonzero(steppable)[:done.size]] = done
     reason = f"t below {MIN_CHORD_T:g}"
-    rows = [ConjugateScanRow(float(seed_phi[i]), float(seed_t[i]),
-                             int(found[i]) if found[i] >= 0 else None,
-                             None if steppable[i] else reason)
-            for i in range(n_seeds)]
+    rows = [ConjugateScanRow(phi, t, n if n >= 0 else None, None if ok else reason)
+            for phi, t, n, ok in zip(seed_phi.tolist(), seed_t.tolist(), found.tolist(),
+                                     steppable.tolist())]
     return ConjugateScanResult(rows=rows, complete=complete)
 
 

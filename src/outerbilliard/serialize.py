@@ -5,62 +5,52 @@ here pin the textual format instead, so identical runs produce identical
 bytes and every scalar carries full double precision.
 """
 
-import math
-
 INDENT = 2
+_PAD = " " * INDENT
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
     s = f"{x:.17g}"
-    # keep the token a valid JSON number
-    return s if any(c in s for c in ".eE") else s + ".0"
+    if "." in s or "e" in s:
+        return s
+    # keep the token a valid JSON number, or the token JSON readers take for it
+    return _NON_FINITE.get(s, s + ".0")
 
 
 def dumps(obj) -> str:
-    out = []
-    _write(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return _encode(obj, "\n") + "\n"
 
 
-def _write(obj, out, level):
-    pad = " " * (INDENT * (level + 1))
-    closing = " " * (INDENT * level)
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, dict):
+def _encode(obj, nl):
+    """obj as JSON text; nl is a newline plus the indentation of obj's line.
+    Dispatch is on the exact type, most frequent first; subclasses (numpy
+    floats among them) are written as their base type."""
+    kind = type(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is dict:
         if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(f'{pad}"{k}": ')
-            _write(v, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(closing + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad)
-            _write(v, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(closing + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+            return "{}"
+        inner = nl + _PAD
+        return ("{" + inner + ("," + inner).join([f'"{k}": {_encode(v, inner)}'
+                                                  for k, v in obj.items()]) + nl + "}")
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + _PAD
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in obj]) + nl + "]"
+    if kind is str:
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if kind is int:
+        return str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    for base in (str, int, float, dict, list, tuple):
+        if isinstance(obj, base):
+            return _encode(base(obj), nl)
+    raise TypeError(f"cannot serialize {kind.__name__}")

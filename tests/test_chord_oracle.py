@@ -107,10 +107,15 @@ CURVES = {
     "ellipse51": (ob.ellipse(5.0, 1.0), _ellipse(5.0, 1.0)),
 }
 
-# (curve, smallest t, budget on psi and on t_new / max(1, t))
+# the chord kernels are also held to a 10:1 ellipse, from t = 1e-3 on
+KERNEL_CURVES = dict(CURVES, ellipse101=(ob.ellipse(10.0, 1.0), _ellipse(10.0, 1.0)))
+
+# (curve, smallest t, budget on psi and on t_new / max(1, t)); on the 10:1
+# ellipse the measured worst on these samples is 1.2e-11, for the scalar step
+# and the point map, and 4.3e-12 for the batch step
 BUDGETS = [(name, 1e-2, 5e-13) for name in ("circle", "ellipse21", "wobbly")] \
     + [(name, 1e-3, 5e-12) for name in ("circle", "ellipse21", "wobbly")] \
-    + [("ellipse51", 1e-3, 1e-11)]
+    + [("ellipse51", 1e-3, 1e-11), ("ellipse101", 1e-3, 3e-11)]
 
 
 def _samples(t_min, seed, n=16, t_max=3.0):
@@ -124,7 +129,7 @@ def _samples(t_min, seed, n=16, t_max=3.0):
 @pytest.mark.parametrize("name,t_min,budget", BUDGETS)
 @pytest.mark.parametrize("direction", [1, -1])
 def test_chord_kernels_match_mpmath_root(name, t_min, budget, direction):
-    curve, rfun = CURVES[name]
+    curve, rfun = KERNEL_CURVES[name]
     phi, t = _samples(t_min, seed=len(name) + int(-math.log10(t_min)))
     batch_psi, batch_t, _ = dynamics.chord_step_batch(curve, phi, t, direction)
     orientation = dynamics.CCW if direction > 0 else dynamics.CW

@@ -336,16 +336,35 @@ def test_cli_import_loads_no_process_pool():
 ], ids=["conjugate_scan", "rigidity", "twist_scan_json", "twist_scan_csv", "simulate",
         "portrait"])
 def test_overflowing_arithmetic_exit_4(wobbly_file, tmp_path, argv, why):
-    # in a fresh interpreter, where numpy's overflow is a warning on stderr
-    # and not an error: the run must still fail, not report NaN or no hit
+    # in a fresh interpreter, where numpy's overflow would be a warning on
+    # stderr and not an error: the run must still fail, not report NaN or no
+    # hit, with its one error line as all of stderr and no output file
     src = str(Path(outerbilliard.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "outerbilliard.cli", "--curve", wobbly_file]
                           + argv + ["--out", str(tmp_path / "out")],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 4
-    last = proc.stderr.splitlines()[-1]
-    assert last.startswith("error: optimizer failure: ") and why in last, proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: optimizer failure: ") and why in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wobbly.json"]
+
+
+def test_out_file_is_replaced_only_when_the_command_returns(wobbly_file, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    out.write_text("kept\n")
+    assert run(["--curve", wobbly_file, "--cmd", "portrait", "--t-max", "1e160",
+                "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: optimizer failure: ") and err.count("\n") == 1
+    assert out.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "wobbly.json"]
+    argv = ["--curve", wobbly_file, "--cmd", "portrait", "--steps", "2", "--t-grid", "64"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "wobbly.json"]
 
 
 def test_grid_flag_validation(circle_file):

@@ -223,43 +223,51 @@ def test_chord_step_batch_head_reuse_is_bitwise(presets, fourier8):
 
 
 def _chord_step_batch_trig(curve, phi_m, t, direction):
-    """chord_step_batch with np.cos/np.sin at every bisection midpoint, as
-    it was before the bisections carried (cos, sin) by angle addition."""
+    """chord_step_batch with np.cos/np.sin at every bisection midpoint, where
+    the kernel turns (cos, sin) of the bracket's lower end by the half-width;
+    every other operation is the kernel's, complex products included."""
     c, s = np.cos(phi_m), np.sin(phi_m)
     r, r1, _ = curve.radius(phi_m, cs=(c, s))
     bx = r * c + direction * t * (r1 * c - r * s)
     by = r * s + direction * t * (r1 * s + r * c)
     phi_b = np.arctan2(by, bx)
     off = np.arctan2(t * r, r + direction * t * r1)
-    if direction > 0:
-        lo, hi, sign_lo = phi_b.copy(), phi_b + np.pi, -1.0
-    else:
-        lo, hi, sign_lo = phi_b - np.pi, phi_b.copy(), 1.0
-    for _ in range(dynamics.N_BISECT):
-        mid = 0.5 * (lo + hi)
+    ref = phi_b - direction * off
+    b = np.empty(phi_b.shape, complex)
+    b.real, b.imag = bx, by
+
+    def g_terms(cm, sm, r):
+        """(e x B, e . B - r) from the product conj(e) B, as the kernel forms it."""
+        e = np.empty_like(b)
+        e.real, e.imag = cm, -sm
+        p = e * b
+        return p.imag, p.real - r
+
+    lo = phi_b if direction > 0 else phi_b - np.pi
+    for k in range(dynamics.N_BISECT):
+        mid = lo + math.pi / 2 ** (k + 1)
         cm, sm = np.cos(mid), np.sin(mid)
         r, r1, _ = curve.radius(mid, cs=(cm, sm))
-        g = (r1 * cm - r * sm) * (by - r * sm) - (r1 * sm + r * cm) * (bx - r * cm)
-        take_lo = g * sign_lo > 0.0
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
+        cross, d = g_terms(cm, sm, r)
+        g = r1 * cross - r * d
+        lo = np.where(g < 0.0 if direction > 0 else g > 0.0, mid, lo)
+    hi = lo + math.pi / 2 ** dynamics.N_BISECT
     psi = phi_b + direction * off
-    psi = np.where((lo < psi) & (psi < hi), psi, 0.5 * (lo + hi))
+    psi = np.where((lo < psi) & (psi < hi), psi, lo + math.pi / 2 ** (dynamics.N_BISECT + 1))
     for _ in range(dynamics.N_NEWTON):
         cm, sm = np.cos(psi), np.sin(psi)
         r, r1, r2 = curve.radius(psi, cs=(cm, sm))
-        gx, gy = r * cm, r * sm
-        tx, ty = r1 * cm - r * sm, r1 * sm + r * cm
-        g = tx * (by - gy) - ty * (bx - gx)
-        gp = ((r2 - r) * cm - 2.0 * r1 * sm) * (by - gy) - ((r2 - r) * sm + 2.0 * r1 * cm) * (bx - gx)
-        take_lo = g * sign_lo > 0.0
+        cross, d = g_terms(cm, sm, r)
+        g = r1 * cross - r * d
+        gp = (r2 - r) * cross - 2.0 * r1 * d
+        take_lo = g < 0.0 if direction > 0 else g > 0.0
         lo = np.where(take_lo, psi, lo)
         hi = np.where(take_lo, hi, psi)
-        den = gp - g / (psi - phi_b + direction * off)
+        den = gp - g / (psi - ref)
         psi = np.clip(psi - g / np.where(g == 0.0, 1.0, den), lo, hi)
     cm, sm = np.cos(psi), np.sin(psi)
     r, r1, r2 = curve.radius(psi, cs=(cm, sm))
-    t_new = np.hypot(bx - r * cm, by - r * sm) / np.hypot(r1 * cm - r * sm, r1 * sm + r * cm)
+    t_new = np.hypot(bx - r * cm, by - r * sm) / np.hypot(r1, r)
     return psi, t_new, (cm, sm, r, r1, r2)
 
 
@@ -298,6 +306,34 @@ def test_chord_step_batch_trig_calls(monkeypatch, wobbly3):
         del calls[:]
         dynamics.chord_step_batch(wobbly3, phi, t, direction, head=head)
         assert len(calls) == dynamics.N_NEWTON + 1
+
+
+def test_chord_step_batch_radius_calls(monkeypatch, presets, fourier8):
+    # one radius call per bisection, per Newton iterate and for the final
+    # angle, plus one for the chord's foot without a head; the benchmark's
+    # per-step radius count reads the same schedule
+    phi = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    t = np.full_like(phi, 0.5)
+    calls = []
+    radius = ob.ConvexCurve.radius
+
+    def counted(curve, *args, **kwargs):
+        calls.append(kwargs.get("second", True))
+        return radius(curve, *args, **kwargs)
+
+    for curve in dict(presets, fourier8=fourier8).values():
+        head = (np.cos(phi), np.sin(phi)) + curve.radius(phi)
+        with monkeypatch.context() as m:
+            m.setattr(ob.ConvexCurve, "radius", counted)
+            for direction in (1, -1):
+                del calls[:]
+                dynamics.chord_step_batch(curve, phi, t, direction, head=head)
+                assert len(calls) == dynamics.N_BISECT + dynamics.N_NEWTON + 1 == 13
+                # the bisections read only r and r'
+                assert calls == [False] * dynamics.N_BISECT + [True] * (dynamics.N_NEWTON + 1)
+                del calls[:]
+                dynamics.chord_step_batch(curve, phi, t, direction)
+                assert len(calls) == 14
 
 
 def test_ellipse_orbit_is_an_exact_rotation_near_the_curve(ellipse21):

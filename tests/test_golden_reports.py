@@ -1,5 +1,5 @@
 """Golden outputs of rigidity, twist-scan, simulate and portrait, compared byte
-for byte.
+for byte, and the conjugate index of every seed of a small grid scan.
 
 Each golden is the CLI's output on one of four curves: the unit circle, the
 2:1 ellipse, 1 + 0.05 cos 3phi and the seeded 8-harmonic curve whose Santalo
@@ -19,6 +19,7 @@ import outerbilliard as ob
 from outerbilliard import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+SCAN_ROWS = GOLDEN / "scan_rows.json"
 
 CURVES = ["unit_circle", "ellipse21", "wobbly3", "fourier8"]
 
@@ -95,3 +96,16 @@ def test_moved_fields_names_each_changed_leaf():
     old_portrait = "seed,n,x\n1,0,1.0\n1,1,2.0\n2,0,3.0\n2,1,4.0\n"
     new_portrait = "seed,n,x\n1,0,1.0\n1,1,2.0\n2,0,3.0\n2,1,4.5\n"
     assert moved_fields(old_portrait, new_portrait, "csv") == ["seed=2.n=1.x"]
+
+
+@pytest.mark.parametrize("name", CURVES)
+def test_scan_rows_match_their_golden(request, name):
+    # each seed's conjugate index on a 16x16 grid up to n = 300, so a change
+    # in the chord-step kernel that moves any row shows here, not only in the
+    # counts that the reports carry
+    scan = ob.conjugate_grid_scan(request.getfixturevalue(name), phi_count=16, t_count=16,
+                                  n_max=300)
+    want = json.loads(SCAN_ROWS.read_text())[name]
+    got = [row.n_conjugate for row in scan.rows]
+    moved = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert len(got) == len(want) and not moved, f"rows that moved on {name}: {moved}"
