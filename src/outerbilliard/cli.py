@@ -13,8 +13,6 @@ import re
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import __version__, dynamics, generating, jacobi, rigidity, serialize, verify
 from .curves import load_curve
 from .errors import (ConvergenceError, InsideCurveError, InvalidCurveError,
@@ -131,20 +129,28 @@ def _echo(s: dict) -> dict:
 
 @contextlib.contextmanager
 def _output(path: Optional[str]):
-    """stdout, or a file beside path that replaces path once the command
-    returns; a command that raises leaves no file and path untouched."""
+    """stdout or path.  A new or regular file, through a symlink too, is written
+    beside itself and replaced, keeping its mode, once the command returns, so a
+    raise leaves it; a device, pipe or file in a read-only directory is written in place."""
     if path is None:
         yield sys.stdout
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    target, exists = os.path.realpath(path), os.path.exists(path)
+    if exists and not os.path.isfile(path) or not os.access(os.path.dirname(target), os.W_OK):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
     fh = open(tmp, "w", encoding="utf-8", newline="")
     try:
         with fh:
+            if exists:
+                os.chmod(tmp, os.stat(target).st_mode & 0o7777)
             yield fh
     except BaseException:
         os.remove(tmp)
         raise
-    os.replace(tmp, path)
+    os.replace(tmp, target)
 
 
 # -- commands -------------------------------------------------------------------
@@ -259,9 +265,7 @@ def main(argv=None) -> int:
         print(f"error: invalid curve: {exc}", file=sys.stderr)
         return EXIT_INVALID_CURVE
     try:
-        # a non-finite result ends the run with its one-line error below, so
-        # numpy's floating-point warnings would only repeat it on stderr
-        with np.errstate(all="ignore"), _output(args.out) as out:
+        with _output(args.out) as out:
             return COMMANDS[args.cmd](curve, s, out)
     except InvalidCurveError as exc:
         print(f"error: invalid curve: {exc}", file=sys.stderr)

@@ -76,8 +76,8 @@ class ConvexCurve:
 
     # -- radial function ---------------------------------------------------
 
-    def radius(self, phi, cs=None, second=True):
-        """Vectorized (r, r', r'') at angle(s) phi; (r, r') with second=False.
+    def radius(self, phi, cs=None):
+        """Vectorized (r, r', r'') at angle(s) phi.
 
         The ellipse and Fourier kinds cost one cos and one sin per lane, and
         _radial does the rest.  A caller that already holds the pair passes it
@@ -89,9 +89,9 @@ class ConvexCurve:
         if self.kind == CIRCLE:
             r = np.full_like(phi, self.radius_value)
             z = np.zeros_like(phi)
-            return (r, z, z) if second else (r, z)
+            return r, z, z
         c, s = (np.cos(phi), np.sin(phi)) if cs is None else cs
-        return self._radial(c, s, np.sqrt, second)
+        return self._radial(c, s, np.sqrt)
 
     def radius_scalar(self, phi: float):
         """Scalar (r, r', r'') on plain floats; hot path for orbit stepping.
@@ -104,9 +104,8 @@ class ConvexCurve:
             return self.radius_value, 0.0, 0.0
         return self._radial(math.cos(phi), math.sin(phi), math.sqrt)
 
-    def _radial(self, c, s, sqrt, second=True):
-        """(r, r', r'') of the ellipse or Fourier kind from (cos phi, sin phi);
-        (r, r') with second=False, the same bits without the r'' terms.
+    def _radial(self, c, s, sqrt):
+        """(r, r', r'') of the ellipse or Fourier kind from (cos phi, sin phi).
 
         Plain arithmetic only, so floats and numpy lanes round alike.  The
         ellipse works from cos^2, sin^2, 2 sin cos and cos^2 - sin^2; the
@@ -119,13 +118,10 @@ class ConvexCurve:
             cc, ss = c * c, s * s
             d = b2 * cc + a2 * ss
             dp = (a2 - b2) * (2.0 * s * c)
+            dpp = 2.0 * (a2 - b2) * (cc - ss)
             sq = sqrt(d)
             q = ab / (d * sq)              # ab d^-3/2
-            r, r1 = ab / sq, -0.5 * dp * q
-            if not second:
-                return r, r1
-            dpp = 2.0 * (a2 - b2) * (cc - ss)
-            return r, r1, 0.75 * dp * dp * q / d - 0.5 * dpp * q
+            return ab / sq, -0.5 * dp * q, 0.75 * dp * dp * q / d - 0.5 * dpp * q
         r1 = c - c                         # +0.0 in c's shape; r2 its own buffer
         r2 = c - c
         r = self.a0 + r1
@@ -138,9 +134,8 @@ class ConvexCurve:
             u = a * ck + b * sk
             r += u
             r1 += k * (b * ck - a * sk)
-            if second:
-                r2 -= (k * k) * u
-        return (r, r1, r2) if second else (r, r1)
+            r2 -= (k * k) * u
+        return r, r1, r2
 
     @cached_property
     def _harmonics(self):

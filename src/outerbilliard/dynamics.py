@@ -26,9 +26,9 @@ the image's own check, 3.4 on average at t = 1e-3 and 5.4-7.4 at t in
 The batch chord step (chord_step_batch, behind the conjugate grid scan)
 runs one fixed schedule instead, N_BISECT bisections and then N_NEWTON
 deflated Newton steps: 14 radius evaluations per step (13 when the caller
-passes back the radial data of the step before), the 8 bisection ones for
-r and r' only, no trig call in the bisections and about 460 array passes
-on an ellipse.  The two chord steps agree to round-off, not bitwise.
+passes back the radial data of the step before), no trig call in the
+bisections and about 520 array passes on an ellipse.  The two chord steps
+agree to round-off, not bitwise.
 """
 
 import math
@@ -48,11 +48,9 @@ STEP_TOL = 4e-16          # tangency Newton stops once its step is at round-off
 TANGENCY_MAX_EVALS = 100  # bisection alone reaches that floor in about 53
 N_BISECT = 8              # chord-step schedule: bisections of the half-turn bracket,
 N_NEWTON = 4              # then deflated Newton steps (see chord_step_batch)
-# the half-width pi / 2^(k+1) of the chord-step bracket at bisection k, and
-# exp(-i pi / 2^(k+1)), which turns conj(cos, sin) of an angle by it
-_HALF_TURNS = tuple((math.pi / 2 ** (k + 1), complex(math.cos(math.pi / 2 ** (k + 1)),
-                                                     -math.sin(math.pi / 2 ** (k + 1))))
-                    for k in range(N_BISECT))
+# (h, exp(-i h)), h = pi / 2^(k+1) the chord-step bracket's half-width at bisection k
+_HALF_TURNS = tuple((h, complex(math.cos(h), -math.sin(h)))
+                    for h in (math.pi / 2 ** (k + 1) for k in range(N_BISECT)))
 
 
 @dataclass(frozen=True)
@@ -359,7 +357,7 @@ def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
     for a circle, or from the bracket midpoint when that guess falls
     outside; each iterate narrows the sign bracket and is clipped to it.
     That is 1 + N_BISECT + N_NEWTON + 1 = 14 radius calls per step, 13 with
-    a head; the bisections ask for r and r' only.
+    a head.
 
     The schedule is fixed rather than convergence-driven, so every lane runs
     the same float operations whatever the other lanes hold: results are
@@ -381,7 +379,7 @@ def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
     raise TangencyError unless every t is at least MIN_CHORD_T = 1.5e-6, the
     smallest t that keeps that error within 1e-4.
 
-    The step makes few, long array passes: about 460 on an ellipse with a
+    The step makes few, long array passes: about 520 on an ellipse with a
     head.  B and each (cos, sin) pair e are complex lanes, and one product
     conj(e) B gives (e . B) + i (e x B); with d = e . B - r, g is
     r' (e x B) - r d and g' is (r'' - r)(e x B) - 2 r' d.  The bisections
@@ -407,14 +405,13 @@ def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
     b = np.empty(phi_b.shape, complex)
     b.real, b.imag = bx, by
     lo_side = np.less if direction > 0 else np.greater   # lo_side(g, 0): g as at lo
-    # conj(e) at the lower end, phi_b or phi_b - pi
-    e = b.conj() / (direction * np.hypot(bx, by))
+    e = b.conj() / (direction * np.hypot(bx, by))   # conj(e) at lo: phi_b or phi_b - pi
     lo = phi_b if direction > 0 else phi_b - np.pi
     for half, turn in _HALF_TURNS:
         mid = lo + half
         em = e * turn
         cm, sm = em.real.copy(), -em.imag
-        r, r1 = curve.radius(mid, cs=(cm, sm), second=False)
+        r, r1, _ = curve.radius(mid, cs=(cm, sm))
         p = em * b
         take_lo = lo_side(r1 * p.imag, r * (p.real - r))   # lo_side(g, 0)
         e = np.where(take_lo, em, e)

@@ -237,7 +237,8 @@ def derivative_table(curve: ConvexCurve, phi_grid: int, t_grid: int, t_max: floa
     pm = np.repeat(phis, t_grid)
     tm = np.tile(ts, phi_grid)
     radial = tuple(np.repeat(v, t_grid) for v in curve.radius(phis))
-    d = _sderiv_arrays(curve, pm, tm, radial)
+    with np.errstate(all="ignore"):      # a non-finite result is checked below
+        d = _sderiv_arrays(curve, pm, tm, radial)
     if not np.isfinite(d["S12"]).all():
         raise ConvergenceError(f"S12 is not finite on the grid at t_max={t_max!r}: "
                                "the derivatives overflowed")

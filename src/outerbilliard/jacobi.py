@@ -316,7 +316,8 @@ def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
     """
     c, s = np.cos(seed_phi), np.sin(seed_phi)
     radial = (c, s) + curve.radius(seed_phi, cs=(c, s))
-    d = s_closed_forms(*radial[2:], seed_t)
+    with np.errstate(all="ignore"):      # an overflow reaches dq, checked at chord 1
+        d = s_closed_forms(*radial[2:], seed_t)
     live = np.arange(seed_phi.size)           # seed index of each running lane
     b_prev, s22_prev = d["S12"], d["S22"]
     _check_lanes(b_prev != 0.0, 0, seed_phi, seed_t, live, "S12 = 0", NO_TWIST)
@@ -327,10 +328,11 @@ def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
     phi_m, t = seed_phi, seed_t
     for n in range(1, n_max):
         phi_m, t, radial = chord_step_batch(curve, phi_m, t, 1, head=radial)
-        d = s_closed_forms(*radial[2:], t)
+        with np.errstate(all="ignore"):  # a non-finite dq_next is checked below
+            d = s_closed_forms(*radial[2:], t)
+            dq_next = _jacobi_next(s22_prev + d["S11"], b_prev, d["S12"], dq, dq_prev)
         b = d["S12"]
         _check_lanes(b != 0.0, n, seed_phi, seed_t, live, "S12 = 0", NO_TWIST)
-        dq_next = _jacobi_next(s22_prev + d["S11"], b_prev, b, dq, dq_prev)
         _check_lanes(np.isfinite(dq_next), n, seed_phi, seed_t, live, "non-finite Jacobi field",
                      OVERFLOW)
         hit = (dq_next < 0.0) | (np.abs(dq_next) <= ZERO_TOL * runmax)

@@ -171,8 +171,9 @@ def i_numeric(r, rp, rpp, t_max: float = 50.0) -> INumericResult:
         return (periodic_trapezoid(inner + tail1 + tail23),
                 periodic_trapezoid(mass + np.abs(tail1) + np.abs(tail23)))
 
-    value, mass = pass_at((r, rp, rpp), I_T_NODES)
-    coarse, _ = pass_at((r[::2], rp[::2], rpp[::2]), max(6, I_T_NODES // 2))
+    with np.errstate(all="ignore"):      # a non-finite result is checked below
+        value, mass = pass_at((r, rp, rpp), I_T_NODES)
+        coarse, _ = pass_at((r[::2], rp[::2], rpp[::2]), max(6, I_T_NODES // 2))
     err = 4.0 * abs(value - coarse) + 1e-14 * (mass + 1.0)
     if not (math.isfinite(value) and math.isfinite(err)):
         raise ConvergenceError(f"i_numeric is {value!r} with error estimate {err!r} at "

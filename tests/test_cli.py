@@ -2,10 +2,12 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import outerbilliard
@@ -365,6 +367,45 @@ def test_out_file_is_replaced_only_when_the_command_returns(wobbly_file, tmp_pat
     assert run(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == printed.encode()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "wobbly.json"]
+
+
+def test_out_through_a_symlink_keeps_the_link_and_the_mode(wobbly_file, tmp_path, capsys):
+    argv = ["--curve", wobbly_file, "--cmd", "portrait", "--steps", "2", "--t-grid", "64"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    assert run(argv + ["--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == printed.encode()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv", "wobbly.json"]
+
+
+def test_out_to_a_device_writes_in_place(wobbly_file):
+    # a device (or pipe) cannot be replaced by a file beside it; it is written through
+    before = os.stat(os.devnull)
+    argv = ["--curve", wobbly_file, "--cmd", "portrait", "--steps", "2", "--t-grid", "64"]
+    assert run(argv + ["--out", os.devnull]) == 0
+    after = os.stat(os.devnull)
+    assert stat.S_ISCHR(after.st_mode) and after.st_rdev == before.st_rdev
+
+
+def test_out_to_a_directory_fails_before_the_command_runs(wobbly_file, tmp_path, monkeypatch):
+    monkeypatch.setitem(cli.COMMANDS, "portrait", lambda *a: pytest.fail("command ran"))
+    with pytest.raises(IsADirectoryError):
+        run(["--curve", wobbly_file, "--cmd", "portrait", "--out", str(tmp_path)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wobbly.json"]
+
+
+def test_commands_run_under_the_callers_numpy_error_state(circle_file, monkeypatch):
+    # numpy's floating-point warnings stay on inside a command (tier-1 turns
+    # them into errors); only the scans whose results are checked silence them
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "verify", lambda *a: seen.append(np.geterr()) or 0)
+    assert run(["--curve", circle_file, "--cmd", "verify"]) == 0
+    assert seen == [np.geterr()]
 
 
 def test_grid_flag_validation(circle_file):

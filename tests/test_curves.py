@@ -366,16 +366,3 @@ def test_radius_scalar_is_radius_on_math_trig_bitwise(presets, fourier8, fourier
         for j, want in enumerate(vector):
             got = np.array([t[j] for t in scalar], dtype=float)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, j)
-
-
-def test_radius_without_second_derivative_is_bitwise(presets, fourier8):
-    # second=False drops the r'' terms and changes no bit of r and r'
-    curves = dict(presets, fourier8=fourier8, ellipse51=ob.ellipse(5.0, 1.0),
-                  a0_only=ob.fourier(1.3))
-    phi = np.random.default_rng(31).uniform(-TWO_PI, 2 * TWO_PI, 1024)
-    for name, curve in curves.items():
-        full = curve.radius(phi)
-        part = curve.radius(phi, second=False)
-        assert len(part) == 2, name
-        for got, want in zip(part, full):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
