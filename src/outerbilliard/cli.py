@@ -127,30 +127,41 @@ def _echo(s: dict) -> dict:
     return {key: s[key] for key in ECHOED if key in s}
 
 
+class _OutputError(Exception):
+    """--out names nothing a report can be written to."""
+
+
 @contextlib.contextmanager
 def _output(path: Optional[str]):
     """stdout or path.  A new or regular file, through a symlink too, is written
     beside itself and replaced, keeping its mode, once the command returns, so a
-    raise leaves it; a device, pipe or file in a read-only directory is written in place."""
+    raise leaves it; a device, pipe or file in a read-only directory is written in
+    place.  A path that cannot be opened, a directory too, raises _OutputError."""
     if path is None:
         yield sys.stdout
         return
-    target, exists = os.path.realpath(path), os.path.exists(path)
-    if exists and not os.path.isfile(path) or not os.access(os.path.dirname(target), os.W_OK):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    target = os.path.realpath(path)     # "" is the working directory
+    exists = os.path.exists(target)
+    in_place = exists and not os.path.isfile(target) or not os.access(os.path.dirname(target),
+                                                                       os.W_OK)
+    tmp = path if in_place else f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _OutputError(f"cannot write --out {path!r}: {exc.strerror}") from exc
+    if in_place:
+        with fh:
             yield fh
         return
-    tmp = f"{target}.{os.getpid()}.tmp"
-    fh = open(tmp, "w", encoding="utf-8", newline="")
     try:
         with fh:
             if exists:
                 os.chmod(tmp, os.stat(target).st_mode & 0o7777)
             yield fh
+        os.replace(tmp, target)
     except BaseException:
         os.remove(tmp)
         raise
-    os.replace(tmp, target)
 
 
 # -- commands -------------------------------------------------------------------
@@ -269,6 +280,9 @@ def main(argv=None) -> int:
             return COMMANDS[args.cmd](curve, s, out)
     except InvalidCurveError as exc:
         print(f"error: invalid curve: {exc}", file=sys.stderr)
+        return EXIT_INVALID_CURVE
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CURVE
     except (TangencyError, InsideCurveError) as exc:
         step = getattr(exc, "step", None)

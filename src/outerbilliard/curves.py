@@ -24,6 +24,7 @@ FOURIER = "fourier"
 VALIDATION_GRID = 4096
 CHI_MIN_DEFAULT = 1e-6
 RAY_RESIDUAL_MAX = 1e-11    # radial_about's relative ray/boundary residual
+CENTROID_GRID = 2048        # trapezoid angles of area_centroid
 
 
 @dataclass(frozen=True)
@@ -395,9 +396,9 @@ def curve_to_dict(curve: ConvexCurve) -> dict:
     return out
 
 
-def area_centroid(curve: ConvexCurve, grid: int = 2048):
+def area_centroid(curve: ConvexCurve):
     """Centroid of the enclosed region (the Santalo point search starts here)."""
-    phi = uniform_angles(grid)
+    phi = uniform_angles(CENTROID_GRID)
     r, _, _ = curve.radius(phi)
     area = 0.5 * periodic_trapezoid(r * r)
     cx = periodic_trapezoid(r ** 3 * np.cos(phi)) / 3.0

@@ -24,11 +24,11 @@ from it skips the check: a map step costs the solve plus one evaluation for
 the image's own check, 3.4 on average at t = 1e-3 and 5.4-7.4 at t in
 [0.1, 3] on the presets.
 The batch chord step (chord_step_batch, behind the conjugate grid scan)
-runs one fixed schedule instead, N_BISECT bisections and then N_NEWTON
-deflated Newton steps: 14 radius evaluations per step (13 when the caller
-passes back the radial data of the step before), no trig call in the
-bisections and about 520 array passes on an ellipse.  The two chord steps
-agree to round-off, not bitwise.
+steps forward only and runs one fixed schedule instead, N_BISECT
+bisections and then N_NEWTON deflated Newton steps: 13 radius evaluations
+per step, no trig call in the bisections and about 520 array passes on an
+ellipse.  Both chord steps take the radial data at the chord's own
+tangency angle from the caller, and agree to round-off, not bitwise.
 """
 
 import math
@@ -315,109 +315,98 @@ def _near_boundary_message(t) -> str:
             "rounding of the curve")
 
 
-def chord_step_scalar(curve: ConvexCurve, phi_m: float, t: float, direction: int = 1,
-                      head=None):
+def chord_step_scalar(curve: ConvexCurve, phi_m: float, t: float, direction: int, head):
     """Next (+1) or previous (-1) chord of the orbit, on plain floats.
 
-    The point map's tangency solve (_tangency_root) from the chord's head
+    ``head`` is (r, r', r'') at phi_m, which the caller holds.  The point
+    map's tangency solve (_tangency_root) from the chord's head
     B = gamma(phi_m) + direction t gamma'(phi_m): it stops once converged,
-    about 4-9 radius_scalar calls per step on the presets, counting the one
-    for the head.  A caller stepping on passes (r, r', r'') at phi_m as
-    ``head=`` and saves that call, with a bitwise equal result.  The batch
-    kernel runs its own fixed schedule, so the two agree to round-off, not
-    bitwise (see chord_step_batch); t below MIN_CHORD_T is refused by both.
+    about 3-8 radius_scalar calls per step on the presets.  The batch kernel
+    runs its own fixed schedule, so the two agree to round-off, not bitwise
+    (see chord_step_batch); t below MIN_CHORD_T is refused by both.
     """
     if not t >= MIN_CHORD_T:
         raise TangencyError(_near_boundary_message(t))
-    r, r1, _ = curve.radius_scalar(phi_m) if head is None else head
+    r, r1, _ = head
     c, s = math.cos(phi_m), math.sin(phi_m)
     bx = r * c + direction * t * (r1 * c - r * s)
     by = r * s + direction * t * (r1 * s + r * c)
     return _tangency_root(curve, bx, by, direction)[:2]
 
 
-def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
-                     direction: int = 1, head=None):
-    """Next (+1) or previous (-1) chords of many orbits at once.
+def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray, head):
+    """Next chords of many orbits at once.
 
-    Returns (psi, t_new, radial), where radial = (cos, sin, r, r', r'') at
-    psi from the kernel's last evaluation.  A caller stepping on passes that
-    tuple back as ``head=`` (the same data at phi_m, not the head point B
-    below), and the step skips its first trig pair and radius call: 13
-    radius calls instead of 14.  Since radius(phi, cs=...) is bitwise equal
-    to radius(phi), the result is the same with or without it.
+    ``head`` is (cos, sin, r, r', r'') at phi_m.  Returns (psi, t_new,
+    radial), where radial is that tuple at psi from the kernel's last
+    evaluation, ready to head the next step.
 
-    From the chord's head B the wanted tangency is the sign change of
-    g(psi) = cross(gamma'(psi), B - gamma(psi)) in the half-turn after
-    phi_b = arg B (before it for direction -1).  N_BISECT bisections narrow
-    that bracket.  N_NEWTON Newton steps follow on the deflated function
+    From the chord's head B = gamma(phi_m) + t gamma'(phi_m) the wanted
+    tangency is the sign change of g(psi) = cross(gamma'(psi), B - gamma(psi))
+    in the half-turn after phi_b = arg B.  N_BISECT bisections narrow that
+    bracket.  N_NEWTON Newton steps follow on the deflated function
     g / (psi - phi_m): g also vanishes at the incoming tangency phi_m, just
     outside the bracket, which makes the wanted root nearly double at small
     t.  Newton starts from the circle guess phi_b + (phi_b - phi_m), exact
     for a circle, or from the bracket midpoint when that guess falls
     outside; each iterate narrows the sign bracket and is clipped to it.
-    That is 1 + N_BISECT + N_NEWTON + 1 = 14 radius calls per step, 13 with
-    a head.
+    That is N_BISECT + N_NEWTON + 1 = 13 radius calls per step.
 
     The schedule is fixed rather than convergence-driven, so every lane runs
     the same float operations whatever the other lanes hold: results are
     bitwise independent of batch composition, chunking and worker count.
     chord_step_scalar stops once converged instead, so the two agree to
     round-off, not bitwise: measured worst |difference| in psi and t_new
-    (6000 lanes each, both directions) for t log-uniform in [1e-3, 3] is
-    1.2e-13 on the circle, 3.2e-13 on 1 + 0.05 cos 3phi, 1.1e-12 on the 2:1,
-    1.1e-11 on the 5:1 and 3.2e-11 on the 10:1 ellipse; for t in [0.1, 2.5]
-    it is at most 8.9e-14 on these curves but the 10:1 ellipse (7.7e-13).
+    (6000 lanes each) for t log-uniform in [1e-3, 3] is 1.2e-13 on the
+    circle, 3.2e-13 on 1 + 0.05 cos 3phi, 1.1e-12 on the 2:1, 1.1e-11 on the
+    5:1 and 3.2e-11 on the 10:1 ellipse; for t in [0.1, 2.5] it is at most
+    8.9e-14 on these curves but the 10:1 ellipse (7.7e-13).
     8 + 4 is the shortest schedule that reaches the round-off floor of the
     chord chart: on 5:1 and 10:1 ellipses with t in [1e-3, 3], 6 + 3 left
     errors up to 7e-4 rad and 8 + 3 up to 5e-8 rad.
 
     Near the curve the head B lies within |B|^2 - r^2 = O(t^2) of it, so the
     relative error of t_new grows like 1e-16 / t^2: on the unit circle, worst
-    of 20000 random phi in both directions, it is 1.1e-4 at t = 1.4e-6,
-    9.9e-5 at 1.5e-6, 2.3e-2 at 1e-7 and about 100% at 1e-8.  Both kernels
-    raise TangencyError unless every t is at least MIN_CHORD_T = 1.5e-6, the
-    smallest t that keeps that error within 1e-4.
+    of 20000 random phi, it is 1.1e-4 at t = 1.4e-6, 9.9e-5 at 1.5e-6,
+    2.3e-2 at 1e-7 and about 100% at 1e-8.  Both kernels raise TangencyError
+    unless every t is at least MIN_CHORD_T = 1.5e-6, the smallest t that
+    keeps that error within 1e-4.
 
-    The step makes few, long array passes: about 520 on an ellipse with a
-    head.  B and each (cos, sin) pair e are complex lanes, and one product
-    conj(e) B gives (e . B) + i (e x B); with d = e . B - r, g is
-    r' (e x B) - r d and g' is (r'' - r)(e x B) - 2 r' d.  The bisections
-    take no trig call: every lane's bracket has width pi / 2^k at bisection
-    k, so only its lower end is kept, and the midpoint's pair is the lower
-    end's (first B / |B|, negated for direction -1) turned by a constant
-    angle in one complex product.  Its last bits differ from cos(mid),
-    sin(mid), which could flip a sign of g; on 3.15M random lanes (six
-    curves, both directions, t from MIN_CHORD_T to 30) none did.  That is
-    measured, not proven.
+    The step makes few, long array passes: about 520 on an ellipse.  B and
+    each (cos, sin) pair e are complex lanes, and one product conj(e) B gives
+    (e . B) + i (e x B); with d = e . B - r, g is r' (e x B) - r d and g' is
+    (r'' - r)(e x B) - 2 r' d.  The bisections take no trig call: every
+    lane's bracket has width pi / 2^k at bisection k, so only its lower end
+    is kept, and the midpoint's pair is the lower end's (first B / |B|)
+    turned by a constant angle in one complex product.  Its last bits differ
+    from cos(mid), sin(mid), which could flip a sign of g; on 3.15M random
+    lanes (six curves, t from MIN_CHORD_T to 30) none did.  That is
+    measured, not proven.  The figures here were taken over forward and
+    backward steps, when this kernel made both.
     """
     if not np.all(t >= MIN_CHORD_T):
         raise TangencyError(_near_boundary_message(np.min(t)))
-    if head is None:
-        c, s = np.cos(phi_m), np.sin(phi_m)
-        head = (c, s) + curve.radius(phi_m, cs=(c, s))
     c, s, r, r1, _ = head
-    bx = r * c + direction * t * (r1 * c - r * s)
-    by = r * s + direction * t * (r1 * s + r * c)
+    bx = r * c + t * (r1 * c - r * s)
+    by = r * s + t * (r1 * s + r * c)
     phi_b = np.arctan2(by, bx)
-    off = np.arctan2(t * r, r + direction * t * r1)
-    ref = phi_b - direction * off     # phi_m without a 2 pi wrap
+    off = np.arctan2(t * r, r + t * r1)
+    ref = phi_b - off     # phi_m without a 2 pi wrap
     b = np.empty(phi_b.shape, complex)
     b.real, b.imag = bx, by
-    lo_side = np.less if direction > 0 else np.greater   # lo_side(g, 0): g as at lo
-    e = b.conj() / (direction * np.hypot(bx, by))   # conj(e) at lo: phi_b or phi_b - pi
-    lo = phi_b if direction > 0 else phi_b - np.pi
+    e = b.conj() / np.hypot(bx, by)   # conj(e) at lo = phi_b
+    lo = phi_b
     for half, turn in _HALF_TURNS:
         mid = lo + half
         em = e * turn
         cm, sm = em.real.copy(), -em.imag
         r, r1, _ = curve.radius(mid, cs=(cm, sm))
         p = em * b
-        take_lo = lo_side(r1 * p.imag, r * (p.real - r))   # lo_side(g, 0)
+        take_lo = r1 * p.imag < r * (p.real - r)   # g < 0, as at lo
         e = np.where(take_lo, em, e)
         lo = np.where(take_lo, mid, lo)
     hi = lo + math.pi / 2 ** N_BISECT
-    psi = phi_b + direction * off
+    psi = phi_b + off
     psi = np.where((lo < psi) & (psi < hi), psi, lo + math.pi / 2 ** (N_BISECT + 1))
     e = np.empty_like(b)
     for _ in range(N_NEWTON):
@@ -429,7 +418,7 @@ def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray,
         d = p.real - r
         g = r1 * p.imag - r * d
         gp = (r2 - r) * p.imag - 2.0 * r1 * d
-        take_lo = lo_side(g, 0.0)
+        take_lo = g < 0.0
         lo = np.where(take_lo, psi, lo)
         hi = np.where(take_lo, hi, psi)
         # Newton on h = g / (psi - phi_m): h / h' = g / (g' - g / (psi - phi_m));

@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import ConvexCurve, chi
 from .errors import ConvergenceError, InsideCurveError
-from .quadrature import uniform_angles
+from .quadrature import chord_grid
 
 CSV_CHUNK = 1024          # derivative-table rows formatted per batch
 CHART_TOL = 1e-12         # chart inversion: worst angle residual accepted
@@ -232,11 +232,8 @@ def derivative_table(curve: ConvexCurve, phi_grid: int, t_grid: int, t_max: floa
     """
     if not 0.0 < t_max < np.inf:           # a NaN fails too
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
-    phis = uniform_angles(phi_grid)
-    ts = t_max * np.arange(1, t_grid + 1) / t_grid
-    pm = np.repeat(phis, t_grid)
-    tm = np.tile(ts, phi_grid)
-    radial = tuple(np.repeat(v, t_grid) for v in curve.radius(phis))
+    pm, tm = chord_grid(phi_grid, t_grid, t_max)
+    radial = tuple(np.repeat(v, t_grid) for v in curve.radius(pm[::t_grid]))
     with np.errstate(all="ignore"):      # a non-finite result is checked below
         d = _sderiv_arrays(curve, pm, tm, radial)
     if not np.isfinite(d["S12"]).all():

@@ -28,7 +28,7 @@ from .errors import ConvergenceError, TangencyError
 # jacobi.sderiv_scalar by name
 from .generating import _sderiv_arrays, s_closed_forms  # noqa: F401
 from .generating import s_derivatives as sderiv_scalar  # noqa: F401
-from .quadrature import uniform_angles
+from .quadrature import chord_grid
 
 HOPF_START = 8
 HOPF_CAP = 2 ** 14
@@ -125,44 +125,40 @@ class OmegaSample:
     message: str = ""
 
 
+def _record(curve: ConvexCurve, phi_m: float, t: float):
+    """The record (phi, t, (r, r', r''), closed forms) of the chord (phi, t): its
+    one radius_scalar call feeds its closed forms and heads the steps from it."""
+    radial = curve.radius_scalar(phi_m)
+    return phi_m, t, radial, s_closed_forms(*radial, t)
+
+
+def _step_record(curve: ConvexCurve, record, direction: int):
+    """The record of the next (+1) or previous (-1) chord."""
+    phi_m, t, radial, _ = record
+    return _record(curve, *chord_step_scalar(curve, phi_m, t, direction, radial))
+
+
 class _ChordLine:
-    """Lazy doubly-infinite chord sequence with cached radial and closed-form
-    data: one radius_scalar call per chord, which also heads the steps from it."""
+    """Lazy doubly-infinite sequence of chord records (see _record)."""
 
     def __init__(self, curve: ConvexCurve, seed: PhasePoint):
         self.curve = curve
-        self._fwd = [chord_of(curve, seed)]     # chords 0, 1, 2, ...
-        self._back = []                          # chords -1, -2, ...
-        self._radial = {}
-        self._data = {}
+        self._fwd = [_record(curve, *chord_of(curve, seed))]    # chords 0, 1, 2, ...
+        self._back = []                                          # chords -1, -2, ...
 
-    def chord(self, k: int):
+    def record(self, k: int):
         while k >= len(self._fwd):
-            last = len(self._fwd) - 1
-            self._fwd.append(chord_step_scalar(self.curve, *self._fwd[last], 1,
-                                               head=self.radial(last)))
+            self._fwd.append(_step_record(self.curve, self._fwd[-1], 1))
         while k < -len(self._back):
-            last = -len(self._back)
-            self._back.append(chord_step_scalar(self.curve, *self.chord(last), -1,
-                                                head=self.radial(last)))
+            last = self._back[-1] if self._back else self._fwd[0]
+            self._back.append(_step_record(self.curve, last, -1))
         return self._fwd[k] if k >= 0 else self._back[-k - 1]
 
-    def radial(self, k: int):
-        """(r, r', r'') at chord k's tangency angle."""
-        if k not in self._radial:
-            self._radial[k] = self.curve.radius_scalar(self.chord(k)[0])
-        return self._radial[k]
-
-    def data(self, k: int):
-        if k not in self._data:
-            self._data[k] = s_closed_forms(*self.radial(k), self.chord(k)[1])
-        return self._data[k]
-
     def a_of(self, n: int) -> float:
-        return self.data(n - 1)["S22"] + self.data(n)["S11"]
+        return self.record(n - 1)[3]["S22"] + self.record(n)[3]["S11"]
 
     def b_of(self, n: int) -> float:
-        return _nonzero_s12(self.data(n)["S12"], n)
+        return _nonzero_s12(self.record(n)[3]["S12"], n)
 
 
 def build_window(curve: ConvexCurve, seed: PhasePoint, m_back: int, n_fwd: int) -> OrbitWindow:
@@ -174,15 +170,13 @@ def build_window(curve: ConvexCurve, seed: PhasePoint, m_back: int, n_fwd: int) 
     if m_back < 0 or n_fwd < 0:
         raise ValueError("window extents must be non-negative")
     line = _ChordLine(curve, seed)
-    ks = range(-m_back - 1, n_fwd + 1)                  # chord_k, k = M-1 .. N
-    chords = [line.chord(k) for k in ks]
-    cphi = np.array([c[0] for c in chords])
-    ct = np.array([c[1] for c in chords])
-    s11, s12, s22 = (np.array([line.data(k)[name] for k in ks])
+    records = [line.record(k) for k in range(-m_back - 1, n_fwd + 1)]   # chord_k, k = M-1 .. N
+    cphi, ct = (np.array([rec[i] for rec in records]) for i in (0, 1))
+    s11, s12, s22 = (np.array([rec[3][name] for rec in records])
                      for name in ("S11", "S12", "S22"))
 
-    gaps = [_gap(*line.radial(k)[:2], line.chord(k)[1]) for k in ks]
-    q = np.empty(len(chords) + 1)
+    gaps = [_gap(*radial[:2], t) for _, t, radial, _ in records]
+    q = np.empty(len(records) + 1)
     q[0] = seed.phi - sum(gaps[:m_back + 1])
     for i, gap in enumerate(gaps):
         q[i + 1] = q[i] + gap
@@ -249,19 +243,17 @@ def radial_conjugate_scan(curve: ConvexCurve, seed: PhasePoint, n_max: int) -> O
 
     Starts (dp, dq) = (1, 0) at the seed, so dq_1 = -1/b_0 > 0, and watches
     for the first sign change or vanishing of dq_n, n <= n_max; a non-finite
-    dq_n raises ConvergenceError.  One radius_scalar call per chord feeds its
-    closed forms and heads the next step.
+    dq_n raises ConvergenceError.  Each chord's record (see _record) is
+    dropped once the next one is made.
     """
-    phi_m, t = chord_of(curve, seed)
-    radial = curve.radius_scalar(phi_m)
-    d = s_closed_forms(*radial, t)
+    record = _record(curve, *chord_of(curve, seed))
+    d = record[3]
     b_prev, s22_prev = _nonzero_s12(d["S12"], 0), d["S22"]
     dq_prev, dq = 0.0, -1.0 / b_prev
     runmax = abs(dq)
     for n in range(1, n_max):
-        phi_m, t = chord_step_scalar(curve, phi_m, t, 1, head=radial)
-        radial = curve.radius_scalar(phi_m)
-        d = s_closed_forms(*radial, t)
+        record = _step_record(curve, record, 1)
+        d = record[3]
         dq_next = _jacobi_next(s22_prev + d["S11"], b_prev, _nonzero_s12(d["S12"], n), dq, dq_prev)
         if not math.isfinite(dq_next):
             raise ConvergenceError(f"non-finite Jacobi field at chord {n} of the seed (x, y) = "
@@ -327,7 +319,7 @@ def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
     found = np.full(seed_phi.shape, -1, dtype=np.int64)
     phi_m, t = seed_phi, seed_t
     for n in range(1, n_max):
-        phi_m, t, radial = chord_step_batch(curve, phi_m, t, 1, head=radial)
+        phi_m, t, radial = chord_step_batch(curve, phi_m, t, radial)
         with np.errstate(all="ignore"):  # a non-finite dq_next is checked below
             d = s_closed_forms(*radial[2:], t)
             dq_next = _jacobi_next(s22_prev + d["S11"], b_prev, d["S12"], dq, dq_prev)
@@ -366,23 +358,19 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
                         stop_at_first: bool = False) -> ConjugateScanResult:
     """Radial conjugate scan over a (phi, t) grid of seed chords.
 
-    Seeds are the tails M0 of the chords (phi_i, t_j), phi uniform on
-    [0, 2pi), t_j = t_max (j+1)/t_count.  Seeds with t below MIN_CHORD_T
-    cannot be stepped: their rows carry an ``unscanned`` reason and
-    ``complete`` goes False, unless no seed at all can be stepped, which
-    raises TangencyError.  The other seeds are cut, in grid order, into
-    chunks of SCAN_CHUNK seeds, which run in up to min(workers, chunks,
-    cores) processes, or in this process when that is one; so a grid of at
-    most SCAN_CHUNK seeds, such as 64x64, never starts a pool.  Each
-    lane-step costs 13 radius evaluations (see _scan_batch).
+    Seeds are the tails M0 of the chords of chord_grid, in its row order.
+    Seeds with t below MIN_CHORD_T cannot be stepped: their rows carry an
+    ``unscanned`` reason and ``complete`` goes False, unless no seed at all
+    can be stepped, which raises TangencyError.  The other seeds are cut, in
+    grid order, into chunks of SCAN_CHUNK seeds, which run in up to
+    min(workers, chunks, cores) processes, or in this process when that is
+    one; so a grid of at most SCAN_CHUNK seeds, such as 64x64, never starts
+    a pool.  Each lane-step costs 13 radius evaluations (see _scan_batch).
     Every kernel is elementwise, so a seed's result is the same for any
     chunk size and worker count.  With stop_at_first the chunks run serially
     and the scan stops at the first chunk containing a hit.
     """
-    phis = uniform_angles(phi_count)
-    ts = t_max * np.arange(1, t_count + 1) / t_count
-    seed_phi = np.repeat(phis, t_count)
-    seed_t = np.tile(ts, phi_count)
+    seed_phi, seed_t = chord_grid(phi_count, t_count, t_max)
     n_seeds = seed_phi.size
     steppable = seed_t >= MIN_CHORD_T          # False for NaN too
     if n_seeds and not steppable.any():
@@ -465,9 +453,8 @@ def hopf_omega(curve: ConvexCurve, seed: PhasePoint) -> OmegaSample:
     closed-form coefficients of adjacent chords are mutually consistent.
     """
     line = _ChordLine(curve, seed)
-    d0 = line.data(0)
-    s11_0, s22_0, s12_0 = d0["S11"], d0["S22"], d0["S12"]
-    s22_prev = line.data(-1)["S22"]
+    d0, d_prev = line.record(0)[3], line.record(-1)[3]
+    s11_0, s22_0, s12_0, s22_prev = d0["S11"], d0["S22"], d0["S12"], d_prev["S22"]
     scale = max(1.0, abs(s11_0), abs(s22_prev))
 
     omega = None
@@ -482,10 +469,10 @@ def hopf_omega(curve: ConvexCurve, seed: PhasePoint) -> OmegaSample:
         omega_prev, omega = omega, (-s11_0 * stored[0] - s12_0 * stored[1]) / stored[0]
         if omega_prev is not None and abs(omega - omega_prev) < HOPF_TOL * scale:
             dq1 = stored[1] / stored[0]
-            d1 = line.data(1)
+            d1 = line.record(1)[3]
             omega_fwd = (-d1["S11"] * stored[1] - d1["S12"] * stored[2]) / stored[1]
             rel_fwd = abs(omega_fwd - (s22_0 + s12_0 / dq1))
-            omega_here = s22_prev + line.data(-1)["S12"] * stored[-1] / stored[0]
+            omega_here = s22_prev + d_prev["S12"] * stored[-1] / stored[0]
             rel_here = abs(omega_here - (-s11_0 - s12_0 * dq1))
             return OmegaSample(
                 omega=float(omega), window=n_win, converged=True, minimizing=True,

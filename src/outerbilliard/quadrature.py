@@ -18,6 +18,12 @@ def uniform_angles(n: int) -> np.ndarray:
     return np.arange(n) * (TWO_PI / n)
 
 
+def chord_grid(phi_count: int, t_count: int, t_max: float):
+    """Flat (phi, t) grid, phi-major: phi uniform on [0, 2pi), t = t_max (j+1)/t_count."""
+    ts = t_max * np.arange(1, t_count + 1) / t_count
+    return np.repeat(uniform_angles(phi_count), t_count), np.tile(ts, phi_count)
+
+
 def periodic_trapezoid(values: np.ndarray) -> float:
     """Trapezoid rule on a uniform grid over one period 2pi.
 

@@ -36,6 +36,7 @@ SANTALO_SNAP = 1e-8       # relative origin distance below which the origin stay
 SANTALO_STEP_TOL = 1e-15  # Newton step tolerance, relative to max(1, diameter)
 I_BLOCK = 16384           # (phi, t) nodes per i_numeric block; see i_numeric
 I_T_NODES = 24            # Gauss nodes per t panel; the error pass takes max(6, I_T_NODES // 2)
+DUAL_AREA_GRID = 2048     # boundary angles of dual_area_about
 
 
 # -- one-dimensional integrals ---------------------------------------------------
@@ -226,15 +227,15 @@ def _support_frame(curve: ConvexCurve, grid: int):
     return r * r / n, ux, uy, chi(r, rp, rpp) / n2 * (TWO_PI / grid)
 
 
-def dual_area_about(curve: ConvexCurve, point, grid: int = 2048) -> float:
+def dual_area_about(curve: ConvexCurve, point) -> float:
     """Area of the polar dual about an interior point, support-function form.
 
     With h the support function about the curve's origin, the support
     function about x is s = h - <x - origin, u>, and the dual area 1/2 Int
-    s^-2 dtheta is summed on boundary angles (_support_frame).  Equivalent to
-    area_dual of the radial data about x, with no per-point ray solves.
+    s^-2 dtheta is summed on DUAL_AREA_GRID boundary angles (_support_frame),
+    the same as area_dual of the radial data about x, with no ray solves.
     """
-    h, ux, uy, w = _support_frame(curve, grid)
+    h, ux, uy, w = _support_frame(curve, DUAL_AREA_GRID)
     dx = float(point[0]) - curve.origin[0]
     dy = float(point[1]) - curve.origin[1]
     s = h - (dx * ux + dy * uy)

@@ -18,7 +18,10 @@ from .quadrature import TWO_PI, periodic_trapezoid, uniform_angles
 
 RNG_SEED = 20231005
 N_SAMPLE = 100            # sample points of the map checks; twice as many chords
-STENCIL_H = 1e-4          # angle step of the nine-point stencil of S(phi0, phi1)
+STENCIL_H = 1e-4          # angle step of the central differences of S(phi0, phi1), r, S1, S2
+JACOBIAN_FD_H = 1e-6      # (phi, t) step of the chord-to-angles Jacobian
+FOLIATION_STEPS = 300     # orbit length of the ellipse foliation check
+EXTERIOR_GAP = (0.15, 1.5)  # range of |A| / r - 1 of the sample points
 
 
 @dataclass(frozen=True)
@@ -55,10 +58,10 @@ def _random_chords(rng, n, t_lo=0.05, t_hi=3.0):
     return phi, t
 
 
-def _random_exterior(curve, rng, n, lo=0.15, hi=1.5):
+def _random_exterior(curve, rng, n):
     phi = rng.uniform(0.0, TWO_PI, n)
     r, _, _ = curve.radius(phi)
-    rho = r * (1.0 + rng.uniform(lo, hi, n))
+    rho = r * (1.0 + rng.uniform(*EXTERIOR_GAP, n))
     return [dynamics.phase_point(curve,
                                  curve.origin[0] + rho[i] * math.cos(phi[i]),
                                  curve.origin[1] + rho[i] * math.sin(phi[i]))
@@ -147,18 +150,18 @@ def run_verification(curve: ConvexCurve) -> VerificationResult:
         check("circle_rotation_law",
               lambda: _circle_law_error(curve, pts[:20], images()[:20]), 1e-10)
     if curve.kind == "ellipse":
-        check("ellipse_foliation", lambda: _foliation_error(curve, steps=300), 1e-8)
+        check("ellipse_foliation", lambda: _foliation_error(curve), 1e-8)
 
     return VerificationResult(checks=checks, all_passed=all(c.passed for c in checks))
 
 
-def _radial_fd_error(curve, rng, h=1e-4):
+def _radial_fd_error(curve, rng):
     phi = rng.uniform(0.0, TWO_PI, 64)
     r, rp, rpp = curve.radius(phi)
-    r_p, _, _ = curve.radius(phi + h)
-    r_m, _, _ = curve.radius(phi - h)
-    fd1 = (r_p - r_m) / (2.0 * h)
-    fd2 = (r_p - 2.0 * r + r_m) / (h * h)
+    r_p, _, _ = curve.radius(phi + STENCIL_H)
+    r_m, _, _ = curve.radius(phi - STENCIL_H)
+    fd1 = (r_p - r_m) / (2.0 * STENCIL_H)
+    fd2 = (r_p - 2.0 * r + r_m) / (STENCIL_H * STENCIL_H)
     scale = max(1.0, float(np.abs(rp).max()), float(np.abs(rpp).max()))
     return max(float(np.abs(fd1 - rp).max()), float(np.abs(fd2 - rpp).max())) / scale
 
@@ -240,7 +243,7 @@ def _fd_partials_error(curve, cphi, ct, s):
     return worst
 
 
-def _mixed_partial_error(curve, cphi, ct, h=1e-4):
+def _mixed_partial_error(curve, cphi, ct):
     """d(S1)/dphi1 and d(S2)/dphi0 from the closed first partials must both
     reproduce the closed S12."""
     a0, a1, _, _ = generating._angles_arrays(curve, cphi, ct)
@@ -254,15 +257,16 @@ def _mixed_partial_error(curve, cphi, ct, h=1e-4):
         phi, t = generating._chord_from_angles_arrays(curve, a, a1, guess=(cphi, ct))
         return generating._sderiv_arrays(curve, phi, t)["S2"]
 
-    g1 = (s1_at(a1 + h) - s1_at(a1 - h)) / (2 * h)
-    g2 = (s2_at(a0 + h) - s2_at(a0 - h)) / (2 * h)
+    g1 = (s1_at(a1 + STENCIL_H) - s1_at(a1 - STENCIL_H)) / (2 * STENCIL_H)
+    g2 = (s2_at(a0 + STENCIL_H) - s2_at(a0 - STENCIL_H)) / (2 * STENCIL_H)
     sc = np.maximum(1.0, np.abs(d["S12"]))
     return float(max(np.max(np.abs(g1 - d["S12"]) / sc),
                      np.max(np.abs(g2 - d["S12"]) / sc),
                      np.max(np.abs(g1 - g2) / sc)))
 
 
-def _jacobian_fd_error(curve, cphi, ct, s, h=1e-6):
+def _jacobian_fd_error(curve, cphi, ct, s):
+    h = JACOBIAN_FD_H
     d = generating._sderiv_arrays(curve, cphi, ct)
 
     def angles(p, t):
@@ -336,10 +340,10 @@ def _circle_law_error(curve, pts, images):
     return worst
 
 
-def _foliation_error(curve, steps=300):
+def _foliation_error(curve):
     a, b = curve.axis_a, curve.axis_b
     seed = dynamics.phase_point(curve, curve.origin[0] + 2.0 * a, curve.origin[1])
-    pts = dynamics.orbit(curve, seed, steps)
+    pts = dynamics.orbit(curve, seed, FOLIATION_STEPS)
     q0 = (pts[0].x - curve.origin[0]) ** 2 / a ** 2 + (pts[0].y - curve.origin[1]) ** 2 / b ** 2
     worst = 0.0
     for p in pts:

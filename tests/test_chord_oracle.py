@@ -131,19 +131,24 @@ def _samples(t_min, seed, n=16, t_max=3.0):
 def test_chord_kernels_match_mpmath_root(name, t_min, budget, direction):
     curve, rfun = KERNEL_CURVES[name]
     phi, t = _samples(t_min, seed=len(name) + int(-math.log10(t_min)))
-    batch_psi, batch_t, _ = dynamics.chord_step_batch(curve, phi, t, direction)
+    batch = []
+    if direction > 0:     # the batch kernel steps forward only
+        c, s = np.cos(phi), np.sin(phi)
+        batch_head = (c, s) + curve.radius(phi, cs=(c, s))
+        psi, t_new, _ = dynamics.chord_step_batch(curve, phi, t, batch_head)
+        batch = list(zip(psi.tolist(), t_new.tolist()))
     orientation = dynamics.CCW if direction > 0 else dynamics.CW
     for i in range(phi.size):
         psi_ref, t_ref = _reference(rfun, float(phi[i]), float(t[i]), direction)
-        scalar = dynamics.chord_step_scalar(curve, float(phi[i]), float(t[i]), direction)
+        radial = curve.radius_scalar(float(phi[i]))
+        scalar = dynamics.chord_step_scalar(curve, float(phi[i]), float(t[i]), direction, radial)
         # the point map from the chord head B = gamma + d t gamma'
-        r, r1, _ = curve.radius_scalar(float(phi[i]))
+        r, r1, _ = radial
         c, s = math.cos(phi[i]), math.sin(phi[i])
         head = ob.phase_point(curve, r * c + direction * t[i] * (r1 * c - r * s),
                               r * s + direction * t[i] * (r1 * s + r * c))
         point_map = ob.tangency(curve, head, orientation)
-        for psi, t_new in ((float(batch_psi[i]), float(batch_t[i])), scalar,
-                           (point_map.phi_m, point_map.t)):
+        for psi, t_new in batch[i:i + 1] + [scalar, (point_map.phi_m, point_map.t)]:
             psi_err = abs(math.remainder(float(psi - psi_ref), 2.0 * math.pi))
             t_err = abs(float(t_new - t_ref)) / max(1.0, float(t[i]))
             assert psi_err <= budget, (phi[i], t[i], psi_err)
@@ -198,7 +203,8 @@ def test_scalar_chord_step_near_the_curve_matches_mpmath_root(name, direction, f
     phi, t = _samples(dynamics.MIN_CHORD_T, seed=len(name) + 3 * direction, t_max=1e-3)
     for i in range(phi.size):
         psi_ref, t_ref = _reference(rfun, float(phi[i]), float(t[i]), direction)
-        psi, t_new = dynamics.chord_step_scalar(curve, float(phi[i]), float(t[i]), direction)
+        psi, t_new = dynamics.chord_step_scalar(curve, float(phi[i]), float(t[i]), direction,
+                                                curve.radius_scalar(float(phi[i])))
         psi_err = abs(math.remainder(float(psi - psi_ref), 2.0 * math.pi))
         t_err = abs(float(t_new - t_ref))
         assert psi_err <= near / t[i], (phi[i], t[i], psi_err)

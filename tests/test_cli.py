@@ -394,9 +394,24 @@ def test_out_to_a_device_writes_in_place(wobbly_file):
 
 def test_out_to_a_directory_fails_before_the_command_runs(wobbly_file, tmp_path, monkeypatch):
     monkeypatch.setitem(cli.COMMANDS, "portrait", lambda *a: pytest.fail("command ran"))
-    with pytest.raises(IsADirectoryError):
-        run(["--curve", wobbly_file, "--cmd", "portrait", "--out", str(tmp_path)])
+    assert run(["--curve", wobbly_file, "--cmd", "portrait", "--out", str(tmp_path)]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["wobbly.json"]
+
+
+@pytest.mark.parametrize("out", ["sub", "missing/dir/x.json", ""],
+                         ids=["directory", "missing_directory", "empty"])
+def test_bad_out_path_exit_2_one_line(tmp_path, capsys, monkeypatch, out):
+    # "" names the working directory, whose temporary file would sit beside
+    # it, in tmp_path; none of these may leave a file behind
+    spec = tmp_path / "circle.json"
+    spec.write_text('{"kind": "circle", "radius": 1}')
+    (tmp_path / "work" / "sub").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path / "work")
+    code, err = _exit_and_stderr(["--curve", str(spec), "--cmd", "verify", "--out", out], capsys)
+    assert code == 2
+    assert err.startswith("error: cannot write --out ") and err.count("\n") == 1, err
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "circle.json", "work", "work/sub"]
 
 
 def test_commands_run_under_the_callers_numpy_error_state(circle_file, monkeypatch):

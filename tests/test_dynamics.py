@@ -157,35 +157,44 @@ def test_non_finite_points_fail_loudly(unit_circle):
         ob.tangency(unit_circle, ob.PhasePoint(math.inf, 0.0, math.inf, 0.0))
 
 
+def _batch_head(curve, phi):
+    """(cos, sin, r, r', r'') at phi, the head chord_step_batch takes."""
+    c, s = np.cos(phi), np.sin(phi)
+    return (c, s) + curve.radius(phi, cs=(c, s))
+
+
 def test_chord_kernels_refuse_near_boundary_t(presets):
+    phi = np.array([0.3, 1.0])
     for curve in presets.values():
+        head = curve.radius_scalar(0.3)
+        with pytest.raises(ob.TangencyError):
+            dynamics.chord_step_batch(curve, phi, np.array([0.5, 1e-9]), _batch_head(curve, phi))
         for direction in (1, -1):
             with pytest.raises(ob.TangencyError):
-                dynamics.chord_step_scalar(curve, 0.3, 1e-9, direction)
+                dynamics.chord_step_scalar(curve, 0.3, 1e-9, direction, head)
             with pytest.raises(ob.TangencyError):
-                dynamics.chord_step_batch(curve, np.array([0.3, 1.0]),
-                                          np.array([0.5, 1e-9]), direction)
-            with pytest.raises(ob.TangencyError):
-                dynamics.chord_step_scalar(curve, 0.3, math.nan, direction)
+                dynamics.chord_step_scalar(curve, 0.3, math.nan, direction, head)
 
 
 def test_chord_kernels_refuse_t_below_accuracy_budget(presets, unit_circle):
     # t = 1e-7 clears the tangency near-boundary flag, but t_new would be off
     # by about 2%; from MIN_CHORD_T on, the unit circle keeps it within 1e-4
+    phi = np.array([0.3, 1.0])
     for curve in presets.values():
+        head = curve.radius_scalar(0.3)
+        with pytest.raises(ob.TangencyError):
+            dynamics.chord_step_batch(curve, phi, np.array([0.5, 1e-7]), _batch_head(curve, phi))
         for direction in (1, -1):
             with pytest.raises(ob.TangencyError):
-                dynamics.chord_step_scalar(curve, 0.3, 1e-7, direction)
-            with pytest.raises(ob.TangencyError):
-                dynamics.chord_step_batch(curve, np.array([0.3, 1.0]),
-                                          np.array([0.5, 1e-7]), direction)
+                dynamics.chord_step_scalar(curve, 0.3, 1e-7, direction, head)
     phi = np.random.default_rng(37).uniform(0, TWO_PI, 2000)
     t = np.full_like(phi, dynamics.MIN_CHORD_T)
+    _, t_new, _ = dynamics.chord_step_batch(unit_circle, phi, t, _batch_head(unit_circle, phi))
+    assert np.abs(t_new / t - 1.0).max() <= 1e-4
     for direction in (1, -1):
-        _, t_new, _ = dynamics.chord_step_batch(unit_circle, phi, t, direction)
-        assert np.abs(t_new / t - 1.0).max() <= 1e-4
         for p in phi.tolist():
-            _, t_new = dynamics.chord_step_scalar(unit_circle, p, dynamics.MIN_CHORD_T, direction)
+            _, t_new = dynamics.chord_step_scalar(unit_circle, p, dynamics.MIN_CHORD_T, direction,
+                                                  unit_circle.radius_scalar(p))
             assert abs(t_new / dynamics.MIN_CHORD_T - 1.0) <= 1e-4
 
 
@@ -194,45 +203,42 @@ def test_chord_step_batch_matches_scalar(presets):
     for curve in presets.values():
         phi = rng.uniform(0, TWO_PI, 16)
         t = rng.uniform(0.1, 2.5, 16)
-        bp, bt, _ = dynamics.chord_step_batch(curve, phi, t, 1)
+        bp, bt, _ = dynamics.chord_step_batch(curve, phi, t, _batch_head(curve, phi))
         for i in range(16):
-            sp, st = dynamics.chord_step_scalar(curve, float(phi[i]), float(t[i]), 1)
+            p = float(phi[i])
+            sp, st = dynamics.chord_step_scalar(curve, p, float(t[i]), 1, curve.radius_scalar(p))
             assert sp == pytest.approx(float(bp[i]), abs=1e-12)
             assert st == pytest.approx(float(bt[i]), abs=1e-12)
 
 
 def test_chord_step_batch_head_reuse_is_bitwise(presets, fourier8):
-    # feeding each step's radial data back as the next head skips one radius
-    # call and changes no bit; the radial data is radius at the new angle
+    # the radial data a step hands back, passed in as the next step's head,
+    # is (cos, sin) and radius at the new angle, bit for bit
     rng = np.random.default_rng(29)
     curves = dict(presets, fourier8=fourier8)
     for curve in curves.values():
-        phi0 = rng.uniform(0, TWO_PI, 64)
-        t0 = rng.uniform(0.01, 3.0, 64)
-        for direction in (1, -1):
-            phi, t, head = phi0, t0, None
-            phi_ref, t_ref = phi0, t0
-            for _ in range(5):
-                phi, t, head = dynamics.chord_step_batch(curve, phi, t, direction, head=head)
-                phi_ref, t_ref, _ = dynamics.chord_step_batch(curve, phi_ref, t_ref, direction)
-                assert np.array_equal(phi, phi_ref) and np.array_equal(t, t_ref)
-                assert np.array_equal(head[0], np.cos(phi))
-                assert np.array_equal(head[1], np.sin(phi))
-                for got, want in zip(head[2:], curve.radius(phi)):
-                    assert np.array_equal(got, want)
+        phi = rng.uniform(0, TWO_PI, 64)
+        t = rng.uniform(0.01, 3.0, 64)
+        head = _batch_head(curve, phi)
+        for _ in range(5):
+            phi, t, head = dynamics.chord_step_batch(curve, phi, t, head)
+            assert np.array_equal(head[0], np.cos(phi))
+            assert np.array_equal(head[1], np.sin(phi))
+            for got, want in zip(head[2:], curve.radius(phi)):
+                assert np.array_equal(got, want)
 
 
-def _chord_step_batch_trig(curve, phi_m, t, direction):
+def _chord_step_batch_trig(curve, phi_m, t):
     """chord_step_batch with np.cos/np.sin at every bisection midpoint, where
     the kernel turns (cos, sin) of the bracket's lower end by the half-width;
     every other operation is the kernel's, complex products included."""
     c, s = np.cos(phi_m), np.sin(phi_m)
     r, r1, _ = curve.radius(phi_m, cs=(c, s))
-    bx = r * c + direction * t * (r1 * c - r * s)
-    by = r * s + direction * t * (r1 * s + r * c)
+    bx = r * c + t * (r1 * c - r * s)
+    by = r * s + t * (r1 * s + r * c)
     phi_b = np.arctan2(by, bx)
-    off = np.arctan2(t * r, r + direction * t * r1)
-    ref = phi_b - direction * off
+    off = np.arctan2(t * r, r + t * r1)
+    ref = phi_b - off
     b = np.empty(phi_b.shape, complex)
     b.real, b.imag = bx, by
 
@@ -243,16 +249,16 @@ def _chord_step_batch_trig(curve, phi_m, t, direction):
         p = e * b
         return p.imag, p.real - r
 
-    lo = phi_b if direction > 0 else phi_b - np.pi
+    lo = phi_b
     for k in range(dynamics.N_BISECT):
         mid = lo + math.pi / 2 ** (k + 1)
         cm, sm = np.cos(mid), np.sin(mid)
         r, r1, _ = curve.radius(mid, cs=(cm, sm))
         cross, d = g_terms(cm, sm, r)
         g = r1 * cross - r * d
-        lo = np.where(g < 0.0 if direction > 0 else g > 0.0, mid, lo)
+        lo = np.where(g < 0.0, mid, lo)
     hi = lo + math.pi / 2 ** dynamics.N_BISECT
-    psi = phi_b + direction * off
+    psi = phi_b + off
     psi = np.where((lo < psi) & (psi < hi), psi, lo + math.pi / 2 ** (dynamics.N_BISECT + 1))
     for _ in range(dynamics.N_NEWTON):
         cm, sm = np.cos(psi), np.sin(psi)
@@ -260,7 +266,7 @@ def _chord_step_batch_trig(curve, phi_m, t, direction):
         cross, d = g_terms(cm, sm, r)
         g = r1 * cross - r * d
         gp = (r2 - r) * cross - 2.0 * r1 * d
-        take_lo = g < 0.0 if direction > 0 else g > 0.0
+        take_lo = g < 0.0
         lo = np.where(take_lo, psi, lo)
         hi = np.where(take_lo, hi, psi)
         den = gp - g / (psi - ref)
@@ -278,22 +284,21 @@ def test_chord_step_batch_bisections_match_trig_reference(presets, fourier8):
     rng = np.random.default_rng(31)
     curves = dict(presets, fourier8=fourier8, ellipse10=ob.require_valid(ob.ellipse(10.0, 1.0)))
     for curve in curves.values():
-        for direction in (1, -1):
-            phi = rng.uniform(0, TWO_PI, 16384)
-            t = np.exp(rng.uniform(math.log(dynamics.MIN_CHORD_T), math.log(30.0), phi.size))
-            psi, t_new, radial = dynamics.chord_step_batch(curve, phi, t, direction)
-            psi_ref, t_ref, radial_ref = _chord_step_batch_trig(curve, phi, t, direction)
-            assert np.array_equal(psi, psi_ref) and np.array_equal(t_new, t_ref)
-            for got, want in zip(radial, radial_ref):
-                assert np.array_equal(got, want)
+        phi = rng.uniform(0, TWO_PI, 32768)
+        t = np.exp(rng.uniform(math.log(dynamics.MIN_CHORD_T), math.log(30.0), phi.size))
+        psi, t_new, radial = dynamics.chord_step_batch(curve, phi, t, _batch_head(curve, phi))
+        psi_ref, t_ref, radial_ref = _chord_step_batch_trig(curve, phi, t)
+        assert np.array_equal(psi, psi_ref) and np.array_equal(t_new, t_ref)
+        for got, want in zip(radial, radial_ref):
+            assert np.array_equal(got, want)
 
 
 def test_chord_step_batch_trig_calls(monkeypatch, wobbly3):
-    # with a head, np.cos runs only at the N_NEWTON Newton iterates and the
-    # final angle: 5 calls per step, where a cos per bisection made 13
+    # np.cos runs only at the N_NEWTON Newton iterates and the final angle:
+    # 5 calls per step, where a cos per bisection made 13
     phi = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     t = np.full_like(phi, 0.5)
-    head = (np.cos(phi), np.sin(phi)) + wobbly3.radius(phi)
+    head = _batch_head(wobbly3, phi)
     calls = []
     cos = np.cos
 
@@ -302,16 +307,13 @@ def test_chord_step_batch_trig_calls(monkeypatch, wobbly3):
         return cos(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "cos", counted)
-    for direction in (1, -1):
-        del calls[:]
-        dynamics.chord_step_batch(wobbly3, phi, t, direction, head=head)
-        assert len(calls) == dynamics.N_NEWTON + 1
+    dynamics.chord_step_batch(wobbly3, phi, t, head)
+    assert len(calls) == dynamics.N_NEWTON + 1
 
 
 def test_chord_step_batch_radius_calls(monkeypatch, presets, fourier8):
     # one radius call per bisection, per Newton iterate and for the final
-    # angle, plus one for the chord's foot without a head; the benchmark's
-    # per-step radius count reads the same schedule
+    # angle; the benchmark's per-step radius count reads the same schedule
     phi = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     t = np.full_like(phi, 0.5)
     calls = []
@@ -322,16 +324,12 @@ def test_chord_step_batch_radius_calls(monkeypatch, presets, fourier8):
         return radius(curve, *args, **kwargs)
 
     for curve in dict(presets, fourier8=fourier8).values():
-        head = (np.cos(phi), np.sin(phi)) + curve.radius(phi)
+        head = _batch_head(curve, phi)
         with monkeypatch.context() as m:
             m.setattr(ob.ConvexCurve, "radius", counted)
-            for direction in (1, -1):
-                del calls[:]
-                dynamics.chord_step_batch(curve, phi, t, direction, head=head)
-                assert len(calls) == dynamics.N_BISECT + dynamics.N_NEWTON + 1 == 13
-                del calls[:]
-                dynamics.chord_step_batch(curve, phi, t, direction)
-                assert len(calls) == 14
+            del calls[:]
+            dynamics.chord_step_batch(curve, phi, t, head)
+            assert len(calls) == dynamics.N_BISECT + dynamics.N_NEWTON + 1 == 13
 
 
 def test_ellipse_orbit_is_an_exact_rotation_near_the_curve(ellipse21):
@@ -351,8 +349,8 @@ def test_chord_step_round_trip(presets):
     for curve in presets.values():
         for _ in range(10):
             phi, t = float(rng.uniform(0, TWO_PI)), float(rng.uniform(0.1, 2.0))
-            fp, ft = dynamics.chord_step_scalar(curve, phi, t, 1)
-            bp, bt = dynamics.chord_step_scalar(curve, fp, ft, -1)
+            fp, ft = dynamics.chord_step_scalar(curve, phi, t, 1, curve.radius_scalar(phi))
+            bp, bt = dynamics.chord_step_scalar(curve, fp, ft, -1, curve.radius_scalar(fp))
             wrap = (bp - phi + math.pi) % TWO_PI - math.pi
             assert wrap == pytest.approx(0.0, abs=1e-11)
             assert bt == pytest.approx(t, abs=1e-11)
@@ -367,7 +365,8 @@ def test_chord_matches_step(presets):
             phi0, t0 = dynamics.chord_of(curve, p)
             q = ob.step(curve, p)
             phi1, t1 = dynamics.chord_of(curve, q)
-            phi1_b, t1_b = dynamics.chord_step_scalar(curve, phi0, t0, 1)
+            phi1_b, t1_b = dynamics.chord_step_scalar(curve, phi0, t0, 1,
+                                                      curve.radius_scalar(phi0))
             assert phi1_b == pytest.approx(phi1, abs=1e-10)
             assert t1_b == pytest.approx(t1, abs=1e-10)
 
@@ -424,9 +423,8 @@ CHORD_T = (1e-3, 0.02, 0.3, 1.0, 3.0)
 
 def test_chord_step_scalar_radius_scalar_budget(monkeypatch, presets):
     # the tangency solve from the chord head stops once converged: measured
-    # 4.0-8.9 calls per step on the presets, 4.0-5.0 at t = 1e-3, counting
-    # the head, where the fixed 8 + 4 schedule took 14; a head passed in
-    # saves exactly that one call
+    # 3.0-7.9 calls per step on the presets, 3.0-4.0 at t = 1e-3, where the
+    # fixed 8 + 4 schedule takes 13; the head's own data comes from the caller
     rng = np.random.default_rng(41)
     steps = [(curve, float(phi), t, d) for t in CHORD_T for curve in presets.values()
              for phi in rng.uniform(0.0, TWO_PI, 20) for d in (1, -1)]
@@ -436,14 +434,11 @@ def test_chord_step_scalar_radius_scalar_budget(monkeypatch, presets):
     counts = {t: [] for t in CHORD_T}
     for (curve, phi, t, d), head in zip(steps, heads):
         before = len(calls)
-        dynamics.chord_step_scalar(curve, phi, t, d)
-        mid = len(calls)
-        dynamics.chord_step_scalar(curve, phi, t, d, head=head)
-        assert len(calls) - mid == mid - before - 1
-        counts[t].append(mid - before)
+        dynamics.chord_step_scalar(curve, phi, t, d, head)
+        counts[t].append(len(calls) - before)
     mean = {t: sum(c) / len(c) for t, c in counts.items()}
-    assert max(mean.values()) <= 9, mean
-    assert mean[1e-3] <= 6, mean
+    assert max(mean.values()) <= 8, mean
+    assert mean[1e-3] <= 5, mean
 
 
 def test_radial_conjugate_scan_radius_scalar_budget(monkeypatch, presets):
@@ -472,15 +467,21 @@ def test_radial_conjugate_scan_radius_scalar_budget(monkeypatch, presets):
 
 
 def test_chord_step_scalar_head_is_bitwise(presets, fourier8):
+    # a chord record's radial data, passed in as the next step's head, is
+    # radius_scalar at the chord's angle, bit for bit, in both directions
     rng = np.random.default_rng(43)
     for curve in dict(presets, fourier8=fourier8).values():
         phis = rng.uniform(0.0, TWO_PI, 16)
         ts = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), 16))
         for phi, t in zip(phis.tolist(), ts.tolist()):
-            head = curve.radius_scalar(phi)
             for d in (1, -1):
-                assert (dynamics.chord_step_scalar(curve, phi, t, d, head=head)
-                        == dynamics.chord_step_scalar(curve, phi, t, d))
+                record = jacobi._record(curve, phi, t)
+                for _ in range(3):
+                    phi_m, t_m, radial, _ = record
+                    assert radial == curve.radius_scalar(phi_m)
+                    record = jacobi._step_record(curve, record, d)
+                    assert record[:2] == dynamics.chord_step_scalar(
+                        curve, phi_m, t_m, d, curve.radius_scalar(phi_m))
 
 
 def test_tangency_falls_back_to_the_half_turn_midpoint(monkeypatch, unit_circle):

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import outerbilliard as ob
-from outerbilliard import cli
+from outerbilliard import cli, jacobi
 
 GOLDEN = Path(__file__).parent / "golden"
 SCAN_ROWS = GOLDEN / "scan_rows.json"
@@ -109,3 +109,12 @@ def test_scan_rows_match_their_golden(request, name):
     got = [row.n_conjugate for row in scan.rows]
     moved = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
     assert len(got) == len(want) and not moved, f"rows that moved on {name}: {moved}"
+
+
+def test_scan_rows_match_their_golden_on_two_workers(monkeypatch, wobbly3):
+    # 64-seed chunks cut the 16x16 grid into 4, which two worker processes
+    # share; the rows must still be the golden's
+    monkeypatch.setattr(jacobi, "SCAN_CHUNK", 64)
+    monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 2)
+    scan = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, n_max=300, workers=2)
+    assert [row.n_conjugate for row in scan.rows] == json.loads(SCAN_ROWS.read_text())["wobbly3"]

@@ -365,18 +365,21 @@ def test_jacobi_push_matches_differential(presets):
 # -- one radius evaluation per chord, and zero S12 -------------------------------
 
 def test_chord_line_caches_each_chords_data(wobbly3):
-    # each chord's closed forms come from its one cached radial evaluation,
-    # which also heads the steps from it: chords and data are bitwise those
-    # of a chain stepped without heads
+    # each chord's record holds its one radial evaluation and the closed
+    # forms of it, which also heads the steps from it: chords and data are
+    # bitwise those of a chain headed by fresh radius_scalar calls
     seed = dynamics.chord_tail_point(wobbly3, 0.4, 0.3)
     line = jacobi._ChordLine(wobbly3, seed)
     for k in (3, -2, 5, -5, 0, 1, -1, 4, -4, 2, -3):
-        assert line.data(k) == generating.s_derivatives(wobbly3, *line.chord(k))
+        phi, t, radial, data = line.record(k)
+        assert radial == wobbly3.radius_scalar(phi)
+        assert data == generating.s_derivatives(wobbly3, phi, t)
     for direction in (1, -1):
         chord = dynamics.chord_of(wobbly3, seed)
         for k in range(1, 6):
-            chord = dynamics.chord_step_scalar(wobbly3, *chord, direction)
-            assert line.chord(direction * k) == chord
+            chord = dynamics.chord_step_scalar(wobbly3, *chord, direction,
+                                               wobbly3.radius_scalar(chord[0]))
+            assert line.record(direction * k)[:2] == chord
 
 
 def test_scalar_jacobi_paths_head_each_step_with_the_chords_radial_data(monkeypatch, wobbly3,
@@ -384,9 +387,9 @@ def test_scalar_jacobi_paths_head_each_step_with_the_chords_radial_data(monkeypa
     heads = []
     chord_step = jacobi.chord_step_scalar
 
-    def recording(curve, phi_m, t, direction=1, head=None):
+    def recording(curve, phi_m, t, direction, head):
         heads.append((curve, phi_m, head))
-        return chord_step(curve, phi_m, t, direction, head=head)
+        return chord_step(curve, phi_m, t, direction, head)
 
     monkeypatch.setattr(jacobi, "chord_step_scalar", recording)
     for curve in (wobbly3, fourier8):
@@ -451,7 +454,7 @@ def _zero_s12_at(monkeypatch, chord):
 def test_zero_s12_stops_the_scalar_recurrences(monkeypatch, wobbly3, k):
     # a zero S12 breaks the twist; the recurrence must not divide by it
     seed = dynamics.chord_tail_point(wobbly3, 0.4, 0.3)
-    chord = jacobi._ChordLine(wobbly3, seed).chord(k)
+    chord = jacobi._ChordLine(wobbly3, seed).record(k)[:2]
     _zero_s12_at(monkeypatch, chord)
     with pytest.raises(ob.ConvergenceError, match=f"S12 = 0 at chord {k}:"):
         if k > 0:
@@ -515,7 +518,7 @@ def test_non_finite_field_stops_the_grid_scan(monkeypatch, wobbly3, k):
 
 def test_non_finite_field_stops_the_radial_scan(monkeypatch, wobbly3):
     seed = dynamics.chord_tail_point(wobbly3, 0.4, 0.3)
-    chord = jacobi._ChordLine(wobbly3, seed).chord(3)
+    chord = jacobi._ChordLine(wobbly3, seed).record(3)[:2]
     s_closed_forms = jacobi.s_closed_forms
 
     def patched(r, rp, rpp, t):
@@ -543,7 +546,7 @@ def test_window_coefficients_are_the_chord_lines_data(monkeypatch, presets, four
             m.setattr(ob.ConvexCurve, "radius", no_radius)
             w = ob.build_window(curve, seed, 4, 6)
         line = jacobi._ChordLine(curve, seed)
-        data = [line.data(k) for k in range(-5, 7)]
+        data = [line.record(k)[3] for k in range(-5, 7)]
         assert w.s11.tolist() == [d["S11"] for d in data]
         assert w.b_coeffs.tolist() == [d["S12"] for d in data]
         assert w.s22.tolist() == [d["S22"] for d in data]
