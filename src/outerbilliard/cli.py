@@ -93,8 +93,11 @@ def flag(setting: str) -> str:
 def settings(args) -> dict:
     """The command's row with the given flags in place of its defaults.
 
-    ValueError names a given flag outside the row, or a value out of range.
+    ValueError names a given flag outside the row, a value out of range, or an
+    empty --out, which open would read as the working directory.
     """
+    if args.out == "":
+        raise ValueError("cannot write --out '': the path is empty")
     s = dict(ROWS[args.cmd])
     if args.cmd == "rigidity" and args.conjugate_scan:
         s.update(SCAN_ROW)
@@ -140,7 +143,7 @@ def _output(path: Optional[str]):
     if path is None:
         yield sys.stdout
         return
-    target = os.path.realpath(path)     # "" is the working directory
+    target = os.path.realpath(path)
     exists = os.path.exists(target)
     in_place = exists and not os.path.isfile(target) or not os.access(os.path.dirname(target),
                                                                        os.W_OK)

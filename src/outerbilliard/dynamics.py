@@ -300,9 +300,9 @@ def differential_fd(curve: ConvexCurve, a: PhasePoint, h: float = 1e-5,
 
 # -- chord-chart stepping (hot paths for Jacobi machinery) --------------------
 
-def chord_of(curve: ConvexCurve, a: PhasePoint, orientation: str = CCW):
+def chord_of(curve: ConvexCurve, a: PhasePoint):
     """Forward chord (phi_m, t) through an exterior point (A is the chord's tail)."""
-    return _solve_from(curve, a, _orientation_sign(orientation))[:2]
+    return _solve_from(curve, a, 1)[:2]
 
 
 def _near_boundary_message(t) -> str:

@@ -23,7 +23,6 @@ from .curves import ConvexCurve, chi
 from .errors import ConvergenceError, InsideCurveError
 from .quadrature import chord_grid
 
-CSV_CHUNK = 1024          # derivative-table rows formatted per batch
 CHART_TOL = 1e-12         # chart inversion: worst angle residual accepted
 CHART_MAX_ITER = 50       # chart inversion: Newton iterations before ConvergenceError
 CHART_PHI_STEP = 0.1      # chart inversion: longest phi step of one Newton iteration
@@ -53,23 +52,39 @@ def chord_to_angles(curve: ConvexCurve, phi: float, t: float):
     return tuple(float(v) for v in _angles_arrays(curve, phi, t))
 
 
+def _twist_terms(r, rp, rpp, t):
+    """(chi, r^2, chi t, chi t^2, r0sq, r1sq, 2 r^2 (chi t^2 + r^2), S12): the
+    arithmetic S12 takes, which s_closed_forms continues from, so S12 alone has
+    the bits of S12 in the full bundle.  A product used twice is formed once,
+    in the order both uses write it; chi is curves.chi with r^2 formed once."""
+    r2 = r * r
+    k = r2 + 2.0 * rp * rp - r * rpp
+    trp, ttr2 = t * rp, t * t * r2
+    u0, u1 = r - trp, r + trp
+    r0sq = u0 * u0 + ttr2
+    r1sq = u1 * u1 + ttr2
+    kt = k * t
+    ktt = kt * t
+    den = 2.0 * r2 * (ktt + r2)
+    return k, r2, kt, ktt, r0sq, r1sq, den, -k * t * r0sq * r1sq / den
+
+
 def s_closed_forms(r, rp, rpp, t):
     """S, its partials, J, r0sq, r1sq and chi of chords (phi, t) from r, r', r''
     at phi; returns a dict.  Plain arithmetic (squares as products: ** 2 on
     a float calls pow), so floats and arrays give the same bits per element."""
-    k = chi(r, rp, rpp)
-    r2 = r * r
-    u0, u1 = r - t * rp, r + t * rp
-    r0sq = u0 * u0 + t * t * r2
-    r1sq = u1 * u1 + t * t * r2
-    a = k * t * t + r2
-    den = 2.0 * r2 * a
-    common = k * t * (t * t - 1.0) * r2 + 2.0 * t * r2 * r2 + t * (k * t * t + 2.0 * r2) * rp * rp
+    k, r2, kt, ktt, r0sq, r1sq, den, s12 = _twist_terms(r, rp, rpp, t)
+    common = kt * (t * t - 1.0) * r2 + 2.0 * t * r2 * r2 + t * (ktt + 2.0 * r2) * rp * rp
     odd = 2.0 * r2 * r * rp
     return {"S": t * r2, "S1": -0.5 * r0sq, "S2": 0.5 * r1sq,
-            "S11": r0sq * (common - odd) / den, "S12": -k * t * r0sq * r1sq / den,
-            "S22": r1sq * (common + odd) / den, "J": 2.0 * r2 * a / (r0sq * r1sq),
+            "S11": r0sq * (common - odd) / den, "S12": s12,
+            "S22": r1sq * (common + odd) / den, "J": den / (r0sq * r1sq),
             "r0sq": r0sq, "r1sq": r1sq, "chi": k}
+
+
+def _s12_arrays(r, rp, rpp, t):
+    """S12 alone from r, r', r'' at phi; the values twist_scan maximises."""
+    return _twist_terms(r, rp, rpp, t)[-1]
 
 
 def _sderiv_arrays(curve: ConvexCurve, phi, t, radial=None):
@@ -213,44 +228,72 @@ class TwistScan:
 
 def twist_scan(curve: ConvexCurve, phi_grid: int = 256, t_grid: int = 256,
                t_max: float = 20.0) -> TwistScan:
-    """Maximum of S12 over a (phi, t) product grid; must be strictly negative."""
+    """Maximum of S12 over a (phi, t) product grid; must be strictly negative.
+
+    S12 alone, on derivative_table's grid: radial data on the phi_grid angles
+    as a column against the t values as a row.  Every step is elementwise, so
+    each node has the bits of the table's S12.
+    """
     if phi_grid < 64 or t_grid < 64:
         raise ValueError("scan grids must be at least 64")
-    pm, tm, d = derivative_table(curve, phi_grid, t_grid, t_max)
-    s12 = d["S12"]
+    pm, tm, radial = _grid(curve, phi_grid, t_grid, t_max)
+    with np.errstate(all="ignore"):      # a non-finite result is checked below
+        s12 = _s12_arrays(*(v[:, None] for v in radial), tm[:t_grid]).ravel()
+    _require_finite_s12(s12, t_max)
     i = int(np.argmax(s12))
     return TwistScan(max_s12=float(s12[i]), phi_at_max=float(pm[i]), t_at_max=float(tm[i]))
 
 
+def _grid(curve: ConvexCurve, phi_grid: int, t_grid: int, t_max: float):
+    """chord_grid's flat (phi, t) grid and (r, r', r'') at its phi_grid angles."""
+    if not 0.0 < t_max < np.inf:           # a NaN fails too
+        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
+    pm, tm = chord_grid(phi_grid, t_grid, t_max)
+    return pm, tm, curve.radius(pm[::t_grid])
+
+
+def _require_finite_s12(s12, t_max):
+    if not np.isfinite(s12).all():
+        raise ConvergenceError(f"S12 is not finite on the grid at t_max={t_max!r}: "
+                               "the derivatives overflowed")
+
+
 def derivative_table(curve: ConvexCurve, phi_grid: int, t_grid: int, t_max: float):
-    """Flat (phi, t) grid with the full derivative bundle at each node.
+    """Flat (phi, t) grid with the full derivative bundle at each node, for
+    the CSV table; twist_scan evaluates S12 alone on the same grid.
 
     radius runs once per grid angle, phi_grid lanes, and np.repeat spreads
     (r, r', r'') over that angle's t_grid nodes.  radius is elementwise, so
     the table has the bits of _sderiv_arrays(curve, pm, tm).  An S12 that is
     not finite at some node raises ConvergenceError.
     """
-    if not 0.0 < t_max < np.inf:           # a NaN fails too
-        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
-    pm, tm = chord_grid(phi_grid, t_grid, t_max)
-    radial = tuple(np.repeat(v, t_grid) for v in curve.radius(pm[::t_grid]))
+    pm, tm, radial = _grid(curve, phi_grid, t_grid, t_max)
+    radial = tuple(np.repeat(v, t_grid) for v in radial)
     with np.errstate(all="ignore"):      # a non-finite result is checked below
         d = _sderiv_arrays(curve, pm, tm, radial)
-    if not np.isfinite(d["S12"]).all():
-        raise ConvergenceError(f"S12 is not finite on the grid at t_max={t_max!r}: "
-                               "the derivatives overflowed")
+    _require_finite_s12(d["S12"], t_max)
     return pm, tm, d
 
 
 def write_derivative_csv(fh, pm, tm, d):
     """Write the derivative table as CSV rows at full double precision.
 
-    Each batch of CSV_CHUNK rows is formatted from .tolist() columns, so the
-    Python floats alive at once stay near 0.3 MB whatever the table's size.
+    Rows go out one block of equal phi at a time.  The block's phi is
+    formatted once, into its row template, and the previous block's t strings
+    are reused when the t column has their bits (-0.0 == 0.0, so bits are
+    compared), so a grid formats phi_grid + t_grid coordinates, not two a row.
     """
     names = ("S", "S1", "S2", "S11", "S12", "S22", "J")
     fh.write(",".join(("phi", "t") + names) + "\n")
-    cols = [np.asarray(c) for c in (pm, tm, *(d[k] for k in names))]
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    for i in range(0, cols[0].size, CSV_CHUNK):
-        fh.writelines(row % vals for vals in zip(*(c[i:i + CSV_CHUNK].tolist() for c in cols)))
+    pm, tm = (np.ascontiguousarray(c, dtype=float) for c in (pm, tm))
+    cols = [np.asarray(d[k]) for k in names]
+    rest = ",".join(["%.17g"] * len(names)) + "\n"
+    pbits, tbits = pm.view(np.uint64), tm.view(np.uint64)
+    starts = (np.flatnonzero(pbits[1:] != pbits[:-1]) + 1).tolist()
+    blocks = zip([0] + starts, starts + [pm.size]) if pm.size else ()
+    axis, cells = tbits[:0], []
+    for lo, hi in blocks:
+        if not np.array_equal(tbits[lo:hi], axis):
+            axis, cells = tbits[lo:hi], ["%.17g" % v for v in tm[lo:hi].tolist()]
+        row = "%.17g,%%s," % float(pm[lo]) + rest
+        fh.writelines(map(row.__mod__, zip(cells, *(c[lo:hi].tolist() for c in cols))))

@@ -69,6 +69,13 @@ def fourier8():
 
 
 @pytest.fixture(scope="session")
+def fourier8_off_centre(fourier8):
+    """fourier8's radial function about the origin (0.3, -0.2) of the plane."""
+    return ob.require_valid(ob.fourier(fourier8.a0, fourier8.cos_coeffs, fourier8.sin_coeffs,
+                                       origin=(0.3, -0.2)))
+
+
+@pytest.fixture(scope="session")
 def fourier8_refit(fourier8):
     """fourier8 refit about its Santalo point (35 harmonics)."""
     return reorigin(fourier8, ob.santalo_point(fourier8))

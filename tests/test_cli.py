@@ -401,8 +401,8 @@ def test_out_to_a_directory_fails_before_the_command_runs(wobbly_file, tmp_path,
 @pytest.mark.parametrize("out", ["sub", "missing/dir/x.json", ""],
                          ids=["directory", "missing_directory", "empty"])
 def test_bad_out_path_exit_2_one_line(tmp_path, capsys, monkeypatch, out):
-    # "" names the working directory, whose temporary file would sit beside
-    # it, in tmp_path; none of these may leave a file behind
+    # "" is refused as empty before anything is opened; none of these may
+    # leave a file behind
     spec = tmp_path / "circle.json"
     spec.write_text('{"kind": "circle", "radius": 1}')
     (tmp_path / "work" / "sub").mkdir(parents=True)
@@ -412,6 +412,13 @@ def test_bad_out_path_exit_2_one_line(tmp_path, capsys, monkeypatch, out):
     assert err.startswith("error: cannot write --out ") and err.count("\n") == 1, err
     assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
         "circle.json", "work", "work/sub"]
+
+
+def test_empty_out_is_refused_before_the_curve_loads(tmp_path, capsys):
+    # the curve file does not exist: the empty path is the reason given
+    argv = ["--curve", str(tmp_path / "missing.json"), "--cmd", "verify", "--out", ""]
+    assert _exit_and_stderr(argv, capsys) == (2, "error: cannot write --out '': the path is empty\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_commands_run_under_the_callers_numpy_error_state(circle_file, monkeypatch):
@@ -442,13 +449,8 @@ def test_verify_passes(circle_file, tmp_path):
 
 
 def test_verify_fault_injection_fails(circle_file, tmp_path, monkeypatch):
-    closed_forms = generating._sderiv_arrays
-
-    def flipped(*args):
-        d = closed_forms(*args)
-        return {**d, "S12": -d["S12"]}
-
-    monkeypatch.setattr(generating, "_sderiv_arrays", flipped)
+    s12 = generating._s12_arrays
+    monkeypatch.setattr(generating, "_s12_arrays", lambda *args: -s12(*args))
     out = tmp_path / "verify.json"
     assert run(["--curve", circle_file, "--cmd", "verify", "--out", str(out)]) == 1
     doc = json.loads(out.read_text())

@@ -373,13 +373,8 @@ def test_s_closed_forms_floats_match_arrays_bitwise(wobbly3, fourier8):
 
 
 def test_fault_hook_flips_twist(unit_circle, monkeypatch):
-    closed_forms = generating._sderiv_arrays
-
-    def flipped(*args):
-        d = closed_forms(*args)
-        return {**d, "S12": -d["S12"]}
-
-    monkeypatch.setattr(generating, "_sderiv_arrays", flipped)
+    s12 = generating._s12_arrays
+    monkeypatch.setattr(generating, "_s12_arrays", lambda *args: -s12(*args))
     scan = ob.twist_scan(unit_circle, 64, 64, 10.0)
     assert scan.max_s12 > 0.0
 
@@ -396,10 +391,10 @@ def test_derivative_csv(unit_circle):
     assert float(row[1]) == tm[0]
 
 
-def test_csv_writers_match_per_element_formatting(monkeypatch):
+def test_csv_writers_match_per_element_formatting():
     # one %-template per row over .tolist() columns gives the bytes of
-    # f"{float(v):.17g}" on every element, across batch boundaries too
-    monkeypatch.setattr(generating, "CSV_CHUNK", 5)
+    # f"{float(v):.17g}" on every element; permuted columns are no grid, so
+    # every row opens a phi block and none may reuse another's t strings
     vals = np.array([0.0, -0.0, 1.0, -2.5, 1e-300, -3.7e-310, 1e300, -1.7976931348623157e308,
                      math.pi, -1.0 / 3.0, 123456789.123, 2.0 ** -1074])
     rng = np.random.default_rng(41)
@@ -421,19 +416,76 @@ def test_csv_writers_match_per_element_formatting(monkeypatch):
     assert buf.getvalue() == want + "# note=ok\n"
 
 
-def test_twist_scan_is_the_derivative_tables_s12_maximum(wobbly3):
-    pm, tm, d = generating.derivative_table(wobbly3, 64, 128, 5.0)
+def test_derivative_csv_reuses_t_strings_only_for_the_same_bits():
+    # blocks of three rows share a phi; the second block's t column equals the
+    # first's, the third's differs only in the sign of a zero, the fourth
+    # block's phi differs from the third's only in the sign of a zero, and the
+    # last returns to the first block's phi and t
+    pm = np.repeat([0.5, 1.5, -0.0, 0.0, 0.5], 3)
+    tm = np.concatenate([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [-0.0, 1.0, 2.0],
+                         [-0.0, 1.0, 3.0], [0.0, 1.0, 2.0]])
+    names = ("S", "S1", "S2", "S11", "S12", "S22", "J")
+    d = {k: np.arange(pm.size) * (j + 0.25) for j, k in enumerate(names)}
+    buf = io.StringIO()
+    generating.write_derivative_csv(buf, pm, tm, d)
+    cols = [pm, tm, *(d[k] for k in names)]
+    want = "phi,t,S,S1,S2,S11,S12,S22,J\n" + "".join(
+        ",".join(f"{float(c[i]):.17g}" for c in cols) + "\n" for i in range(pm.size))
+    assert buf.getvalue() == want
+
+
+@pytest.mark.parametrize("grid", [(64, 128, 5.0), (256, 256, 20.0)], ids=["small", "default"])
+@pytest.mark.parametrize("name", ["unit_circle", "ellipse21", "wobbly3", "fourier8",
+                                  "fourier8_off_centre"])
+def test_twist_scan_is_the_derivative_tables_s12_maximum(request, name, grid):
+    # twist_scan evaluates S12 alone, broadcast over its own grid: its
+    # maximum must be the full table's, bit for bit and at the same node
+    curve = request.getfixturevalue(name)
+    pm, tm, d = generating.derivative_table(curve, *grid)
     i = int(np.argmax(d["S12"]))
-    assert ob.twist_scan(wobbly3, 64, 128, 5.0) == generating.TwistScan(
+    assert ob.twist_scan(curve, *grid) == generating.TwistScan(
         float(d["S12"][i]), float(pm[i]), float(tm[i]))
 
 
-def test_derivative_table_is_the_per_node_bundle_bitwise(presets, fourier8):
+def test_s12_alone_and_chi_are_the_full_forms_bitwise(presets, fourier8, fourier8_off_centre):
+    # S12 at every node, not only at the maximum: on random chords, and on a
+    # grid broadcast as twist_scan lays it out; the bundle's chi is curves.chi
+    rng = np.random.default_rng(47)
+    for curve in (*presets.values(), fourier8, fourier8_off_centre):
+        phi = rng.uniform(0, TWO_PI, 10_000)
+        t = np.exp(rng.uniform(math.log(1e-3), math.log(30.0), phi.size))
+        radial = curve.radius(phi)
+        d = generating.s_closed_forms(*radial, t)
+        assert np.array_equal(d["chi"], ob.curves.chi(*radial))
+        assert np.array_equal(generating._s12_arrays(*radial, t), d["S12"])
+        grid = generating._s12_arrays(*(v[:100, None] for v in radial), t[:100])
+        want = generating.s_closed_forms(*(np.repeat(v[:100], 100) for v in radial),
+                                         np.tile(t[:100], 100))["S12"]
+        assert np.array_equal(grid.ravel(), want)
+
+
+def test_twist_scan_builds_no_derivative_bundle(monkeypatch, wobbly3):
+    def no_bundle(*args, **kwargs):
+        raise AssertionError("twist_scan needs S12 alone, not the derivative bundle")
+
+    monkeypatch.setattr(generating, "_sderiv_arrays", no_bundle)
+    assert ob.twist_scan(wobbly3, 64, 64, 5.0).max_s12 < 0.0
+
+
+def test_twist_scan_and_table_share_the_overflow_error(wobbly3):
+    messages = []
+    for run in (ob.twist_scan, generating.derivative_table):
+        with pytest.raises(ob.ConvergenceError) as exc:
+            run(wobbly3, 64, 64, 1e70)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("S12 is not finite on the grid at t_max=1e+70")
+
+
+def test_derivative_table_is_the_per_node_bundle_bitwise(presets, fourier8, fourier8_off_centre):
     # one radius call per grid angle, repeated over its t nodes, gives the
     # bits of the closed forms evaluated node by node
-    off_centre = ob.require_valid(ob.fourier(fourier8.a0, fourier8.cos_coeffs,
-                                             fourier8.sin_coeffs, origin=(0.3, -0.2)))
-    for curve in (*presets.values(), fourier8, off_centre):
+    for curve in (*presets.values(), fourier8, fourier8_off_centre):
         for phi_grid, t_grid, t_max in ((256, 256, 20.0), (64, 128, 3.0)):
             pm, tm, d = generating.derivative_table(curve, phi_grid, t_grid, t_max)
             want = generating._sderiv_arrays(curve, pm, tm)

@@ -9,6 +9,7 @@ every field that moved.
 """
 
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -20,6 +21,7 @@ from outerbilliard import cli, jacobi
 
 GOLDEN = Path(__file__).parent / "golden"
 SCAN_ROWS = GOLDEN / "scan_rows.json"
+TABLE_DIGESTS = GOLDEN / "table_digests.json"
 
 CURVES = ["unit_circle", "ellipse21", "wobbly3", "fourier8"]
 
@@ -118,3 +120,70 @@ def test_scan_rows_match_their_golden_on_two_workers(monkeypatch, wobbly3):
     monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 2)
     scan = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, n_max=300, workers=2)
     assert [row.n_conjugate for row in scan.rows] == json.loads(SCAN_ROWS.read_text())["wobbly3"]
+
+
+# tables too long to keep as goldens, pinned by their sha256: golden key ->
+# (curve, argv after --curve, format).  At 40 steps wobbly3's scan has hits
+# and misses, so both an integer and a null n_conjugate are pinned.
+TABLES = {
+    **{f"twist_csv_{name}": (name, ["--cmd", "twist-scan", "--format", "csv",
+                                    "--phi-grid", "64", "--t-grid", "64"], "csv")
+       for name in CURVES},
+    **{f"conjugate_scan_{fmt}_wobbly3": ("wobbly3", [
+        "--cmd", "conjugate-scan", "--phi-grid", "64", "--t-grid", "64", "--steps", "40",
+        "--format", fmt], fmt) for fmt in ("json", "csv")},
+}
+
+
+def _table_rows(curve, argv):
+    """The table a TABLES command writes, one line per row, each value rendered
+    alone as f"{v:.17g}" (an empty cell for no hit)."""
+    if "twist-scan" in argv:
+        pm, tm, d = ob.generating.derivative_table(curve, 64, 64, cli.ROWS["twist-scan"]["t_max"])
+        cols = [pm, tm, *(d[k] for k in ("S", "S1", "S2", "S11", "S12", "S22", "J"))]
+        return [",".join(f"{float(c[i]):.17g}" for c in cols) for i in range(pm.size)]
+    scan = ob.conjugate_grid_scan(curve, phi_count=64, t_count=64, n_max=40,
+                                  t_max=cli.ROWS["conjugate-scan"]["t_max"])
+    return [f"{r.seed_phi:.17g},{r.seed_t:.17g},{'' if r.n_conjugate is None else r.n_conjugate}"
+            for r in scan.rows]
+
+
+def _written_rows(text, fmt):
+    """The rows of a written table in the form of _table_rows."""
+    if fmt == "csv":
+        return [line for line in text.splitlines()[1:] if not line.startswith("#")]
+    return [f"{r['seed_phi']:.17g},{r['seed_t']:.17g},"
+            f"{'' if r['n_conjugate'] is None else r['n_conjugate']}"
+            for r in json.loads(text)["rows"]]
+
+
+def first_moved_row(written, want):
+    """(index, written line, wanted line) of the first row that differs, else None."""
+    for i in range(max(len(written), len(want))):
+        a = written[i] if i < len(written) else None
+        b = want[i] if i < len(want) else None
+        if a != b:
+            return i, a, b
+    return None
+
+
+@pytest.mark.parametrize("key", sorted(TABLES))
+def test_table_matches_its_digest(request, tmp_path, key):
+    name, argv, fmt = TABLES[key]
+    curve = request.getfixturevalue(name)
+    spec = tmp_path / "curve.json"
+    spec.write_text(json.dumps(ob.curve_to_dict(curve)))
+    out = tmp_path / f"out.{fmt}"
+    assert cli.main(["--curve", str(spec)] + argv + ["--out", str(out)]) == 0
+    got = hashlib.sha256(out.read_bytes()).hexdigest()
+    if got != json.loads(TABLE_DIGESTS.read_text())[key]:
+        moved = first_moved_row(_written_rows(out.read_text(), fmt), _table_rows(curve, argv))
+        where = ("every row has its per-element rendering, so the header, footer or layout moved"
+                 if moved is None else "row %d is %r, its per-element rendering %r" % moved)
+        pytest.fail(f"{key} no longer matches its digest: {where}")
+
+
+def test_first_moved_row_names_the_first_difference():
+    assert first_moved_row(["a", "b", "c"], ["a", "b", "c"]) is None
+    assert first_moved_row(["a", "x", "y"], ["a", "b", "c"]) == (1, "x", "b")
+    assert first_moved_row(["a"], ["a", "b"]) == (1, None, "b")
