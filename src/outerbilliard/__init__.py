@@ -18,7 +18,7 @@ from .dynamics import (PhasePoint, TangencyResult, differential_fd, inverse_step
 from .errors import (ConvergenceError, InsideCurveError, InvalidCurveError,
                      NotInteriorError, TangencyError)
 from .generating import (angles_to_chord, chain_rule_s1_s2, chord_to_angles,
-                         forward_map_via_s, s_derivatives, twist_scan)
+                         forward_map_batch, s_derivatives, twist_scan)
 from .jacobi import (ConjugateScanResult, JacobiState, MinimalityVerdict,
                      OmegaSample, OrbitWindow, build_window, conjugate_grid_scan,
                      hessian_minimality, hopf_omega, propagate_jacobi,

@@ -233,9 +233,7 @@ def validate(curve: ConvexCurve) -> CurveValidation:
 def require_valid(curve: ConvexCurve) -> ConvexCurve:
     v = validate(curve)
     if not v.ok:
-        bad_phi = v.phi_at_min_r if v.min_r <= 0 else v.phi_at_min_chi
-        bad_val = v.min_r if v.min_r <= 0 else v.min_chi
-        raise InvalidCurveError(v.message, phi=bad_phi, value=bad_val)
+        raise InvalidCurveError(v.message)
     return curve
 
 

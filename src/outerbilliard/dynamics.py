@@ -239,9 +239,9 @@ def step(curve: ConvexCurve, a: PhasePoint, orientation: str = CCW) -> PhasePoin
     return _reflect(curve, a, _orientation_sign(orientation))
 
 
-def inverse_step(curve: ConvexCurve, b: PhasePoint, orientation: str = CCW) -> PhasePoint:
+def inverse_step(curve: ConvexCurve, b: PhasePoint) -> PhasePoint:
     """The point A with step(A) = B (mirrored tangency branch)."""
-    return _reflect(curve, b, -_orientation_sign(orientation))
+    return _reflect(curve, b, -1)
 
 
 def orbit(curve: ConvexCurve, a: PhasePoint, n: int, orientation: str = CCW):
@@ -267,22 +267,22 @@ def orbit(curve: ConvexCurve, a: PhasePoint, n: int, orientation: str = CCW):
 
 
 def differential_fd(curve: ConvexCurve, a: PhasePoint, h: float = 1e-5,
-                    orientation: str = CCW, base: PhasePoint = None) -> np.ndarray:
+                    base: PhasePoint = None) -> np.ndarray:
     """Central-difference differential of T in (p, phi) coordinates.
 
     Step h*max(1, p) in p and h in phi.  All four stencil points must stay
     exterior.  det of the result is 1 up to O(h^2) since T preserves
     dp ^ dphi.  ``base`` is the image T(A) when the caller already holds it
-    (the same bits as step(curve, a, orientation)); the four stencil images
-    are the only tangency solves then.
+    (the same bits as step(curve, a)); the four stencil images are the only
+    tangency solves then.
     """
     hp = h * max(1.0, a.p)
     if base is None:
-        base = step(curve, a, orientation)
+        base = step(curve, a)
     out = np.empty((2, 2))
 
     def image(p, phi):
-        q = step(curve, phase_point_polar(curve, p, phi), orientation)
+        q = step(curve, phase_point_polar(curve, p, phi))
         dphi = q.phi - base.phi
         dphi = (dphi + math.pi) % (2.0 * math.pi) - math.pi
         return q.p, base.phi + dphi
@@ -334,12 +334,12 @@ def chord_step_scalar(curve: ConvexCurve, phi_m: float, t: float, direction: int
     return _tangency_root(curve, bx, by, direction)[:2]
 
 
-def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray, head):
+def chord_step_batch(curve: ConvexCurve, t: np.ndarray, head):
     """Next chords of many orbits at once.
 
-    ``head`` is (cos, sin, r, r', r'') at phi_m.  Returns (psi, t_new,
-    radial), where radial is that tuple at psi from the kernel's last
-    evaluation, ready to head the next step.
+    ``head`` is (cos, sin, r, r', r'') at the chord's tangency angle phi_m.
+    Returns (psi, t_new, radial), where radial is that tuple at psi from the
+    kernel's last evaluation, ready to head the next step.
 
     From the chord's head B = gamma(phi_m) + t gamma'(phi_m) the wanted
     tangency is the sign change of g(psi) = cross(gamma'(psi), B - gamma(psi))
@@ -381,8 +381,7 @@ def chord_step_batch(curve: ConvexCurve, phi_m: np.ndarray, t: np.ndarray, head)
     turned by a constant angle in one complex product.  Its last bits differ
     from cos(mid), sin(mid), which could flip a sign of g; on 3.15M random
     lanes (six curves, t from MIN_CHORD_T to 30) none did.  That is
-    measured, not proven.  The figures here were taken over forward and
-    backward steps, when this kernel made both.
+    measured, not proven.
     """
     if not np.all(t >= MIN_CHORD_T):
         raise TangencyError(_near_boundary_message(np.min(t)))

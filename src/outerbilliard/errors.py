@@ -2,15 +2,7 @@
 
 
 class InvalidCurveError(ValueError):
-    """Curve failed convexity/positivity validation.
-
-    Carries the offending angle and value when known.
-    """
-
-    def __init__(self, message, phi=None, value=None):
-        super().__init__(message)
-        self.phi = phi
-        self.value = value
+    """Curve failed convexity/positivity validation."""
 
 
 class InsideCurveError(ValueError):

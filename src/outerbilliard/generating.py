@@ -211,12 +211,6 @@ def forward_map_batch(curve: ConvexCurve, p0, phi0):
                            f"iterations (worst step {worst:.3g})", residual=worst)
 
 
-def forward_map_via_s(curve: ConvexCurve, p0: float, phi0: float):
-    """Scalar (p1, phi1); see forward_map_batch."""
-    p1, phi1 = forward_map_batch(curve, p0, phi0)
-    return float(p1[0]), float(phi1[0])
-
-
 # -- twist scan and tables -----------------------------------------------------
 
 @dataclass(frozen=True)

@@ -317,9 +317,9 @@ def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
     dq = -1.0 / b_prev
     runmax = np.abs(dq)
     found = np.full(seed_phi.shape, -1, dtype=np.int64)
-    phi_m, t = seed_phi, seed_t
+    t = seed_t
     for n in range(1, n_max):
-        phi_m, t, radial = chord_step_batch(curve, phi_m, t, radial)
+        _, t, radial = chord_step_batch(curve, t, radial)
         with np.errstate(all="ignore"):  # a non-finite dq_next is checked below
             d = s_closed_forms(*radial[2:], t)
             dq_next = _jacobi_next(s22_prev + d["S11"], b_prev, d["S12"], dq, dq_prev)
@@ -342,13 +342,14 @@ def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
             live = live[keep]
             if stop_at_first or live.size == 0:
                 break
-            phi_m, t, dq_prev, dq, b_prev, s22_prev, runmax = (
-                x[keep] for x in (phi_m, t, dq_prev, dq, b_prev, s22_prev, runmax))
+            t, dq_prev, dq, b_prev, s22_prev, runmax = (
+                x[keep] for x in (t, dq_prev, dq, b_prev, s22_prev, runmax))
             radial = tuple(x[keep] for x in radial)
     return found
 
 
 def _scan_chunk_worker(args):
+    # pickled by name, so the pool still works while a tracer has wrapped _scan_batch
     curve, seed_phi, seed_t, n_max = args
     return _scan_batch(curve, seed_phi, seed_t, n_max, False)
 

@@ -292,14 +292,16 @@ def _jacobian_fd_error(curve, cphi, ct, s):
 
 
 def _shoelace_error(curve, cphi, ct):
-    r, rp, _ = curve.radius(cphi)
+    """The shoelace area of the triangle (origin, M0, M1), which is t r^2 for
+    any r and r', against the package's closed-form S."""
+    r, rp, rpp = curve.radius(cphi)
     c, s = np.cos(cphi), np.sin(cphi)
     gx, gy = r * c, r * s
     tx, ty = rp * c - r * s, rp * s + r * c
     m0x, m0y = gx - ct * tx, gy - ct * ty
     m1x, m1y = gx + ct * tx, gy + ct * ty
     shoelace = 0.5 * np.abs(m0x * m1y - m0y * m1x)
-    svals = ct * r * r
+    svals = generating.s_closed_forms(r, rp, rpp, ct)["S"]
     return float(np.max(np.abs(shoelace - svals) / np.maximum(1.0, svals)))
 
 

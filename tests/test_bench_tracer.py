@@ -9,6 +9,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import outerbilliard
 import outerbilliard.cli  # noqa: F401  (the tracer wraps names in cli)
 
@@ -73,3 +75,22 @@ def test_scan_batch_gets_n_max_as_its_fourth_argument(monkeypatch):
                                    n_max=7, stop_at_first=stop_at_first)
     assert len(calls) == 2
     assert all(len(args) >= 4 and args[3] == 7 for args in calls)
+
+
+def test_tracer_counts_the_lanes_of_a_batch_chord_step():
+    # the benchmark's chord_step_batch.lane_steps and us_per_lane_step divide
+    # by these lanes: np.size of the kernel's second argument, its t array
+    curve, k = outerbilliard.circle(1.0), 37
+    phi = np.linspace(0.0, 6.0, k)
+    t = np.full(k, 0.5)
+    c, s = np.cos(phi), np.sin(phi)
+    head = (c, s) + curve.radius(phi, cs=(c, s))
+    tracer = _tracer()
+    tracer.install(outerbilliard)
+    try:
+        outerbilliard.jacobi.chord_step_batch(curve, t, head)
+    finally:
+        tracer.uninstall()
+    stat = tracer.stats["dynamics.chord_step_batch"]
+    assert (stat.calls, stat.lanes) == (1, k)
+    assert stat.child_calls["curves.radius"] == 13

@@ -135,7 +135,7 @@ def test_chord_kernels_match_mpmath_root(name, t_min, budget, direction):
     if direction > 0:     # the batch kernel steps forward only
         c, s = np.cos(phi), np.sin(phi)
         batch_head = (c, s) + curve.radius(phi, cs=(c, s))
-        psi, t_new, _ = dynamics.chord_step_batch(curve, phi, t, batch_head)
+        psi, t_new, _ = dynamics.chord_step_batch(curve, t, batch_head)
         batch = list(zip(psi.tolist(), t_new.tolist()))
     orientation = dynamics.CCW if direction > 0 else dynamics.CW
     for i in range(phi.size):

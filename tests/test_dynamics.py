@@ -168,7 +168,7 @@ def test_chord_kernels_refuse_near_boundary_t(presets):
     for curve in presets.values():
         head = curve.radius_scalar(0.3)
         with pytest.raises(ob.TangencyError):
-            dynamics.chord_step_batch(curve, phi, np.array([0.5, 1e-9]), _batch_head(curve, phi))
+            dynamics.chord_step_batch(curve, np.array([0.5, 1e-9]), _batch_head(curve, phi))
         for direction in (1, -1):
             with pytest.raises(ob.TangencyError):
                 dynamics.chord_step_scalar(curve, 0.3, 1e-9, direction, head)
@@ -183,13 +183,13 @@ def test_chord_kernels_refuse_t_below_accuracy_budget(presets, unit_circle):
     for curve in presets.values():
         head = curve.radius_scalar(0.3)
         with pytest.raises(ob.TangencyError):
-            dynamics.chord_step_batch(curve, phi, np.array([0.5, 1e-7]), _batch_head(curve, phi))
+            dynamics.chord_step_batch(curve, np.array([0.5, 1e-7]), _batch_head(curve, phi))
         for direction in (1, -1):
             with pytest.raises(ob.TangencyError):
                 dynamics.chord_step_scalar(curve, 0.3, 1e-7, direction, head)
     phi = np.random.default_rng(37).uniform(0, TWO_PI, 2000)
     t = np.full_like(phi, dynamics.MIN_CHORD_T)
-    _, t_new, _ = dynamics.chord_step_batch(unit_circle, phi, t, _batch_head(unit_circle, phi))
+    _, t_new, _ = dynamics.chord_step_batch(unit_circle, t, _batch_head(unit_circle, phi))
     assert np.abs(t_new / t - 1.0).max() <= 1e-4
     for direction in (1, -1):
         for p in phi.tolist():
@@ -203,7 +203,7 @@ def test_chord_step_batch_matches_scalar(presets):
     for curve in presets.values():
         phi = rng.uniform(0, TWO_PI, 16)
         t = rng.uniform(0.1, 2.5, 16)
-        bp, bt, _ = dynamics.chord_step_batch(curve, phi, t, _batch_head(curve, phi))
+        bp, bt, _ = dynamics.chord_step_batch(curve, t, _batch_head(curve, phi))
         for i in range(16):
             p = float(phi[i])
             sp, st = dynamics.chord_step_scalar(curve, p, float(t[i]), 1, curve.radius_scalar(p))
@@ -221,7 +221,7 @@ def test_chord_step_batch_head_reuse_is_bitwise(presets, fourier8):
         t = rng.uniform(0.01, 3.0, 64)
         head = _batch_head(curve, phi)
         for _ in range(5):
-            phi, t, head = dynamics.chord_step_batch(curve, phi, t, head)
+            phi, t, head = dynamics.chord_step_batch(curve, t, head)
             assert np.array_equal(head[0], np.cos(phi))
             assert np.array_equal(head[1], np.sin(phi))
             for got, want in zip(head[2:], curve.radius(phi)):
@@ -286,7 +286,7 @@ def test_chord_step_batch_bisections_match_trig_reference(presets, fourier8):
     for curve in curves.values():
         phi = rng.uniform(0, TWO_PI, 32768)
         t = np.exp(rng.uniform(math.log(dynamics.MIN_CHORD_T), math.log(30.0), phi.size))
-        psi, t_new, radial = dynamics.chord_step_batch(curve, phi, t, _batch_head(curve, phi))
+        psi, t_new, radial = dynamics.chord_step_batch(curve, t, _batch_head(curve, phi))
         psi_ref, t_ref, radial_ref = _chord_step_batch_trig(curve, phi, t)
         assert np.array_equal(psi, psi_ref) and np.array_equal(t_new, t_ref)
         for got, want in zip(radial, radial_ref):
@@ -307,7 +307,7 @@ def test_chord_step_batch_trig_calls(monkeypatch, wobbly3):
         return cos(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "cos", counted)
-    dynamics.chord_step_batch(wobbly3, phi, t, head)
+    dynamics.chord_step_batch(wobbly3, t, head)
     assert len(calls) == dynamics.N_NEWTON + 1
 
 
@@ -328,7 +328,7 @@ def test_chord_step_batch_radius_calls(monkeypatch, presets, fourier8):
         with monkeypatch.context() as m:
             m.setattr(ob.ConvexCurve, "radius", counted)
             del calls[:]
-            dynamics.chord_step_batch(curve, phi, t, head)
+            dynamics.chord_step_batch(curve, t, head)
             assert len(calls) == dynamics.N_BISECT + dynamics.N_NEWTON + 1 == 13
 
 
@@ -616,8 +616,6 @@ def test_differential_fd_with_its_base_image(presets):
     rng = np.random.default_rng(47)
     for curve in presets.values():
         for p in _exterior_sample(curve, rng, 5):
-            for orientation in (ob.dynamics.CCW, ob.dynamics.CW):
-                base = ob.step(curve, p, orientation)
-                assert np.array_equal(
-                    ob.differential_fd(curve, p, orientation=orientation, base=base),
-                    ob.differential_fd(curve, p, orientation=orientation))
+            base = ob.step(curve, p)
+            assert np.array_equal(ob.differential_fd(curve, p, base=base),
+                                  ob.differential_fd(curve, p))

@@ -231,14 +231,14 @@ def test_fd_cross_check_of_derivatives(presets, name):
 
 def test_forward_map_via_s_circle(unit_circle):
     # chord t=1 through the radius-sqrt2 point: quarter-turn rotation
-    p1, phi1 = ob.forward_map_via_s(unit_circle, 1.0, -PI / 4)
+    (p1,), (phi1,) = ob.forward_map_batch(unit_circle, 1.0, -PI / 4)
     assert p1 == pytest.approx(1.0, abs=1e-11)
     assert phi1 == pytest.approx(PI / 4, abs=1e-11)
 
 
 def test_forward_map_via_s_rejects_interior(unit_circle):
     with pytest.raises(ob.InsideCurveError):
-        ob.forward_map_via_s(unit_circle, 0.4, 0.0)
+        ob.forward_map_batch(unit_circle, 0.4, 0.0)
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])
@@ -261,7 +261,7 @@ def test_forward_map_matches_step(presets, name):
 
 def test_forward_map_ellipse_hand_seed(ellipse21):
     q = ob.step(ellipse21, ob.phase_point(ellipse21, 4.0, 0.0))
-    p1, phi1 = ob.forward_map_via_s(ellipse21, 8.0, 0.0)
+    (p1,), (phi1,) = ob.forward_map_batch(ellipse21, 8.0, 0.0)
     assert p1 == pytest.approx(q.p, rel=1e-10)
     assert phi1 == pytest.approx(q.phi, abs=1e-10)
 

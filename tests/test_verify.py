@@ -1,10 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 import outerbilliard as ob
-from outerbilliard import cli, dynamics, verify
+from outerbilliard import cli, dynamics, generating, jacobi, rigidity, verify
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -114,3 +115,44 @@ def test_midpoint_check_fails_on_images_reflected_off_the_tangency(monkeypatch, 
     check = {c.name: c for c in verify.run_verification(curve).checks}["midpoint_property"]
     assert not check.passed and check.error is None
     assert 1e-7 < check.value < 1e-4
+
+
+def _on_result(change):
+    """A defect that changes what the patched function returns."""
+    def wrap(f):
+        return lambda *args, **kwargs: change(f(*args, **kwargs))
+    return wrap
+
+
+def _turned_backward_tangency(tangency_root):
+    # the mirrored branch, behind inverse_step, reflects about gamma(psi + 1e-8)
+    def defect(curve, ax, ay, direction, exterior=None):
+        psi, t, gx, gy = tangency_root(curve, ax, ay, direction, exterior)
+        if direction < 0:
+            psi += 1e-8
+            r = curve.radius_scalar(psi)[0]
+            gx, gy = r * math.cos(psi), r * math.sin(psi)
+        return psi, t, gx, gy
+    return defect
+
+
+@pytest.mark.parametrize("owner, attr, make_defect, name", [
+    (generating, "s_closed_forms", _on_result(lambda d: dict(d, S=d["S"] * (1.0 + 1e-9))),
+     "triangle_area_identity"),
+    (generating, "_chord_from_angles_arrays",
+     _on_result(lambda chord: (chord[0], chord[1] * (1.0 + 1e-8))), "chart_roundtrip"),
+    (rigidity, "dual_support", _on_result(lambda h: (h[0], h[1] * (1.0 + 1e-6), h[2])),
+     "dual_area_routes"),
+    (rigidity, "dual_support", _on_result(lambda h: (h[0], h[1], h[2] * (1.0 + 1e-8))),
+     "chi_support_identity"),
+    (dynamics, "_tangency_root", _turned_backward_tangency, "inverse_roundtrip"),
+    (jacobi, "_jacobi_next", _on_result(lambda dq: dq * (1.0 + 1e-6)), "dp_form_consistency"),
+], ids=["S_times_1e-9", "chart_t_times_1e-8", "support_h1_times_1e-6",
+        "support_h2_times_1e-8", "backward_psi_plus_1e-8", "jacobi_next_times_1e-6"])
+def test_check_fails_on_its_defect(monkeypatch, wobbly3, owner, attr, make_defect, name):
+    # a small stated defect in the code under one check: that check must
+    # fail on its value, not on an exception
+    monkeypatch.setattr(owner, attr, make_defect(getattr(owner, attr)))
+    check = {c.name: c for c in verify.run_verification(wobbly3).checks}[name]
+    assert not check.passed and check.error is None
+    assert check.value > check.threshold
