@@ -174,10 +174,7 @@ def cmd_simulate(curve, s, out):
     pts = dynamics.orbit(curve, a, s["steps"], s["orientation"])
     footer = []
     if curve.kind == "ellipse":
-        aa, bb = curve.axis_a, curve.axis_b
-        q0 = ((pts[0].x - curve.origin[0]) / aa) ** 2 + ((pts[0].y - curve.origin[1]) / bb) ** 2
-        dev = max(abs(((p.x - curve.origin[0]) / aa) ** 2
-                      + ((p.y - curve.origin[1]) / bb) ** 2 - q0) / q0 for p in pts)
+        dev = dynamics.ellipse_invariant_deviation(curve, pts)
         footer.append(f"homothetic_ellipse_invariant_max_rel_dev={dev:.17g}")
     dynamics.write_orbit_csv(out, pts, footer)
     return EXIT_OK

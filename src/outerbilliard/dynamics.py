@@ -298,6 +298,14 @@ def differential_fd(curve: ConvexCurve, a: PhasePoint, h: float = 1e-5,
     return out
 
 
+def ellipse_invariant_deviation(curve: ConvexCurve, points) -> float:
+    """Worst relative change of ((x - x0)/a)^2 + ((y - y0)/b)^2 along points of
+    an ellipse's orbit; the map keeps each homothetic ellipse invariant."""
+    x0, y0 = curve.origin
+    q = [((p.x - x0) / curve.axis_a) ** 2 + ((p.y - y0) / curve.axis_b) ** 2 for p in points]
+    return max(abs(v - q[0]) / q[0] for v in q)
+
+
 # -- chord-chart stepping (hot paths for Jacobi machinery) --------------------
 
 def chord_of(curve: ConvexCurve, a: PhasePoint):

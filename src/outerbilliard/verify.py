@@ -3,6 +3,12 @@
 Every check pits a closed form against an independent route: finite
 differences, direct geometry, the shoelace formula, or a second quadrature.
 All sampling is deterministic (fixed seed) so reruns are byte-identical.
+
+A sample that several checks read is evaluated once: the 200 sample chords'
+radial data, closed forms and endpoint angles, one nine-inversion stencil
+about the first 100 for every S-derivative check, and the sample points'
+images.  The kernels are elementwise, so a slice of a bundle has the bits of
+the same call on the slice.
 """
 
 import functools
@@ -90,25 +96,31 @@ def run_verification(curve: ConvexCurve) -> VerificationResult:
     half = tuple(v[::2] for v in radial)   # the 1024-angle sample, bit for bit
     # samples that several checks share; a raise is not cached, so every
     # check that reads a failed sample records why
-    fd_n = (cphi[:N_SAMPLE], ct[:N_SAMPLE])
-    stencil = functools.cache(lambda: _s_stencil(curve, *fd_n))
-    jac = functools.cache(lambda: _jacobian_fd_error(curve, *fd_n, stencil()))
+    chord_radial = curve.radius(cphi)
+    closed = generating.s_closed_forms(*chord_radial, ct)
+    a0, a1, _, _ = generating._angles_arrays(curve, cphi, ct, chord_radial)
+    n = N_SAMPLE
+    fd_n = (cphi[:n], ct[:n])
+    closed_n = {k: v[:n] for k, v in closed.items()}
+    stencil = functools.cache(lambda: _s_stencil(curve, a0[:n], a1[:n], *fd_n))
+    jac = functools.cache(lambda: _jacobian_fd_error(
+        curve, *fd_n, tuple(v[:n] for v in chord_radial), closed_n, stencil()[1]["S12"]))
     images = functools.cache(lambda: [dynamics.step(curve, p) for p in pts])
     fmap = functools.cache(lambda: _map_consistency_error(curve, pts, images()))
 
     check("radial_fd_consistency", lambda: _radial_fd_error(curve, rng), 1e-6)
     check("total_curvature",
           lambda: abs(rigidity.total_curvature(*radial) - TWO_PI), 1e-10)
-    check("chain_rule_exactness", lambda: _chain_rule_error(curve, cphi, ct), 1e-12)
+    check("chain_rule_exactness", lambda: _chain_rule_error(curve, cphi, ct, closed), 1e-12)
     check("fd_partial_derivatives",
-          lambda: _fd_partials_error(curve, *fd_n, stencil()), 1e-5)
+          lambda: _fd_partials_error(closed_n, stencil()[1]), 1e-5)
     check("mixed_partial_symmetry",
-          lambda: _mixed_partial_error(curve, cphi[:40], ct[:40]), 1e-5)
+          lambda: _mixed_partial_error(closed_n, stencil()[0]), 1e-5)
     check("jacobian_fd_consistency", lambda: jac()[0], 1e-6)
     check("measure_density_consistency", lambda: jac()[1], 1e-5)
-    check("chart_roundtrip", lambda: _roundtrip_error(curve, cphi, ct), 1e-10)
+    check("chart_roundtrip", lambda: _roundtrip_error(curve, cphi, ct, a0, a1), 1e-10)
     check("triangle_area_identity",
-          lambda: _shoelace_error(curve, cphi, ct), 1e-12)
+          lambda: _shoelace_error(cphi, ct, chord_radial, closed["S"]), 1e-12)
     check("twist_negative",
           lambda: generating.twist_scan(curve, 128, 128, 20.0).max_s12, 0.0)
     check("symplecticity",
@@ -166,15 +178,13 @@ def _radial_fd_error(curve, rng):
     return max(float(np.abs(fd1 - rp).max()), float(np.abs(fd2 - rpp).max())) / scale
 
 
-def _chain_rule_error(curve, cphi, ct):
+def _chain_rule_error(curve, cphi, ct, d):
     s1c, s2c = generating.chain_rule_s1_s2(curve, cphi, ct)
-    d = generating._sderiv_arrays(curve, cphi, ct)
     sc = np.maximum(1.0, np.maximum(d["r0sq"], d["r1sq"]))
     return float(np.max(np.maximum(np.abs(s1c - d["S1"]), np.abs(s2c - d["S2"])) / sc))
 
 
-def _roundtrip_error(curve, cphi, ct):
-    a0, a1, _, _ = generating._angles_arrays(curve, cphi, ct)
+def _roundtrip_error(curve, cphi, ct, a0, a1):
     rphi, rt = generating._chord_from_angles_arrays(curve, a0, a1)
     return max(float(np.abs(rphi - cphi).max()), float(np.abs(rt - ct).max()))
 
@@ -212,30 +222,29 @@ def _decomposition_error(curve, rng):
 # -- helpers -------------------------------------------------------------------
 
 
-def _s_stencil(curve, cphi, ct):
-    """S at (phi0 + da h, phi1 + db h) of each chord, h = STENCIL_H, keyed by
-    (da, db) in {-1, 0, 1}^2."""
-    a0, a1, _, _ = generating._angles_arrays(curve, cphi, ct)
-    s = {}
+def _s_stencil(curve, a0, a1, cphi, ct):
+    """The closed forms at (a0 + da h, a1 + db h), h = STENCIL_H, keyed by (da,
+    db) in {-1, 0, 1}^2, and the central differences of S across them; S is
+    t r r there, the finite-difference route's own S."""
+    forms, s = {}, {}
     for da in (-1, 0, 1):
         for db in (-1, 0, 1):
             phi, t = generating._chord_from_angles_arrays(
                 curve, a0 + da * STENCIL_H, a1 + db * STENCIL_H, guess=(cphi, ct))
-            r, _, _ = curve.radius(phi)
+            r, rp, rpp = curve.radius(phi)
+            forms[(da, db)] = generating.s_closed_forms(r, rp, rpp, t)
             s[(da, db)] = t * r * r
-    return s
-
-
-def _fd_partials_error(curve, cphi, ct, s):
-    d = generating._sderiv_arrays(curve, cphi, ct)
     h = STENCIL_H
-    fd = {
+    return forms, {
         "S1": (s[(1, 0)] - s[(-1, 0)]) / (2 * h),
         "S2": (s[(0, 1)] - s[(0, -1)]) / (2 * h),
         "S11": (s[(1, 0)] - 2 * s[(0, 0)] + s[(-1, 0)]) / h ** 2,
         "S22": (s[(0, 1)] - 2 * s[(0, 0)] + s[(0, -1)]) / h ** 2,
         "S12": (s[(1, 1)] - s[(1, -1)] - s[(-1, 1)] + s[(-1, -1)]) / (4 * h ** 2),
     }
+
+
+def _fd_partials_error(d, fd):
     worst = 0.0
     for key, approx in fd.items():
         rel = np.abs(approx - d[key]) / np.maximum(1.0, np.abs(d[key]))
@@ -243,40 +252,24 @@ def _fd_partials_error(curve, cphi, ct, s):
     return worst
 
 
-def _mixed_partial_error(curve, cphi, ct):
-    """d(S1)/dphi1 and d(S2)/dphi0 from the closed first partials must both
-    reproduce the closed S12."""
-    a0, a1, _, _ = generating._angles_arrays(curve, cphi, ct)
-    d = generating._sderiv_arrays(curve, cphi, ct)
-
-    def s1_at(b):
-        phi, t = generating._chord_from_angles_arrays(curve, a0, b, guess=(cphi, ct))
-        return generating._sderiv_arrays(curve, phi, t)["S1"]
-
-    def s2_at(a):
-        phi, t = generating._chord_from_angles_arrays(curve, a, a1, guess=(cphi, ct))
-        return generating._sderiv_arrays(curve, phi, t)["S2"]
-
-    g1 = (s1_at(a1 + STENCIL_H) - s1_at(a1 - STENCIL_H)) / (2 * STENCIL_H)
-    g2 = (s2_at(a0 + STENCIL_H) - s2_at(a0 - STENCIL_H)) / (2 * STENCIL_H)
+def _mixed_partial_error(d, stencil):
+    """d(S1)/dphi1 and d(S2)/dphi0 from the closed first partials across the
+    stencil must both reproduce the closed S12."""
+    g1 = (stencil[(0, 1)]["S1"] - stencil[(0, -1)]["S1"]) / (2 * STENCIL_H)
+    g2 = (stencil[(1, 0)]["S2"] - stencil[(-1, 0)]["S2"]) / (2 * STENCIL_H)
     sc = np.maximum(1.0, np.abs(d["S12"]))
     return float(max(np.max(np.abs(g1 - d["S12"]) / sc),
                      np.max(np.abs(g2 - d["S12"]) / sc),
                      np.max(np.abs(g1 - g2) / sc)))
 
 
-def _jacobian_fd_error(curve, cphi, ct, s):
+def _jacobian_fd_error(curve, cphi, ct, radial, d, s12_fd):
     h = JACOBIAN_FD_H
-    d = generating._sderiv_arrays(curve, cphi, ct)
-
-    def angles(p, t):
-        a0, a1, _, _ = generating._angles_arrays(curve, p, t)
-        return a0, a1
-
-    a0pp, a1pp = angles(cphi + h, ct)
-    a0pm, a1pm = angles(cphi - h, ct)
-    a0tp, a1tp = angles(cphi, ct + h)
-    a0tm, a1tm = angles(cphi, ct - h)
+    a0pp, a1pp, _, _ = generating._angles_arrays(curve, cphi + h, ct)
+    a0pm, a1pm, _, _ = generating._angles_arrays(curve, cphi - h, ct)
+    # the t steps keep phi, so they read the chords' radial data
+    a0tp, a1tp, _, _ = generating._angles_arrays(curve, cphi, ct + h, radial)
+    a0tm, a1tm, _, _ = generating._angles_arrays(curve, cphi, ct - h, radial)
     j00 = (a0pp - a0pm) / (2 * h)
     j01 = (a0tp - a0tm) / (2 * h)
     j10 = (a1pp - a1pm) / (2 * h)
@@ -285,23 +278,21 @@ def _jacobian_fd_error(curve, cphi, ct, s):
     rel_j = float(np.max(np.abs(det_fd - d["J"]) / np.abs(d["J"])))
     mu_closed = -d["S12"] * d["J"]
     # S12 from the corners of the S stencil, paired with the FD Jacobian
-    s12_fd = (s[(1, 1)] - s[(1, -1)] - s[(-1, 1)] + s[(-1, -1)]) / (4 * STENCIL_H * STENCIL_H)
     mu_fd = -s12_fd * det_fd
     rel_mu = float(np.max(np.abs(mu_fd - mu_closed) / np.maximum(1.0, np.abs(mu_closed))))
     return rel_j, rel_mu
 
 
-def _shoelace_error(curve, cphi, ct):
+def _shoelace_error(cphi, ct, radial, svals):
     """The shoelace area of the triangle (origin, M0, M1), which is t r^2 for
     any r and r', against the package's closed-form S."""
-    r, rp, rpp = curve.radius(cphi)
+    r, rp, _ = radial
     c, s = np.cos(cphi), np.sin(cphi)
     gx, gy = r * c, r * s
     tx, ty = rp * c - r * s, rp * s + r * c
     m0x, m0y = gx - ct * tx, gy - ct * ty
     m1x, m1y = gx + ct * tx, gy + ct * ty
     shoelace = 0.5 * np.abs(m0x * m1y - m0y * m1x)
-    svals = generating.s_closed_forms(r, rp, rpp, ct)["S"]
     return float(np.max(np.abs(shoelace - svals) / np.maximum(1.0, svals)))
 
 
@@ -343,12 +334,6 @@ def _circle_law_error(curve, pts, images):
 
 
 def _foliation_error(curve):
-    a, b = curve.axis_a, curve.axis_b
-    seed = dynamics.phase_point(curve, curve.origin[0] + 2.0 * a, curve.origin[1])
-    pts = dynamics.orbit(curve, seed, FOLIATION_STEPS)
-    q0 = (pts[0].x - curve.origin[0]) ** 2 / a ** 2 + (pts[0].y - curve.origin[1]) ** 2 / b ** 2
-    worst = 0.0
-    for p in pts:
-        q = (p.x - curve.origin[0]) ** 2 / a ** 2 + (p.y - curve.origin[1]) ** 2 / b ** 2
-        worst = max(worst, abs(q - q0) / q0)
-    return worst
+    seed = dynamics.phase_point(curve, curve.origin[0] + 2.0 * curve.axis_a, curve.origin[1])
+    return dynamics.ellipse_invariant_deviation(
+        curve, dynamics.orbit(curve, seed, FOLIATION_STEPS))

@@ -100,6 +100,32 @@ def test_verify_steps_each_sample_point_once(monkeypatch, unit_circle, ellipse21
         assert len(calls) == expected
 
 
+def test_verify_evaluates_each_shared_chord_sample_once(monkeypatch, unit_circle, wobbly3,
+                                                        ellipse21):
+    # the 200 sample chords get one radial call, which gives their closed forms
+    # and angles; one stencil of nine chart inversions serves every S-derivative
+    # check, with one radial call per inverted chord; the chart round trip adds
+    # one inversion and the forward map the rest
+    counts = {}
+
+    def counted(key, f):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ob.ConvexCurve, "radius", counted("radius", ob.ConvexCurve.radius))
+    monkeypatch.setattr(generating, "_chord_from_angles_arrays",
+                        counted("chart", generating._chord_from_angles_arrays))
+    for curve, expected in ((unit_circle, (50, 11)), (wobbly3, (84, 16)),
+                            (ellipse21, (126, 21))):
+        # a fresh copy, as the CLI loads: its lazy diameter is one of the calls
+        curve = ob.curve_from_dict(ob.curve_to_dict(curve))
+        counts.update(radius=0, chart=0)
+        verify.run_verification(curve)
+        assert (counts["radius"], counts["chart"]) == expected
+
+
 @pytest.mark.parametrize("name", ["unit_circle", "ellipse21", "wobbly3", "fourier8"])
 def test_midpoint_check_fails_on_images_reflected_off_the_tangency(monkeypatch, request, name):
     # a defect the check must see: each image reflected about gamma(psi + 1e-6)
@@ -136,23 +162,51 @@ def _turned_backward_tangency(tangency_root):
     return defect
 
 
-@pytest.mark.parametrize("owner, attr, make_defect, name", [
+def _image_x_stretched(step):
+    # each image moved off its homothetic ellipse by a relative 1e-8 in x
+    def defect(curve, a, orientation=dynamics.CCW):
+        q = step(curve, a, orientation)
+        return dynamics.phase_point(curve, q.x * (1.0 + 1e-8), q.y)
+    return defect
+
+
+@pytest.mark.parametrize("owner, attr, make_defect, name, curve", [
     (generating, "s_closed_forms", _on_result(lambda d: dict(d, S=d["S"] * (1.0 + 1e-9))),
-     "triangle_area_identity"),
+     "triangle_area_identity", "wobbly3"),
     (generating, "_chord_from_angles_arrays",
-     _on_result(lambda chord: (chord[0], chord[1] * (1.0 + 1e-8))), "chart_roundtrip"),
+     _on_result(lambda chord: (chord[0], chord[1] * (1.0 + 1e-8))), "chart_roundtrip",
+     "wobbly3"),
     (rigidity, "dual_support", _on_result(lambda h: (h[0], h[1] * (1.0 + 1e-6), h[2])),
-     "dual_area_routes"),
+     "dual_area_routes", "wobbly3"),
     (rigidity, "dual_support", _on_result(lambda h: (h[0], h[1], h[2] * (1.0 + 1e-8))),
-     "chi_support_identity"),
-    (dynamics, "_tangency_root", _turned_backward_tangency, "inverse_roundtrip"),
-    (jacobi, "_jacobi_next", _on_result(lambda dq: dq * (1.0 + 1e-6)), "dp_form_consistency"),
+     "chi_support_identity", "wobbly3"),
+    (dynamics, "_tangency_root", _turned_backward_tangency, "inverse_roundtrip", "wobbly3"),
+    (jacobi, "_jacobi_next", _on_result(lambda dq: dq * (1.0 + 1e-6)), "dp_form_consistency",
+     "wobbly3"),
+    (generating, "s_closed_forms", _on_result(lambda d: dict(d, S1=d["S1"] * (1.0 + 1e-10))),
+     "chain_rule_exactness", "wobbly3"),
+    (generating, "s_closed_forms", _on_result(lambda d: dict(d, S11=d["S11"] * (1.0 + 1e-4))),
+     "fd_partial_derivatives", "wobbly3"),
+    (generating, "s_closed_forms", _on_result(lambda d: dict(d, S12=d["S12"] * (1.0 + 1e-4))),
+     "mixed_partial_symmetry", "wobbly3"),
+    (generating, "s_closed_forms", _on_result(lambda d: dict(d, J=d["J"] * (1.0 + 1e-5))),
+     "jacobian_fd_consistency", "wobbly3"),
+    (generating, "s_closed_forms", _on_result(lambda d: dict(d, J=d["J"] * (1.0 + 1e-4))),
+     "measure_density_consistency", "wobbly3"),
+    (dynamics, "step", _image_x_stretched, "ellipse_foliation", "ellipse21"),
+    # on a non-ellipse the Cauchy-Schwarz gap is far below the threshold, so
+    # only the ellipse's equality case can show a small Q defect
+    (rigidity, "q_integral", _on_result(lambda q: q * (1.0 + 1e-8)), "cauchy_schwarz_chain",
+     "ellipse21"),
 ], ids=["S_times_1e-9", "chart_t_times_1e-8", "support_h1_times_1e-6",
-        "support_h2_times_1e-8", "backward_psi_plus_1e-8", "jacobi_next_times_1e-6"])
-def test_check_fails_on_its_defect(monkeypatch, wobbly3, owner, attr, make_defect, name):
+        "support_h2_times_1e-8", "backward_psi_plus_1e-8", "jacobi_next_times_1e-6",
+        "S1_times_1e-10", "S11_times_1e-4", "S12_times_1e-4", "J_times_1e-5",
+        "J_times_1e-4", "image_x_times_1e-8", "q_times_1e-8"])
+def test_check_fails_on_its_defect(monkeypatch, request, owner, attr, make_defect, name, curve):
     # a small stated defect in the code under one check: that check must
     # fail on its value, not on an exception
+    curve = request.getfixturevalue(curve)
     monkeypatch.setattr(owner, attr, make_defect(getattr(owner, attr)))
-    check = {c.name: c for c in verify.run_verification(wobbly3).checks}[name]
+    check = {c.name: c for c in verify.run_verification(curve).checks}[name]
     assert not check.passed and check.error is None
     assert check.value > check.threshold
