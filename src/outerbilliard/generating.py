@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import serialize
 from .curves import ConvexCurve, chi
 from .errors import ConvergenceError, InsideCurveError
 from .quadrature import chord_grid
@@ -29,6 +30,7 @@ CHART_PHI_STEP = 0.1      # chart inversion: longest phi step of one Newton iter
 FMAP_DELTA = 1e-9         # forward map: phi1 is bracketed in (phi0 + d, phi0 + pi - d)
 FMAP_TOL = 1e-12          # forward map: Newton step in phi1 accepted as converged
 FMAP_MAX_ITER = 50        # forward map: Newton iterations before ConvergenceError
+CSV_BLOCK = 1024          # table rows formatted per serialize.g17_csv call
 
 
 # -- chart transition ----------------------------------------------------------
@@ -47,7 +49,7 @@ def _angles_arrays(curve: ConvexCurve, phi, t, radial=None):
 
 def chord_to_angles(curve: ConvexCurve, phi: float, t: float):
     """(phi0, phi1, r0sq, r1sq) of the chord (phi, t) as floats."""
-    if t <= 0:
+    if not t > 0:                       # a NaN fails too
         raise ValueError("chord parameter t must be positive")
     return tuple(float(v) for v in _angles_arrays(curve, phi, t))
 
@@ -131,7 +133,7 @@ def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, guess=None):
     phi0 = np.asarray(phi0, dtype=float)
     phi1 = np.asarray(phi1, dtype=float)
     gap = phi1 - phi0
-    if np.any(gap <= 0) or np.any(gap >= np.pi):
+    if not np.all((0 < gap) & (gap < np.pi)):     # a NaN fails too
         raise ValueError("angle pair must satisfy phi0 < phi1 < phi0 + pi")
     if guess is None:
         phi = 0.5 * (phi0 + phi1)
@@ -186,7 +188,7 @@ def forward_map_batch(curve: ConvexCurve, p0, phi0):
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
     r, _, _ = curve.radius(phi0)
-    if np.any(2.0 * p0 <= r * r):
+    if not np.all(2.0 * p0 > r * r):    # a NaN fails too
         raise InsideCurveError("phase point (p0, phi0) is not exterior")
     rho0 = np.sqrt(2.0 * p0)
     lo, hi = phi0 + FMAP_DELTA, phi0 + np.pi - FMAP_DELTA
@@ -272,22 +274,17 @@ def derivative_table(curve: ConvexCurve, phi_grid: int, t_grid: int, t_max: floa
 def write_derivative_csv(fh, pm, tm, d):
     """Write the derivative table as CSV rows at full double precision.
 
-    Rows go out one block of equal phi at a time.  The block's phi is
-    formatted once, into its row template, and the previous block's t strings
-    are reused when the t column has their bits (-0.0 == 0.0, so bits are
-    compared), so a grid formats phi_grid + t_grid coordinates, not two a row.
+    Every field is "%.17g" % value, byte for byte.  serialize.g17_csv formats
+    CSV_BLOCK rows at a time with array arithmetic, in place of one "%" per
+    field; its temporaries stay below 4 MiB a block.
     """
     names = ("S", "S1", "S2", "S11", "S12", "S22", "J")
     fh.write(",".join(("phi", "t") + names) + "\n")
-    pm, tm = (np.ascontiguousarray(c, dtype=float) for c in (pm, tm))
-    cols = [np.asarray(d[k]) for k in names]
-    rest = ",".join(["%.17g"] * len(names)) + "\n"
-    pbits, tbits = pm.view(np.uint64), tm.view(np.uint64)
-    starts = (np.flatnonzero(pbits[1:] != pbits[:-1]) + 1).tolist()
-    blocks = zip([0] + starts, starts + [pm.size]) if pm.size else ()
-    axis, cells = tbits[:0], []
-    for lo, hi in blocks:
-        if not np.array_equal(tbits[lo:hi], axis):
-            axis, cells = tbits[lo:hi], ["%.17g" % v for v in tm[lo:hi].tolist()]
-        row = "%.17g,%%s," % float(pm[lo]) + rest
-        fh.writelines(map(row.__mod__, zip(cells, *(c[lo:hi].tolist() for c in cols))))
+    cols = [np.asarray(c, dtype=float) for c in (pm, tm, *(d[k] for k in names))]
+    n = cols[0].size
+    block = np.empty((min(n, CSV_BLOCK), len(cols)))
+    for lo in range(0, n, CSV_BLOCK):
+        rows = block[:min(CSV_BLOCK, n - lo)]
+        for j, c in enumerate(cols):
+            rows[:, j] = c[lo:lo + len(rows)]
+        fh.write(serialize.g17_csv(rows))

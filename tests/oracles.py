@@ -5,6 +5,9 @@
 report samples the curve about its Santalo point directly
 (``curves.radius_about``) with no refit, so the two agree only when both are
 right.
+
+``write_derivative_csv_per_row`` writes the twist-scan table with one "%"
+per field, the bytes the package's array formatter must reproduce.
 """
 
 import numpy as np
@@ -55,3 +58,27 @@ def reorigin(curve: ConvexCurve, new_origin, grid_size: int = 2048) -> ConvexCur
             f"reorigin refit residual {residual:.3g} exceeds {REFIT_RESIDUAL_MAX:g}; "
             "raise grid_size or the coefficient cutoff", residual=residual)
     return require_valid(out)
+
+
+def write_derivative_csv_per_row(fh, pm, tm, d):
+    """The derivative table as CSV rows, each field "%.17g" % value.
+
+    Rows go out one block of equal phi at a time.  The block's phi is
+    formatted once, into its row template, and the previous block's t strings
+    are reused when the t column has their bits (-0.0 == 0.0, so bits are
+    compared), so a grid formats phi_grid + t_grid coordinates, not two a row.
+    """
+    names = ("S", "S1", "S2", "S11", "S12", "S22", "J")
+    fh.write(",".join(("phi", "t") + names) + "\n")
+    pm, tm = (np.ascontiguousarray(c, dtype=float) for c in (pm, tm))
+    cols = [np.asarray(d[k]) for k in names]
+    rest = ",".join(["%.17g"] * len(names)) + "\n"
+    pbits, tbits = pm.view(np.uint64), tm.view(np.uint64)
+    starts = (np.flatnonzero(pbits[1:] != pbits[:-1]) + 1).tolist()
+    blocks = zip([0] + starts, starts + [pm.size]) if pm.size else ()
+    axis, cells = tbits[:0], []
+    for lo, hi in blocks:
+        if not np.array_equal(tbits[lo:hi], axis):
+            axis, cells = tbits[lo:hi], ["%.17g" % v for v in tm[lo:hi].tolist()]
+        row = "%.17g,%%s," % float(pm[lo]) + rest
+        fh.writelines(map(row.__mod__, zip(cells, *(c[lo:hi].tolist() for c in cols))))

@@ -8,7 +8,10 @@ import outerbilliard as ob
 from outerbilliard import dynamics, generating
 from outerbilliard.quadrature import TWO_PI
 
+from oracles import write_derivative_csv_per_row
+
 PI = math.pi
+TABLE_CURVES = ["unit_circle", "ellipse21", "wobbly3", "fourier8", "fourier8_off_centre"]
 
 
 def _random_chords(rng, n, t_lo=0.05, t_hi=3.0):
@@ -77,6 +80,16 @@ def test_angles_to_chord_rejects_bad_pairs(unit_circle):
         ob.angles_to_chord(unit_circle, 1.0, 1.0)
     with pytest.raises(ValueError):
         ob.angles_to_chord(unit_circle, 0.0, 3.5)
+    # a NaN angle fails the gap check at once, not after 50 Newton iterations
+    for pair in ((0.1, math.nan), (math.nan, 0.1)):
+        with pytest.raises(ValueError, match="angle pair"):
+            ob.angles_to_chord(unit_circle, *pair)
+
+
+def test_chord_to_angles_rejects_a_non_positive_or_nan_t(unit_circle):
+    for t in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="must be positive"):
+            ob.chord_to_angles(unit_circle, 0.3, t)
 
 
 def test_angles_to_chord_reports_nonconvergence(monkeypatch, ellipse21):
@@ -239,6 +252,10 @@ def test_forward_map_via_s_circle(unit_circle):
 def test_forward_map_via_s_rejects_interior(unit_circle):
     with pytest.raises(ob.InsideCurveError):
         ob.forward_map_batch(unit_circle, 0.4, 0.0)
+    # a NaN p0 is no exterior point: it fails at once, not after 50 Newton
+    # iterations with a nan residual
+    with pytest.raises(ob.InsideCurveError):
+        ob.forward_map_batch(unit_circle, [math.nan], [0.0])
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])
@@ -420,23 +437,35 @@ def test_derivative_csv_reuses_t_strings_only_for_the_same_bits():
     # blocks of three rows share a phi; the second block's t column equals the
     # first's, the third's differs only in the sign of a zero, the fourth
     # block's phi differs from the third's only in the sign of a zero, and the
-    # last returns to the first block's phi and t
+    # last returns to the first block's phi and t.  The per-row reference
+    # writer reuses a block's t strings; the package's writer formats every
+    # field, and both must keep the sign of every zero
     pm = np.repeat([0.5, 1.5, -0.0, 0.0, 0.5], 3)
     tm = np.concatenate([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [-0.0, 1.0, 2.0],
                          [-0.0, 1.0, 3.0], [0.0, 1.0, 2.0]])
     names = ("S", "S1", "S2", "S11", "S12", "S22", "J")
     d = {k: np.arange(pm.size) * (j + 0.25) for j, k in enumerate(names)}
-    buf = io.StringIO()
-    generating.write_derivative_csv(buf, pm, tm, d)
     cols = [pm, tm, *(d[k] for k in names)]
     want = "phi,t,S,S1,S2,S11,S12,S22,J\n" + "".join(
         ",".join(f"{float(c[i]):.17g}" for c in cols) + "\n" for i in range(pm.size))
-    assert buf.getvalue() == want
+    for write in (generating.write_derivative_csv, write_derivative_csv_per_row):
+        buf = io.StringIO()
+        write(buf, pm, tm, d)
+        assert buf.getvalue() == want, write.__name__
+
+
+@pytest.mark.parametrize("name", TABLE_CURVES)
+def test_derivative_csv_has_the_bytes_of_the_per_row_writer(request, name):
+    # the array formatter against one "%" per field, on the default grid
+    pm, tm, d = generating.derivative_table(request.getfixturevalue(name), 256, 256, 20.0)
+    fast, per_row = io.StringIO(), io.StringIO()
+    generating.write_derivative_csv(fast, pm, tm, d)
+    write_derivative_csv_per_row(per_row, pm, tm, d)
+    assert fast.getvalue() == per_row.getvalue()
 
 
 @pytest.mark.parametrize("grid", [(64, 128, 5.0), (256, 256, 20.0)], ids=["small", "default"])
-@pytest.mark.parametrize("name", ["unit_circle", "ellipse21", "wobbly3", "fourier8",
-                                  "fourier8_off_centre"])
+@pytest.mark.parametrize("name", TABLE_CURVES)
 def test_twist_scan_is_the_derivative_tables_s12_maximum(request, name, grid):
     # twist_scan evaluates S12 alone, broadcast over its own grid: its
     # maximum must be the full table's, bit for bit and at the same node

@@ -1,0 +1,177 @@
+"""serialize.g17_csv against Python's own "%.17g", byte for byte."""
+
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import outerbilliard
+from outerbilliard import generating, serialize
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:                          # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
+# the numpy SIMD level of a CPU without AVX-512
+AVX2_LEVEL = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def per_field(block):
+    block = np.asarray(block, dtype=float)
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in block.tolist())
+
+
+def assert_formats_like_percent(values, cols=1):
+    values = np.asarray(values, dtype=float).reshape(-1, cols)
+    got, want = serialize.g17_csv(values), per_field(values)
+    if got != want:
+        moved = [(w, g) for w, g in zip(want.splitlines(), got.splitlines()) if w != g]
+        pytest.fail(f"{len(moved)} rows differ from '%.17g', first (want, got): {moved[:3]}")
+
+
+def test_random_bit_patterns():
+    # every float64 is equally likely: nan payloads, subnormals and 600
+    # decades of normal numbers, nine fields a row
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2 ** 64, 200_007, dtype=np.uint64, endpoint=False)
+    assert_formats_like_percent(bits.view(np.float64), cols=9)
+
+
+def test_random_magnitudes_across_the_fast_range():
+    rng = np.random.default_rng(2025)
+    x = rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-281.0, 281.0, 50_000)
+    assert_formats_like_percent(x, cols=5)
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=12))
+def test_any_floats(values):
+    assert_formats_like_percent(values)
+
+
+def test_zeros_subnormals_extremes_and_non_finite():
+    tiny = 5e-324
+    assert_formats_like_percent([0.0, -0.0, tiny, -tiny, 2.2250738585072009e-308,
+                                 -1.2345e-310, 2.2250738585072014e-308,
+                                 1.7976931348623157e308, -1.7976931348623157e308,
+                                 math.inf, -math.inf, math.nan, -math.nan])
+    assert serialize.g17_csv(np.array([[-0.0, 0.0]])) == "-0,0\n"
+
+
+def test_powers_of_ten_and_their_neighbours():
+    # 1 ulp below some powers of ten rounds up to the power at 17 digits
+    # (1e-14 among them): D reaches 10^17 and X moves up by one
+    x, round_ups = [], 0
+    for k in range(-300, 301):
+        p = float(f"1e{k}")
+        for v in (p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)):
+            x.append(v)
+            round_ups += Fraction(v) < Fraction(10) ** k and "%.17g" % v == f"1e{k:+03d}"
+    assert round_ups >= 10
+    x = np.array(x)
+    assert_formats_like_percent(np.concatenate([x, -x]), cols=3)
+
+
+def test_halfway_ties_and_large_integers():
+    # j / 2^(n + 1) with j odd is a tie at 17 digits when x 10^n lies in
+    # [1e16, 1e17), for example 1e15 + 0.25: round half even, which the
+    # fast path leaves to "%".  Integers above 2^53 have 16 to 22 digits.
+    rng = np.random.default_rng(11)
+    ties = []
+    for x_exp in range(-10, 16):
+        n = 16 - x_exp
+        lo = math.ceil(10.0 ** x_exp * 2.0 ** (n + 1))
+        hi = min(math.floor(10.0 ** (x_exp + 1) * 2.0 ** (n + 1)), 2 ** 53)
+        if hi - lo > 4:
+            ties += [j / 2.0 ** (n + 1) for j in rng.integers(lo, hi, 40) | 1]
+    assert "%.17g" % (1e15 + 0.25) == "1000000000000000.2"
+    big = 2.0 ** 53 + 2.0 * rng.integers(0, 2 ** 40, 2_000)
+    huge = np.ldexp(rng.integers(2 ** 52, 2 ** 53, 2_000).astype(float),
+                    rng.integers(1, 20, 2_000))
+    assert_formats_like_percent(np.concatenate([ties, [1e15 + 0.25], big, huge]))
+
+
+def test_exponent_boundaries_of_fixed_notation():
+    # "%g" writes fixed notation for -4 <= X < 17: X = -5, -4, 16 and 17
+    # with every count of significant digits
+    x = []
+    for x_exp in (-5, -4, 16, 17):
+        for nsig in range(1, 18):
+            digits = "123456789123456789"[:nsig]
+            x.append(float(f"{digits[0]}.{digits[1:]}e{x_exp}"))
+        x += [10.0 ** x_exp, 9.0 * 10.0 ** x_exp]
+    assert_formats_like_percent(np.concatenate([x, np.negative(x)]))
+
+
+class _Sink:
+    def write(self, text):
+        pass
+
+
+def test_fast_path_formats_nearly_every_cell_of_the_default_table(monkeypatch, wobbly3):
+    slow = []
+    inner = serialize._g17_slow
+
+    def counted(values):
+        slow.extend(values)
+        return inner(values)
+
+    monkeypatch.setattr(serialize, "_g17_slow", counted)
+    pm, tm, d = generating.derivative_table(wobbly3, 256, 256, 20.0)
+    generating.write_derivative_csv(_Sink(), pm, tm, d)
+    assert len(slow) <= 0.01 * 9 * pm.size
+
+
+def test_table_writer_temporaries_stay_below_4_mib_a_block(wobbly3):
+    # the sink keeps nothing, so the peak is one block's formatting; four
+    # blocks of the default table
+    pm, tm, d = generating.derivative_table(wobbly3, 256, 256, 20.0)
+    rows = slice(0, 4 * generating.CSV_BLOCK)
+    serialize.g17_csv(np.ones((1, 1)))      # builds the tables, which outlive the call
+    tracemalloc.start()
+    try:
+        generating.write_derivative_csv(_Sink(), pm[rows], tm[rows],
+                                        {k: v[rows] for k, v in d.items()})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
+@pytest.mark.skipif(not __cpu_features__.get("AVX512_ICL"),
+                    reason="the CPU lacks AVX512_ICL, so numpy already runs at the AVX2 level")
+def test_same_bytes_at_the_avx2_simd_level(tmp_path, wobbly3):
+    # the fast path uses *, +, -, floor and frexp, whose bits numpy keeps at
+    # every SIMD level; a child process at the AVX2 level formats the same values
+    pm, tm, d = generating.derivative_table(wobbly3, 64, 64, 20.0)
+    names = ("S", "S1", "S2", "S11", "S12", "S22", "J")
+    table = np.column_stack([pm, tm, *(d[k] for k in names)])
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64).view(np.float64)
+    sample = np.concatenate([bits, 10.0 ** rng.uniform(-281.0, 281.0, 20_000)]).reshape(-1, 8)
+    np.save(tmp_path / "table.npy", table)
+    np.save(tmp_path / "sample.npy", sample)
+    code = ("import sys, numpy as np\n"
+            "try:\n"
+            "    from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+            "except ImportError:\n"
+            "    from numpy.core._multiarray_umath import __cpu_features__ as f\n"
+            "from outerbilliard import serialize\n"
+            "assert not f['AVX512_ICL'], 'AVX512_ICL is still on'\n"
+            "for name in ('table', 'sample'):\n"
+            "    text = serialize.g17_csv(np.load(sys.argv[1] + '/' + name + '.npy'))\n"
+            "    open(sys.argv[1] + '/' + name + '.csv', 'w').write(text)\n")
+    src = str(Path(outerbilliard.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=AVX2_LEVEL)
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True)
+    for name, values in (("table", table), ("sample", sample)):
+        assert (tmp_path / f"{name}.csv").read_text() == serialize.g17_csv(values), name

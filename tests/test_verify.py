@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import outerbilliard as ob
@@ -198,10 +199,28 @@ def _image_x_stretched(step):
     # only the ellipse's equality case can show a small Q defect
     (rigidity, "q_integral", _on_result(lambda q: q * (1.0 + 1e-8)), "cauchy_schwarz_chain",
      "ellipse21"),
+    # the map's finite-difference differential with its dp1/dp0 entry 1e-5 too large
+    (dynamics, "differential_fd", _on_result(lambda m: m * np.array([[1.0 + 1e-5, 1.0],
+                                                                     [1.0, 1.0]])),
+     "symplecticity", "wobbly3"),
+    # the generating-function map's p1 too large by a relative 1e-8, its phi1 by 1e-8
+    (generating, "forward_map_batch", _on_result(lambda m: (m[0] * (1.0 + 1e-8), m[1])),
+     "map_consistency_p", "wobbly3"),
+    (generating, "forward_map_batch", _on_result(lambda m: (m[0], m[1] + 1e-8)),
+     "map_consistency_phi", "wobbly3"),
+    (rigidity, "total_curvature", _on_result(lambda k: k * (1.0 + 1e-10)), "total_curvature",
+     "wobbly3"),
+    # the f1 term of the integrand's split too large by a relative 1e-8
+    (rigidity, "_integrand_arrays",
+     _on_result(lambda parts: (parts[0], parts[1] * (1.0 + 1e-8), *parts[2:])),
+     "integrand_decomposition", "wobbly3"),
+    (dynamics, "step", _image_x_stretched, "circle_rotation_law", "unit_circle"),
 ], ids=["S_times_1e-9", "chart_t_times_1e-8", "support_h1_times_1e-6",
         "support_h2_times_1e-8", "backward_psi_plus_1e-8", "jacobi_next_times_1e-6",
         "S1_times_1e-10", "S11_times_1e-4", "S12_times_1e-4", "J_times_1e-5",
-        "J_times_1e-4", "image_x_times_1e-8", "q_times_1e-8"])
+        "J_times_1e-4", "image_x_times_1e-8", "q_times_1e-8", "dp1_dp0_times_1e-5",
+        "map_p1_times_1e-8", "map_phi1_plus_1e-8", "curvature_times_1e-10",
+        "f1_times_1e-8", "circle_image_x_times_1e-8"])
 def test_check_fails_on_its_defect(monkeypatch, request, owner, attr, make_defect, name, curve):
     # a small stated defect in the code under one check: that check must
     # fail on its value, not on an exception
