@@ -181,13 +181,14 @@ def cmd_simulate(curve, s, out):
 
 
 def cmd_portrait(curve, s, out):
+    def seeds():            # one orbit at a time, its rows prefixed by the seed's number
+        for j in range(1, s["t_grid"] + 1):
+            a = dynamics.chord_tail_point(curve, 0.0, s["t_max"] * j / s["t_grid"])
+            yield from dynamics.orbit_chunks(
+                dynamics.orbit(curve, a, s["steps"], s["orientation"]), j)
+
     out.write("seed,n,x,y,p,phi\n")
-    for j in range(1, s["t_grid"] + 1):
-        t = s["t_max"] * j / s["t_grid"]
-        a = dynamics.chord_tail_point(curve, 0.0, t)
-        pts = dynamics.orbit(curve, a, s["steps"], s["orientation"])
-        for n, pt in enumerate(pts):
-            out.write(f"{j:d},{n:d},{pt.x:.17g},{pt.y:.17g},{pt.p:.17g},{pt.phi:.17g}\n")
+    serialize.write_g17_csv(out, seeds())
     return EXIT_OK
 
 

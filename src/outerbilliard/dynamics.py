@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import serialize
 from .curves import ConvexCurve, PlanePoint, chi
 from .errors import ConvergenceError, InsideCurveError, TangencyError
 
@@ -449,10 +450,16 @@ def chord_tail_point(curve: ConvexCurve, phi_m: float, t: float) -> PhasePoint:
 
 # -- export -------------------------------------------------------------------
 
+def orbit_chunks(points, *lead):
+    """An orbit's CSV columns, serialize.CSV_BLOCK points a chunk, as the rows
+    of a float array: the lead values, then n, x, y, p and phi."""
+    for lo in range(0, len(points), serialize.CSV_BLOCK):
+        yield np.array([(*lead, n, pt.x, pt.y, pt.p, pt.phi) for n, pt in
+                        enumerate(points[lo:lo + serialize.CSV_BLOCK], lo)]).T
+
+
 def write_orbit_csv(fh, points, footer_lines=()):
     """Write an orbit as CSV rows n,x,y,p,phi at full double precision."""
     fh.write("n,x,y,p,phi\n")
-    fh.writelines("%d,%.17g,%.17g,%.17g,%.17g\n" % (n, pt.x, pt.y, pt.p, pt.phi)
-                  for n, pt in enumerate(points))
-    for line in footer_lines:
-        fh.write(f"# {line}\n")
+    serialize.write_g17_csv(fh, orbit_chunks(points))
+    fh.writelines(f"# {line}\n" for line in footer_lines)

@@ -30,7 +30,6 @@ CHART_PHI_STEP = 0.1      # chart inversion: longest phi step of one Newton iter
 FMAP_DELTA = 1e-9         # forward map: phi1 is bracketed in (phi0 + d, phi0 + pi - d)
 FMAP_TOL = 1e-12          # forward map: Newton step in phi1 accepted as converged
 FMAP_MAX_ITER = 50        # forward map: Newton iterations before ConvergenceError
-CSV_BLOCK = 1024          # table rows formatted per serialize.g17_csv call
 
 
 # -- chart transition ----------------------------------------------------------
@@ -49,8 +48,8 @@ def _angles_arrays(curve: ConvexCurve, phi, t, radial=None):
 
 def chord_to_angles(curve: ConvexCurve, phi: float, t: float):
     """(phi0, phi1, r0sq, r1sq) of the chord (phi, t) as floats."""
-    if not t > 0:                       # a NaN fails too
-        raise ValueError("chord parameter t must be positive")
+    if not (t > 0 and abs(phi) < np.inf):           # a NaN fails too
+        raise ValueError(f"chord (phi, t) = ({phi!r}, {t!r}): t must be positive, phi finite")
     return tuple(float(v) for v in _angles_arrays(curve, phi, t))
 
 
@@ -97,6 +96,8 @@ def _sderiv_arrays(curve: ConvexCurve, phi, t, radial=None):
 
 def s_derivatives(curve: ConvexCurve, phi: float, t: float) -> dict:
     """s_closed_forms at one chord on plain floats (radius_scalar)."""
+    if not (t > 0 and abs(phi) < np.inf):           # a NaN fails too
+        raise ValueError(f"chord (phi, t) = ({phi!r}, {t!r}): t must be positive, phi finite")
     return s_closed_forms(*curve.radius_scalar(phi), t)
 
 
@@ -188,7 +189,7 @@ def forward_map_batch(curve: ConvexCurve, p0, phi0):
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
     r, _, _ = curve.radius(phi0)
-    if not np.all(2.0 * p0 > r * r):    # a NaN fails too
+    if not np.all((2.0 * p0 > r * r) & (np.abs(phi0) < np.inf)):    # a NaN fails too
         raise InsideCurveError("phase point (p0, phi0) is not exterior")
     rho0 = np.sqrt(2.0 * p0)
     lo, hi = phi0 + FMAP_DELTA, phi0 + np.pi - FMAP_DELTA
@@ -272,19 +273,8 @@ def derivative_table(curve: ConvexCurve, phi_grid: int, t_grid: int, t_max: floa
 
 
 def write_derivative_csv(fh, pm, tm, d):
-    """Write the derivative table as CSV rows at full double precision.
-
-    Every field is "%.17g" % value, byte for byte.  serialize.g17_csv formats
-    CSV_BLOCK rows at a time with array arithmetic, in place of one "%" per
-    field; its temporaries stay below 4 MiB a block.
-    """
+    """Write the derivative table as CSV rows at full double precision: every
+    field "%.17g" % value, byte for byte, through serialize.write_g17_csv."""
     names = ("S", "S1", "S2", "S11", "S12", "S22", "J")
     fh.write(",".join(("phi", "t") + names) + "\n")
-    cols = [np.asarray(c, dtype=float) for c in (pm, tm, *(d[k] for k in names))]
-    n = cols[0].size
-    block = np.empty((min(n, CSV_BLOCK), len(cols)))
-    for lo in range(0, n, CSV_BLOCK):
-        rows = block[:min(CSV_BLOCK, n - lo)]
-        for j, c in enumerate(cols):
-            rows[:, j] = c[lo:lo + len(rows)]
-        fh.write(serialize.g17_csv(rows))
+    serialize.write_g17_csv(fh, [(pm, tm, *(d[k] for k in names))])

@@ -6,9 +6,6 @@ bytes and every scalar carries full double precision.  Tables go out as
 CSV through g17_csv, which writes a float array's "%.17g" text with numpy.
 """
 
-import functools
-import mmap
-
 import numpy as np
 
 INDENT = 2
@@ -64,7 +61,7 @@ def _encode(obj, nl):
 
 # -- "%.17g" on float64 arrays -------------------------------------------------
 #
-# A finite x with 1e-280 <= |x| <= 1e280 is written from its 17-digit integer
+# A finite x with 1e-30 <= |x| <= 1e30 is written from its 17-digit integer
 # D and decimal exponent X, |x| = D 10^(X - 16) correctly rounded.  X is
 # floor(log10 |x|) from the binary exponent and one comparison with a power
 # of ten; D = round(|x| 10^(16 - X)) comes from a double-double product:
@@ -77,19 +74,22 @@ def _encode(obj, nl):
 #
 # Each field is laid out in a 32-byte frame row, NUL-padded anywhere:
 #   byte 0 sign, bytes 2-6 the "0.000" of -4 <= X < 0, bytes 7-24 the digits
-#   and the point (digit slot j at byte 7 + j), bytes 25-29 "e+XXX", byte 30
+#   and the point (digit slot j at byte 7 + j), bytes 25-28 "e+XX", byte 30
 #   the separator that g17_csv writes;
 # the digits come four at a time from a table of "0000".."9999" strings, and
-# masks by the point's slot and the digit count keep the digits before the
-# point from the row and those after it from the row shifted by one byte.
+# masks by X and the digit count keep the digits before the point from the
+# row and those after it from the row shifted by one byte.
+# The tables are built at import, in under a millisecond; G17_RANGE spans the
+# default tables' magnitudes (5e-5 to 1.5e8 on the presets and a 10:1 ellipse).
 
-G17_RANGE = (1e-280, 1e280)   # |x| the array path writes; the power table covers it
+G17_RANGE = (1e-30, 1e30)     # |x| the array path writes; the tables cover it
 G17_TIE_BAND = 1e-9           # |fraction - 1/2| below which "%" rounds the field
 _FRAME = 32                   # bytes of a field's frame row
-_X_LO, _X_HI = -282, 281      # X of the tables: G17_RANGE's, one below and one above
+_X_LO, _X_HI = -32, 31        # X of the tables: G17_RANGE's, one below and one above
 _SPLIT = 134217729.0          # 2^27 + 1: Dekker's splitter of a double into 26 + 27 bits
 _LOG10_2 = 0.30102999566398120
 _DIGIT0 = 7                   # frame byte of the first digit slot
+CSV_BLOCK = 256               # rows formatted per g17_csv call by write_g17_csv
 
 
 def _nearest_power(n):
@@ -103,77 +103,48 @@ def _nearest_power(n):
     return hi, (den - num * 10 ** -n) / (den * 10 ** -n)
 
 
-def _off_heap(arrays):
-    """Read-only copies of arrays in one anonymous mapping of their own.
-
-    Tables that live as long as the process stay off the malloc heap: built
-    there while a large table's arrays are alive, they would sit above those
-    arrays and keep the heap from shrinking once they are freed (10 MiB more
-    peak memory in a process that goes on to parse the CSV it wrote).
-    """
-    sizes = [-(-a.nbytes // 64) * 64 for a in arrays]
-    buf = mmap.mmap(-1, sum(sizes))
-    out, offset = [], 0
-    for a, size in zip(arrays, sizes):
-        copy = np.frombuffer(buf, a.dtype, a.size, offset).reshape(a.shape)
-        copy[...] = a
-        copy.flags.writeable = False
-        out.append(copy)
-        offset += size
-    return tuple(out)
-
-
-@functools.cache
 def _g17_tables():
-    """The fast path's tables, built on first use.
-
-    By i = X - _X_LO: hi, the double nearest 10^(16 - X), its Dekker halves
-    hi_h and hi_l, and lo, the double nearest 10^(16 - X) - hi (hi + lo is
-    10^(16 - X) to 2^-106 relative); ten_up, the least double >= 10^X; point,
-    the slot p of the point; affix, X's constant frame bytes.  By
-    p * 17 + nsig - 1 for nsig significant digits: keep_l and keep_r, the
-    frame masks of the row and the shifted row, and dot, the point's byte.
-    digits holds "0000" .. "9999" as uint32 and a NUL entry at 10000;
-    zeros4 the trailing zeros of a four-digit group.
-    """
-    xs = range(_X_LO, _X_HI + 1)
-    hi, lo = np.array([_nearest_power(16 - x) for x in xs]).T
+    """The fast path's tables, built at import.  By i = X - _X_LO: hi, the
+    double nearest 10^(16 - X), its Dekker halves hi_h and hi_l, and lo, the
+    double nearest 10^(16 - X) - hi (hi + lo is 10^(16 - X) to 2^-106
+    relative); ten_up, the least double >= 10^X.  By i * 17 + nsig - 1 for
+    nsig significant digits: keep_l and keep_r, the frame masks of the digit
+    row and of the row shifted by one byte, and fill, the frame bytes of X's
+    "0.000" or "e+XX" and of the point.  digits holds "0000" .. "9999" as
+    uint32; zeros4 the trailing zeros of a four-digit group."""
+    xs = np.arange(_X_LO, _X_HI + 1)
+    hi, lo = np.array([_nearest_power(16 - x) for x in xs.tolist()]).T
     c = _SPLIT * hi
     hi_h = c - (c - hi)
-    near, rest = np.array([_nearest_power(x) for x in xs]).T
+    near, rest = np.array([_nearest_power(x) for x in xs.tolist()]).T
     ten_up = np.where(rest > 0, np.nextafter(near, np.inf), near)
-    g = np.arange(10_000)
-    digits = np.zeros((10_001, 4), np.uint8)
-    digits[:-1] = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + ord("0")
-    digits = digits.view(np.uint32).reshape(-1)
-    zeros4 = np.count_nonzero(g[:, None] % np.array([10, 100, 1000, 10_000]) == 0, axis=1)
-    # "%g" layout by the point slot p: fixed notation has p = X + 1 integer
-    # digits for 0 <= X < 17, d.ddd has p = 1, and 0.000ddd (p = 0) none
-    point = np.empty(len(xs), np.int64)
-    affix = np.zeros((len(xs), _FRAME), np.uint8)
-    for i, x in enumerate(xs):
+    digits = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for k in range(4):
+        digits[..., k] = (np.arange(10) + ord("0")).reshape((10,) + (1,) * (3 - k))
+    zeros4 = np.zeros(10_000, np.uint8)
+    for k in range(1, 5):
+        zeros4[::10 ** k] += 1
+    affix = np.zeros((xs.size, _FRAME), np.uint8)
+    for i, x in enumerate(xs.tolist()):
         if -4 <= x < 0:
-            point[i] = 0
             affix[i, 2:3 - x] = np.frombuffer(b"0.000"[:1 - x], np.uint8)
-        elif 0 <= x < 17:
-            point[i] = x + 1
-        else:
-            point[i] = 1
+        elif not 0 <= x < 17:
             affix[i, 25:25 + len(b"e%+03d" % x)] = np.frombuffer(b"e%+03d" % x, np.uint8)
-    masks = np.zeros((3, 18, 17, _FRAME), np.uint8)
-    keep_l, keep_r, dot = masks
-    for p in range(18):
-        for nsig in range(1, 18):
-            if p == 0:
-                keep_l[p, nsig - 1, _DIGIT0:_DIGIT0 + nsig] = 0xFF
-            else:
-                keep_l[p, nsig - 1, _DIGIT0:_DIGIT0 + p] = 0xFF
-                if nsig > p:
-                    dot[p, nsig - 1, _DIGIT0 + p] = ord(".")
-                    keep_r[p, nsig - 1, _DIGIT0 + p + 1:_DIGIT0 + nsig + 1] = 0xFF
-    keep_l, keep_r, dot = (m.reshape(-1, _FRAME).view(np.uint64) for m in masks)
-    return _off_heap([hi, hi_h, hi - hi_h, lo, ten_up, point, affix.view(np.uint64),
-                      keep_l, keep_r, dot, digits, zeros4.astype(np.uint8)])
+    # "%g" layout by the point slot p: fixed notation has p = X + 1 integer
+    # digits for 0 <= X < 17, d.ddd has p = 1, and 0.000ddd (p = 0) none;
+    # axes (X, nsig, frame byte b counted from the first digit slot)
+    p = np.where((-4 <= xs) & (xs < 17), np.maximum(xs + 1, 0), 1)[:, None, None]
+    nsig = np.arange(1, 18)[:, None]
+    b = np.arange(_FRAME) - _DIGIT0
+    frac = (p > 0) & (nsig > p)
+    keep_l = ((0 <= b) & (b < np.where(p == 0, nsig, p))) * np.uint8(0xFF)
+    keep_r = (frac & (p < b) & (b <= nsig)) * np.uint8(0xFF)
+    fill = affix[:, None] | (frac & (b == p)) * np.uint8(ord("."))
+    masks = (m.reshape(-1, _FRAME).view(np.uint64) for m in (keep_l, keep_r, fill))
+    return (hi, hi_h, hi - hi_h, lo, ten_up, *masks, digits.view(np.uint32).reshape(-1), zeros4)
+
+
+_HI, _HI_H, _HI_L, _LO, _TEN_UP, _KEEP_L, _KEEP_R, _FILL, _DIGITS, _ZEROS4 = _g17_tables()
 
 
 def _g17_slow(values):
@@ -181,71 +152,100 @@ def _g17_slow(values):
     return ["%.17g" % v for v in values]
 
 
-def _g17_fill(frame, x):
-    """Write "%.17g" % x[k] into row k of the (len(x), _FRAME) uint8 frame,
-    NUL-padded, so that frame[frame != 0] is the fields run together."""
-    hi, hi_h, hi_l, lo, ten_up, point, affix, keep_l, keep_r, dot, digits, zeros4 = \
-        _g17_tables()
-    n = x.size
+def _g17_exact(x):
+    """(i, d, slow) for the flat float array x: i = X - _X_LO and the 17-digit
+    integer D of each field, and the indices of the fields "%" must write."""
     ax = np.abs(x)
     fast = (ax >= G17_RANGE[0]) & (ax <= G17_RANGE[1])     # nan fails both
-    ax = np.where(fast, ax, 1.0)
+    ax[~fast] = 1.0
     # floor((e - 1) log10 2) is X or X - 1; the comparison settles which
     i = np.floor((np.frexp(ax)[1] - 1) * _LOG10_2).astype(np.int64) - _X_LO
-    i += ax >= ten_up.take(i + 1)
-    p = ax * hi.take(i)
+    i += ax >= _TEN_UP.take(i + 1)
+    p = ax * _HI.take(i)
     c = _SPLIT * ax
     ah = c - (c - ax)
     al = ax - ah
-    bh, bl = hi_h.take(i), hi_l.take(i)
-    e = (((ah * bh - p) + ah * bl) + al * bh) + al * bl + ax * lo.take(i)
+    bh, bl = _HI_H.take(i), _HI_L.take(i)
+    e = (((ah * bh - p) + ah * bl) + al * bh) + al * bl + ax * _LO.take(i)
+    del c, ah, al, bh, bl
     f = np.floor(e)
     r = e - f
     d = p.astype(np.int64) + f.astype(np.int64) + (r > 0.5)
-    tie = np.abs(r - 0.5) < G17_TIE_BAND
     # |x| 10^(16 - X) < 10^17, so D = 10^17 is a round-up: D = 10^16 at X + 1
     up = d == 10 ** 17
     i += up
     d[up] = 10 ** 16
-    # D's digits in four-digit groups, framed by NUL entries: "000d" then
-    # four groups of four at frame bytes 4-23
-    g = np.full((n, _FRAME // 4), 10_000, np.int64)
-    high9 = d // 10 ** 8
-    low8 = d - high9 * 10 ** 8
-    np.floor_divide(high9, 10 ** 8, out=g[:, 1])
-    high8 = high9 - g[:, 1] * 10 ** 8
-    np.floor_divide(high8, 10 ** 4, out=g[:, 2])
-    np.subtract(high8, g[:, 2] * 10 ** 4, out=g[:, 3])
-    np.floor_divide(low8, 10 ** 4, out=g[:, 4])
-    np.subtract(low8, g[:, 4] * 10 ** 4, out=g[:, 5])
-    # trailing zeros of D, whose first digit is not 0: of its low eight
-    # digits unless they are all 0, of the high eight then
-    low = np.where(g[:, 5] != 0, zeros4.take(g[:, 5]), 4 + zeros4.take(g[:, 4]))
-    high = np.where(g[:, 3] != 0, zeros4.take(g[:, 3]), 4 + zeros4.take(g[:, 2]))
-    key = point.take(i) * 17 + 16 - np.where(low8 != 0, low, 8 + high)
-    row = digits.take(g).view(np.uint8).reshape(-1)
-    shifted = np.empty_like(row)
-    shifted[0] = 0
-    shifted[1:] = row[:-1]
-    out = frame.view(np.uint64)
-    np.bitwise_and(row.view(np.uint64).reshape(n, -1), keep_l.take(key, axis=0), out=out)
-    out |= shifted.view(np.uint64).reshape(n, -1) & keep_r.take(key, axis=0)
-    out |= dot.take(key, axis=0)
-    out |= affix.take(i, axis=0)
+    return i, d, np.flatnonzero(~fast | (np.abs(r - 0.5) < G17_TIE_BAND))
+
+
+def _g17_frame(x):
+    """(len(x), _FRAME) uint8 frame whose row k is "%.17g" % x[k], NUL-padded,
+    so that frame[frame != 0] is the fields run together.  Temporaries are
+    dropped once used: they are the memory a table writer adds to its rows."""
+    i, d, slow = _g17_exact(x)
+    # D's digits as "000d" then four groups of four at frame bytes 4-23
+    g3 = d // 10 ** 8
+    low8 = d - g3 * 10 ** 8
+    lead = g3 // 10 ** 8
+    g3 -= lead * 10 ** 8                  # the high eight digits
+    g2 = g3 // 10 ** 4
+    g3 -= g2 * 10 ** 4
+    g4 = low8 // 10 ** 4
+    g5 = low8 - g4 * 10 ** 4
+    # D's first digit is not 0: the zeros of its low eight digits unless
+    # they are all 0, of the high eight then
+    low = np.where(g5 != 0, _ZEROS4.take(g5), 4 + _ZEROS4.take(g4))
+    high = np.where(g3 != 0, _ZEROS4.take(g3), 4 + _ZEROS4.take(g2))
+    key = i * 17 + 16 - np.where(low8 != 0, low, 8 + high)
+    del i, d, low8, low, high
+    row = np.zeros((x.size, _FRAME // 4), np.uint32)
+    for k, g in enumerate((lead, g2, g3, g4, g5), 1):
+        row[:, k] = _DIGITS.take(g)
+    del lead, g2, g3, g4, g5, g
+    out = _KEEP_L.take(key, axis=0)
+    out &= row.view(np.uint64)
+    # the row one byte on: the last field's byte 31, a NUL, comes round to 0
+    shifted = np.roll(row.view(np.uint8), 1).view(np.uint64)
+    del row
+    shifted &= _KEEP_R.take(key, axis=0)
+    out |= shifted
+    out |= _FILL.take(key, axis=0)
+    frame = out.view(np.uint8)
     frame[:, 0] = np.signbit(x).view(np.uint8) * ord("-")
-    slow = np.flatnonzero(~fast | tie)
     for k, s in zip(slow.tolist(), _g17_slow(x[slow].tolist())):
-        frame[k] = 0
-        frame[k, :len(s)] = np.frombuffer(s.encode(), np.uint8)
+        frame[k] = np.frombuffer(s.encode().ljust(_FRAME, b"\0"), np.uint8)
+    return frame
 
 
 def g17_csv(block) -> str:
     """The rows of a 2-D float array as CSV lines of "%.17g" fields: the
     bytes of ",".join("%.17g" % v for v in row) + "\n" on every row."""
     block = np.asarray(block, dtype=float)
-    rows, cols = block.shape
-    frame = np.empty((rows, cols, _FRAME), np.uint8)
-    _g17_fill(frame.reshape(-1, _FRAME), block.reshape(-1))
+    frame = _g17_frame(block.reshape(-1)).reshape(*block.shape, _FRAME)
     frame[:, :, -2] = ord(",")
     frame[:, -1, -2] = ord("\n")
     return frame[frame != 0].tobytes().decode("ascii")
+
+
+def write_g17_csv(fh, chunks):
+    """Write the rows of chunks as g17_csv lines, CSV_BLOCK rows a g17_csv call.
+
+    A chunk is a sequence of equal-length float columns, every chunk with the
+    same number of them.  The block gathers rows across chunks, so short
+    chunks share a call; beyond the chunks, memory is one block's formatting.
+    """
+    block, filled = None, 0
+    for cols in chunks:
+        if block is None:
+            block = np.empty((CSV_BLOCK, len(cols)))
+        n, lo = len(cols[0]), 0
+        while lo < n:
+            k = min(CSV_BLOCK - filled, n - lo)
+            for j, col in enumerate(cols):
+                block[filled:filled + k, j] = col[lo:lo + k]
+            filled, lo = filled + k, lo + k
+            if filled == CSV_BLOCK:
+                fh.write(g17_csv(block))
+                filled = 0
+    if filled:
+        fh.write(g17_csv(block[:filled]))

@@ -92,6 +92,19 @@ def test_chord_to_angles_rejects_a_non_positive_or_nan_t(unit_circle):
             ob.chord_to_angles(unit_circle, 0.3, t)
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf])
+def test_chord_to_angles_rejects_a_nan_or_infinite_phi(wobbly3, phi):
+    with pytest.raises(ValueError, match="phi finite"):
+        ob.chord_to_angles(wobbly3, phi, 0.3)
+
+
+def test_s_derivatives_rejects_a_nan_chord(wobbly3):
+    with pytest.raises(ValueError, match="must be positive"):
+        ob.s_derivatives(wobbly3, 0.3, math.nan)
+    with pytest.raises(ValueError, match="phi finite"):
+        ob.s_derivatives(wobbly3, math.nan, 0.3)
+
+
 def test_angles_to_chord_reports_nonconvergence(monkeypatch, ellipse21):
     monkeypatch.setattr(generating, "CHART_MAX_ITER", 2)
     with pytest.raises(ob.ConvergenceError) as exc:
@@ -256,6 +269,14 @@ def test_forward_map_via_s_rejects_interior(unit_circle):
     # iterations with a nan residual
     with pytest.raises(ob.InsideCurveError):
         ob.forward_map_batch(unit_circle, [math.nan], [0.0])
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])
+def test_forward_map_batch_rejects_a_nan_angle(presets, name):
+    # the circle's radius ignores phi, so only the angle itself can fail there
+    ob.forward_map_batch(presets[name], [8.0], [0.2])
+    with pytest.raises(ob.InsideCurveError):
+        ob.forward_map_batch(presets[name], [8.0, 8.0], [0.2, math.nan])
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])

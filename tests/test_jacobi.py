@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -575,3 +576,66 @@ def test_hopf_non_convergence_reports_the_last_two_iterates(monkeypatch, unit_ci
     assert first != last
     assert info.value.residual == abs(last - first)
     assert info.value.residual > 0.0
+
+
+# -- renormalisation -------------------------------------------------------------
+
+RENORMALISING = ("radial_conjugate_scan", "_scan_batch", "_window_field")
+RENORM_TEST_LIMIT = 2.0       # low enough that every renormalising branch runs often
+# hopf_omega's omega is a difference of terms of size max(1, |S11|, |S22|), the
+# scale of its own convergence test; the renormalised run stays within this
+# much of that scale (measured: 3e-13 on the circle, 1.2e-13 on the ellipse)
+HOPF_RENORM_BUDGET = 1e-11
+
+
+class _CountingLimit(float):
+    """A RENORM_LIMIT that records, by function, each comparison x > limit
+    that holds: each renormalising branch that runs."""
+
+    __array_ufunc__ = None      # so that an array compared with it asks it
+
+    def __new__(cls, value):
+        limit = super().__new__(cls, value)
+        limit.held_in = set()
+        return limit
+
+    def __lt__(self, other):    # other > self, asked first for a float other
+        held = np.greater(other, float(self))
+        if held.any():
+            self.held_in.add(sys._getframe(1).f_code.co_name)
+        return held if isinstance(other, np.ndarray) else bool(held)
+
+
+def _renorm_results(unit_circle, ellipse21, wobbly3, circle_seed, conjugate_seed):
+    radial = [ob.radial_conjugate_scan(unit_circle, circle_seed, 5000),
+              ob.radial_conjugate_scan(ellipse21, dynamics.chord_tail_point(ellipse21, 0.7, 1.4),
+                                       3000),
+              ob.radial_conjugate_scan(wobbly3, conjugate_seed, 3000)]
+    scans = [ob.conjugate_grid_scan(curve, phi_count=8, t_count=8, t_max=3.0, n_max=500).rows
+             for curve in (wobbly3, ellipse21)]
+    hopf = [ob.hopf_omega(unit_circle, circle_seed)]
+    hopf += [ob.hopf_omega(ellipse21, dynamics.chord_tail_point(ellipse21, phi, t))
+             for phi, t in ((0.0, 1.0), (1.2, 0.6))]
+    return radial, scans, hopf
+
+
+def test_renormalised_runs_match_the_default_limit(monkeypatch, unit_circle, ellipse21, wobbly3,
+                                                   circle_seed, conjugate_seed):
+    # the default RENORM_LIMIT is never reached on these seeds; at a limit of
+    # 2 every branch runs, and only rounding may move
+    curves = (unit_circle, ellipse21, wobbly3, circle_seed, conjugate_seed)
+    default_limit, low_limit = (_CountingLimit(v) for v in (jacobi.RENORM_LIMIT,
+                                                             RENORM_TEST_LIMIT))
+    monkeypatch.setattr(jacobi, "RENORM_LIMIT", default_limit)
+    radial, scans, hopf = _renorm_results(*curves)
+    monkeypatch.setattr(jacobi, "RENORM_LIMIT", low_limit)
+    radial_low, scans_low, hopf_low = _renorm_results(*curves)
+    assert default_limit.held_in == set()
+    assert low_limit.held_in == set(RENORMALISING)
+    assert radial_low == radial == [None, None, 6]
+    assert scans_low == scans
+    for low, default in zip(hopf_low, hopf):
+        assert (low.window, low.converged, low.minimizing) == \
+            (default.window, default.converged, default.minimizing)
+        scale = max(1.0, abs(default.bound_low), abs(default.bound_high))
+        assert abs(low.omega - default.omega) <= HOPF_RENORM_BUDGET * scale

@@ -1,5 +1,6 @@
 """serialize.g17_csv against Python's own "%.17g", byte for byte."""
 
+import io
 import math
 import os
 import subprocess
@@ -50,6 +51,31 @@ def test_random_magnitudes_across_the_fast_range():
     rng = np.random.default_rng(2025)
     x = rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-281.0, 281.0, 50_000)
     assert_formats_like_percent(x, cols=5)
+
+
+def test_random_magnitudes_across_g17_range_and_its_edges():
+    rng = np.random.default_rng(2026)
+    x = rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-30.0, 30.0, 50_000)
+    assert_formats_like_percent(x, cols=5)
+    edges = [v for e in serialize.G17_RANGE
+             for v in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
+    assert_formats_like_percent(np.concatenate([edges, np.negative(edges)]), cols=3)
+
+
+def test_block_writer_joins_short_chunks_and_cuts_long_ones(monkeypatch):
+    # chunks of columns of every length about a block: the bytes of one
+    # g17_csv call on all rows, in ceil(rows / CSV_BLOCK) calls
+    block = serialize.CSV_BLOCK
+    sizes = [0, 1, block - 1, block, block + 1, 3, 2 * block + 5, block - 4]
+    rng = np.random.default_rng(9)
+    chunks = [rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-40.0, 40.0, (3, n)) for n in sizes]
+    calls = []
+    monkeypatch.setattr(serialize, "g17_csv", lambda b: calls.append(len(b)) or per_field(b))
+    buf = io.StringIO()
+    serialize.write_g17_csv(buf, chunks)
+    rows = np.concatenate(chunks, axis=1).T
+    assert buf.getvalue() == per_field(rows)
+    assert calls == [block] * (len(rows) // block) + [len(rows) % block]
 
 
 @settings(deadline=None)
@@ -132,11 +158,11 @@ def test_fast_path_formats_nearly_every_cell_of_the_default_table(monkeypatch, w
 
 
 def test_table_writer_temporaries_stay_below_4_mib_a_block(wobbly3):
-    # the sink keeps nothing, so the peak is one block's formatting; four
-    # blocks of the default table
+    # the sink keeps nothing, so the peak is one block's formatting; the
+    # first 4096 rows of the default table, several blocks.  The formatter's
+    # tables are built at import, so none of them is counted here
     pm, tm, d = generating.derivative_table(wobbly3, 256, 256, 20.0)
-    rows = slice(0, 4 * generating.CSV_BLOCK)
-    serialize.g17_csv(np.ones((1, 1)))      # builds the tables, which outlive the call
+    rows = slice(0, 4096)
     tracemalloc.start()
     try:
         generating.write_derivative_csv(_Sink(), pm[rows], tm[rows],

@@ -5,7 +5,8 @@ caller can set it and see no change.  The scan parses every module of the
 package with ``ast``; nested functions count as reads of the enclosing
 function's parameters, as closures do.  Likewise an imported name that its
 module never reads is dead weight; the package's ``__init__`` re-exports
-names, so it is not scanned for those.
+names, so it is not scanned for those.  And a defaulted parameter that no
+call in the package passes is a switch only tests or outside callers set.
 """
 
 import ast
@@ -17,6 +18,14 @@ SRC = Path(outerbilliard.__file__).resolve().parent
 
 # (module, function, parameter) kept on purpose, each with its reason; empty
 ALLOWED_UNREAD = set()
+# (module, function, parameter): defaulted, passed by no call in src/, each
+# kept for what sets it
+ALLOWED_UNPASSED = {
+    ("jacobi", "conjugate_grid_scan", "stop_at_first"): "acceptance c6 stops at the first hit",
+    ("dynamics", "differential_fd", "h"): "test_differential_step_sizes_agree varies the step",
+    ("dynamics", "tangency", "orientation"): "the chord oracle solves both orientations",
+    ("cli", "main", "argv"): "the entry point: the console script passes none, tests an argv",
+}
 # (module, name) imported but never read, kept because the benchmark's tracer
 # wraps them there (tests/test_bench_tracer.py, TRACER_ONLY_IMPORTS)
 ALLOWED_UNREAD_IMPORTS = {("jacobi", "_sderiv_arrays"), ("jacobi", "sderiv_scalar"),
@@ -66,3 +75,52 @@ def test_every_import_in_src_is_read():
     assert unread == ALLOWED_UNREAD_IMPORTS, (
         f"imports their module never reads: {sorted(unread - ALLOWED_UNREAD_IMPORTS)}; "
         f"allowed but read: {sorted(ALLOWED_UNREAD_IMPORTS - unread)}")
+
+
+def _defaulted_parameters(fn, in_class):
+    """{parameter: its positional index, or None if keyword-only} of fn's
+    defaulted parameters; a method's index leaves out self or cls."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    skip = 1 if in_class and positional[:1] in (["self"], ["cls"]) else 0
+    found = {name: i - skip for i, name in enumerate(positional)
+             if i >= len(positional) - len(args.defaults)}
+    found.update((a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                 if d is not None)
+    return found
+
+
+def _unpassed_defaults():
+    """(module, function, parameter) of defaulted parameters that no call in
+    src/ to a function of that name passes, by position or keyword; a class's
+    __init__ is called by the class's name.  A call with *args passes every
+    positional parameter, one with **kwargs every one."""
+    defaults, passed = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = methods.get(id(node))
+                called = owner if node.name == "__init__" else node.name
+                for param, index in _defaulted_parameters(node, owner is not None).items():
+                    defaults[(path.stem, node.name, param, called)] = index
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed.update((name, i) for i in range(len(node.args)))
+                passed.update((name, k.arg or "**") for k in node.keywords)
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    passed.add((name, "*"))
+    return {(module, fn, param) for (module, fn, param, called), index in defaults.items()
+            if not {(called, param), (called, index), (called, "**")} & passed
+            and not (index is not None and (called, "*") in passed)}
+
+
+def test_every_defaulted_parameter_in_src_is_passed_in_src():
+    # equality, so an allow-list entry that a call in src/ passes again goes too
+    unpassed = _unpassed_defaults()
+    assert unpassed == set(ALLOWED_UNPASSED), (
+        f"defaulted parameters no call in src/ passes: "
+        f"{sorted(unpassed - set(ALLOWED_UNPASSED))}; "
+        f"allowed but passed: {sorted(set(ALLOWED_UNPASSED) - unpassed)}")

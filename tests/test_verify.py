@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import outerbilliard as ob
-from outerbilliard import cli, dynamics, generating, jacobi, rigidity, verify
+from outerbilliard import cli, curves, dynamics, generating, jacobi, rigidity, verify
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -171,7 +171,8 @@ def _image_x_stretched(step):
     return defect
 
 
-@pytest.mark.parametrize("owner, attr, make_defect, name, curve", [
+# (owner, attr, make_defect, check name, curve fixture): one stated defect per check
+DEFECTS = [
     (generating, "s_closed_forms", _on_result(lambda d: dict(d, S=d["S"] * (1.0 + 1e-9))),
      "triangle_area_identity", "wobbly3"),
     (generating, "_chord_from_angles_arrays",
@@ -215,12 +216,27 @@ def _image_x_stretched(step):
      _on_result(lambda parts: (parts[0], parts[1] * (1.0 + 1e-8), *parts[2:])),
      "integrand_decomposition", "wobbly3"),
     (dynamics, "step", _image_x_stretched, "circle_rotation_law", "unit_circle"),
-], ids=["S_times_1e-9", "chart_t_times_1e-8", "support_h1_times_1e-6",
+    # r'' too large by a relative 1e-4 wherever the curve's radial data is read
+    (curves.ConvexCurve, "radius", _on_result(lambda rad: (rad[0], rad[1], rad[2] * (1.0 + 1e-4))),
+     "radial_fd_consistency", "wobbly3"),
+    # the numeric route's integrand too large by a relative 1e-10
+    (rigidity, "_weighted_total", _on_result(lambda w: w * (1.0 + 1e-10)), "i_two_routes",
+     "wobbly3"),
+]
+DEFECT_IDS = ["S_times_1e-9", "chart_t_times_1e-8", "support_h1_times_1e-6",
         "support_h2_times_1e-8", "backward_psi_plus_1e-8", "jacobi_next_times_1e-6",
         "S1_times_1e-10", "S11_times_1e-4", "S12_times_1e-4", "J_times_1e-5",
         "J_times_1e-4", "image_x_times_1e-8", "q_times_1e-8", "dp1_dp0_times_1e-5",
         "map_p1_times_1e-8", "map_phi1_plus_1e-8", "curvature_times_1e-10",
-        "f1_times_1e-8", "circle_image_x_times_1e-8"])
+        "f1_times_1e-8", "circle_image_x_times_1e-8", "rpp_times_1e-4",
+        "weighted_total_times_1e-10"]
+# checks whose defect case is a test of its own
+DEFECTS_ELSEWHERE = {
+    "midpoint_property": "test_midpoint_check_fails_on_images_reflected_off_the_tangency",
+    "twist_negative": "tests/test_cli.py::test_verify_fault_injection_fails"}
+
+
+@pytest.mark.parametrize("owner, attr, make_defect, name, curve", DEFECTS, ids=DEFECT_IDS)
 def test_check_fails_on_its_defect(monkeypatch, request, owner, attr, make_defect, name, curve):
     # a small stated defect in the code under one check: that check must
     # fail on its value, not on an exception
@@ -229,3 +245,9 @@ def test_check_fails_on_its_defect(monkeypatch, request, owner, attr, make_defec
     check = {c.name: c for c in verify.run_verification(curve).checks}[name]
     assert not check.passed and check.error is None
     assert check.value > check.threshold
+
+
+def test_every_check_has_a_defect_case(presets):
+    names = {c.name for curve in presets.values() for c in verify.run_verification(curve).checks}
+    cases = [case[3] for case in DEFECTS] + list(DEFECTS_ELSEWHERE)
+    assert sorted(cases) == sorted(names)
