@@ -46,6 +46,7 @@ CW = "cw"
 NEAR_BOUNDARY_T = 1e-8
 MIN_CHORD_T = 1.5e-6      # smallest t the chord kernels step (t_new error <= 1e-4)
 STEP_TOL = 4e-16          # tangency Newton stops once its step is at round-off
+DIFFERENTIAL_FD_H = 1e-5  # differential_fd: step h in phi, h max(1, p) in p
 TANGENCY_MAX_EVALS = 100  # bisection alone reaches that floor in about 53
 N_BISECT = 8              # chord-step schedule: bisections of the half-turn bracket,
 N_NEWTON = 4              # then deflated Newton steps (see chord_step_batch)
@@ -267,16 +268,16 @@ def orbit(curve: ConvexCurve, a: PhasePoint, n: int, orientation: str = CCW):
     return points
 
 
-def differential_fd(curve: ConvexCurve, a: PhasePoint, h: float = 1e-5,
-                    base: PhasePoint = None) -> np.ndarray:
+def differential_fd(curve: ConvexCurve, a: PhasePoint, base: PhasePoint = None) -> np.ndarray:
     """Central-difference differential of T in (p, phi) coordinates.
 
-    Step h*max(1, p) in p and h in phi.  All four stencil points must stay
-    exterior.  det of the result is 1 up to O(h^2) since T preserves
-    dp ^ dphi.  ``base`` is the image T(A) when the caller already holds it
-    (the same bits as step(curve, a)); the four stencil images are the only
-    tangency solves then.
+    Step h = DIFFERENTIAL_FD_H in phi and h*max(1, p) in p.  All four stencil
+    points must stay exterior.  det of the result is 1 up to O(h^2) since T
+    preserves dp ^ dphi.  ``base`` is the image T(A) when the caller already
+    holds it (the same bits as step(curve, a)); the four stencil images are
+    the only tangency solves then.
     """
+    h = DIFFERENTIAL_FD_H
     hp = h * max(1.0, a.p)
     if base is None:
         base = step(curve, a)

@@ -27,8 +27,7 @@ from .quadrature import chord_grid
 CHART_TOL = 1e-12         # chart inversion: worst angle residual accepted
 CHART_MAX_ITER = 50       # chart inversion: Newton iterations before ConvergenceError
 CHART_PHI_STEP = 0.1      # chart inversion: longest phi step of one Newton iteration
-FMAP_DELTA = 1e-9         # forward map: phi1 is bracketed in (phi0 + d, phi0 + pi - d)
-FMAP_TOL = 1e-12          # forward map: Newton step in phi1 accepted as converged
+FMAP_TOL = 1e-12          # forward map: Newton step in the tangency angle accepted as converged
 FMAP_MAX_ITER = 50        # forward map: Newton iterations before ConvergenceError
 
 
@@ -178,13 +177,13 @@ def forward_map_batch(curve: ConvexCurve, p0, phi0):
     """(p1, phi1) from S1(phi0, phi1) = -p0, S2 = p1, vectorized.  Nothing here
     calls dynamics: verify compares this route to the map with step.
 
-    S1 = -r0^2/2 falls strictly in phi1 (twist), so the root in (phi0 + FMAP_DELTA,
-    phi0 + pi - FMAP_DELTA) is unique.  Newton on 1/r0 - 1/rho0, with derivative
-    S12/r0^3 (bounded where r0^2 blows up at the half turn), starts at the circle
-    law phi0 + 2 acos(r(phi0)/rho0) and makes one warm-started chart inversion per
-    step.  A step that would leave the lane's sign bracket bisects it instead; a
-    lane whose step is below FMAP_TOL stops.  The last step is taken to first
-    order: phi1 - delta, p1 = S2 - S22 delta.
+    On the chords with tail on the ray phi0 and tangency angle phi0 + d, 1/r0 =
+    (r' sin d + r cos d) / r^2 falls strictly in d on (0, pi), with derivative
+    -chi sin d / r^3, so 1/r0 = 1/rho0 has one root there.  Newton on d, one
+    radius call a step, starts at the circle law acos(r(phi0)/rho0); a step
+    that would leave the lane's sign bracket bisects it instead, and a lane
+    whose step is below FMAP_TOL takes it and stops.  At the root t = rho0
+    sin d / r, and p1 = S2 = r1^2/2.
     """
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
@@ -192,26 +191,28 @@ def forward_map_batch(curve: ConvexCurve, p0, phi0):
     if not np.all((2.0 * p0 > r * r) & (np.abs(phi0) < np.inf)):    # a NaN fails too
         raise InsideCurveError("phase point (p0, phi0) is not exterior")
     rho0 = np.sqrt(2.0 * p0)
-    lo, hi = phi0 + FMAP_DELTA, phi0 + np.pi - FMAP_DELTA
-    phi1 = np.clip(phi0 + 2.0 * np.arccos(r / rho0), lo, hi)
-    done = np.zeros(phi1.shape, dtype=bool)
-    chord = None
+    d = np.arctan2(np.sqrt(2.0 * p0 - r * r), r)     # acos(r/rho0), above 0 by the guard
+    lo, hi = np.zeros_like(d), np.full_like(d, np.pi)
+    done = np.zeros(d.shape, dtype=bool)
     for _ in range(FMAP_MAX_ITER):
-        chord = _chord_from_angles_arrays(curve, phi0, phi1, guess=chord)
-        d = _sderiv_arrays(curve, *chord)
-        step = d["r0sq"] * (1.0 - np.sqrt(d["r0sq"]) / rho0) / d["S12"]
-        done |= np.abs(step) < FMAP_TOL
+        r, rp, rpp = curve.radius(phi0 + d)
+        sin_d = np.sin(d)
+        excess = (rp * sin_d + r * np.cos(d)) / (r * r) - 1.0 / rho0   # 1/r0 - 1/rho0
+        step = -excess * r * r * r / (chi(r, rp, rpp) * sin_d)
+        above = excess > 0                  # the root lies above d
+        lo, hi = np.where(above, d, lo), np.where(above, hi, d)
+        newton, small = d - step, np.abs(step) < FMAP_TOL
+        take = small | ((lo < newton) & (newton < hi))
+        d = np.where(done, d, np.where(take, newton, 0.5 * (lo + hi)))
+        done |= small
         if done.all():
-            return d["S2"] - d["S22"] * step, phi1 - step
-        above = p0 + d["S1"] > 0            # the root lies above phi1
-        lo = np.where(above, phi1, lo)
-        hi = np.where(above, hi, phi1)
-        newton = phi1 - step
-        inside = (lo < newton) & (newton < hi)
-        phi1 = np.where(done, phi1, np.where(inside, newton, 0.5 * (lo + hi)))
+            radial = curve.radius(phi0 + d)
+            t = rho0 * np.sin(d) / radial[0]
+            _, phi1, _, r1sq = _angles_arrays(curve, phi0 + d, t, radial)
+            return 0.5 * r1sq, phi1
     worst = float(np.abs(step[~done]).max())   # step size in angle units
-    raise ConvergenceError(f"monotone solve for phi1 did not converge in {FMAP_MAX_ITER} "
-                           f"iterations (worst step {worst:.3g})", residual=worst)
+    raise ConvergenceError(f"Newton solve for the tangency angle did not converge in "
+                           f"{FMAP_MAX_ITER} iterations (worst step {worst:.3g})", residual=worst)
 
 
 # -- twist scan and tables -----------------------------------------------------

@@ -197,8 +197,10 @@ def _midpoint_error(curve, pts, images):
     a = np.array([(p.x, p.y) for p in pts])
     mx, my = 0.5 * (a + np.array([(q.x, q.y) for q in images])).T
     psi = np.arctan2(my - curve.origin[1], mx - curve.origin[0])
-    gx, gy = curve.point(psi)
-    tx, ty = curve.tangent(psi)
+    c, s = np.cos(psi), np.sin(psi)
+    r, r1, _ = curve.radius(psi, cs=(c, s))
+    gx, gy = curve.origin[0] + r * c, curve.origin[1] + r * s
+    tx, ty = r1 * c - r * s, r1 * s + r * c
     dx, dy = a[:, 0] - mx, a[:, 1] - my
     off = np.hypot(mx - gx, my - gy) / curve.diameter
     sine = np.abs(dx * ty - dy * tx) / (np.hypot(dx, dy) * np.hypot(tx, ty))
@@ -297,15 +299,10 @@ def _shoelace_error(cphi, ct, radial, svals):
 
 
 def _map_consistency_error(curve, pts, images):
-    p0 = np.array([p.p for p in pts])
-    f0 = np.array([p.phi for p in pts])
-    p1, f1 = generating.forward_map_batch(curve, p0, f0)
-    err_p = err_f = 0.0
-    for i, q in enumerate(images):
-        err_p = max(err_p, abs(q.p - p1[i]) / max(1.0, q.p))
-        dphi = (q.phi - f1[i] + math.pi) % TWO_PI - math.pi
-        err_f = max(err_f, abs(dphi))
-    return err_p, err_f
+    p1, f1 = generating.forward_map_batch(curve, *np.array([(p.p, p.phi) for p in pts]).T)
+    qp, qf = np.array([(q.p, q.phi) for q in images]).T
+    dphi = (qf - f1 + math.pi) % TWO_PI - math.pi
+    return float(np.max(np.abs(qp - p1) / np.maximum(1.0, qp))), float(np.max(np.abs(dphi)))
 
 
 def _chi_identity_error(r, rp, rpp):

@@ -117,10 +117,11 @@ def test_symplecticity(presets, name):
         assert abs(np.linalg.det(d) - 1.0) < 1e-6
 
 
-def test_differential_step_sizes_agree(unit_circle):
+def test_differential_step_sizes_agree(monkeypatch, unit_circle):
     p = ob.phase_point(unit_circle, 1.7, 0.4)
-    d5 = ob.differential_fd(unit_circle, p, h=1e-5)
-    d6 = ob.differential_fd(unit_circle, p, h=1e-6)
+    d5 = ob.differential_fd(unit_circle, p)
+    monkeypatch.setattr(dynamics, "DIFFERENTIAL_FD_H", 1e-6)
+    d6 = ob.differential_fd(unit_circle, p)
     assert np.abs(d5 - d6).max() < 1e-6
 
 

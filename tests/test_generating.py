@@ -271,6 +271,14 @@ def test_forward_map_via_s_rejects_interior(unit_circle):
         ob.forward_map_batch(unit_circle, [math.nan], [0.0])
 
 
+def test_forward_map_one_ulp_outside_the_circle(unit_circle):
+    # 2 p0 one ulp above r^2 = 1, so rho0 rounds to r: the start must still
+    # lie inside the bracket (0, pi), where Newton divides by sin d
+    (p1,), (phi1,) = ob.forward_map_batch(unit_circle, [np.nextafter(0.5, 1.0)], [0.3])
+    assert p1 == pytest.approx(0.5, abs=1e-15)
+    assert phi1 == pytest.approx(0.3, abs=1e-7)
+
+
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])
 def test_forward_map_batch_rejects_a_nan_angle(presets, name):
     # the circle's radius ignores phi, so only the angle itself can fail there
@@ -313,25 +321,48 @@ def _exterior_lanes(curve, lo, hi, n=100, seed=61):
     return 0.5 * rho * rho, phi
 
 
-@pytest.mark.parametrize("name, most", [("unit_circle", 8), ("wobbly3", 8),
-                                        ("fourier8", 8), ("ellipse21", 16)])
-def test_forward_map_chart_inversions_per_map(monkeypatch, request, name, most):
-    # one warm-started chart inversion per Newton step on phi1
+@pytest.fixture(scope="module")
+def ellipse51():
+    return ob.require_valid(ob.ellipse(5.0, 1.0))
+
+
+@pytest.fixture(scope="module")
+def ellipse101():
+    return ob.require_valid(ob.ellipse(10.0, 1.0))
+
+
+@pytest.mark.parametrize("name, most", [("unit_circle", 3), ("wobbly3", 10),
+                                        ("fourier8", 10), ("ellipse21", 12)])
+def test_forward_map_radius_calls_per_map(monkeypatch, request, name, most):
+    # one radius call for the exterior check, one per Newton step on the
+    # tangency angle and one at the root; the chart is never inverted
     curve = request.getfixturevalue(name)
-    calls = []
-    invert = generating._chord_from_angles_arrays
+    lanes = _exterior_lanes(curve, 0.15, 1.5)
+    calls = {"radius": 0, "chart": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return invert(*args, **kwargs)
+    def counted(key, f):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(generating, "_chord_from_angles_arrays", counted)
-    generating.forward_map_batch(curve, *_exterior_lanes(curve, 0.15, 1.5))
-    assert 1 <= len(calls) <= most
+    monkeypatch.setattr(ob.ConvexCurve, "radius", counted("radius", ob.ConvexCurve.radius))
+    monkeypatch.setattr(generating, "_chord_from_angles_arrays",
+                        counted("chart", generating._chord_from_angles_arrays))
+    generating.forward_map_batch(curve, *lanes)
+    assert 3 <= calls["radius"] <= most and calls["chart"] == 0
 
 
-@pytest.mark.parametrize("band", [(1e-3, 1e-2), (0.15, 1.5), (2.0, 50.0)])
-@pytest.mark.parametrize("name", ["unit_circle", "ellipse21", "wobbly3", "fourier8", "egg"])
+BANDS = [(1e-3, 1e-2), (0.15, 1.5), (2.0, 50.0)]
+# every band on the presets and the egg; the middle band also on eccentric
+# and nearly flat curves, where r' is large or chi is small
+NEAR_AND_FAR = ([(name, i) for name in ("unit_circle", "ellipse21", "wobbly3", "fourier8", "egg")
+                 for i in range(len(BANDS))]
+                + [(name, 1) for name in ("ellipse51", "ellipse101", "near_flat3", "near_flat5")])
+
+
+@pytest.mark.parametrize("name, band", [pytest.param(name, BANDS[i], id=f"{name}-band{i}")
+                                        for name, i in NEAR_AND_FAR])
 def test_forward_map_agrees_with_step_near_and_far(request, name, band):
     curve = request.getfixturevalue(name)
     p0, phi0 = _exterior_lanes(curve, *band)

@@ -22,7 +22,6 @@ ALLOWED_UNREAD = set()
 # kept for what sets it
 ALLOWED_UNPASSED = {
     ("jacobi", "conjugate_grid_scan", "stop_at_first"): "acceptance c6 stops at the first hit",
-    ("dynamics", "differential_fd", "h"): "test_differential_step_sizes_agree varies the step",
     ("dynamics", "tangency", "orientation"): "the chord oracle solves both orientations",
     ("cli", "main", "argv"): "the entry point: the console script passes none, tests an argv",
 }

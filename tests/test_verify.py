@@ -29,14 +29,24 @@ def test_verification_suite_passes(presets, name):
             "i_two_routes"} <= names
 
 
-@pytest.mark.parametrize("a, b, origin", [(5.0, 1.0, (0.0, 0.0)), (3.0, 1.0, (0.5, -0.2))],
-                         ids=["ellipse51", "ellipse31_off_centre"])
-def test_verification_suite_passes_on_eccentric_ellipses(a, b, origin):
-    # the generating-function map starts its chart inversion cold; on these
-    # curves that diverged until the chart's phi step was capped
+# the finite-difference checks that still fail on the 10:1 ellipse: their
+# truncation error grows with the curve's higher derivatives
+FD_FAILURES_101 = {"total_curvature", "fd_partial_derivatives", "mixed_partial_symmetry",
+                   "measure_density_consistency", "symplecticity"}
+
+
+@pytest.mark.parametrize("a, b, origin, known", [(5.0, 1.0, (0.0, 0.0), set()),
+                                                 (3.0, 1.0, (0.5, -0.2), set()),
+                                                 (10.0, 1.0, (0.0, 0.0), FD_FAILURES_101)],
+                         ids=["ellipse51", "ellipse31_off_centre", "ellipse101"])
+def test_verification_suite_passes_on_eccentric_ellipses(a, b, origin, known):
+    # every check passes on the 5:1 and the off-centre 3:1 ellipse; on the
+    # 10:1 ellipse the map checks pass and only those in FD_FAILURES_101 may fail
     result = verify.run_verification(ob.require_valid(ob.ellipse(a, b, origin=origin)))
-    failed = [(c.name, c.error) for c in result.checks if not c.passed]
-    assert result.all_passed, f"failed checks: {failed}"
+    checks = {c.name: c for c in result.checks}
+    assert checks["map_consistency_p"].passed and checks["map_consistency_phi"].passed
+    failed = [(c.name, c.error) for c in result.checks if not c.passed and c.name not in known]
+    assert not failed, f"failed checks: {failed}"
 
 
 def test_kind_specific_checks(presets):
@@ -106,7 +116,7 @@ def test_verify_evaluates_each_shared_chord_sample_once(monkeypatch, unit_circle
     # the 200 sample chords get one radial call, which gives their closed forms
     # and angles; one stencil of nine chart inversions serves every S-derivative
     # check, with one radial call per inverted chord; the chart round trip adds
-    # one inversion and the forward map the rest
+    # one inversion, and the forward map inverts none
     counts = {}
 
     def counted(key, f):
@@ -118,8 +128,8 @@ def test_verify_evaluates_each_shared_chord_sample_once(monkeypatch, unit_circle
     monkeypatch.setattr(ob.ConvexCurve, "radius", counted("radius", ob.ConvexCurve.radius))
     monkeypatch.setattr(generating, "_chord_from_angles_arrays",
                         counted("chart", generating._chord_from_angles_arrays))
-    for curve, expected in ((unit_circle, (50, 11)), (wobbly3, (84, 16)),
-                            (ellipse21, (126, 21))):
+    for curve, expected in ((unit_circle, (49, 10)), (wobbly3, (60, 10)),
+                            (ellipse21, (66, 10))):
         # a fresh copy, as the CLI loads: its lazy diameter is one of the calls
         curve = ob.curve_from_dict(ob.curve_to_dict(curve))
         counts.update(radius=0, chart=0)
