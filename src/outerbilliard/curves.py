@@ -152,13 +152,6 @@ class ConvexCurve:
         r, _, _ = self.radius(phi, cs=(c, s))
         return self.origin[0] + r * c, self.origin[1] + r * s
 
-    def tangent(self, phi):
-        """gamma'(phi) = r' e_phi + r e_phi_perp, as (tx, ty)."""
-        phi = np.asarray(phi, dtype=float)
-        c, s = np.cos(phi), np.sin(phi)
-        r, r1, _ = self.radius(phi, cs=(c, s))
-        return r1 * c - r * s, r1 * s + r * c
-
     @cached_property
     def diameter(self) -> float:
         x, y = self.point(uniform_angles(1024))

@@ -28,6 +28,7 @@ CHART_TOL = 1e-12         # chart inversion: worst angle residual accepted
 CHART_MAX_ITER = 50       # chart inversion: Newton iterations before ConvergenceError
 CHART_PHI_STEP = 0.1      # chart inversion: longest phi step of one Newton iteration
 FMAP_TOL = 1e-12          # forward map: Newton step in the tangency angle accepted as converged
+FMAP_ROUNDOFF = 4e-16     # forward map: ... or below its round-off floor, this r^2 / (chi sin d)
 FMAP_MAX_ITER = 50        # forward map: Newton iterations before ConvergenceError
 
 
@@ -182,7 +183,11 @@ def forward_map_batch(curve: ConvexCurve, p0, phi0):
     -chi sin d / r^3, so 1/r0 = 1/rho0 has one root there.  Newton on d, one
     radius call a step, starts at the circle law acos(r(phi0)/rho0); a step
     that would leave the lane's sign bracket bisects it instead, and a lane
-    whose step is below FMAP_TOL takes it and stops.  At the root t = rho0
+    whose step is below FMAP_TOL takes it and stops.  So does a lane whose
+    step is at its round-off floor FMAP_ROUNDOFF r^2 / (chi sin d), the
+    rounding of 1/r0 - 1/rho0 (about eps / r) carried through the step: near
+    the curve sin d ~ sqrt(2 (rho0/r - 1)) is small and that floor exceeds
+    FMAP_TOL, from rho0/r - 1 ~ 1e-8 on the presets.  At the root t = rho0
     sin d / r, and p1 = S2 = r1^2/2.
     """
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
@@ -198,10 +203,12 @@ def forward_map_batch(curve: ConvexCurve, p0, phi0):
         r, rp, rpp = curve.radius(phi0 + d)
         sin_d = np.sin(d)
         excess = (rp * sin_d + r * np.cos(d)) / (r * r) - 1.0 / rho0   # 1/r0 - 1/rho0
-        step = -excess * r * r * r / (chi(r, rp, rpp) * sin_d)
+        k = chi(r, rp, rpp)
+        step = -excess * r * r * r / (k * sin_d)
         above = excess > 0                  # the root lies above d
         lo, hi = np.where(above, d, lo), np.where(above, hi, d)
-        newton, small = d - step, np.abs(step) < FMAP_TOL
+        floor = np.maximum(FMAP_TOL, FMAP_ROUNDOFF * r * r / (k * sin_d))
+        newton, small = d - step, np.abs(step) < floor
         take = small | ((lo < newton) & (newton < hi))
         d = np.where(done, d, np.where(take, newton, 0.5 * (lo + hi)))
         done |= small

@@ -9,6 +9,14 @@ radial data, closed forms and endpoint angles, one nine-inversion stencil
 about the first 100 for every S-derivative check, and the sample points'
 images.  The kernels are elementwise, so a slice of a bundle has the bits of
 the same call on the slice.
+
+The sample points' map steps do not depend on one another, so they run as
+lanes of dynamics' lane twin of the tangency solve, bit for bit the scalar
+step: one call for the 100 images, one for the 400 stencil images of the
+symplecticity check and one for the 50 inverse steps.  A failing lane raises
+the scalar's error for the first failing point, so a check's error text is
+what stepping the points one at a time would give.  The ellipse foliation
+check follows one orbit, whose steps each need the last, on the scalar step.
 """
 
 import functools
@@ -68,10 +76,8 @@ def _random_exterior(curve, rng, n):
     phi = rng.uniform(0.0, TWO_PI, n)
     r, _, _ = curve.radius(phi)
     rho = r * (1.0 + rng.uniform(*EXTERIOR_GAP, n))
-    return [dynamics.phase_point(curve,
-                                 curve.origin[0] + rho[i] * math.cos(phi[i]),
-                                 curve.origin[1] + rho[i] * math.sin(phi[i]))
-            for i in range(n)]
+    return dynamics.phase_lanes(curve, curve.origin[0] + rho * np.cos(phi),
+                                curve.origin[1] + rho * np.sin(phi))
 
 
 def run_verification(curve: ConvexCurve) -> VerificationResult:
@@ -105,7 +111,7 @@ def run_verification(curve: ConvexCurve) -> VerificationResult:
     stencil = functools.cache(lambda: _s_stencil(curve, a0[:n], a1[:n], *fd_n))
     jac = functools.cache(lambda: _jacobian_fd_error(
         curve, *fd_n, tuple(v[:n] for v in chord_radial), closed_n, stencil()[1]["S12"]))
-    images = functools.cache(lambda: [dynamics.step(curve, p) for p in pts])
+    images = functools.cache(lambda: dynamics.step_lanes(curve, pts, 1))
     fmap = functools.cache(lambda: _map_consistency_error(curve, pts, images()))
 
     check("radial_fd_consistency", lambda: _radial_fd_error(curve, rng), 1e-6)
@@ -123,9 +129,7 @@ def run_verification(curve: ConvexCurve) -> VerificationResult:
           lambda: _shoelace_error(cphi, ct, chord_radial, closed["S"]), 1e-12)
     check("twist_negative",
           lambda: generating.twist_scan(curve, 128, 128, 20.0).max_s12, 0.0)
-    check("symplecticity",
-          lambda: max(abs(float(np.linalg.det(dynamics.differential_fd(curve, p, base=q)))
-                          - 1.0) for p, q in zip(pts, images())), 1e-6)
+    check("symplecticity", lambda: _symplecticity_error(curve, pts, images()), 1e-6)
     check("midpoint_property",
           lambda: _midpoint_error(curve, pts, images()), 1e-10)
     check("map_consistency_p", lambda: fmap()[0], 1e-9)
@@ -134,7 +138,8 @@ def run_verification(curve: ConvexCurve) -> VerificationResult:
           lambda: _inverse_error(curve, pts[:50], images()[:50]), 1e-10)
     check("dp_form_consistency",
           lambda: jacobi.propagate_jacobi(
-              jacobi.build_window(curve, pts[0], 3, 6), 0.3, 1.1).form_residual,
+              jacobi.build_window(curve, dynamics.phase_point(curve, pts.x[0], pts.y[0]),
+                                  3, 6), 0.3, 1.1).form_residual,
           1e-10)
     check("integrand_decomposition",
           lambda: _decomposition_error(curve, rng), 1e-10)
@@ -194,24 +199,27 @@ def _midpoint_error(curve, pts, images):
     it there, both read at M's own polar angle psi: the worse of |M -
     gamma(psi)| / diameter and the sine of the angle between A - M and
     gamma'(psi).  Nothing here comes from the tangency solve behind T."""
-    a = np.array([(p.x, p.y) for p in pts])
-    mx, my = 0.5 * (a + np.array([(q.x, q.y) for q in images])).T
+    mx, my = 0.5 * (pts.x + images.x), 0.5 * (pts.y + images.y)
     psi = np.arctan2(my - curve.origin[1], mx - curve.origin[0])
     c, s = np.cos(psi), np.sin(psi)
     r, r1, _ = curve.radius(psi, cs=(c, s))
     gx, gy = curve.origin[0] + r * c, curve.origin[1] + r * s
     tx, ty = r1 * c - r * s, r1 * s + r * c
-    dx, dy = a[:, 0] - mx, a[:, 1] - my
+    dx, dy = pts.x - mx, pts.y - my
     off = np.hypot(mx - gx, my - gy) / curve.diameter
     sine = np.abs(dx * ty - dy * tx) / (np.hypot(dx, dy) * np.hypot(tx, ty))
     return float(max(off.max(), sine.max()))
 
 
+def _symplecticity_error(curve, pts, images):
+    d = dynamics.differential_fd_lanes(curve, pts.p, pts.phi, images.phi)
+    return float(np.abs(np.linalg.det(d) - 1.0).max())
+
+
 def _inverse_error(curve, pts, images):
-    worst = 0.0
-    for p, q in zip(pts, images):
-        back = dynamics.inverse_step(curve, q)
-        worst = max(worst, math.hypot(back.x - p.x, back.y - p.y))
+    back = dynamics.step_lanes(curve, images, -1)
+    worst = max(map(math.hypot, (back.x - pts.x).tolist(), (back.y - pts.y).tolist()),
+                default=0.0)
     return worst / max(1.0, curve.diameter)
 
 
@@ -299,10 +307,10 @@ def _shoelace_error(cphi, ct, radial, svals):
 
 
 def _map_consistency_error(curve, pts, images):
-    p1, f1 = generating.forward_map_batch(curve, *np.array([(p.p, p.phi) for p in pts]).T)
-    qp, qf = np.array([(q.p, q.phi) for q in images]).T
-    dphi = (qf - f1 + math.pi) % TWO_PI - math.pi
-    return float(np.max(np.abs(qp - p1) / np.maximum(1.0, qp))), float(np.max(np.abs(dphi)))
+    p1, f1 = generating.forward_map_batch(curve, pts.p, pts.phi)
+    dphi = (images.phi - f1 + math.pi) % TWO_PI - math.pi
+    return (float(np.max(np.abs(images.p - p1) / np.maximum(1.0, images.p))),
+            float(np.max(np.abs(dphi))))
 
 
 def _chi_identity_error(r, rp, rpp):
@@ -322,10 +330,11 @@ def _cauchy_schwarz(r, rp, rpp):
 def _circle_law_error(curve, pts, images):
     radius = curve.radius_value
     worst = 0.0
-    for p, q in zip(pts, images):
-        rho = math.sqrt(2.0 * p.p)
-        worst = max(worst, abs(math.sqrt(2.0 * q.p) - rho))
-        adv = (q.phi - p.phi) % TWO_PI
+    for p, phi, q, q_phi in zip(pts.p.tolist(), pts.phi.tolist(), images.p.tolist(),
+                                images.phi.tolist()):
+        rho = math.sqrt(2.0 * p)
+        worst = max(worst, abs(math.sqrt(2.0 * q) - rho))
+        adv = (q_phi - phi) % TWO_PI
         worst = max(worst, abs(adv - 2.0 * math.acos(radius / rho)))
     return worst
 

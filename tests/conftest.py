@@ -13,6 +13,14 @@ def radial(curve, n=2048):
     return curve.radius(uniform_angles(n))
 
 
+def tangent(curve, phi):
+    """gamma'(phi) = r' e_phi + r e_phi_perp, as (tx, ty), from one radius call."""
+    phi = np.asarray(phi, dtype=float)
+    c, s = np.cos(phi), np.sin(phi)
+    r, r1, _ = curve.radius(phi, cs=(c, s))
+    return r1 * c - r * s, r1 * s + r * c
+
+
 @pytest.fixture(scope="session")
 def unit_circle():
     return ob.require_valid(ob.circle(1.0))

@@ -614,9 +614,12 @@ def test_orbit_points_do_not_keep_exterior_data(wobbly3):
 
 
 def test_differential_fd_with_its_base_image(presets):
+    # the lane body, handed the points' images, gives each point the bits of
+    # the one-point differential_fd, which steps the point itself
     rng = np.random.default_rng(47)
     for curve in presets.values():
-        for p in _exterior_sample(curve, rng, 5):
-            base = ob.step(curve, p)
-            assert np.array_equal(ob.differential_fd(curve, p, base=base),
-                                  ob.differential_fd(curve, p))
+        pts = _exterior_sample(curve, rng, 5)
+        a = dynamics.phase_lanes(curve, [p.x for p in pts], [p.y for p in pts])
+        base = dynamics.step_lanes(curve, a, 1)
+        assert np.array_equal(dynamics.differential_fd_lanes(curve, a.p, a.phi, base.phi),
+                              [ob.differential_fd(curve, p) for p in pts])

@@ -373,6 +373,24 @@ def test_forward_map_agrees_with_step_near_and_far(request, name, band):
         assert abs((q.phi - g + PI) % TWO_PI - PI) < 1e-13
 
 
+@pytest.mark.parametrize("name", ["unit_circle", "ellipse21", "wobbly3", "ellipse51",
+                                  "near_flat5"])
+def test_forward_map_converges_within_rounding_of_the_curve(request, name):
+    # points with rho/r - 1 in [g, 2g]: each route reads the world point of
+    # (p0, phi0), whose rounding (a relative eps of rho0) the map amplifies
+    # near the curve as 1/sqrt(g), the tangency angle moving like sqrt(g); so
+    # the two routes agree to a multiple of eps / sqrt(g), at most 2.7e-15 /
+    # sqrt(g) on these curves
+    curve = request.getfixturevalue(name)
+    for g in 10.0 ** -np.arange(8, 15):
+        p0, phi0 = _exterior_lanes(curve, g, 2.0 * g, n=50)
+        p1, phi1 = generating.forward_map_batch(curve, p0, phi0)
+        for a, f, b, h in zip(p0, phi0, p1, phi1):
+            q = ob.step(curve, ob.phase_point_polar(curve, a, f))
+            assert abs(q.p - b) / max(1.0, q.p) < 1e-14 / math.sqrt(g), g
+            assert abs((q.phi - h + PI) % TWO_PI - PI) < 1e-14 / math.sqrt(g), g
+
+
 def test_forward_map_reports_nonconvergence(monkeypatch, ellipse21):
     monkeypatch.setattr(generating, "FMAP_MAX_ITER", 1)
     with pytest.raises(ob.ConvergenceError) as exc:
@@ -389,7 +407,8 @@ def test_forward_map_does_not_call_dynamics(monkeypatch, fourier8):
     def forbidden(*args, **kwargs):
         raise AssertionError("forward_map_batch called into dynamics")
 
-    for attr in ("step", "_tangency_root", "tangency", "chord_step_scalar"):
+    for attr in ("step", "_tangency_root", "tangency", "chord_step_scalar", "step_lanes",
+                 "_tangency_root_lanes"):
         monkeypatch.setattr(dynamics, attr, forbidden)
     p1, phi1 = generating.forward_map_batch(fourier8, p0, phi0)
     for q, a, b in zip(want, p1, phi1):

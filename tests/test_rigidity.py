@@ -10,7 +10,7 @@ from outerbilliard.curves import _angle_map_start
 from outerbilliard.generating import s_closed_forms
 from outerbilliard.quadrature import TWO_PI, gauss_panels, uniform_angles
 
-from conftest import radial
+from conftest import radial, tangent
 from oracles import reorigin
 
 PI_SQ = math.pi ** 2
@@ -436,7 +436,7 @@ def _q_support_route(curve, point, n=2048):
     ux, uy = np.cos(theta), np.sin(theta)
 
     def normal_angle(f):
-        tx, ty = curve.tangent(f)
+        tx, ty = tangent(curve, f)
         return np.arctan2(-tx, ty)
 
     phi = _angle_map_start(normal_angle, theta)

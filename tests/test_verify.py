@@ -1,5 +1,4 @@
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -96,19 +95,27 @@ def test_verify_steps_each_sample_point_once(monkeypatch, unit_circle, ellipse21
     # one step per sample point (100), which gives the shared images that
     # the midpoint check reads; symplecticity 400 (four stencil images per point,
     # the image itself shared), inverse 50, dp_form 11; the ellipse adds 300
-    # foliation steps
-    calls = []
-    root = dynamics._tangency_root
+    # foliation steps.  The sample points' steps run as lanes, one call each
+    # for the images, the stencils and the inverses; the orbits stay scalar
+    calls, lanes = [], []
+    root, root_lanes = dynamics._tangency_root, dynamics._tangency_root_lanes
 
     def counted(*args):
         calls.append(args)
         return root(*args)
 
+    def counted_lanes(curve, ax, *args):
+        lanes.append(len(ax))
+        return root_lanes(curve, ax, *args)
+
     monkeypatch.setattr(dynamics, "_tangency_root", counted)
+    monkeypatch.setattr(dynamics, "_tangency_root_lanes", counted_lanes)
     for curve, expected in ((unit_circle, 561), (ellipse21, 861)):
         calls.clear()
+        lanes.clear()
         verify.run_verification(curve)
-        assert len(calls) == expected
+        assert lanes == [100, 400, 50]
+        assert len(calls) + sum(lanes) == expected
 
 
 def test_verify_evaluates_each_shared_chord_sample_once(monkeypatch, unit_circle, wobbly3,
@@ -116,7 +123,10 @@ def test_verify_evaluates_each_shared_chord_sample_once(monkeypatch, unit_circle
     # the 200 sample chords get one radial call, which gives their closed forms
     # and angles; one stencil of nine chart inversions serves every S-derivative
     # check, with one radial call per inverted chord; the chart round trip adds
-    # one inversion, and the forward map inverts none
+    # one inversion, and the forward map inverts none.  The sample points'
+    # lane steps add one radial call per exterior check (the points, their
+    # images, the stencil points and their images, the inverse images: 5) and
+    # one per iteration of the three lane solves (15, 23 and 29)
     counts = {}
 
     def counted(key, f):
@@ -128,8 +138,8 @@ def test_verify_evaluates_each_shared_chord_sample_once(monkeypatch, unit_circle
     monkeypatch.setattr(ob.ConvexCurve, "radius", counted("radius", ob.ConvexCurve.radius))
     monkeypatch.setattr(generating, "_chord_from_angles_arrays",
                         counted("chart", generating._chord_from_angles_arrays))
-    for curve, expected in ((unit_circle, (49, 10)), (wobbly3, (60, 10)),
-                            (ellipse21, (66, 10))):
+    for curve, expected in ((unit_circle, (69, 10)), (wobbly3, (88, 10)),
+                            (ellipse21, (100, 10))):
         # a fresh copy, as the CLI loads: its lazy diameter is one of the calls
         curve = ob.curve_from_dict(ob.curve_to_dict(curve))
         counts.update(radius=0, chart=0)
@@ -144,11 +154,13 @@ def test_midpoint_check_fails_on_images_reflected_off_the_tangency(monkeypatch, 
     # the curve, but A - midpoint is no longer tangent there
     curve = request.getfixturevalue(name)
 
-    def skewed_step(curve, a, orientation=dynamics.CCW):
-        gx, gy = curve.point(dynamics.tangency(curve, a, orientation).phi_m + 1e-6)
-        return dynamics.phase_point(curve, 2.0 * float(gx) - a.x, 2.0 * float(gy) - a.y)
+    def skewed_step(curve, a, direction):
+        psi, _, _, _ = dynamics._tangency_root_lanes(
+            curve, a.x - curve.origin[0], a.y - curve.origin[1], direction, a.exterior, {})
+        gx, gy = curve.point(psi + 1e-6)
+        return dynamics.phase_lanes(curve, 2.0 * gx - a.x, 2.0 * gy - a.y)
 
-    monkeypatch.setattr(dynamics, "step", skewed_step)
+    monkeypatch.setattr(dynamics, "step_lanes", skewed_step)
     check = {c.name: c for c in verify.run_verification(curve).checks}["midpoint_property"]
     assert not check.passed and check.error is None
     assert 1e-7 < check.value < 1e-4
@@ -161,14 +173,14 @@ def _on_result(change):
     return wrap
 
 
-def _turned_backward_tangency(tangency_root):
+def _turned_backward_tangency(tangency_root_lanes):
     # the mirrored branch, behind inverse_step, reflects about gamma(psi + 1e-8)
-    def defect(curve, ax, ay, direction, exterior=None):
-        psi, t, gx, gy = tangency_root(curve, ax, ay, direction, exterior)
+    def defect(curve, ax, ay, direction, exterior, fails):
+        psi, t, gx, gy = tangency_root_lanes(curve, ax, ay, direction, exterior, fails)
         if direction < 0:
-            psi += 1e-8
-            r = curve.radius_scalar(psi)[0]
-            gx, gy = r * math.cos(psi), r * math.sin(psi)
+            psi = psi + 1e-8
+            r = curve.radius(psi)[0]
+            gx, gy = r * np.cos(psi), r * np.sin(psi)
         return psi, t, gx, gy
     return defect
 
@@ -178,6 +190,14 @@ def _image_x_stretched(step):
     def defect(curve, a, orientation=dynamics.CCW):
         q = step(curve, a, orientation)
         return dynamics.phase_point(curve, q.x * (1.0 + 1e-8), q.y)
+    return defect
+
+
+def _images_x_stretched(step_lanes):
+    # the lane twin of _image_x_stretched, for the checks on the sample points
+    def defect(curve, a, direction):
+        q = step_lanes(curve, a, direction)
+        return dynamics.phase_lanes(curve, q.x * (1.0 + 1e-8), q.y)
     return defect
 
 
@@ -192,7 +212,8 @@ DEFECTS = [
      "dual_area_routes", "wobbly3"),
     (rigidity, "dual_support", _on_result(lambda h: (h[0], h[1], h[2] * (1.0 + 1e-8))),
      "chi_support_identity", "wobbly3"),
-    (dynamics, "_tangency_root", _turned_backward_tangency, "inverse_roundtrip", "wobbly3"),
+    (dynamics, "_tangency_root_lanes", _turned_backward_tangency, "inverse_roundtrip",
+     "wobbly3"),
     (jacobi, "_jacobi_next", _on_result(lambda dq: dq * (1.0 + 1e-6)), "dp_form_consistency",
      "wobbly3"),
     (generating, "s_closed_forms", _on_result(lambda d: dict(d, S1=d["S1"] * (1.0 + 1e-10))),
@@ -211,8 +232,8 @@ DEFECTS = [
     (rigidity, "q_integral", _on_result(lambda q: q * (1.0 + 1e-8)), "cauchy_schwarz_chain",
      "ellipse21"),
     # the map's finite-difference differential with its dp1/dp0 entry 1e-5 too large
-    (dynamics, "differential_fd", _on_result(lambda m: m * np.array([[1.0 + 1e-5, 1.0],
-                                                                     [1.0, 1.0]])),
+    (dynamics, "differential_fd_lanes", _on_result(lambda m: m * np.array([[1.0 + 1e-5, 1.0],
+                                                                           [1.0, 1.0]])),
      "symplecticity", "wobbly3"),
     # the generating-function map's p1 too large by a relative 1e-8, its phi1 by 1e-8
     (generating, "forward_map_batch", _on_result(lambda m: (m[0] * (1.0 + 1e-8), m[1])),
@@ -225,7 +246,7 @@ DEFECTS = [
     (rigidity, "_integrand_arrays",
      _on_result(lambda parts: (parts[0], parts[1] * (1.0 + 1e-8), *parts[2:])),
      "integrand_decomposition", "wobbly3"),
-    (dynamics, "step", _image_x_stretched, "circle_rotation_law", "unit_circle"),
+    (dynamics, "step_lanes", _images_x_stretched, "circle_rotation_law", "unit_circle"),
     # r'' too large by a relative 1e-4 wherever the curve's radial data is read
     (curves.ConvexCurve, "radius", _on_result(lambda rad: (rad[0], rad[1], rad[2] * (1.0 + 1e-4))),
      "radial_fd_consistency", "wobbly3"),
