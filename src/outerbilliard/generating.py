@@ -12,7 +12,9 @@ Two charts are used throughout, both on plain floats or arrays:
 * chord (phi, t):  chord tangent at gamma(phi), endpoints
   M0 = gamma - t gamma' and M1 = gamma + t gamma'.
 * angles (phi0, phi1):  polar angles of M0, M1 with
-  phi0 < phi1 < phi0 + pi; chord_to_angles and angles_to_chord map between them.
+  phi0 < phi1 < phi0 + pi; chord_to_angles maps to them in closed form, and
+  angles_to_chord back by one bracketed Newton in the tangency offset along
+  the ray phi0, the solve forward_map_batch also runs.
 """
 
 from dataclasses import dataclass
@@ -24,12 +26,9 @@ from .curves import ConvexCurve, chi
 from .errors import ConvergenceError, InsideCurveError
 from .quadrature import chord_grid
 
-CHART_TOL = 1e-12         # chart inversion: worst angle residual accepted
-CHART_MAX_ITER = 50       # chart inversion: Newton iterations before ConvergenceError
-CHART_PHI_STEP = 0.1      # chart inversion: longest phi step of one Newton iteration
-FMAP_TOL = 1e-12          # forward map: Newton step in the tangency angle accepted as converged
-FMAP_ROUNDOFF = 4e-16     # forward map: ... or below its round-off floor, this r^2 / (chi sin d)
-FMAP_MAX_ITER = 50        # forward map: Newton iterations before ConvergenceError
+RAY_TOL = 1e-12           # ray solve: Newton step in the tangency offset accepted as converged
+RAY_ROUNDOFF = 4e-16      # ray solve: ... or below its round-off floor, this times the scale
+RAY_MAX_ITER = 50         # ray solve: radius calls before ConvergenceError
 
 
 # -- chart transition ----------------------------------------------------------
@@ -121,49 +120,67 @@ def chain_rule_s1_s2(curve: ConvexCurve, phi, t):
     return s_phi * dphi_dphi0 + s_t * dt_dphi0, s_phi * dphi_dphi1 + s_t * dt_dphi1
 
 
-# -- inverse chart transition --------------------------------------------------
+# -- the ray solve: chart inversion and the map -------------------------------
 
-def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, guess=None):
-    """Newton solve of the chart transition for (phi, t), vectorized.
+def _ray_newton(curve: ConvexCurve, phi0, d, hi, newton_step):
+    """Root d in (0, hi) of a residual monotone in the tangency offset d along
+    the rays phi0, and (r, r', r'') at phi0 + d, vectorized, one radius call an
+    iteration.  newton_step(d, r, r', r'') gives the Newton step s (s < 0: the
+    root lies above d; NaN: below) and its round-off floor.  An iterate outside
+    the sign bracket, or not halving the step before last, bisects (rtsafe,
+    Numerical Recipes 9.4; plain Newton cycles on the sigmoid head angle).  A
+    lane whose step is below RAY_TOL or its floor takes it and freezes, so it
+    has the same bits alone as in any batch."""
+    lo, done = np.zeros_like(d), np.zeros(d.shape, dtype=bool)
+    step_prev = step_last = hi
+    for _ in range(RAY_MAX_ITER):
+        radial = curve.radius(phi0 + d)
+        if done.all():
+            return d, radial
+        step, floor = newton_step(d, *radial)
+        above = step < 0.0
+        lo, hi = np.where(above, d, lo), np.where(above, hi, d)
+        newton, small = d - step, np.abs(step) < np.maximum(RAY_TOL, floor)
+        take = small | ((lo < newton) & (newton < hi) & (2.0 * np.abs(step) <= step_prev))
+        nxt = np.where(take, newton, 0.5 * (lo + hi))
+        step_prev, step_last = step_last, np.abs(nxt - d)
+        d = np.where(done, d, nxt)
+        done |= small
+    worst = float((hi - lo)[~done].max())
+    raise ConvergenceError(f"Newton solve along the ray did not converge in {RAY_MAX_ITER} "
+                           f"iterations (worst bracket {worst:.3g})", residual=worst)
 
-    Initial guess is the circle geometry: phi the mid-ray, t = tan(gap/2).
-    The analytic chart Jacobian drives the iteration; steps shrinking t
-    through zero are damped; phi moves at most CHART_PHI_STEP per step, as
-    from the mid-ray of an eccentric ellipse a full step can diverge.
+
+def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, start=None):
+    """The chords (phi, t) with endpoint angles (phi0, phi1), vectorized.
+
+    With tail on the ray phi0 and tangency angle phi0 + d, t = r sin d / (r cos
+    d + r' sin d) while that is positive (then the tail leaves the ray), and the
+    head angle phi0 + d + atan2(t r, r + t r') rises in d with slope 2 (chi t^2
+    + r^2) / r1^2.  _ray_newton solves head angle = phi1 on (0, phi1 - phi0)
+    from the tangency angles ``start`` where they lie in it, else from the
+    mid-ray; the floor is the head angle's rounding, eps (|phi1| + pi) / slope.
     """
-    phi0 = np.asarray(phi0, dtype=float)
-    phi1 = np.asarray(phi1, dtype=float)
+    phi0, phi1 = np.asarray(phi0, dtype=float), np.asarray(phi1, dtype=float)
     gap = phi1 - phi0
     if not np.all((0 < gap) & (gap < np.pi)):     # a NaN fails too
         raise ValueError("angle pair must satisfy phi0 < phi1 < phi0 + pi")
-    if guess is None:
-        phi = 0.5 * (phi0 + phi1)
-        t = np.tan(0.5 * gap)
-    else:
-        phi, t = np.array(guess[0], dtype=float), np.array(guess[1], dtype=float)
-    worst = np.inf
-    for _ in range(CHART_MAX_ITER):
-        r, rp, rpp = curve.radius(phi)
-        excess = r * r + rp * rp - chi(r, rp, rpp)
-        f0, f1, r0sq, r1sq = _angles_arrays(curve, phi, t, (r, rp, rpp))
-        res0, res1 = f0 - phi0, f1 - phi1
-        worst = float(np.max(np.maximum(np.abs(res0), np.abs(res1))))
-        if worst < CHART_TOL:
-            return phi, t
-        j00 = 1.0 - t * t * excess / r0sq
-        j01 = -r * r / r0sq
-        j10 = 1.0 - t * t * excess / r1sq
-        j11 = r * r / r1sq
-        det = j00 * j11 - j01 * j10
-        dphi = (j11 * res0 - j01 * res1) / det
-        dt = (-j10 * res0 + j00 * res1) / det
-        scale = np.where(dt >= t, 0.5 * t / np.maximum(dt, 1e-300), 1.0)
-        scale = np.minimum(scale, CHART_PHI_STEP / np.maximum(np.abs(scale * dphi), 1e-300))
-        phi = phi - scale * dphi
-        t = t - scale * dt
-    raise ConvergenceError(
-        f"chart inversion did not converge in {CHART_MAX_ITER} iterations "
-        f"(worst residual {worst:.3g})", residual=worst)
+    d = 0.5 * gap if start is None else np.asarray(start, dtype=float) - phi0
+    d = np.where((0.0 < d) & (d < gap), d, 0.5 * gap)
+    rounding = RAY_ROUNDOFF * (np.abs(phi1) + np.pi)
+
+    def tail_t(d, r, rp):
+        den = r / np.tan(d) + rp        # (r cos d + r' sin d) / sin d
+        return r / np.where(den > 0.0, den, np.nan)
+
+    def newton_step(d, r, rp, rpp):
+        t = tail_t(d, r, rp)
+        tr, u1 = t * r, r + t * rp
+        slope = 2.0 * (chi(r, rp, rpp) * t * t + r * r) / (u1 * u1 + tr * tr)
+        return (phi0 + d + np.arctan2(tr, u1) - phi1) / slope, rounding / slope
+
+    d, (r, rp, _) = _ray_newton(curve, phi0, d, gap, newton_step)
+    return phi0 + d, tail_t(d, r, rp)
 
 
 def angles_to_chord(curve: ConvexCurve, phi0: float, phi1: float):
@@ -172,54 +189,33 @@ def angles_to_chord(curve: ConvexCurve, phi0: float, phi1: float):
     return float(phi), float(t)
 
 
-# -- the map through the generating function ----------------------------------
-
 def forward_map_batch(curve: ConvexCurve, p0, phi0):
     """(p1, phi1) from S1(phi0, phi1) = -p0, S2 = p1, vectorized.  Nothing here
     calls dynamics: verify compares this route to the map with step.
 
     On the chords with tail on the ray phi0 and tangency angle phi0 + d, 1/r0 =
     (r' sin d + r cos d) / r^2 falls strictly in d on (0, pi), with derivative
-    -chi sin d / r^3, so 1/r0 = 1/rho0 has one root there.  Newton on d, one
-    radius call a step, starts at the circle law acos(r(phi0)/rho0); a step
-    that would leave the lane's sign bracket bisects it instead, and a lane
-    whose step is below FMAP_TOL takes it and stops.  So does a lane whose
-    step is at its round-off floor FMAP_ROUNDOFF r^2 / (chi sin d), the
-    rounding of 1/r0 - 1/rho0 (about eps / r) carried through the step: near
-    the curve sin d ~ sqrt(2 (rho0/r - 1)) is small and that floor exceeds
-    FMAP_TOL, from rho0/r - 1 ~ 1e-8 on the presets.  At the root t = rho0
-    sin d / r, and p1 = S2 = r1^2/2.
+    -chi sin d / r^3; _ray_newton solves 1/r0 = 1/rho0 from the circle law
+    acos(r(phi0)/rho0).  The floor RAY_ROUNDOFF r^2 / (chi sin d), the rounding
+    of 1/r0 - 1/rho0 through the step, exceeds RAY_TOL near the curve (rho0/r -
+    1 < 1e-8 on the presets).  At the root t = rho0 sin d / r, p1 = S2 = r1^2/2.
     """
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    phi0 = np.atleast_1d(np.asarray(phi0, dtype=float))
+    p0, phi0 = np.atleast_1d(np.asarray(p0, dtype=float), np.asarray(phi0, dtype=float))
     r, _, _ = curve.radius(phi0)
     if not np.all((2.0 * p0 > r * r) & (np.abs(phi0) < np.inf)):    # a NaN fails too
         raise InsideCurveError("phase point (p0, phi0) is not exterior")
     rho0 = np.sqrt(2.0 * p0)
     d = np.arctan2(np.sqrt(2.0 * p0 - r * r), r)     # acos(r/rho0), above 0 by the guard
-    lo, hi = np.zeros_like(d), np.full_like(d, np.pi)
-    done = np.zeros(d.shape, dtype=bool)
-    for _ in range(FMAP_MAX_ITER):
-        r, rp, rpp = curve.radius(phi0 + d)
+
+    def newton_step(d, r, rp, rpp):
         sin_d = np.sin(d)
         excess = (rp * sin_d + r * np.cos(d)) / (r * r) - 1.0 / rho0   # 1/r0 - 1/rho0
-        k = chi(r, rp, rpp)
-        step = -excess * r * r * r / (k * sin_d)
-        above = excess > 0                  # the root lies above d
-        lo, hi = np.where(above, d, lo), np.where(above, hi, d)
-        floor = np.maximum(FMAP_TOL, FMAP_ROUNDOFF * r * r / (k * sin_d))
-        newton, small = d - step, np.abs(step) < floor
-        take = small | ((lo < newton) & (newton < hi))
-        d = np.where(done, d, np.where(take, newton, 0.5 * (lo + hi)))
-        done |= small
-        if done.all():
-            radial = curve.radius(phi0 + d)
-            t = rho0 * np.sin(d) / radial[0]
-            _, phi1, _, r1sq = _angles_arrays(curve, phi0 + d, t, radial)
-            return 0.5 * r1sq, phi1
-    worst = float(np.abs(step[~done]).max())   # step size in angle units
-    raise ConvergenceError(f"Newton solve for the tangency angle did not converge in "
-                           f"{FMAP_MAX_ITER} iterations (worst step {worst:.3g})", residual=worst)
+        slope = chi(r, rp, rpp) * sin_d                                 # -r^3 d(1/r0)/dd
+        return -excess * r * r * r / slope, RAY_ROUNDOFF * r * r / slope
+
+    d, radial = _ray_newton(curve, phi0, d, np.full_like(d, np.pi), newton_step)
+    _, phi1, _, r1sq = _angles_arrays(curve, phi0 + d, rho0 * np.sin(d) / radial[0], radial)
+    return 0.5 * r1sq, phi1
 
 
 # -- twist scan and tables -----------------------------------------------------

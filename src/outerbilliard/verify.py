@@ -108,7 +108,7 @@ def run_verification(curve: ConvexCurve) -> VerificationResult:
     n = N_SAMPLE
     fd_n = (cphi[:n], ct[:n])
     closed_n = {k: v[:n] for k, v in closed.items()}
-    stencil = functools.cache(lambda: _s_stencil(curve, a0[:n], a1[:n], *fd_n))
+    stencil = functools.cache(lambda: _s_stencil(curve, a0[:n], a1[:n], *fd_n, closed_n))
     jac = functools.cache(lambda: _jacobian_fd_error(
         curve, *fd_n, tuple(v[:n] for v in chord_radial), closed_n, stencil()[1]["S12"]))
     images = functools.cache(lambda: dynamics.step_lanes(curve, pts, 1))
@@ -232,15 +232,18 @@ def _decomposition_error(curve, rng):
 # -- helpers -------------------------------------------------------------------
 
 
-def _s_stencil(curve, a0, a1, cphi, ct):
+def _s_stencil(curve, a0, a1, cphi, ct, closed):
     """The closed forms at (a0 + da h, a1 + db h), h = STENCIL_H, keyed by (da,
     db) in {-1, 0, 1}^2, and the central differences of S across them; S is
-    t r r there, the finite-difference route's own S."""
+    t r r there, the finite-difference route's own S; each inversion starts
+    from its tangency angle to first order in h, dphi / dphi_i = r_i^2 / w."""
     forms, s = {}, {}
+    w = 2.0 * (closed["chi"] * ct * ct + closed["S"] / ct)    # 2 (chi t^2 + r^2)
     for da in (-1, 0, 1):
         for db in (-1, 0, 1):
+            start = cphi + STENCIL_H * (da * closed["r0sq"] + db * closed["r1sq"]) / w
             phi, t = generating._chord_from_angles_arrays(
-                curve, a0 + da * STENCIL_H, a1 + db * STENCIL_H, guess=(cphi, ct))
+                curve, a0 + da * STENCIL_H, a1 + db * STENCIL_H, start)
             r, rp, rpp = curve.radius(phi)
             forms[(da, db)] = generating.s_closed_forms(r, rp, rpp, t)
             s[(da, db)] = t * r * r

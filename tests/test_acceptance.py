@@ -46,7 +46,7 @@ def test_c1_generating_function_exactness(presets):
 
         def s_at(da, db):
             p, tt = generating._chord_from_angles_arrays(
-                curve, a0 + da, a1 + db, guess=(phi, t))
+                curve, a0 + da, a1 + db, start=phi)
             r, _, _ = curve.radius(p)
             return tt * r * r
 

@@ -8,7 +8,9 @@ digits.  Nothing is shared with the package beyond the curve constructors.
 Three routes are held to it: both chord-step kernels and the point map's
 tangency() from the chord head (CCW for d = +1, CW for d = -1).  tangency()
 is also held, down to the smallest t the chord kernels accept, to the root
-from the exact double-precision point it was given.
+from the exact double-precision point it was given.  The chart inversion
+generating._chord_from_angles_arrays is held to mpmath's own 2-D Newton on the
+two endpoint-angle equations, from the same closed-form r.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 import outerbilliard as ob
-from outerbilliard import dynamics
+from outerbilliard import dynamics, generating
 
 mp = pytest.importorskip("mpmath").mp
 
@@ -209,3 +211,45 @@ def test_scalar_chord_step_near_the_curve_matches_mpmath_root(name, direction, f
         t_err = abs(float(t_new - t_ref))
         assert psi_err <= near / t[i], (phi[i], t[i], psi_err)
         assert t_err <= near / t[i], (phi[i], t[i], t_err)
+
+
+@mp.workdps(40)
+def _chart_reference(rfun, a0, a1, phi, t):
+    """(phi, t) of the chord whose endpoint angles are the doubles (a0, a1), 40
+    digits: mpmath's Newton on both angle equations from the chord (phi, t)
+    that gave them."""
+    a0, a1 = mp.mpf(a0), mp.mpf(a1)
+
+    def residual(p, tt):
+        r, r1, _ = rfun(p)
+        return p - mp.atan2(tt * r, r - tt * r1) - a0, p + mp.atan2(tt * r, r + tt * r1) - a1
+
+    root = mp.findroot(residual, (mp.mpf(phi), mp.mpf(t)))
+    assert max(abs(v) for v in residual(root[0], root[1])) < mp.mpf("1e-30")
+    return root[0], root[1]
+
+
+CHART_CURVES = dict(KERNEL_CURVES, ellipse201=(ob.ellipse(20.0, 1.0), _ellipse(20.0, 1.0)))
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse21", "ellipse101", "ellipse201", "fourier8"])
+def test_chart_inversion_matches_mpmath_root(name, fourier8):
+    # budget 1e-11 on |phi - phi_ref| and on |t - t_ref| / t, t log-uniform in
+    # [1e-3, 30]; measured worst 1.9e-14 in phi (the 20:1 ellipse) and 1.7e-13
+    # in t (the 10:1 ellipse), 4.1e-12 in t over 256 chords a curve.  That worst
+    # is a long chord at a pointed end of the 20:1 ellipse: t reads r' at the
+    # rounded phi, off by |r''| ulp(phi), and its relative error is t / r times that
+    if name == "fourier8":
+        curve = fourier8
+        rfun = _fourier_series(curve.a0, curve.cos_coeffs, curve.sin_coeffs)
+    else:
+        curve, rfun = CHART_CURVES[name]
+    phi, t = _samples(1e-3, seed=len(name), n=64, t_max=30.0)
+    a0, a1, _, _ = generating._angles_arrays(curve, phi, t)
+    rphi, rt = generating._chord_from_angles_arrays(curve, a0, a1)
+    for i in range(phi.size):
+        phi_ref, t_ref = _chart_reference(rfun, a0[i], a1[i], phi[i], t[i])
+        phi_err = abs(float(rphi[i] - phi_ref))
+        t_err = abs(float((rt[i] - t_ref) / t_ref))
+        assert phi_err <= 1e-11, (phi[i], t[i], phi_err)
+        assert t_err <= 1e-11, (phi[i], t[i], t_err)

@@ -106,7 +106,7 @@ def test_s_derivatives_rejects_a_nan_chord(wobbly3):
 
 
 def test_angles_to_chord_reports_nonconvergence(monkeypatch, ellipse21):
-    monkeypatch.setattr(generating, "CHART_MAX_ITER", 2)
+    monkeypatch.setattr(generating, "RAY_MAX_ITER", 2)
     with pytest.raises(ob.ConvergenceError) as exc:
         generating._chord_from_angles_arrays(ellipse21, -0.4, 1.9)
     assert exc.value.residual is not None
@@ -122,7 +122,7 @@ def test_chart_inversion_evaluates_radius_once_per_iteration(monkeypatch, ellips
         return radius(curve, phi, cs)
 
     monkeypatch.setattr(ob.ConvexCurve, "radius", counted)
-    monkeypatch.setattr(generating, "CHART_MAX_ITER", 2)
+    monkeypatch.setattr(generating, "RAY_MAX_ITER", 2)
     with pytest.raises(ob.ConvergenceError):
         generating._chord_from_angles_arrays(ellipse21, -0.4, 1.9)
     assert len(calls) == 2
@@ -139,10 +139,8 @@ def test_chart_round_trip(presets, name):
     assert np.abs(rt - t).max() < 1e-10
 
 
-@pytest.mark.parametrize("a", [5.0, 10.0])
+@pytest.mark.parametrize("a", [5.0, 10.0, 20.0])
 def test_chart_round_trip_on_eccentric_ellipses(a):
-    # from the mid-ray start a full Newton step can overshoot the tangency
-    # angle on these ellipses and diverge; CHART_PHI_STEP bounds it
     curve = ob.require_valid(ob.ellipse(a, 1.0))
     rng = np.random.default_rng(3)
     phi, t = _random_chords(rng, 2000, 0.01, 20.0)
@@ -150,6 +148,18 @@ def test_chart_round_trip_on_eccentric_ellipses(a):
     rphi, rt = generating._chord_from_angles_arrays(curve, a0, a1)
     assert np.abs(rphi - phi).max() < 1e-10
     assert np.abs(rt / t - 1.0).max() < 1e-10
+
+
+def test_chart_inversion_bisects_a_step_that_does_not_halve(ellipse21):
+    # the head angle is sigmoid in d: from the mid-ray start a Newton step that
+    # stays in the bracket still cycles on this chord, between d ~ 0.03 and d
+    # ~ 0.98; only bisecting a step larger than half the step before last
+    # (rtsafe) reaches the root
+    phi, t = 3.6622699757254282, 1.1236185358545159
+    phi0, phi1, _, _ = ob.chord_to_angles(ellipse21, phi, t)
+    back_phi, back_t = ob.angles_to_chord(ellipse21, phi0, phi1)
+    assert back_phi == pytest.approx(phi, abs=1e-13)
+    assert back_t == pytest.approx(t, rel=1e-13)
 
 
 def test_angles_to_chord_residual(ellipse21):
@@ -239,7 +249,7 @@ def test_fd_cross_check_of_derivatives(presets, name):
 
     def s_at(da, db):
         p, tt = generating._chord_from_angles_arrays(curve, a0 + da, a1 + db,
-                                                     guess=(phi, t))
+                                                     start=phi)
         r, _, _ = curve.radius(p)
         return tt * r * r
 
@@ -392,7 +402,7 @@ def test_forward_map_converges_within_rounding_of_the_curve(request, name):
 
 
 def test_forward_map_reports_nonconvergence(monkeypatch, ellipse21):
-    monkeypatch.setattr(generating, "FMAP_MAX_ITER", 1)
+    monkeypatch.setattr(generating, "RAY_MAX_ITER", 1)
     with pytest.raises(ob.ConvergenceError) as exc:
         generating.forward_map_batch(ellipse21, *_exterior_lanes(ellipse21, 0.15, 1.5))
     assert 0.0 < exc.value.residual < math.inf
@@ -400,12 +410,15 @@ def test_forward_map_reports_nonconvergence(monkeypatch, ellipse21):
 
 def test_forward_map_does_not_call_dynamics(monkeypatch, fourier8):
     # verify checks the generating-function map against step: the two routes
-    # must not share the tangency solve
+    # must not share the tangency solve, nor may the chart inversion that
+    # shares the forward map's ray solve
     p0, phi0 = _exterior_lanes(fourier8, 0.15, 1.5, n=20)
     want = [ob.step(fourier8, ob.phase_point_polar(fourier8, p, f)) for p, f in zip(p0, phi0)]
+    phi, t = _random_chords(np.random.default_rng(5), 20)
+    a0, a1, _, _ = generating._angles_arrays(fourier8, phi, t)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("forward_map_batch called into dynamics")
+        raise AssertionError("the generating-function route called into dynamics")
 
     for attr in ("step", "_tangency_root", "tangency", "chord_step_scalar", "step_lanes",
                  "_tangency_root_lanes"):
@@ -414,6 +427,27 @@ def test_forward_map_does_not_call_dynamics(monkeypatch, fourier8):
     for q, a, b in zip(want, p1, phi1):
         assert abs(q.p - a) / max(1.0, q.p) < 1e-13
         assert abs((q.phi - b + PI) % TWO_PI - PI) < 1e-13
+    rphi, rt = generating._chord_from_angles_arrays(fourier8, a0, a1)
+    assert np.abs(rphi - phi).max() < 1e-13
+    assert np.abs(rt / t - 1.0).max() < 1e-13
+
+
+@pytest.mark.parametrize("name", ["fourier8", "ellipse101"])
+def test_a_ray_solve_lane_has_its_batch_bits_alone(request, name):
+    # a converged lane freezes, so the lanes still iterating beside it cannot
+    # move it: each lane solved alone has the bits it has in a 1000-lane batch
+    curve = request.getfixturevalue(name)
+    rng = np.random.default_rng(19)
+    phi = rng.uniform(0.0, TWO_PI, 1000)
+    t = np.exp(rng.uniform(math.log(1e-3), math.log(30.0), phi.size))
+    a0, a1, _, _ = generating._angles_arrays(curve, phi, t)
+    p0, f0 = _exterior_lanes(curve, 1e-3, 30.0, n=1000, seed=19)
+    chords = generating._chord_from_angles_arrays(curve, a0, a1)
+    images = generating.forward_map_batch(curve, p0, f0)
+    for i in range(phi.size):
+        alone = generating._chord_from_angles_arrays(curve, a0[i:i + 1], a1[i:i + 1]) \
+            + generating.forward_map_batch(curve, p0[i], f0[i])
+        assert np.array_equal(np.concatenate(alone), [v[i] for v in chords + images]), i
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])
