@@ -5,6 +5,11 @@ closed forms so equality cases keep maximal accuracy) and trigonometric
 polynomials r(phi) = a0 + sum_k (c_k cos k phi + s_k sin k phi).  The radial
 function is taken about the curve's ``origin``, a point in world coordinates;
 boundary points are ``origin + r(phi) * e_phi``.
+
+The package's one ray solve lives here: _ray_newton, a bracketed Newton in
+the offset d of the boundary angle phi0 + d along rays phi0.  It has three
+callers: radial_about (rays from an interior point, behind radius_about) and
+generating's chart inversion and forward map.
 """
 
 import json
@@ -24,6 +29,9 @@ FOURIER = "fourier"
 VALIDATION_GRID = 4096
 CHI_MIN_DEFAULT = 1e-6
 RAY_RESIDUAL_MAX = 1e-11    # radial_about's relative ray/boundary residual
+RAY_TOL = 1e-12             # ray solve: Newton step in the offset accepted as converged
+RAY_ROUNDOFF = 4e-16        # ray solve: ... or below its round-off floor, this times the scale
+RAY_MAX_ITER = 50           # ray solve: radius calls before ConvergenceError
 CENTROID_GRID = 2048        # trapezoid angles of area_centroid
 
 
@@ -230,48 +238,69 @@ def require_valid(curve: ConvexCurve) -> ConvexCurve:
     return curve
 
 
-def _angle_map_start(angle_of, thetas):
-    """Starting phi with angle_of(phi) = thetas (mod 2pi) for a monotone angle map:
-    angle_of on 4096 uniform phi, unwrapped, extended by one period, interpolated."""
-    dense = uniform_angles(4096)
-    ang = np.unwrap(angle_of(dense))
-    ang_ext = np.concatenate([ang, [ang[0] + TWO_PI]])
-    phi_ext = np.concatenate([dense, [TWO_PI]])
-    targets = ang[0] + np.mod(thetas - ang[0], TWO_PI)
-    return np.interp(targets, ang_ext, phi_ext)
+def _ray_newton(curve: ConvexCurve, phi0, d, hi, newton_step):
+    """Root d in (0, hi) of a residual monotone in the offset d along the rays
+    phi0, and (r, r', r'') at phi0 + d, vectorized, one radius call an
+    iteration.  newton_step(d, r, r', r'') gives the Newton step s (s < 0: the
+    root lies above d; NaN: below) and its round-off floor.  An iterate outside
+    the sign bracket, or not halving the step before last, bisects (rtsafe,
+    Numerical Recipes 9.4; plain Newton cycles on the sigmoid head angle).  A
+    lane whose step is below RAY_TOL or its floor takes it and freezes, so it
+    has the same bits alone as in any batch."""
+    lo, done = np.zeros_like(d), np.zeros(d.shape, dtype=bool)
+    step_prev = step_last = hi
+    for _ in range(RAY_MAX_ITER):
+        radial = curve.radius(phi0 + d)
+        if done.all():
+            return d, radial
+        step, floor = newton_step(d, *radial)
+        above = step < 0.0
+        lo, hi = np.where(above, d, lo), np.where(above, hi, d)
+        newton, small = d - step, np.abs(step) < np.maximum(RAY_TOL, floor)
+        take = small | ((lo < newton) & (newton < hi) & (2.0 * np.abs(step) <= step_prev))
+        nxt = np.where(take, newton, 0.5 * (lo + hi))
+        step_prev, step_last = step_last, np.abs(nxt - d)
+        d = np.where(done, d, nxt)
+        done |= small
+    worst = float((hi - lo)[~done].max())
+    raise ConvergenceError(f"Newton solve along the ray did not converge in {RAY_MAX_ITER} "
+                           f"iterations (worst bracket {worst:.3g})", residual=worst)
 
 
 def radial_about(curve: ConvexCurve, point, thetas):
-    """Distance from an interior point to the boundary along each ray angle.
+    """Distance from an interior point x to the boundary along each ray angle.
 
-    Solves cross(gamma(phi) - x, e_theta) = 0 for the boundary parameter of
-    each ray by monotone inversion of the angle map plus Newton polish, one
-    radius evaluation per Newton step.  Returns (rho, phi, cs, radial), the
-    last two (cos phi, sin phi) and (r, r', r'') at phi for radius_about.
+    _ray_newton along the rays phi0 = theta - pi from phi = theta (d = pi),
+    on the residual d - pi + beta: beta = atan2(v, u) is the angle from e_phi
+    to gamma(phi) - x, with u = r - w . e_phi and v = w_x sin phi - w_y cos phi,
+    w = x - origin.  gamma - origin and gamma - x lie in the open half-plane of
+    the outward normal, so |beta| < pi and the residual, the lifted ray angle
+    minus theta, rises strictly on (0, 2 pi) with slope cross(gamma - x,
+    gamma') / |gamma - x|^2; the floor is its rounding, eps 2 pi / slope.
+    Returns (rho, phi, cs, radial), the last two (cos phi, sin phi) and (r, r',
+    r'') at phi for radius_about.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     px, py = float(point[0]), float(point[1])
     _check_interior(curve, px, py)
+    wx, wy = px - curve.origin[0], py - curve.origin[1]
+    phi0 = thetas - np.pi
 
-    def ray_angle(phi):
-        gx, gy = curve.point(phi)
-        return np.arctan2(gy - py, gx - px)
-
-    phi = _angle_map_start(ray_angle, thetas)
-    ux, uy = np.cos(thetas), np.sin(thetas)
-    for _ in range(6):
+    def newton_step(d, *radial):
+        r, rp, _ = radial
+        phi = phi0 + d
         c, s = np.cos(phi), np.sin(phi)
-        r, r1, _ = curve.radius(phi, cs=(c, s))
-        gx, gy = curve.origin[0] + r * c, curve.origin[1] + r * s
-        tx, ty = r1 * c - r * s, r1 * s + r * c
-        f = (gx - px) * uy - (gy - py) * ux
-        fp = tx * uy - ty * ux
-        phi = phi - f / fp
+        u, v = r - (wx * c + wy * s), wx * s - wy * c
+        slope = (u * r - v * rp) / (u * u + v * v)
+        return (d - np.pi + np.arctan2(v, u)) / slope, RAY_ROUNDOFF * TWO_PI / slope
+
+    d, radial = _ray_newton(curve, phi0, np.full_like(thetas, np.pi),
+                            np.full_like(thetas, TWO_PI), newton_step)
+    phi = phi0 + d
     c, s = np.cos(phi), np.sin(phi)
-    radial = curve.radius(phi, cs=(c, s))
     gx, gy = curve.origin[0] + radial[0] * c, curve.origin[1] + radial[0] * s
     rho = np.hypot(gx - px, gy - py)
-    resid = np.abs((gx - px) * uy - (gy - py) * ux) / rho
+    resid = np.abs((gx - px) * np.sin(thetas) - (gy - py) * np.cos(thetas)) / rho
     if resid.max() > RAY_RESIDUAL_MAX:
         raise ConvergenceError("ray/boundary intersection did not converge",
                                residual=float(resid.max()))

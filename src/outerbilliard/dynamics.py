@@ -53,7 +53,6 @@ from .errors import ConvergenceError, InsideCurveError, TangencyError
 CCW = "ccw"
 CW = "cw"
 
-NEAR_BOUNDARY_T = 1e-8
 MIN_CHORD_T = 1.5e-6      # smallest t the chord kernels step (t_new error <= 1e-4)
 STEP_TOL = 4e-16          # tangency Newton stops once its step is at round-off
 DIFFERENTIAL_FD_H = 1e-5  # differential_fd: step h in phi, h max(1, p) in p
@@ -87,7 +86,6 @@ class TangencyResult:
     phi_m: float
     t: float
     point: PlanePoint
-    near_boundary: bool = False
 
 
 def _orientation_sign(orientation: str) -> int:
@@ -224,8 +222,7 @@ def tangency(curve: ConvexCurve, a: PhasePoint, orientation: str = CCW) -> Tange
     """Forward tangency point and chord parameter for an exterior point."""
     psi, t, gx, gy = _solve_from(curve, a, _orientation_sign(orientation))
     return TangencyResult(phi_m=psi, t=t,
-                          point=PlanePoint(curve.origin[0] + gx, curve.origin[1] + gy),
-                          near_boundary=t < NEAR_BOUNDARY_T)
+                          point=PlanePoint(curve.origin[0] + gx, curve.origin[1] + gy))
 
 
 def _require_exterior(curve: ConvexCurve, ax: float, ay: float):
@@ -517,13 +514,8 @@ def chord_of(curve: ConvexCurve, a: PhasePoint):
 
 
 def _near_boundary_message(t) -> str:
-    t = float(t)
-    if t >= NEAR_BOUNDARY_T:
-        return (f"chord step needs t >= {MIN_CHORD_T:g} for a new t within 1e-4, "
-                f"got t = {t:.3g}: the chord head is too close to the curve")
-    return (f"chord step needs t >= {NEAR_BOUNDARY_T:g} (t >= {MIN_CHORD_T:g} for a "
-            f"new t within 1e-4), got t = {t:.3g}: the chord head is within "
-            "rounding of the curve")
+    return (f"chord step needs t >= {MIN_CHORD_T:g} for a new t within 1e-4, "
+            f"got t = {float(t):.3g}: the chord head is too close to the curve")
 
 
 def chord_step_scalar(curve: ConvexCurve, phi_m: float, t: float, direction: int, head):

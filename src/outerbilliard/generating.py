@@ -15,6 +15,9 @@ Two charts are used throughout, both on plain floats or arrays:
   phi0 < phi1 < phi0 + pi; chord_to_angles maps to them in closed form, and
   angles_to_chord back by one bracketed Newton in the tangency offset along
   the ray phi0, the solve forward_map_batch also runs.
+
+That solve is curves._ray_newton, which also finds rays from an interior
+point (curves.radial_about); this module supplies its residuals.
 """
 
 from dataclasses import dataclass
@@ -22,13 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .curves import ConvexCurve, chi
+from .curves import RAY_ROUNDOFF, ConvexCurve, _ray_newton, chi
 from .errors import ConvergenceError, InsideCurveError
 from .quadrature import chord_grid
-
-RAY_TOL = 1e-12           # ray solve: Newton step in the tangency offset accepted as converged
-RAY_ROUNDOFF = 4e-16      # ray solve: ... or below its round-off floor, this times the scale
-RAY_MAX_ITER = 50         # ray solve: radius calls before ConvergenceError
 
 
 # -- chart transition ----------------------------------------------------------
@@ -120,36 +119,7 @@ def chain_rule_s1_s2(curve: ConvexCurve, phi, t):
     return s_phi * dphi_dphi0 + s_t * dt_dphi0, s_phi * dphi_dphi1 + s_t * dt_dphi1
 
 
-# -- the ray solve: chart inversion and the map -------------------------------
-
-def _ray_newton(curve: ConvexCurve, phi0, d, hi, newton_step):
-    """Root d in (0, hi) of a residual monotone in the tangency offset d along
-    the rays phi0, and (r, r', r'') at phi0 + d, vectorized, one radius call an
-    iteration.  newton_step(d, r, r', r'') gives the Newton step s (s < 0: the
-    root lies above d; NaN: below) and its round-off floor.  An iterate outside
-    the sign bracket, or not halving the step before last, bisects (rtsafe,
-    Numerical Recipes 9.4; plain Newton cycles on the sigmoid head angle).  A
-    lane whose step is below RAY_TOL or its floor takes it and freezes, so it
-    has the same bits alone as in any batch."""
-    lo, done = np.zeros_like(d), np.zeros(d.shape, dtype=bool)
-    step_prev = step_last = hi
-    for _ in range(RAY_MAX_ITER):
-        radial = curve.radius(phi0 + d)
-        if done.all():
-            return d, radial
-        step, floor = newton_step(d, *radial)
-        above = step < 0.0
-        lo, hi = np.where(above, d, lo), np.where(above, hi, d)
-        newton, small = d - step, np.abs(step) < np.maximum(RAY_TOL, floor)
-        take = small | ((lo < newton) & (newton < hi) & (2.0 * np.abs(step) <= step_prev))
-        nxt = np.where(take, newton, 0.5 * (lo + hi))
-        step_prev, step_last = step_last, np.abs(nxt - d)
-        d = np.where(done, d, nxt)
-        done |= small
-    worst = float((hi - lo)[~done].max())
-    raise ConvergenceError(f"Newton solve along the ray did not converge in {RAY_MAX_ITER} "
-                           f"iterations (worst bracket {worst:.3g})", residual=worst)
-
+# -- chart inversion and the map, on curves._ray_newton ------------------------
 
 def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, start=None):
     """The chords (phi, t) with endpoint angles (phi0, phi1), vectorized.

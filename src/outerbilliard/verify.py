@@ -5,10 +5,11 @@ differences, direct geometry, the shoelace formula, or a second quadrature.
 All sampling is deterministic (fixed seed) so reruns are byte-identical.
 
 A sample that several checks read is evaluated once: the 200 sample chords'
-radial data, closed forms and endpoint angles, one nine-inversion stencil
-about the first 100 for every S-derivative check, and the sample points'
-images.  The kernels are elementwise, so a slice of a bundle has the bits of
-the same call on the slice.
+radial data, closed forms and endpoint angles, one stencil of nine chart
+inversions about the first 100 for every S-derivative check, run as 900
+lanes of one inversion, and the sample points' images.  The kernels are
+elementwise, so a slice of a bundle has the bits of the same call on the
+slice.
 
 The sample points' map steps do not depend on one another, so they run as
 lanes of dynamics' lane twin of the tangency solve, bit for bit the scalar
@@ -235,19 +236,21 @@ def _decomposition_error(curve, rng):
 def _s_stencil(curve, a0, a1, cphi, ct, closed):
     """The closed forms at (a0 + da h, a1 + db h), h = STENCIL_H, keyed by (da,
     db) in {-1, 0, 1}^2, and the central differences of S across them; S is
-    t r r there, the finite-difference route's own S; each inversion starts
-    from its tangency angle to first order in h, dphi / dphi_i = r_i^2 / w."""
-    forms, s = {}, {}
-    w = 2.0 * (closed["chi"] * ct * ct + closed["S"] / ct)    # 2 (chi t^2 + r^2)
-    for da in (-1, 0, 1):
-        for db in (-1, 0, 1):
-            start = cphi + STENCIL_H * (da * closed["r0sq"] + db * closed["r1sq"]) / w
-            phi, t = generating._chord_from_angles_arrays(
-                curve, a0 + da * STENCIL_H, a1 + db * STENCIL_H, start)
-            r, rp, rpp = curve.radius(phi)
-            forms[(da, db)] = generating.s_closed_forms(r, rp, rpp, t)
-            s[(da, db)] = t * r * r
+    t r r there, the finite-difference route's own S.  The nine pairs are
+    lanes of one chart inversion, each starting from its tangency angle to
+    first order in h, dphi / dphi_i = r_i^2 / w, and of one radius call."""
     h = STENCIL_H
+    keys = [(da, db) for da in (-1, 0, 1) for db in (-1, 0, 1)]
+    w = 2.0 * (closed["chi"] * ct * ct + closed["S"] / ct)    # 2 (chi t^2 + r^2)
+    phi, t = generating._chord_from_angles_arrays(
+        curve, np.concatenate([a0 + da * h for da, _ in keys]),
+        np.concatenate([a1 + db * h for _, db in keys]),
+        np.concatenate([cphi + h * (da * closed["r0sq"] + db * closed["r1sq"]) / w
+                        for da, db in keys]))
+    r, rp, rpp = curve.radius(phi)
+    bundle = {k: v.reshape(9, -1) for k, v in generating.s_closed_forms(r, rp, rpp, t).items()}
+    forms = {key: {k: v[i] for k, v in bundle.items()} for i, key in enumerate(keys)}
+    s = dict(zip(keys, (t * r * r).reshape(9, -1)))
     return forms, {
         "S1": (s[(1, 0)] - s[(-1, 0)]) / (2 * h),
         "S2": (s[(0, 1)] - s[(0, -1)]) / (2 * h),

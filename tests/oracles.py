@@ -6,6 +6,10 @@ report samples the curve about its Santalo point directly
 (``curves.radius_about``) with no refit, so the two agree only when both are
 right.
 
+``ray_root`` finds where a ray from an interior point meets the curve at 40
+digits, from the curve's radial function in closed form, to hold
+``curves.radial_about`` to.
+
 ``write_derivative_csv_per_row`` writes the twist-scan table with one "%"
 per field, the bytes the package's array formatter must reproduce.
 """
@@ -58,6 +62,42 @@ def reorigin(curve: ConvexCurve, new_origin, grid_size: int = 2048) -> ConvexCur
             f"reorigin refit residual {residual:.3g} exceeds {REFIT_RESIDUAL_MAX:g}; "
             "raise grid_size or the coefficient cutoff", residual=residual)
     return require_valid(out)
+
+
+def ray_root(curve: ConvexCurve, point, theta, phi):
+    """(rho, phi) of the boundary point on the ray from ``point`` at angle
+    theta, 40 digits: mpmath.findroot on cross(gamma(phi) - x, e_theta) = 0
+    from phi, with r(phi) in closed form from the curve's parameters.  The root
+    is checked to lie on the ray, dot(gamma - x, e_theta) > 0, where it is the
+    only root a turn holds."""
+    from mpmath import mp                       # a test extra: callers importorskip it
+    with mp.workdps(40):
+        x, y = mp.mpf(float(point[0])), mp.mpf(float(point[1]))
+        ux, uy = mp.cos(mp.mpf(float(theta))), mp.sin(mp.mpf(float(theta)))
+        harmonics = list(enumerate(zip(curve.cos_coeffs, curve.sin_coeffs), 1))
+
+        def radius(p):
+            if curve.kind == "circle":
+                return mp.mpf(curve.radius_value)
+            if curve.kind == "ellipse":
+                a, b = mp.mpf(curve.axis_a), mp.mpf(curve.axis_b)
+                return a * b / mp.sqrt((b * mp.cos(p)) ** 2 + (a * mp.sin(p)) ** 2)
+            return mp.mpf(curve.a0) + mp.fsum(mp.mpf(c) * mp.cos(k * p) + mp.mpf(s) * mp.sin(k * p)
+                                              for k, (c, s) in harmonics)
+
+        def offset(p):
+            r = radius(p)
+            return (curve.origin[0] + r * mp.cos(p) - x, curve.origin[1] + r * mp.sin(p) - y)
+
+        def cross(p):
+            dx, dy = offset(p)
+            return dx * uy - dy * ux
+
+        start = mp.mpf(float(phi))
+        root = mp.findroot(cross, (start - mp.mpf("1e-6"), start + mp.mpf("1e-6")))
+        dx, dy = offset(root)
+        assert abs(cross(root)) < mp.mpf("1e-30") and dx * ux + dy * uy > 0
+        return mp.hypot(dx, dy), root
 
 
 def write_derivative_csv_per_row(fh, pm, tm, d):

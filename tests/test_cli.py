@@ -104,7 +104,8 @@ def test_conjugate_scan_near_boundary_exit_3(circle_file, capsys):
                 "--phi-grid", "64", "--t-grid", "64", "--steps", "10"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "t >= 1e-08" in captured.err
+    assert captured.err.count("\n") == 1
+    assert "t >= 1.5e-06 for a new t within 1e-4" in captured.err
 
 
 def test_conjugate_scan_reports_unscanned_rows(circle_file, tmp_path):

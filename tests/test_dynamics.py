@@ -26,7 +26,6 @@ def test_tangency_circle_hand_values(unit_circle):
     assert res.phi_m == pytest.approx(math.pi / 3, abs=1e-12)
     assert res.t == pytest.approx(SQRT3, abs=1e-12)
     assert (res.point.x, res.point.y) == pytest.approx((0.5, SQRT3 / 2), abs=1e-12)
-    assert not res.near_boundary
 
 
 def test_step_circle(unit_circle):
@@ -138,14 +137,11 @@ def test_circle_twist_entry(unit_circle):
     assert d[1, 0] == pytest.approx(-1.0 / s12, rel=1e-5)
 
 
-def test_near_boundary_tangency(monkeypatch, unit_circle):
+def test_near_boundary_tangency(unit_circle):
     # points hugging the curve still resolve, with t ~ sqrt(2 delta)
     a = ob.phase_point(unit_circle, 1.0 + 1e-9, 0.0)
     res = ob.tangency(unit_circle, a)
     assert res.t == pytest.approx(math.sqrt((1.0 + 1e-9) ** 2 - 1.0), rel=1e-4)
-    assert not res.near_boundary
-    monkeypatch.setattr(dynamics, "NEAR_BOUNDARY_T", 1e-3)
-    assert ob.tangency(unit_circle, a).near_boundary
 
 
 def test_non_finite_points_fail_loudly(unit_circle):

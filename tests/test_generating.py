@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import outerbilliard as ob
-from outerbilliard import dynamics, generating
-from outerbilliard.quadrature import TWO_PI
+from outerbilliard import curves, dynamics, generating
+from outerbilliard.quadrature import TWO_PI, uniform_angles
 
 from oracles import write_derivative_csv_per_row
 
@@ -106,7 +106,7 @@ def test_s_derivatives_rejects_a_nan_chord(wobbly3):
 
 
 def test_angles_to_chord_reports_nonconvergence(monkeypatch, ellipse21):
-    monkeypatch.setattr(generating, "RAY_MAX_ITER", 2)
+    monkeypatch.setattr(curves, "RAY_MAX_ITER", 2)
     with pytest.raises(ob.ConvergenceError) as exc:
         generating._chord_from_angles_arrays(ellipse21, -0.4, 1.9)
     assert exc.value.residual is not None
@@ -122,7 +122,7 @@ def test_chart_inversion_evaluates_radius_once_per_iteration(monkeypatch, ellips
         return radius(curve, phi, cs)
 
     monkeypatch.setattr(ob.ConvexCurve, "radius", counted)
-    monkeypatch.setattr(generating, "RAY_MAX_ITER", 2)
+    monkeypatch.setattr(curves, "RAY_MAX_ITER", 2)
     with pytest.raises(ob.ConvergenceError):
         generating._chord_from_angles_arrays(ellipse21, -0.4, 1.9)
     assert len(calls) == 2
@@ -402,7 +402,7 @@ def test_forward_map_converges_within_rounding_of_the_curve(request, name):
 
 
 def test_forward_map_reports_nonconvergence(monkeypatch, ellipse21):
-    monkeypatch.setattr(generating, "RAY_MAX_ITER", 1)
+    monkeypatch.setattr(curves, "RAY_MAX_ITER", 1)
     with pytest.raises(ob.ConvergenceError) as exc:
         generating.forward_map_batch(ellipse21, *_exterior_lanes(ellipse21, 0.15, 1.5))
     assert 0.0 < exc.value.residual < math.inf
@@ -436,6 +436,7 @@ def test_forward_map_does_not_call_dynamics(monkeypatch, fourier8):
 def test_a_ray_solve_lane_has_its_batch_bits_alone(request, name):
     # a converged lane freezes, so the lanes still iterating beside it cannot
     # move it: each lane solved alone has the bits it has in a 1000-lane batch
+    # (2048 for the rays about a point), for all three callers of the ray solve
     curve = request.getfixturevalue(name)
     rng = np.random.default_rng(19)
     phi = rng.uniform(0.0, TWO_PI, 1000)
@@ -448,6 +449,15 @@ def test_a_ray_solve_lane_has_its_batch_bits_alone(request, name):
         alone = generating._chord_from_angles_arrays(curve, a0[i:i + 1], a1[i:i + 1]) \
             + generating.forward_map_batch(curve, p0[i], f0[i])
         assert np.array_equal(np.concatenate(alone), [v[i] for v in chords + images]), i
+    # and radial_about's rays from an interior point, in a 2048-angle batch
+    point = {"fourier8": (0.05, -0.03), "ellipse101": (6.0, 0.3)}[name]
+    thetas = uniform_angles(2048)
+    rho, ray_phi, cs, radial = curves.radial_about(curve, point, thetas)
+    rays = (rho, ray_phi, *cs, *radial)
+    for i in range(thetas.size):
+        rho, ray_phi, cs, radial = curves.radial_about(curve, point, thetas[i:i + 1])
+        assert np.array_equal(np.concatenate((rho, ray_phi, *cs, *radial)),
+                              [v[i] for v in rays]), i
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])

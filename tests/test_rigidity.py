@@ -6,7 +6,6 @@ import pytest
 
 import outerbilliard as ob
 from outerbilliard import curves, rigidity, serialize
-from outerbilliard.curves import _angle_map_start
 from outerbilliard.generating import s_closed_forms
 from outerbilliard.quadrature import TWO_PI, gauss_panels, uniform_angles
 
@@ -435,11 +434,13 @@ def _q_support_route(curve, point, n=2048):
     theta = uniform_angles(n)
     ux, uy = np.cos(theta), np.sin(theta)
 
-    def normal_angle(f):
-        tx, ty = tangent(curve, f)
-        return np.arctan2(-tx, ty)
-
-    phi = _angle_map_start(normal_angle, theta)
+    # start: the normal angle on 4096 uniform phi, unwrapped, extended by one
+    # period and interpolated at theta
+    dense = uniform_angles(4096)
+    tx, ty = tangent(curve, dense)
+    ang = np.unwrap(np.arctan2(-tx, ty))
+    phi = np.interp(ang[0] + np.mod(theta - ang[0], TWO_PI), np.append(ang, ang[0] + TWO_PI),
+                    np.append(dense, TWO_PI))
     for _ in range(8):                   # Newton on <gamma'(phi), u_theta> = 0
         c, s = np.cos(phi), np.sin(phi)
         r, r1, r2 = curve.radius(phi)

@@ -125,14 +125,16 @@ def test_verify_steps_each_sample_point_once(monkeypatch, unit_circle, ellipse21
 def test_verify_evaluates_each_shared_chord_sample_once(monkeypatch, unit_circle, wobbly3,
                                                         ellipse21):
     # the 200 sample chords get one radial call, which gives their closed forms
-    # and angles; one stencil of nine chart inversions serves every S-derivative
-    # check, with one radial call per iteration of the ray solve (2 at the
-    # centre, whose start is exact, and 2 or 3 at the eight other points, whose
-    # start is first order in the stencil step); the chart round trip adds one
-    # inversion (2, 6 and 9 calls), and the forward map inverts none.  The
-    # sample points' lane steps add one radial call per exterior check (the
-    # points, their images, the stencil points and their images, the inverse
-    # images: 5) and one per iteration of the three lane solves (15, 23 and 29)
+    # and angles; one stencil of nine chart inversions, run as 900 lanes of one
+    # inversion, serves every S-derivative check, with one radial call per
+    # iteration of the ray solve (2 on the circle and 3 on the others: a lane
+    # starts exactly at the centre and to first order in the stencil step at the
+    # eight other points) and one for the stencil's closed forms; the chart
+    # round trip adds one inversion (2, 6 and 9 calls), and the forward map
+    # inverts none.  The sample points' lane steps add one radial call per
+    # exterior check (the points, their images, the stencil points and their
+    # images, the inverse images: 5) and one per iteration of the three lane
+    # solves (15, 23 and 29)
     counts = {}
 
     def counted(key, f):
@@ -144,8 +146,8 @@ def test_verify_evaluates_each_shared_chord_sample_once(monkeypatch, unit_circle
     monkeypatch.setattr(ob.ConvexCurve, "radius", counted("radius", ob.ConvexCurve.radius))
     monkeypatch.setattr(generating, "_chord_from_angles_arrays",
                         counted("chart", generating._chord_from_angles_arrays))
-    for curve, expected in ((unit_circle, (65, 10)), (wobbly3, (90, 10)),
-                            (ellipse21, (100, 10))):
+    for curve, expected in ((unit_circle, (41, 2)), (wobbly3, (59, 2)),
+                            (ellipse21, (69, 2))):
         # a fresh copy, as the CLI loads: its lazy diameter is one of the calls
         curve = ob.curve_from_dict(ob.curve_to_dict(curve))
         counts.update(radius=0, chart=0)
