@@ -27,8 +27,9 @@ the image's own check, 3.4 on average at t = 1e-3 and 5.4-7.4 at t in
 Its lane twin (_tangency_root_lanes, behind phase_lanes, step_lanes and
 differential_fd_lanes) runs the same solve on arrays of independent points,
 with the scalar's float operations lane by lane, so every lane has the
-scalar's bits and a failing lane raises the scalar's error; verify steps
-its sample points on it.  A step costs 2.4-8.8 us a lane at 400 lanes on
+scalar's bits; verify steps its sample points on it.  The lanes only mark
+where a step fails, with NaN; the scalar, run on the first marked lane,
+raises its own error.  A step costs 2.4-8.8 us a lane at 400 lanes on
 the golden curves against 10-33 us on the scalar (2-core Xeon), but 8-21 us
 at 64 lanes, where numpy's per-call cost dominates.  Orbits stay scalar, as
 each step needs the last; so does portrait, whose 64 orbits would make only
@@ -180,7 +181,7 @@ def _tangency_root(curve: ConvexCurve, ax: float, ay: float, direction: int,
             hi = psi
         # the round-off floor of g / g', times |g'|: near the curve g' = O(t),
         # so a small residual alone would still leave an angle error |g / g'|
-        floor = STEP_TOL * (abs(gp) * max(1.0, abs(psi)) + math.hypot(tx, ty) * rho)
+        floor = STEP_TOL * (abs(gp) * max(1.0, abs(psi)) + math.sqrt(r * r + r1 * r1) * rho)
         if abs(g) <= floor:
             if gp != 0.0:
                 # take that step to first order (its square is far below
@@ -301,6 +302,19 @@ class PhaseLanes:
         return PhaseLanes(self.x[lanes], self.y[lanes], self.p[lanes], self.phi[lanes],
                           tuple(v[lanes] for v in self.exterior))
 
+    def refused(self) -> np.ndarray:
+        """The lanes phase_point refuses: not strictly outside (a NaN fails
+        too), or with p not finite.  The image of a lane whose solve failed
+        is NaN, so it is refused."""
+        _, rho, r, _, _ = self.exterior
+        return ~((rho > r) & np.isfinite(self.p))
+
+    def point(self, curve: ConvexCurve, i: int) -> PhasePoint:
+        """Lane i as a PhasePoint that keeps the lane's exterior data."""
+        a = PhasePoint(*(v[i].item() for v in (self.x, self.y, self.p, self.phi)))
+        object.__setattr__(a, "_exterior", (curve,) + tuple(v[i].item() for v in self.exterior))
+        return a
+
 
 def _per_lane(f, *columns) -> np.ndarray:
     """f (math.atan2 or math.hypot) on each lane: numpy's twins of those two
@@ -308,53 +322,54 @@ def _per_lane(f, *columns) -> np.ndarray:
     return np.array(list(map(f, *(v.tolist() for v in columns))), dtype=float)
 
 
-def _raise_first(fails: dict):
-    """Raise the error of the first failing lane: the one the scalar, stepping
-    the lanes in order, would raise."""
-    if fails:
-        raise fails[min(fails)]
+def _raise_first(marked: np.ndarray, scalar):
+    """If any lane is marked, make the scalar call on the first marked lane,
+    where the scalar, stepping the lanes in order, fails first: it raises its
+    own error.  A marked lane on which the scalar succeeds is a fault of the
+    lanes, raised rather than returned as a silent NaN."""
+    if marked.any():
+        i = int(np.argmax(marked))
+        scalar(i)
+        raise RuntimeError(f"lane {i} was marked as failing, but the scalar call on it "
+                           "succeeded")
 
 
-def _require_exterior_lanes(curve: ConvexCurve, ax, ay, fails: dict):
-    """_require_exterior on arrays; a lane not strictly outside gets its
-    InsideCurveError in ``fails`` (lane -> error; a lane keeps its first)."""
-    phi_a, rho = _per_lane(math.atan2, ay, ax), _per_lane(math.hypot, ax, ay)
-    r, r1, r2 = curve.radius(phi_a)
-    for i in np.flatnonzero(~(rho > r)).tolist():
-        fails.setdefault(i, InsideCurveError(f"phase point at rho={rho[i]:.6g} is not "
-                                             f"strictly outside (r={r[i]:.6g})"))
-    return phi_a, rho, r, r1, r2
+def _require_exterior_lanes(curve: ConvexCurve, ax, ay):
+    """_require_exterior's (phi_A, |A|, r, r', r'') on arrays, with its bits
+    but not its check: PhaseLanes.refused marks the lanes it refuses."""
+    phi_a = _per_lane(math.atan2, ay, ax)
+    return (phi_a, _per_lane(math.hypot, ax, ay)) + tuple(curve.radius(phi_a))
 
 
 @np.errstate(all="ignore")
-def _phase_lanes(curve: ConvexCurve, x, y, fails: dict) -> PhaseLanes:
-    """phase_point on arrays of world points, failures to ``fails``."""
-    exterior = _require_exterior_lanes(curve, x - curve.origin[0], y - curve.origin[1], fails)
-    phi, rho = exterior[:2]
-    p = 0.5 * rho * rho
-    for i in np.flatnonzero(~np.isfinite(p)).tolist():
-        fails.setdefault(i, ConvergenceError(f"p = rho^2/2 is {p[i].item()!r} at the point "
-                                             f"({x[i].item()!r}, {y[i].item()!r})"))
-    return PhaseLanes(x, y, p, phi, exterior)
+def _phase_lanes(curve: ConvexCurve, x, y) -> PhaseLanes:
+    """phase_point on arrays of world points, without its checks."""
+    exterior = _require_exterior_lanes(curve, x - curve.origin[0], y - curve.origin[1])
+    return PhaseLanes(x, y, 0.5 * exterior[1] * exterior[1], exterior[0], exterior)
 
 
 @np.errstate(all="ignore")     # the scalar's floats do not warn either
-def _tangency_root_lanes(curve: ConvexCurve, ax, ay, direction: int, exterior, fails: dict):
+def _tangency_root_lanes(curve: ConvexCurve, ax, ay, direction: int, exterior):
     """_tangency_root on arrays of origin-relative points in one direction,
-    from their exterior check's arrays: (psi, t, gx, gy) arrays, NaN on the
-    lanes that fail or that ``fails`` already holds.
+    from their exterior check's arrays: (psi, gx, gy) arrays, NaN on exactly
+    the lanes where _tangency_root raises.  The lanes mark a failure; the
+    scalar on the first marked lane says why (_raise_first).
 
     Every lane runs the scalar's rtsafe with the scalar's float operations:
     the same second-order start and bracket, Newton-or-bisect rule, STEP_TOL
-    stops and first-order final step, so each lane has _tangency_root's bits
-    and, on failure, its error.  A lane leaves the working arrays once it
-    stops, so later iterations run on the lanes still going.
+    stops and first-order final step, so each lane has _tangency_root's bits.
+    A lane not strictly outside never enters; a lane leaves the working
+    arrays once it stops or its g is not finite, so later iterations run on
+    the lanes still going, and one still going after TANGENCY_MAX_EVALS
+    evaluations keeps its NaN.
+
+    The lanes compute no chord parameter t, as step reads only gx and gy.
+    The scalar's t can only overflow where |A - gamma| does; then the image
+    2 gamma - A has an overflowing p, which PhaseLanes.refused marks, and the
+    scalar on that lane raises its own t error.
     """
-    n = len(ax)
-    psi_out, t_out, gx_out, gy_out = (np.full(n, math.nan) for _ in range(4))
-    live = np.ones(n, dtype=bool)
-    live[list(fails)] = False
-    idx = np.flatnonzero(live)
+    psi_out, gx_out, gy_out = (np.full(len(ax), math.nan) for _ in range(3))
+    idx = np.flatnonzero(exterior[1] > exterior[2])     # rho > r; a NaN fails too
     ax, ay = ax[idx], ay[idx]
     phi_a, rho, r, r1, r2 = (v[idx] for v in exterior)
     if direction > 0:
@@ -384,82 +399,57 @@ def _tangency_root_lanes(curve: ConvexCurve, ax, ay, direction: int, exterior, f
         below = g * sign_lo > 0.0
         lo, hi = np.where(below, psi, lo), np.where(below, hi, psi)
         floor = STEP_TOL * (np.abs(gp) * np.maximum(1.0, np.abs(psi))
-                            + _per_lane(math.hypot, tx, ty) * rho)
-        zero = g == 0.0
-        bad = ~zero & ~np.isfinite(g)
-        conv = ~zero & ~bad & (np.abs(g) <= floor)
-        stop = zero | conv | (~bad & ((hi - lo) * np.abs(gp) <= floor)
+                            + np.sqrt(r * r + r1 * r1) * rho)
+        zero, finite = g == 0.0, np.isfinite(g)
+        conv = ~zero & finite & (np.abs(g) <= floor)
+        stop = zero | conv | (finite & ((hi - lo) * np.abs(gp) <= floor)
                               & (blo < lo) & (hi < bhi))
-        for j in np.flatnonzero(bad).tolist():
-            fails[int(idx[j])] = TangencyError(
-                f"tangency solve met g = {g[j].item()!r} at psi = {psi[j].item()!r} for "
-                f"the point ({ax[j]:.6g}, {ay[j]:.6g}) relative to the origin")
         if stop.any():
             # the first-order step of a converged lane, as the scalar takes it
             take = (conv & (gp != 0.0))[stop]
-            g1, gp1, tx1, ty1 = g[stop], gp[stop], tx[stop], ty[stop]
-            dx = g1 / gp1
-            psi1 = np.where(take, psi[stop] - dx, psi[stop])
-            gx1 = np.where(take, gx[stop] - dx * tx1, gx[stop])
-            gy1 = np.where(take, gy[stop] - dx * ty1, gy[stop])
-            tx1 = np.where(take, tx1 - dx * uxx[stop], tx1)
-            ty1 = np.where(take, ty1 - dx * uyy[stop], ty1)
-            ax1, ay1 = ax[stop], ay[stop]
-            t1 = (_per_lane(math.hypot, ax1 - gx1, ay1 - gy1)
-                  / _per_lane(math.hypot, tx1, ty1))
+            dx = g[stop] / gp[stop]
             lanes = idx[stop]
-            psi_out[lanes], t_out[lanes], gx_out[lanes], gy_out[lanes] = psi1, t1, gx1, gy1
-            for j in np.flatnonzero(~np.isfinite(t1)).tolist():     # |A| near overflow
-                fails[int(lanes[j])] = TangencyError(
-                    f"tangency solve gave t = {t1[j].item()!r} for the point "
-                    f"({ax1[j]:.6g}, {ay1[j]:.6g}) relative to the origin")
+            psi_out[lanes] = np.where(take, psi[stop] - dx, psi[stop])
+            gx_out[lanes] = np.where(take, gx[stop] - dx * tx[stop], gx[stop])
+            gy_out[lanes] = np.where(take, gy[stop] - dx * ty[stop], gy[stop])
         nxt = np.where(gp != 0.0, psi - g / gp, math.nan)
         ok = (lo < nxt) & (nxt < hi) & (2.0 * np.abs(nxt - psi) <= step_prev)
         nxt = np.where(ok, nxt, 0.5 * (lo + hi))
         step_prev, step_last = step_last, np.abs(nxt - psi)
-        keep = ~(stop | bad)
+        keep = finite & ~stop
         idx, ax, ay, rho, blo, bhi, lo, hi, psi, step_last, step_prev = (
             v[keep] for v in (idx, ax, ay, rho, blo, bhi, lo, hi, nxt, step_last,
                               step_prev))
-    for j, i in enumerate(idx.tolist()):
-        fails[i] = TangencyError(f"tangency solve did not converge in {TANGENCY_MAX_EVALS} "
-                                 f"evaluations for the point ({ax[j]:.6g}, {ay[j]:.6g}) "
-                                 "relative to the origin")
-    failed = list(fails)
-    for v in (psi_out, t_out, gx_out, gy_out):
-        v[failed] = math.nan
-    return psi_out, t_out, gx_out, gy_out
+    return psi_out, gx_out, gy_out
 
 
 @np.errstate(all="ignore")
-def _step_lanes(curve: ConvexCurve, a: PhaseLanes, direction: int, fails: dict) -> PhaseLanes:
-    """step (direction +1) or inverse_step (-1) on lanes, failures to ``fails``."""
+def _step_lanes(curve: ConvexCurve, a: PhaseLanes, direction: int) -> PhaseLanes:
+    """step (direction +1) or inverse_step (-1) on lanes, without checks."""
     ox, oy = curve.origin
-    _, _, gx, gy = _tangency_root_lanes(curve, a.x - ox, a.y - oy, direction, a.exterior,
-                                        fails)
-    return _phase_lanes(curve, 2.0 * (ox + gx) - a.x, 2.0 * (oy + gy) - a.y, fails)
+    _, gx, gy = _tangency_root_lanes(curve, a.x - ox, a.y - oy, direction, a.exterior)
+    return _phase_lanes(curve, 2.0 * (ox + gx) - a.x, 2.0 * (oy + gy) - a.y)
 
 
 def phase_lanes(curve: ConvexCurve, x, y) -> PhaseLanes:
-    """phase_point on arrays of world points, lane by lane with its bits; a
-    failing lane raises phase_point's error, the first such lane's."""
-    fails = {}
-    a = _phase_lanes(curve, np.asarray(x, dtype=float), np.asarray(y, dtype=float), fails)
-    _raise_first(fails)
+    """phase_point on arrays of world points, lane by lane with its bits; if
+    it refuses a lane, phase_point raises its error on the first such lane."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    a = _phase_lanes(curve, x, y)
+    _raise_first(a.refused(), lambda i: phase_point(curve, x[i], y[i]))
     return a
 
 
 def step_lanes(curve: ConvexCurve, a: PhaseLanes, direction: int) -> PhaseLanes:
     """Images of independent points at once: step (direction +1) or
-    inverse_step (-1) on every lane, bit for bit.  A failing lane raises the
-    error the scalar raises on it, the first failing lane's.
+    inverse_step (-1) on every lane, bit for bit.  If a lane fails, the
+    scalar step raises its error on the first failing lane.
 
     For points that do not depend on one another, such as verify's samples;
     an orbit's points do, so orbit stays on the scalar step.
     """
-    fails = {}
-    b = _step_lanes(curve, a, direction, fails)
-    _raise_first(fails)
+    b = _step_lanes(curve, a, direction)
+    _raise_first(b.refused(), lambda i: _reflect(curve, a.point(curve, i), direction))
     return b
 
 
@@ -470,11 +460,11 @@ def differential_fd_lanes(curve: ConvexCurve, p, phi, base_phi) -> np.ndarray:
     stencil images' angles are unwrapped against: an (n, 2, 2) array.
 
     Step h = DIFFERENTIAL_FD_H in phi and h*max(1, p) in p.  All four stencil
-    points of a lane must stay exterior; a failing one raises its scalar
-    error, lanes in order and within a lane the stencil in the order (p + h,
-    p - h, phi + h, phi - h).  det of each matrix is 1 up to O(h^2) since T
-    preserves dp ^ dphi.  The four stencil images of every lane are stepped
-    in one call of the lane solve.
+    points of a lane must stay exterior; if one fails, the scalar step raises
+    its error on the first failing one, lanes in order and within a lane the
+    stencil in the order (p + h, p - h, phi + h, phi - h).  det of each
+    matrix is 1 up to O(h^2) since T preserves dp ^ dphi.  The four stencil
+    images of every lane are stepped in one call of the lane solve.
     """
     h = DIFFERENTIAL_FD_H
     hp = h * np.maximum(1.0, p)
@@ -482,11 +472,11 @@ def differential_fd_lanes(curve: ConvexCurve, p, phi, base_phi) -> np.ndarray:
     sp = np.stack([p + hp, p - hp, p, p], axis=1).ravel()
     sphi = np.stack([phi, phi, phi + h, phi - h], axis=1).ravel()
     rho = np.sqrt(2.0 * sp)
-    fails = {}
-    a = _phase_lanes(curve, curve.origin[0] + rho * np.cos(sphi),
-                     curve.origin[1] + rho * np.sin(sphi), fails)
-    q = _step_lanes(curve, a, 1, fails)
-    _raise_first(fails)
+    x, y = curve.origin[0] + rho * np.cos(sphi), curve.origin[1] + rho * np.sin(sphi)
+    a = _phase_lanes(curve, x, y)
+    q = _step_lanes(curve, a, 1)
+    _raise_first(a.refused() | q.refused(),
+                 lambda k: step(curve, phase_point(curve, x[k], y[k])))
     base_phi = np.repeat(base_phi, 4)
     dphi = (q.phi - base_phi + math.pi) % (2.0 * math.pi) - math.pi
     qp, qphi = q.p.reshape(-1, 4), (base_phi + dphi).reshape(-1, 4)

@@ -2,7 +2,8 @@
 
 dynamics' lane bodies run _tangency_root's float operations on many points
 at once; verify steps its sample points on them.  Each lane must have the
-scalar's bits, and a failing lane the scalar's error.
+scalar's bits, the lanes must fail exactly where the scalar raises, and the
+entry points must raise the scalar's error for the first failing lane.
 """
 
 import json
@@ -89,12 +90,11 @@ def assert_lanes_match_scalar(curve, n=200, seed=11):
     _assert_same_bits(np.column_stack([a.p, a.phi]), [(q.p, q.phi) for q in points],
                       "phase_lanes")
     for direction, scalar_step in ((1, ob.step), (-1, ob.inverse_step)):
-        fails = {}
-        roots = dynamics._tangency_root_lanes(curve, ax, ay, direction, a.exterior, fails)
-        assert not fails
+        roots = dynamics._tangency_root_lanes(curve, ax, ay, direction, a.exterior)
         _assert_same_bits(np.column_stack(roots),
-                          [dynamics._tangency_root(curve, u, v, direction)
-                           for u, v in zip(ax.tolist(), ay.tolist())],
+                          [(psi, gx, gy) for psi, _, gx, gy in
+                           (dynamics._tangency_root(curve, u, v, direction)
+                            for u, v in zip(ax.tolist(), ay.tolist()))],
                           f"_tangency_root_lanes, direction {direction}")
         b = dynamics.step_lanes(curve, a, direction)
         _assert_same_bits(np.column_stack([b.x, b.y, b.p, b.phi]),
@@ -146,12 +146,22 @@ def _first_scalar_error(solve, lanes):
     raise AssertionError("no lane failed")
 
 
-def _first_lane_error(curve, ax, ay, direction):
-    fails = {}
-    exterior = dynamics._require_exterior_lanes(curve, ax, ay, fails)
-    dynamics._tangency_root_lanes(curve, ax, ay, direction, exterior, fails)
-    assert fails, "no lane failed"
-    return fails[min(fails)]
+def _assert_nan_lanes_are_the_failing_ones(curve, ax, ay, direction):
+    """The lane solve's NaN lanes are all the lanes on which _tangency_root
+    raises, and only those; each has NaN in psi, gx and gy."""
+    exterior = dynamics._require_exterior_lanes(curve, ax, ay)
+    nan = np.isnan(np.column_stack(
+        dynamics._tangency_root_lanes(curve, ax, ay, direction, exterior)))
+    failing = np.zeros(len(ax), dtype=bool)
+    for i, (u, v) in enumerate(zip(ax.tolist(), ay.tolist())):
+        try:
+            dynamics._tangency_root(curve, u, v, direction)
+        except (ob.InsideCurveError, ob.TangencyError):
+            failing[i] = True
+    assert failing.any(), "no lane failed"
+    assert (nan == failing[:, None]).all(), (
+        f"NaN lanes {np.flatnonzero(nan.any(axis=1)).tolist()}, "
+        f"failing lanes {np.flatnonzero(failing).tolist()}")
 
 
 def _assert_same_error(got, want):
@@ -170,7 +180,7 @@ def test_a_lane_inside_the_curve_raises_the_scalar_error(wobbly3, direction):
     want = _first_scalar_error(lambda u, v: dynamics._tangency_root(wobbly3, u, v, direction),
                                zip(x.tolist(), y.tolist()))
     assert isinstance(want, ob.InsideCurveError)
-    _assert_same_error(_first_lane_error(wobbly3, x, y, direction), want)
+    _assert_nan_lanes_are_the_failing_ones(wobbly3, x, y, direction)
     with pytest.raises(ob.InsideCurveError) as exc:
         dynamics.phase_lanes(wobbly3, x, y)
     _assert_same_error(exc.value, _first_scalar_error(lambda u, v: ob.phase_point(wobbly3, u, v),
@@ -187,7 +197,38 @@ def test_a_non_finite_g_raises_the_scalar_error(direction):
     want = _first_scalar_error(lambda u, v: dynamics._tangency_root(curve, u, v, direction),
                                zip(x.tolist(), y.tolist()))
     assert isinstance(want, ob.TangencyError) and "met g = " in str(want)
-    _assert_same_error(_first_lane_error(curve, x, y, direction), want)
+    _assert_nan_lanes_are_the_failing_ones(curve, x, y, direction)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_a_lane_whose_g_overflows_short_of_the_root_fails(direction):
+    # on 1e100 (1 + 0.05 cos 3phi), points 1e111 and 1e113 tangent lengths
+    # from the curve's top (psi = 1.7053, where gamma' is horizontal to 1e-4)
+    # have an overflowing g at the solve's start, pi/2 to rounding, but not
+    # near the root, where A - gamma is nearly horizontal: the scalar raises
+    # at the start, so those lanes fail although later iterates are finite
+    curve = ob.require_valid(ob.fourier(1e100, cos=[0.0, 0.0, 5e98]))
+    x, y = _sample(curve, 6, 9, gap=(0.5, 2.0))
+    r, r1, _ = curve.radius_scalar(1.7053)
+    c, s = math.cos(1.7053), math.sin(1.7053)
+    t = direction * np.array([1e111, 1e113])
+    x[[1, 4]], y[[1, 4]] = r * c - t * (r1 * c - r * s), r * s - t * (r1 * s + r * c)
+    want = _first_scalar_error(lambda u, v: dynamics._tangency_root(curve, u, v, direction),
+                               zip(x.tolist(), y.tolist()))
+    assert isinstance(want, ob.TangencyError) and "met g = " in str(want)
+    _assert_nan_lanes_are_the_failing_ones(curve, x, y, direction)
+
+
+def test_a_lane_whose_p_overflows_raises_the_scalar_error(wobbly3):
+    # lanes 2 and 4 are outside the curve, but p = rho^2 / 2 overflows there
+    x, y = _sample(wobbly3, 6, 5)
+    x[[2, 4]] = 1e200, -3e160
+    want = _first_scalar_error(lambda u, v: ob.phase_point(wobbly3, u, v),
+                               zip(x.tolist(), y.tolist()))
+    assert isinstance(want, ob.ConvergenceError)
+    with pytest.raises(ob.ConvergenceError) as exc:
+        dynamics.phase_lanes(wobbly3, x, y)
+    _assert_same_error(exc.value, want)
 
 
 @pytest.mark.parametrize("direction", [1, -1])
@@ -200,10 +241,50 @@ def test_a_lane_that_does_not_converge_raises_the_scalar_error(monkeypatch, four
     want = _first_scalar_error(lambda u, v: dynamics._tangency_root(fourier8, u, v, direction),
                                zip(x.tolist(), y.tolist()))
     assert isinstance(want, ob.TangencyError) and "did not converge" in str(want)
-    _assert_same_error(_first_lane_error(fourier8, x, y, direction), want)
+    _assert_nan_lanes_are_the_failing_ones(fourier8, x, y, direction)
     scalar_step = ob.step if direction > 0 else ob.inverse_step
     want = _first_scalar_error(lambda u, v: scalar_step(fourier8, ob.phase_point(fourier8, u, v)),
                                zip(x.tolist(), y.tolist()))
     with pytest.raises(ob.TangencyError) as exc:
         dynamics.step_lanes(fourier8, dynamics.phase_lanes(fourier8, x, y), direction)
     _assert_same_error(exc.value, want)
+
+
+@pytest.mark.parametrize("max_evals, kind", [(dynamics.TANGENCY_MAX_EVALS, ob.InsideCurveError),
+                                             (2, ob.TangencyError)])
+def test_differential_fd_lanes_fail_in_the_scalar_order(monkeypatch, fourier8, max_evals,
+                                                         kind):
+    # lanes 1 and 3 lie within rho / r - 1 = 2e-6 and 1e-6 of the curve, so
+    # their p - h stencil points are inside it; with two evaluations allowed,
+    # the solve for lane 0's first stencil image fails before that.  The lanes
+    # raise the first error of the scalar loop over (lane, stencil)
+    phi = np.random.default_rng(17).uniform(0.0, TWO_PI, 6)
+    rho = fourier8.radius(phi)[0] * (1.0 + np.array([0.5, 2e-6, 0.3, 1e-6, 1e-3, 1.0]))
+    x, y = fourier8.origin[0] + rho * np.cos(phi), fourier8.origin[1] + rho * np.sin(phi)
+    a = dynamics.phase_lanes(fourier8, x, y)
+    points = [ob.phase_point(fourier8, u, v) for u, v in zip(x.tolist(), y.tolist())]
+    bases = [ob.step(fourier8, q) for q in points]
+    monkeypatch.setattr(dynamics, "TANGENCY_MAX_EVALS", max_evals)
+    want = _first_scalar_error(lambda q, base: _differential_fd_scalar(fourier8, q, base),
+                               zip(points, bases))
+    assert isinstance(want, kind)
+    with pytest.raises(kind) as exc:
+        dynamics.differential_fd_lanes(fourier8, a.p, a.phi, np.array([b.phi for b in bases]))
+    _assert_same_error(exc.value, want)
+
+
+def test_a_marked_lane_on_which_the_scalar_succeeds_raises(monkeypatch, wobbly3):
+    # a lane marked as failing where the scalar step succeeds is a fault of the
+    # lanes: it raises rather than return a NaN image
+    x, y = _sample(wobbly3, 6, 5)
+    a = dynamics.phase_lanes(wobbly3, x, y)
+    solve = dynamics._tangency_root_lanes
+
+    def marks_lane_2(*args):
+        psi, gx, gy = solve(*args)
+        gx[2] = np.nan
+        return psi, gx, gy
+
+    monkeypatch.setattr(dynamics, "_tangency_root_lanes", marks_lane_2)
+    with pytest.raises(RuntimeError, match="lane 2 was marked as failing"):
+        dynamics.step_lanes(wobbly3, a, 1)

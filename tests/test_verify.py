@@ -95,6 +95,31 @@ def test_both_checks_of_a_pair_record_why_they_raised(monkeypatch, unit_circle):
         assert not checks[name].passed
 
 
+def test_map_checks_record_the_scalar_step_error_of_the_sample_points(monkeypatch, fourier8):
+    # with two evaluations allowed the sample points' lane steps fail; every
+    # check on their images records the error that stepping the points one at
+    # a time gives.  The points are drawn as verify draws them: the 2 N chords'
+    # angles and parameters, then the points' angles and gaps
+    monkeypatch.setattr(dynamics, "TANGENCY_MAX_EVALS", 2)
+    rng = np.random.default_rng(verify.RNG_SEED)
+    rng.uniform(0.0, 2.0 * np.pi, 2 * verify.N_SAMPLE)
+    rng.uniform(0.05, 3.0, 2 * verify.N_SAMPLE)
+    phi = rng.uniform(0.0, 2.0 * np.pi, verify.N_SAMPLE)
+    rho = fourier8.radius(phi)[0] * (1.0 + rng.uniform(*verify.EXTERIOR_GAP, verify.N_SAMPLE))
+    x0, y0 = fourier8.origin
+    want = None
+    for u, v in zip((x0 + rho * np.cos(phi)).tolist(), (y0 + rho * np.sin(phi)).tolist()):
+        try:
+            ob.step(fourier8, ob.phase_point(fourier8, u, v))
+        except Exception as exc:
+            want = f"{type(exc).__name__}: {exc}"
+            break
+    assert want is not None and "did not converge" in want
+    checks = {c.name: c for c in verify.run_verification(fourier8).checks}
+    for name in ("midpoint_property", "symplecticity", "inverse_roundtrip"):
+        assert checks[name].error == want, name
+
+
 def test_verify_steps_each_sample_point_once(monkeypatch, unit_circle, ellipse21):
     # one step per sample point (100), which gives the shared images that
     # the midpoint check reads; symplecticity 400 (four stencil images per point,
@@ -163,8 +188,8 @@ def test_midpoint_check_fails_on_images_reflected_off_the_tangency(monkeypatch, 
     curve = request.getfixturevalue(name)
 
     def skewed_step(curve, a, direction):
-        psi, _, _, _ = dynamics._tangency_root_lanes(
-            curve, a.x - curve.origin[0], a.y - curve.origin[1], direction, a.exterior, {})
+        psi, _, _ = dynamics._tangency_root_lanes(
+            curve, a.x - curve.origin[0], a.y - curve.origin[1], direction, a.exterior)
         gx, gy = curve.point(psi + 1e-6)
         return dynamics.phase_lanes(curve, 2.0 * gx - a.x, 2.0 * gy - a.y)
 
@@ -183,13 +208,13 @@ def _on_result(change):
 
 def _turned_backward_tangency(tangency_root_lanes):
     # the mirrored branch, behind inverse_step, reflects about gamma(psi + 1e-8)
-    def defect(curve, ax, ay, direction, exterior, fails):
-        psi, t, gx, gy = tangency_root_lanes(curve, ax, ay, direction, exterior, fails)
+    def defect(curve, ax, ay, direction, exterior):
+        psi, gx, gy = tangency_root_lanes(curve, ax, ay, direction, exterior)
         if direction < 0:
             psi = psi + 1e-8
             r = curve.radius(psi)[0]
             gx, gy = r * np.cos(psi), r * np.sin(psi)
-        return psi, t, gx, gy
+        return psi, gx, gy
     return defect
 
 
