@@ -224,19 +224,22 @@ def cmd_conjugate_scan(curve, s, out):
         n_max=s["steps"], workers=s["workers"])
     # the unscanned fields appear only when some seed could not be stepped,
     # so every other report keeps its bytes
-    n_unscanned = len(scan.unscanned)
+    n_unscanned = scan.unscanned_count
+    index = scan.n_conjugate.tolist()
     if s["format"] == "csv":
         out.write("seed_phi,seed_t,n_conjugate\n")
-        for r in scan.rows:
-            n = "" if r.n_conjugate is None else str(r.n_conjugate)
-            out.write(f"{r.seed_phi:.17g},{r.seed_t:.17g},{n}\n")
+        out.write("".join([f"{phi},{t},{'' if n < 0 else n}\n" for phi, t, n in zip(
+            serialize.g17_fields(scan.seed_phi), serialize.g17_fields(scan.seed_t), index)]))
         if n_unscanned:
             out.write(f"# unscanned_rows={n_unscanned}\n")
         return EXIT_OK
-    doc = {"found_count": len(scan.found)}
+    doc = {"found_count": scan.found_count}
     if n_unscanned:
         doc["unscanned_count"] = n_unscanned
-    doc.update(rows=[_scan_row(r) for r in scan.rows], config=_echo(s))
+    rows = {"seed_phi": scan.seed_phi, "seed_t": scan.seed_t,
+            "n_conjugate": [None if n < 0 else n for n in index],
+            "unscanned": dict.fromkeys((~scan.steppable).nonzero()[0].tolist(), jacobi.UNSCANNED)}
+    doc.update(rows=serialize.Rows(len(index), rows), config=_echo(s))
     out.write(serialize.dumps(doc))
     return EXIT_OK
 
@@ -249,10 +252,11 @@ def cmd_rigidity(curve, s, out):
         scan = jacobi.conjugate_grid_scan(
             curve, phi_count=s["t_grid"], t_count=s["t_grid"], t_max=SCAN_T_MAX,
             n_max=s["steps"], workers=s["workers"])
-        found = scan.found
+        first = scan.first_found
         doc["conjugate_scan"] = {
-            "seeds": len(scan.rows), "n_max": s["steps"], "t_max": SCAN_T_MAX,
-            "found_count": len(found), "first_found": _scan_row(found[0]) if found else None}
+            "seeds": scan.seed_phi.size, "n_max": s["steps"], "t_max": SCAN_T_MAX,
+            "found_count": scan.found_count,
+            "first_found": None if first is None else _scan_row(first)}
     out.write(serialize.dumps(doc))
     return EXIT_OK
 

@@ -85,22 +85,25 @@ class ConvexCurve:
 
     # -- radial function ---------------------------------------------------
 
-    def radius(self, phi, cs=None):
-        """Vectorized (r, r', r'') at angle(s) phi.
+    def radius(self, phi, cs=None, second=True):
+        """Vectorized (r, r', r'') at angle(s) phi, or (r, r') when second is
+        False.
 
         The ellipse and Fourier kinds cost one cos and one sin per lane, and
         _radial does the rest.  A caller that already holds the pair passes it
         as cs = (cos phi, sin phi) and pays no trig call; the result is then
-        bitwise equal to radius(phi).  All arithmetic is elementwise, so a
-        lane's result does not depend on the other lanes of the call.
+        bitwise equal to radius(phi).  With second=False _radial skips r'' and
+        its array passes; r and r' keep their bits.  All arithmetic is
+        elementwise, so a lane's result does not depend on the other lanes of
+        the call.
         """
         phi = np.asarray(phi, dtype=float)
         if self.kind == CIRCLE:
             r = np.full_like(phi, self.radius_value)
             z = np.zeros_like(phi)
-            return r, z, z
+            return (r, z, z) if second else (r, z)
         c, s = (np.cos(phi), np.sin(phi)) if cs is None else cs
-        return self._radial(c, s, np.sqrt)
+        return self._radial(c, s, np.sqrt, second)
 
     def radius_scalar(self, phi: float):
         """Scalar (r, r', r'') on plain floats; hot path for orbit stepping.
@@ -113,8 +116,9 @@ class ConvexCurve:
             return self.radius_value, 0.0, 0.0
         return self._radial(math.cos(phi), math.sin(phi), math.sqrt)
 
-    def _radial(self, c, s, sqrt):
-        """(r, r', r'') of the ellipse or Fourier kind from (cos phi, sin phi).
+    def _radial(self, c, s, sqrt, second=True):
+        """(r, r', r'') of the ellipse or Fourier kind from (cos phi, sin phi),
+        or (r, r') with the same bits when second is False.
 
         Plain arithmetic only, so floats and numpy lanes round alike.  The
         ellipse works from cos^2, sin^2, 2 sin cos and cos^2 - sin^2; the
@@ -127,12 +131,14 @@ class ConvexCurve:
             cc, ss = c * c, s * s
             d = b2 * cc + a2 * ss
             dp = (a2 - b2) * (2.0 * s * c)
-            dpp = 2.0 * (a2 - b2) * (cc - ss)
             sq = sqrt(d)
             q = ab / (d * sq)              # ab d^-3/2
+            if not second:
+                return ab / sq, -0.5 * dp * q
+            dpp = 2.0 * (a2 - b2) * (cc - ss)
             return ab / sq, -0.5 * dp * q, 0.75 * dp * dp * q / d - 0.5 * dpp * q
         r1 = c - c                         # +0.0 in c's shape; r2 its own buffer
-        r2 = c - c
+        r2 = c - c if second else None
         r = self.a0 + r1
         ck, sk = c, s
         for k, a, b in self._harmonics:
@@ -143,8 +149,9 @@ class ConvexCurve:
             u = a * ck + b * sk
             r += u
             r1 += k * (b * ck - a * sk)
-            r2 -= (k * k) * u
-        return r, r1, r2
+            if second:
+                r2 -= (k * k) * u
+        return (r, r1, r2) if second else (r, r1)
 
     @cached_property
     def _harmonics(self):

@@ -16,6 +16,7 @@ closed form in the curve data at the chord (no chart inversion needed).
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -37,6 +38,7 @@ ZERO_TOL = 1e-12          # |dq| below this times the running max counts as a ze
 RENORM_LIMIT = 1e100
 NO_TWIST = "the twist condition S12 < 0 fails"
 OVERFLOW = "the closed forms or the recurrence overflowed"
+UNSCANNED = f"t below {MIN_CHORD_T:g}"     # why a grid scan did not step a seed
 # Most seeds per conjugate-scan chunk.  It caps a chunk's memory (about 1.9
 # MiB of numpy temporaries at 4096 lanes) while leaving each of the 13 radius
 # evaluations per lane-step a long array pass; rows do not depend on it.
@@ -278,18 +280,49 @@ class ConjugateScanRow:
     unscanned: Optional[str] = None     # why the seed was not stepped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugateScanResult:
-    rows: list
+    """A grid scan as columns, one entry a seed in grid order: seed_phi,
+    seed_t, n_conjugate (the first conjugate index, -1 for none) and
+    steppable (False where the seed was not stepped, its t below
+    MIN_CHORD_T).  rows, found and unscanned are lists of ConjugateScanRow,
+    built from the columns when first read."""
+
+    seed_phi: np.ndarray
+    seed_t: np.ndarray
+    n_conjugate: np.ndarray
+    steppable: np.ndarray
     complete: bool
 
     @property
-    def found(self):
-        return [r for r in self.rows if r.n_conjugate is not None]
+    def found_count(self) -> int:
+        return int(np.count_nonzero(self.n_conjugate >= 0))
 
     @property
+    def unscanned_count(self) -> int:
+        return self.steppable.size - int(np.count_nonzero(self.steppable))
+
+    @property
+    def first_found(self) -> Optional[ConjugateScanRow]:
+        rows = self._rows(np.flatnonzero(self.n_conjugate >= 0)[:1])
+        return rows[0] if rows else None
+
+    @cached_property
+    def rows(self):
+        return self._rows(slice(None))
+
+    @cached_property
+    def found(self):
+        return self._rows(self.n_conjugate >= 0)
+
+    @cached_property
     def unscanned(self):
-        return [r for r in self.rows if r.unscanned is not None]
+        return self._rows(~self.steppable)
+
+    def _rows(self, index):
+        cols = (self.seed_phi, self.seed_t, self.n_conjugate, self.steppable)
+        return [ConjugateScanRow(phi, t, n if n >= 0 else None, None if ok else UNSCANNED)
+                for phi, t, n, ok in zip(*(col[index].tolist() for col in cols))]
 
 
 def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
@@ -359,8 +392,9 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
                         stop_at_first: bool = False) -> ConjugateScanResult:
     """Radial conjugate scan over a (phi, t) grid of seed chords.
 
-    Seeds are the tails M0 of the chords of chord_grid, in its row order.
-    Seeds with t below MIN_CHORD_T cannot be stepped: their rows carry an
+    Seeds are the tails M0 of the chords of chord_grid, in its row order,
+    and the result holds them as columns.  Seeds with t below MIN_CHORD_T
+    cannot be stepped: ``steppable`` is False there, their rows carry the
     ``unscanned`` reason and ``complete`` goes False, unless no seed at all
     can be stepped, which raises TangencyError.  The other seeds are cut, in
     grid order, into chunks of SCAN_CHUNK seeds, which run in up to
@@ -405,11 +439,7 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
     if results:
         done = np.concatenate(results)
         found[np.flatnonzero(steppable)[:done.size]] = done
-    reason = f"t below {MIN_CHORD_T:g}"
-    rows = [ConjugateScanRow(phi, t, n if n >= 0 else None, None if ok else reason)
-            for phi, t, n, ok in zip(seed_phi.tolist(), seed_t.tolist(), found.tolist(),
-                                     steppable.tolist())]
-    return ConjugateScanResult(rows=rows, complete=complete)
+    return ConjugateScanResult(seed_phi, seed_t, found, steppable, complete)
 
 
 # -- Hopf construction ----------------------------------------------------------

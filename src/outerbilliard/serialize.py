@@ -4,6 +4,8 @@ The stock json module prints floats with repr (shortest round-trip); reports
 here pin the textual format instead, so identical runs produce identical
 bytes and every scalar carries full double precision.  Tables go out as
 CSV through g17_csv, which writes a float array's "%.17g" text with numpy.
+A long list of row objects can reach dumps as columns (Rows), so that its
+float columns take the same array path.
 """
 
 import numpy as np
@@ -53,10 +55,52 @@ def _encode(obj, nl):
         return "true"
     if obj is False:
         return "false"
+    if kind is Rows:
+        return _encode_rows(obj, nl)
     for base in (str, int, float, dict, list, tuple):
         if isinstance(obj, base):
             return _encode(base(obj), nl)
     raise TypeError(f"cannot serialize {kind.__name__}")
+
+
+class Rows:
+    """A JSON array of objects given as columns, which dumps writes as the
+    list of dicts it stands for.  columns maps each key, in the objects' key
+    order, to a column: a float64 array, written by the exact "%.17g" array
+    path with _fmt_float's rules; a sequence of JSON values, one a row; or a
+    dict {row: value}, whose key appears only on the rows it names.  count is
+    the number of rows."""
+
+    def __init__(self, count: int, columns: dict):
+        self.count, self.columns = count, columns
+
+
+def _encode_rows(rows, nl):
+    if not rows.count:
+        return "[]"
+    inner = nl + _PAD
+    field = inner + _PAD
+    pieces = []
+    for key, col in rows.columns.items():
+        head = f',{field}"{key}": '
+        if type(col) is dict:
+            piece = [""] * rows.count
+            for i, v in col.items():
+                piece[i] = head + _encode(v, field)
+        elif isinstance(col, np.ndarray) and col.dtype == np.float64:
+            piece = [head + v for v in _json_floats(col)]
+        else:
+            piece = [head + _encode(v, field) for v in col]
+        pieces.append(piece)
+    # each object's text less its leading comma, or {} for an object with no key
+    bodies = map("".join, zip(*pieces)) if pieces else [""] * rows.count
+    objs = [f"{{{body[1:]}{inner}}}" if body else "{}" for body in bodies]
+    return "[" + inner + ("," + inner).join(objs) + nl + "]"
+
+
+def _json_floats(x):
+    """_fmt_float of each value of a 1-D float array, by the array path."""
+    return [v if "." in v or "e" in v else _NON_FINITE.get(v, v + ".0") for v in g17_fields(x)]
 
 
 # -- "%.17g" on float64 arrays -------------------------------------------------
@@ -215,6 +259,13 @@ def _g17_frame(x):
     for k, s in zip(slow.tolist(), _g17_slow(x[slow].tolist())):
         frame[k] = np.frombuffer(s.encode().ljust(_FRAME, b"\0"), np.uint8)
     return frame
+
+
+def g17_fields(x) -> list:
+    """["%.17g" % v for v in x] for a 1-D float array x, by the array path."""
+    frame = _g17_frame(np.asarray(x, dtype=float))
+    frame[:, -2] = ord("\n")
+    return frame[frame != 0].tobytes().decode("ascii").split("\n")[:-1]
 
 
 def g17_csv(block) -> str:

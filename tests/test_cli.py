@@ -126,6 +126,24 @@ def test_conjugate_scan_reports_unscanned_rows(circle_file, tmp_path):
     assert len(lines) == 1 + 64 * 64 + 1 and lines[-1] == "# unscanned_rows=64"
 
 
+def test_conjugate_scan_writes_the_bytes_of_its_rows(circle_file, tmp_path):
+    # on a grid with unscanned rows: the CSV is each row rendered alone, the
+    # JSON the document of the rows as dicts
+    argv = ["--curve", circle_file, "--cmd", "conjugate-scan", "--t-max", "5e-5", "--steps", "10"]
+    assert run(argv + ["--format", "csv", "--out", str(tmp_path / "scan.csv")]) == 0
+    assert run(argv + ["--out", str(tmp_path / "scan.json")]) == 0
+    scan = outerbilliard.conjugate_grid_scan(outerbilliard.circle(1.0), phi_count=64,
+                                             t_count=64, t_max=5e-5, n_max=10)
+    lines = [f"{r.seed_phi:.17g},{r.seed_t:.17g},{'' if r.n_conjugate is None else r.n_conjugate}"
+             for r in scan.rows]
+    assert (tmp_path / "scan.csv").read_text() == "\n".join(
+        ["seed_phi,seed_t,n_conjugate"] + lines + ["# unscanned_rows=64", ""])
+    doc = {"found_count": 0, "unscanned_count": 64, "rows": [cli._scan_row(r) for r in scan.rows],
+           "config": {"command": "conjugate-scan", "steps": 10, "phi_grid": 64, "t_grid": 64,
+                      "t_max": 5e-5}}
+    assert (tmp_path / "scan.json").read_text() == outerbilliard.serialize.dumps(doc)
+
+
 def test_invalid_curve_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "fourier", "a0": 1.0, "cos": [0, 0, 0.2]}')

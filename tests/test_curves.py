@@ -372,6 +372,29 @@ def test_fourier_radius_matches_mpmath(fourier8, fourier8_refit):
 
 
 
+def test_radius_without_r_second_keeps_the_bits_of_r_and_r_prime(presets, fourier8):
+    # the chord step's bisections ask for (r, r') only; they must be the full
+    # call's bits, signed zeros included, on arrays, on float angles and on
+    # _radial's plain-float path
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.uint64)
+
+    curves = dict(presets, fourier8=fourier8, ellipse10=ob.ellipse(10.0, 1.0))
+    phi = np.concatenate([np.random.default_rng(37).uniform(-TWO_PI, 2 * TWO_PI, 4096),
+                          np.arange(-8, 9) * (math.pi / 4)])
+    for name, curve in curves.items():
+        part, full = curve.radius(phi, second=False), curve.radius(phi)
+        assert len(part) == 2, name
+        for got, want in zip(part, full):
+            assert np.array_equal(bits(got), bits(want)), name
+        for p in phi[::16].tolist():
+            part, full = curve.radius(p, second=False), curve.radius(p)
+            assert len(part) == 2 and [bits(v) for v in part] == [bits(v) for v in full[:2]]
+            if curve.kind != "circle":
+                part = curve._radial(math.cos(p), math.sin(p), math.sqrt, False)
+                assert [bits(v) for v in part] == [bits(v) for v in curve.radius_scalar(p)[:2]]
+
+
 def test_radius_scalar_is_radius_on_math_trig_bitwise(presets, fourier8, fourier8_refit):
     # one body serves both entry points: same bits, signed zeros included
     curves = dict(presets, fourier8=fourier8, fourier8_refit=fourier8_refit,

@@ -12,6 +12,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,11 +22,18 @@ import pytest
 import outerbilliard as ob
 from outerbilliard import cli, jacobi
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:                          # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
 GOLDEN = Path(__file__).parent / "golden"
 SCAN_ROWS = GOLDEN / "scan_rows.json"
 TABLE_DIGESTS = GOLDEN / "table_digests.json"
 
 CURVES = ["unit_circle", "ellipse21", "wobbly3", "fourier8"]
+# the numpy SIMD level of a CPU without AVX-512
+AVX2_LEVEL = "X86_V4 AVX512_ICL AVX512_SPR"
 
 # golden file stem -> (argv after --curve, file suffix)
 COMMANDS = {
@@ -181,6 +191,44 @@ def test_table_matches_its_digest(request, tmp_path, key):
         where = ("every row has its per-element rendering, so the header, footer or layout moved"
                  if moved is None else "row %d is %r, its per-element rendering %r" % moved)
         pytest.fail(f"{key} no longer matches its digest: {where}")
+
+
+@pytest.mark.skipif(not __cpu_features__.get("AVX512_ICL"),
+                    reason="the CPU lacks AVX512_ICL, so numpy already runs at the AVX2 level")
+def test_scan_goldens_hold_at_the_avx2_simd_level(request, tmp_path):
+    # the scan's kernels call np.cos, np.sin and np.arctan2, whose bits may
+    # move with numpy's SIMD level; a child process at the AVX2 level checks
+    # the scan-row goldens of the four curves and the conjugate-scan digests
+    scans = [key for key in TABLES if key.startswith("conjugate_scan_")]
+    job = {"curves": {name: ob.curve_to_dict(request.getfixturevalue(name)) for name in CURVES},
+           "tables": {key: TABLES[key][:2] for key in scans}}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    code = ("import hashlib, json, sys\n"
+            "try:\n"
+            "    from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+            "except ImportError:\n"
+            "    from numpy.core._multiarray_umath import __cpu_features__ as f\n"
+            "import outerbilliard as ob\n"
+            "from outerbilliard import cli\n"
+            "assert not f['AVX512_ICL'], 'AVX512_ICL is still on'\n"
+            "work, rows, digests = sys.argv[1:]\n"
+            "job = json.load(open(work + '/job.json'))\n"
+            "for name, spec in job['curves'].items():\n"
+            "    scan = ob.conjugate_grid_scan(ob.curve_from_dict(spec), phi_count=16,\n"
+            "                                  t_count=16, n_max=300)\n"
+            "    got = [row.n_conjugate for row in scan.rows]\n"
+            "    assert got == json.load(open(rows))[name], 'scan rows of ' + name\n"
+            "for key, (name, argv) in job['tables'].items():\n"
+            "    spec, out = work + '/' + name + '.json', work + '/' + key\n"
+            "    json.dump(job['curves'][name], open(spec, 'w'))\n"
+            "    assert cli.main(['--curve', spec] + argv + ['--out', out]) == 0\n"
+            "    got = hashlib.sha256(open(out, 'rb').read()).hexdigest()\n"
+            "    assert got == json.load(open(digests))[key], key\n")
+    src = str(Path(ob.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=AVX2_LEVEL)
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(SCAN_ROWS),
+                          str(TABLE_DIGESTS)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 def test_first_moved_row_names_the_first_difference():

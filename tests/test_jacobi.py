@@ -181,6 +181,32 @@ def test_grid_scan_workers_bitwise_identical(wobbly3, monkeypatch):
     assert three.rows == one.rows
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_scan_rows_read_from_its_columns_match_rows_built_per_seed(wobbly3, monkeypatch,
+                                                                        workers):
+    # a 16x16 grid with hits and misses, every 7th seed moved below
+    # MIN_CHORD_T; rows, found and unscanned, built from the result's columns
+    # when read, equal the rows built eagerly from one scan of the seeds
+    phi, t = jacobi.chord_grid(16, 16, 3.0)
+    t[::7] = 1e-6
+    monkeypatch.setattr(jacobi, "chord_grid", lambda *grid: (phi, t))
+    monkeypatch.setattr(jacobi, "SCAN_CHUNK", 64)
+    monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 2)
+    scan = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, n_max=300, workers=workers)
+    ok = t >= dynamics.MIN_CHORD_T
+    index = np.full(t.size, -1)
+    index[ok] = jacobi._scan_batch(wobbly3, phi[ok], t[ok], 300, False)
+    rows = [jacobi.ConjugateScanRow(p, s, n if n >= 0 else None, None if k else "t below 1.5e-06")
+            for p, s, n, k in zip(phi.tolist(), t.tolist(), index.tolist(), ok.tolist())]
+    found = [r for r in rows if r.n_conjugate is not None]
+    unscanned = [r for r in rows if r.unscanned is not None]
+    assert 0 < len(found) < len(rows) - len(unscanned) and unscanned
+    assert scan.rows == rows and scan.found == found and scan.unscanned == unscanned
+    assert not scan.complete
+    assert (scan.found_count, scan.unscanned_count) == (len(found), len(unscanned))
+    assert scan.first_found == found[0]
+
+
 def test_grid_scan_rows_do_not_depend_on_chunk_size(wobbly3, monkeypatch):
     # lanes with hits drop out of their batch at different steps for the two
     # chunk sizes; no row may change, and rows agree with the scalar scan

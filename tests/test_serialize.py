@@ -201,3 +201,74 @@ def test_same_bytes_at_the_avx2_simd_level(tmp_path, wobbly3):
     subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True)
     for name, values in (("table", table), ("sample", sample)):
         assert (tmp_path / f"{name}.csv").read_text() == serialize.g17_csv(values), name
+
+
+# -- rows given as columns -----------------------------------------------------
+
+# every rule of _fmt_float: fields "%.17g" prints without a point (0.0, 3.0,
+# 1e16 as "10000000000000000"), -0.0, magnitudes outside G17_RANGE, subnormals
+# and the non-finite names
+SPECIAL_FLOATS = [0.0, -0.0, 3.0, -3.0, 1e16, -1e16, 1e17, 123.5, 0.1, 2.5e-5,
+                  1e-31, -1e31, 1e300, 5e-324, 1.7976931348623157e308,
+                  math.nan, -math.nan, math.inf, -math.inf]
+
+
+def _dicts(count, columns):
+    """The list of dicts that serialize.Rows(count, columns) stands for."""
+    rows = [{} for _ in range(count)]
+    for key, col in columns.items():
+        if isinstance(col, dict):
+            for i, v in col.items():
+                rows[i][key] = v
+            continue
+        for row, v in zip(rows, col.tolist() if isinstance(col, np.ndarray) else col):
+            row[key] = v
+    return rows
+
+
+def assert_rows_encode_like_their_dicts(count, columns):
+    # at two depths, so that the rows' indentation follows their place
+    rows, dicts = serialize.Rows(count, columns), _dicts(count, columns)
+    got = serialize.dumps({"n": count, "rows": rows, "deeper": [{"rows": rows}]})
+    assert got == serialize.dumps({"n": count, "rows": dicts, "deeper": [{"rows": dicts}]})
+
+
+def test_rows_encode_like_their_dicts():
+    x = np.array(SPECIAL_FLOATS)
+    n = x.size
+    index = [None if k % 3 == 0 else k * 1000 - 7 for k in range(n)]
+    assert_rows_encode_like_their_dicts(n, {
+        "x": x, "y": np.ascontiguousarray(x[::-1]), "index": index,
+        "why": {0: "t below 1.5e-06", 5: 'a "quoted" \\ reason', n - 1: "last"}})
+
+
+def test_rows_with_strided_floats_nested_values_and_a_sparse_key_between():
+    rng = np.random.default_rng(3)
+    wide = rng.normal(size=(40, 3)) * 10.0 ** rng.uniform(-40.0, 40.0, (40, 3))
+    nested = [[1.0, -0.0, None], {"a": [], "b": {}}, True, "s", 7] * 8
+    assert_rows_encode_like_their_dicts(40, {
+        "first": wide[:, 1], "sparse": {3: 1.5, 39: None, 0: [2.0]}, "nested": nested,
+        "ints": list(range(-20, 20))})
+
+
+def test_rows_without_keys_and_no_rows():
+    assert_rows_encode_like_their_dicts(3, {"only": {1: 2.0}})
+    assert_rows_encode_like_their_dicts(2, {})
+    assert_rows_encode_like_their_dicts(0, {"x": np.empty(0), "n": []})
+    assert serialize.dumps(serialize.Rows(0, {"x": np.empty(0)})) == "[]\n"
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.floats(width=64), st.floats(width=64),
+                          st.one_of(st.none(), st.integers(-10 ** 6, 10 ** 6)), st.booleans()),
+                min_size=1, max_size=20))
+def test_rows_of_any_floats_and_indices(rows):
+    phi, t, index, marked = zip(*rows)
+    assert_rows_encode_like_their_dicts(len(rows), {
+        "seed_phi": np.array(phi), "seed_t": np.array(t), "n_conjugate": list(index),
+        "unscanned": {i: "t below 1.5e-06" for i, m in enumerate(marked) if m}})
+
+
+def test_g17_fields_are_percent_fields():
+    x = np.concatenate([SPECIAL_FLOATS, 10.0 ** np.random.default_rng(4).uniform(-40, 40, 500)])
+    assert serialize.g17_fields(x) == ["%.17g" % v for v in x.tolist()]
