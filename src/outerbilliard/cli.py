@@ -1,7 +1,7 @@
 """Command-line front door: data-only CSV/JSON output for external plotting.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid curve or usage,
-3 dynamics (tangency) failure, 4 optimizer failure.
+3 dynamics (tangency) failure, 4 solver failure.
 """
 
 import argparse
@@ -22,7 +22,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_CURVE = 2
 EXIT_DYNAMICS = 3
-EXIT_OPTIMIZER = 4
+EXIT_SOLVER = 4
 
 # One row per command: the settings it reads, with their defaults (None: the
 # flag is required), and nothing else.  A flag outside its row exits 2.
@@ -295,8 +295,8 @@ def main(argv=None) -> int:
         print(f"error: dynamics failure{where}: {exc}", file=sys.stderr)
         return EXIT_DYNAMICS
     except (ConvergenceError, NotInteriorError) as exc:
-        print(f"error: optimizer failure: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZER
+        print(f"error: solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 def console_main():

@@ -42,19 +42,6 @@ class PlanePoint:
 
 
 @dataclass(frozen=True)
-class CurveSample:
-    """Radial data at one angle: r, r', r'', chi, curvature, ds/dphi."""
-
-    phi: float
-    r: float
-    r_prime: float
-    r_second: float
-    chi: float
-    curvature: float
-    arc_element: float
-
-
-@dataclass(frozen=True)
 class CurveValidation:
     ok: bool
     min_r: float
@@ -195,15 +182,6 @@ def fourier(a0: float, cos=(), sin=(), origin=(0.0, 0.0)) -> ConvexCurve:
 
 
 # -- operations ---------------------------------------------------------------
-
-def evaluate(curve: ConvexCurve, phi) -> CurveSample:
-    """Radial value, two derivatives, chi, curvature and arc element at phi."""
-    r, r1, r2 = curve.radius(phi)
-    k = chi(r, r1, r2)
-    rp2 = r * r + r1 * r1
-    return CurveSample(phi=phi, r=r, r_prime=r1, r_second=r2, chi=k,
-                       curvature=k * rp2 ** -1.5, arc_element=np.sqrt(rp2))
-
 
 def validate(curve: ConvexCurve) -> CurveValidation:
     """Check r > 0 and chi > CHI_MIN_DEFAULT (strict convexity) on

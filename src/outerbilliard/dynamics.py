@@ -112,13 +112,6 @@ def phase_point(curve: ConvexCurve, x: float, y: float) -> PhasePoint:
     return a
 
 
-def phase_point_polar(curve: ConvexCurve, p: float, phi: float) -> PhasePoint:
-    rho = math.sqrt(2.0 * p)
-    return phase_point(curve,
-                       curve.origin[0] + rho * math.cos(phi),
-                       curve.origin[1] + rho * math.sin(phi))
-
-
 # -- tangency root ------------------------------------------------------------
 
 def _tangency_root(curve: ConvexCurve, ax: float, ay: float, direction: int,
@@ -550,36 +543,26 @@ def chord_step_batch(curve: ConvexCurve, t: np.ndarray, head):
     the same float operations whatever the other lanes hold: results are
     bitwise independent of batch composition, chunking and worker count.
     chord_step_scalar stops once converged instead, so the two agree to
-    round-off, not bitwise: measured worst |difference| in psi and t_new
-    (6000 lanes each) for t log-uniform in [1e-3, 3] is 1.2e-13 on the
-    circle, 3.2e-13 on 1 + 0.05 cos 3phi, 1.1e-12 on the 2:1, 1.1e-11 on the
-    5:1 and 3.2e-11 on the 10:1 ellipse; for t in [0.1, 2.5] it is at most
-    8.9e-14 on these curves but the 10:1 ellipse (7.7e-13).
-    8 + 4 is the shortest schedule that reaches the round-off floor of the
-    chord chart: on 5:1 and 10:1 ellipses with t in [1e-3, 3], 6 + 3 left
-    errors up to 7e-4 rad and 8 + 3 up to 5e-8 rad.
+    round-off, not bitwise.  8 + 4 is the shortest schedule that reaches the
+    round-off floor of the chord chart on eccentric ellipses.
 
     Near the curve the head B lies within |B|^2 - r^2 = O(t^2) of it, so the
-    relative error of t_new grows like 1e-16 / t^2: on the unit circle, worst
-    of 20000 random phi, it is 1.1e-4 at t = 1.4e-6, 9.9e-5 at 1.5e-6,
-    2.3e-2 at 1e-7 and about 100% at 1e-8.  Both kernels raise TangencyError
-    unless every t is at least MIN_CHORD_T = 1.5e-6, the smallest t that
-    keeps that error within 1e-4.
+    relative error of t_new grows like 1e-16 / t^2.  Both kernels raise
+    TangencyError unless every t is at least MIN_CHORD_T, the smallest t
+    that keeps that error within 1e-4.
 
-    The step makes few, long array passes: about 450 on an ellipse, 530 on
-    1 + 0.05 cos 3phi.  The bisections read only the sign of g, so they ask
-    radius for r and r' alone (second=False), which spares the ellipse 9 of
-    its 23 passes an evaluation and the Fourier kind 2 per nonzero harmonic
-    and 1 more.  B and
-    each (cos, sin) pair e are complex lanes, and one product conj(e) B gives
-    (e . B) + i (e x B); with d = e . B - r, g is r' (e x B) - r d and g' is
-    (r'' - r)(e x B) - 2 r' d.  The bisections take no trig call: every
-    lane's bracket has width pi / 2^k at bisection k, so only its lower end
-    is kept, and the midpoint's pair is the lower end's (first B / |B|)
-    turned by a constant angle in one complex product.  Its last bits differ
-    from cos(mid), sin(mid), which could flip a sign of g; on 3.15M random
-    lanes (six curves, t from MIN_CHORD_T to 30) none did.  That is
-    measured, not proven.
+    The bisections read only the sign of g, so they ask radius for r and r'
+    alone (second=False).  B and each (cos, sin) pair e are complex lanes,
+    and one product conj(e) B gives (e . B) + i (e x B); with d = e . B - r,
+    g is r' (e x B) - r d and g' is (r'' - r)(e x B) - 2 r' d.  The
+    bisections take no trig call: every lane's bracket has width pi / 2^k at
+    bisection k, so only its lower end is kept, and the midpoint's pair is
+    the lower end's (first B / |B|) turned by a constant angle in one
+    complex product.  Its last bits differ from cos(mid), sin(mid), which
+    could flip a sign of g; none did on the lanes tried, which is measured,
+    not proven.  CHANGES.md ("chord_step_batch measurements") holds the
+    measured agreement with the scalar step, the schedules tried, the t_new
+    error near the curve, the array-pass counts and the lanes tried.
     """
     if not np.all(t >= MIN_CHORD_T):
         raise TangencyError(_near_boundary_message(np.min(t)))

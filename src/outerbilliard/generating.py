@@ -12,9 +12,9 @@ Two charts are used throughout, both on plain floats or arrays:
 * chord (phi, t):  chord tangent at gamma(phi), endpoints
   M0 = gamma - t gamma' and M1 = gamma + t gamma'.
 * angles (phi0, phi1):  polar angles of M0, M1 with
-  phi0 < phi1 < phi0 + pi; chord_to_angles maps to them in closed form, and
-  angles_to_chord back by one bracketed Newton in the tangency offset along
-  the ray phi0, the solve forward_map_batch also runs.
+  phi0 < phi1 < phi0 + pi; _angles_arrays maps to them in closed form, and
+  _chord_from_angles_arrays back by one bracketed Newton in the tangency
+  offset along the ray phi0, the solve forward_map_batch also runs.
 
 That solve is curves._ray_newton, which also finds rays from an interior
 point (curves.radial_about); this module supplies its residuals.
@@ -42,13 +42,6 @@ def _angles_arrays(curve: ConvexCurve, phi, t, radial=None):
     r0sq = (r - t * rp) ** 2 + (t * r) ** 2
     r1sq = (r + t * rp) ** 2 + (t * r) ** 2
     return phi - a0, phi + a1, r0sq, r1sq
-
-
-def chord_to_angles(curve: ConvexCurve, phi: float, t: float):
-    """(phi0, phi1, r0sq, r1sq) of the chord (phi, t) as floats."""
-    if not (t > 0 and abs(phi) < np.inf):           # a NaN fails too
-        raise ValueError(f"chord (phi, t) = ({phi!r}, {t!r}): t must be positive, phi finite")
-    return tuple(float(v) for v in _angles_arrays(curve, phi, t))
 
 
 def _twist_terms(r, rp, rpp, t):
@@ -151,12 +144,6 @@ def _chord_from_angles_arrays(curve: ConvexCurve, phi0, phi1, start=None):
 
     d, (r, rp, _) = _ray_newton(curve, phi0, d, gap, newton_step)
     return phi0 + d, tail_t(d, r, rp)
-
-
-def angles_to_chord(curve: ConvexCurve, phi0: float, phi1: float):
-    """The chord (phi, t) with endpoint angles (phi0, phi1), as floats."""
-    phi, t = _chord_from_angles_arrays(curve, phi0, phi1)
-    return float(phi), float(t)
 
 
 def forward_map_batch(curve: ConvexCurve, p0, phi0):

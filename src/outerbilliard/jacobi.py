@@ -1,4 +1,4 @@
-"""Discrete Jacobi fields, conjugate points, Hessian minimality, Hopf field.
+"""Discrete Jacobi fields, conjugate points and the Hopf field.
 
 Along an orbit with configuration angles {q_n}, a Jacobi field {dq_n} solves
     b_{n-1} dq_{n-1} + a_n dq_n + b_n dq_{n+1} = 0,
@@ -106,13 +106,6 @@ class JacobiState:
 
 
 @dataclass(frozen=True)
-class MinimalityVerdict:
-    positive_definite: bool
-    first_nonpositive_minor: Optional[int]
-    pivots: np.ndarray
-
-
-@dataclass(frozen=True)
 class OmegaSample:
     """Hopf-field slope dp0/dq0 at a phase point, with its window diagnostics."""
 
@@ -213,29 +206,6 @@ def propagate_jacobi(window: OrbitWindow, dq0: float, dq1: float) -> JacobiState
     form_residual = float(np.abs(dp[1:] - dp_alt).max()) / scale
     return JacobiState(dq=dq, dp=dp, dq_beyond=float(dq_beyond),
                        form_residual=form_residual)
-
-
-def hessian_minimality(window: OrbitWindow) -> MinimalityVerdict:
-    """LDL^T positivity test of the window's tridiagonal Hessian.
-
-    Diagonal a_n over the window nodes, off-diagonal b_n between consecutive
-    nodes.  The k-th pivot is the ratio of consecutive leading principal
-    minors, so the first non-positive pivot indexes the first failing minor.
-    """
-    a = window.a_coeffs
-    off = window.b_coeffs[1:len(window)]
-    pivots = np.empty(a.size)
-    pivots[0] = a[0]
-    for i in range(1, a.size):
-        if pivots[i - 1] <= 0.0:
-            pivots[i:] = np.nan
-            break
-        pivots[i] = a[i] - off[i - 1] ** 2 / pivots[i - 1]
-    with np.errstate(invalid="ignore"):
-        bad = np.nonzero(~(pivots > 0.0))[0]
-    if bad.size:
-        return MinimalityVerdict(False, int(bad[0]) + 1, pivots)
-    return MinimalityVerdict(True, None, pivots)
 
 
 # -- conjugate points ----------------------------------------------------------

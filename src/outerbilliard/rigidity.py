@@ -59,14 +59,6 @@ def i_closed(r, rp, rpp) -> float:
 
 # -- the weighted integrand ------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntegrandSample:
-    f1: float
-    f2: float
-    f3: float
-    total: float
-
-
 def _weighted_total(r, rp, rpp, t):
     """(A^2 S11 + 2AB S12 + B^2 S22)(-S12) J, A = 1/r0^2, B = 1/r1^2, reduced to
     2 chi t^2 (alpha t^2 + beta) / ((chi t^2 + r^2) r0^2 r1^2) with alpha =
@@ -92,20 +84,6 @@ def _integrand_arrays(curve: ConvexCurve, phi, t):
     f2 = k * (t * rp - r) / (r * (u0 * u0 + t * t * r2))
     f3 = -k * (r + t * rp) / (r * (u1 * u1 + t * t * r2))
     return _weighted_total(r, rp, rpp, t), f1, f2, f3
-
-
-def integrand(curve: ConvexCurve, phi: float, t: float) -> IntegrandSample:
-    """Weighted integrand at one (phi, t) with the decomposition cross-check."""
-    total, f1, f2, f3 = _integrand_arrays(
-        curve, np.asarray(phi, dtype=float), np.asarray(t, dtype=float))
-    total, f1, f2, f3 = float(total), float(f1), float(f2), float(f3)
-    residual = abs(f1 + f2 + f3 - total)
-    if not residual <= 1e-10 * max(1.0, abs(total)):      # a NaN fails too
-        raise ConvergenceError(
-            f"integrand split f1 + f2 + f3 misses the total {total:.17g} "
-            f"by {residual:.3g} at phi={float(phi):.17g}, t={float(t):.17g}",
-            residual=residual)
-    return IntegrandSample(f1=f1, f2=f2, f3=f3, total=total)
 
 
 def _tail_arrays(r, rp, rpp, t_max: float):

@@ -10,13 +10,21 @@ right.
 digits, from the curve's radial function in closed form, to hold
 ``curves.radial_about`` to.
 
+``polar_point`` builds the phase point at polar coordinates (p, phi) about
+the curve's origin through ``dynamics.phase_point``; ``tridiagonal_hessian``
+is an orbit window's Hessian as a dense matrix, and
+``hessian_positive_definite`` its verdict by eigenvalues.
+
 ``write_derivative_csv_per_row`` writes the twist-scan table with one "%"
 per field, the bytes the package's array formatter must reproduce.
 """
 
+import math
+
 import numpy as np
 
 from outerbilliard.curves import ConvexCurve, PlanePoint, fourier, radial_about, require_valid
+from outerbilliard.dynamics import PhasePoint, phase_point
 from outerbilliard.errors import ConvergenceError
 from outerbilliard.quadrature import uniform_angles
 
@@ -62,6 +70,28 @@ def reorigin(curve: ConvexCurve, new_origin, grid_size: int = 2048) -> ConvexCur
             f"reorigin refit residual {residual:.3g} exceeds {REFIT_RESIDUAL_MAX:g}; "
             "raise grid_size or the coefficient cutoff", residual=residual)
     return require_valid(out)
+
+
+def polar_point(curve: ConvexCurve, p: float, phi: float) -> PhasePoint:
+    """The phase point at rho = sqrt(2 p) along the ray phi from the origin."""
+    rho = math.sqrt(2.0 * p)
+    return phase_point(curve,
+                       curve.origin[0] + rho * math.cos(phi),
+                       curve.origin[1] + rho * math.sin(phi))
+
+
+def tridiagonal_hessian(window) -> np.ndarray:
+    """The window's Hessian of the action sum: a_n on the diagonal over the
+    window nodes, b_n between consecutive nodes."""
+    m = len(window)
+    off = window.b_coeffs[1:m]
+    return np.diag(window.a_coeffs) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def hessian_positive_definite(window) -> bool:
+    """No conjugate points in the window: its Hessian's least eigenvalue is
+    positive."""
+    return bool(np.linalg.eigvalsh(tridiagonal_hessian(window)).min() > 0)
 
 
 def ray_root(curve: ConvexCurve, point, theta, phi):

@@ -367,7 +367,7 @@ def test_overflowing_arithmetic_exit_4(wobbly_file, tmp_path, argv, why):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 4
     assert proc.stderr.count("\n") == 1, proc.stderr
-    assert proc.stderr.startswith("error: optimizer failure: ") and why in proc.stderr
+    assert proc.stderr.startswith("error: solver failure: ") and why in proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["wobbly.json"]
 
 
@@ -377,7 +377,7 @@ def test_out_file_is_replaced_only_when_the_command_returns(wobbly_file, tmp_pat
     assert run(["--curve", wobbly_file, "--cmd", "portrait", "--t-max", "1e160",
                 "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: optimizer failure: ") and err.count("\n") == 1
+    assert err.startswith("error: solver failure: ") and err.count("\n") == 1
     assert out.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv", "wobbly.json"]
     argv = ["--curve", wobbly_file, "--cmd", "portrait", "--steps", "2", "--t-grid", "64"]

@@ -12,33 +12,42 @@ from conftest import radial, tangent
 from oracles import ray_root, reorigin
 
 
+def _sample(curve, phi):
+    """r, r', r'', chi, curvature chi / (r^2 + r'^2)^1.5 and arc element
+    ds/dphi = sqrt(r^2 + r'^2) at phi, from one radius call."""
+    r, r1, r2 = curve.radius(phi)
+    rp2 = r * r + r1 * r1
+    k = chi(r, r1, r2)
+    return r, r1, r2, k, k * rp2 ** -1.5, np.sqrt(rp2)
+
+
 def test_circle_sample(unit_circle):
-    s = ob.evaluate(unit_circle, 0.0)
-    assert float(s.r) == 1.0
-    assert float(s.r_prime) == 0.0
-    assert float(s.r_second) == 0.0
-    assert float(s.chi) == 1.0
-    assert float(s.curvature) == 1.0
-    assert float(s.arc_element) == 1.0
+    r, r1, r2, k, curvature, arc = _sample(unit_circle, 0.0)
+    assert float(r) == 1.0
+    assert float(r1) == 0.0
+    assert float(r2) == 0.0
+    assert float(k) == 1.0
+    assert float(curvature) == 1.0
+    assert float(arc) == 1.0
 
 
 def test_ellipse_sample_major_vertex(ellipse21):
-    s = ob.evaluate(ellipse21, 0.0)
-    assert float(s.r) == pytest.approx(2.0, abs=1e-15)
+    r, _, _, _, curvature, _ = _sample(ellipse21, 0.0)
+    assert float(r) == pytest.approx(2.0, abs=1e-15)
     # curvature at the major-axis vertex is a/b^2
-    assert float(s.curvature) == pytest.approx(2.0, abs=1e-12)
-    s2 = ob.evaluate(ellipse21, math.pi / 2)
-    assert float(s2.r) == pytest.approx(1.0, abs=1e-15)
-    assert float(s2.curvature) == pytest.approx(0.25, abs=1e-12)
+    assert float(curvature) == pytest.approx(2.0, abs=1e-12)
+    r, _, _, _, curvature, _ = _sample(ellipse21, math.pi / 2)
+    assert float(r) == pytest.approx(1.0, abs=1e-15)
+    assert float(curvature) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_fourier_sample_hand_values(wobbly3):
-    s = ob.evaluate(wobbly3, 0.0)
-    assert float(s.r) == pytest.approx(1.05, abs=1e-15)
-    assert float(s.r_prime) == pytest.approx(0.0, abs=1e-15)
-    assert float(s.r_second) == pytest.approx(-0.45, abs=1e-15)
+    r, r1, r2, k, _, _ = _sample(wobbly3, 0.0)
+    assert float(r) == pytest.approx(1.05, abs=1e-15)
+    assert float(r1) == pytest.approx(0.0, abs=1e-15)
+    assert float(r2) == pytest.approx(-0.45, abs=1e-15)
     # chi = 1.05^2 - 1.05 * (-0.45)
-    assert float(s.chi) == pytest.approx(1.575, abs=1e-14)
+    assert float(k) == pytest.approx(1.575, abs=1e-14)
 
 
 def test_ellipse_curvature_vs_parametric_fd(ellipse21):
@@ -49,7 +58,7 @@ def test_ellipse_curvature_vs_parametric_fd(ellipse21):
         d1 = (pts[2] - pts[0]) / (2 * h)
         d2 = (pts[2] - 2 * pts[1] + pts[0]) / h**2
         k_fd = abs(d1[0] * d2[1] - d1[1] * d2[0]) / np.hypot(*d1) ** 3
-        k = float(ob.evaluate(ellipse21, phi).curvature)
+        k = float(_sample(ellipse21, phi)[4])
         assert k == pytest.approx(float(k_fd), rel=1e-5)
 
 
@@ -288,8 +297,7 @@ def test_load_curve_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text('{"kind":"fourier","a0":1.0,"cos":[0,0,0.05],"sin":[]}')
     curve = ob.load_curve(good)
-    s = ob.evaluate(curve, 0.0)
-    assert float(s.r_second) == pytest.approx(-0.45, abs=1e-15)
+    assert float(curve.radius(0.0)[2]) == pytest.approx(-0.45, abs=1e-15)
 
 
 @pytest.mark.parametrize("spec", [

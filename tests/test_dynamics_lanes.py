@@ -20,6 +20,8 @@ import outerbilliard as ob
 from outerbilliard import dynamics
 from outerbilliard.quadrature import TWO_PI
 
+from oracles import polar_point
+
 try:
     from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:                          # numpy < 2
@@ -61,14 +63,14 @@ def _assert_same_bits(got, want, what):
 
 def _differential_fd_scalar(curve, a, base):
     """The one-point differential as it was before it ran on lanes: four
-    scalar steps from phase_point_polar, in the order p + h, p - h, phi + h,
+    scalar steps from oracles.polar_point, in the order p + h, p - h, phi + h,
     phi - h."""
     h = dynamics.DIFFERENTIAL_FD_H
     hp = h * max(1.0, a.p)
     out = np.empty((2, 2))
 
     def image(p, phi):
-        q = dynamics.step(curve, dynamics.phase_point_polar(curve, p, phi))
+        q = dynamics.step(curve, polar_point(curve, p, phi))
         dphi = (q.phi - base.phi + math.pi) % (2.0 * math.pi) - math.pi
         return q.p, base.phi + dphi
 

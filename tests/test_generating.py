@@ -1,14 +1,16 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import outerbilliard as ob
 from outerbilliard import curves, dynamics, generating
+from outerbilliard.curves import chi
 from outerbilliard.quadrature import TWO_PI, uniform_angles
 
-from oracles import write_derivative_csv_per_row
+from oracles import polar_point, write_derivative_csv_per_row
 
 PI = math.pi
 TABLE_CURVES = ["unit_circle", "ellipse21", "wobbly3", "fourier8", "fourier8_off_centre"]
@@ -19,7 +21,7 @@ def _random_chords(rng, n, t_lo=0.05, t_hi=3.0):
 
 
 def test_chord_to_angles_circle(unit_circle):
-    phi0, phi1, r0sq, r1sq = ob.chord_to_angles(unit_circle, 0.0, 1.0)
+    phi0, phi1, r0sq, r1sq = generating._angles_arrays(unit_circle, 0.0, 1.0)
     assert phi0 == pytest.approx(-PI / 4, abs=1e-15)
     assert phi1 == pytest.approx(PI / 4, abs=1e-15)
     assert r0sq == pytest.approx(2.0, abs=1e-15)
@@ -28,7 +30,7 @@ def test_chord_to_angles_circle(unit_circle):
 
 def test_chord_to_angles_fourier(wobbly3):
     # r(0) = 1.05, r'(0) = 0: same arctangents as the circle, radii scaled
-    phi0, phi1, r0sq, r1sq = ob.chord_to_angles(wobbly3, 0.0, 1.0)
+    phi0, phi1, r0sq, r1sq = generating._angles_arrays(wobbly3, 0.0, 1.0)
     assert phi0 == pytest.approx(-PI / 4, abs=1e-15)
     assert phi1 == pytest.approx(PI / 4, abs=1e-15)
     assert r0sq == pytest.approx(2.205, abs=1e-14)
@@ -38,7 +40,7 @@ def test_chord_to_angles_fourier(wobbly3):
 def test_chord_to_angles_degenerate_limit(presets):
     for curve in presets.values():
         for phi in (0.0, 1.3, 4.4):
-            phi0, phi1, r0sq, r1sq = ob.chord_to_angles(curve, phi, 1e-9)
+            phi0, phi1, r0sq, r1sq = generating._angles_arrays(curve, phi, 1e-9)
             r, _, _ = curve.radius_scalar(phi)
             assert phi0 == pytest.approx(phi, abs=2e-9)
             assert phi1 == pytest.approx(phi, abs=2e-9)
@@ -62,40 +64,28 @@ def test_arctan_branch_past_half_turn(ellipse21):
     r, rp, _ = ellipse21.radius_scalar(phi)
     assert rp > 0
     t = 1.5 * r / rp
-    phi0, phi1, _, _ = ob.chord_to_angles(ellipse21, phi, t)
+    phi0, phi1, _, _ = generating._angles_arrays(ellipse21, phi, t)
     assert phi - phi0 > PI / 2              # offset beyond the principal branch
-    back_phi, back_t = ob.angles_to_chord(ellipse21, phi0, phi1)
+    back_phi, back_t = generating._chord_from_angles_arrays(ellipse21, phi0, phi1)
     assert back_phi == pytest.approx(phi, abs=1e-10)
     assert back_t == pytest.approx(t, rel=1e-10)
 
 
 def test_angles_to_chord_circle(unit_circle):
-    phi, t = ob.angles_to_chord(unit_circle, -PI / 4, PI / 4)
+    phi, t = generating._chord_from_angles_arrays(unit_circle, -PI / 4, PI / 4)
     assert phi == pytest.approx(0.0, abs=1e-12)
     assert t == pytest.approx(1.0, abs=1e-12)
 
 
 def test_angles_to_chord_rejects_bad_pairs(unit_circle):
     with pytest.raises(ValueError):
-        ob.angles_to_chord(unit_circle, 1.0, 1.0)
+        generating._chord_from_angles_arrays(unit_circle, 1.0, 1.0)
     with pytest.raises(ValueError):
-        ob.angles_to_chord(unit_circle, 0.0, 3.5)
+        generating._chord_from_angles_arrays(unit_circle, 0.0, 3.5)
     # a NaN angle fails the gap check at once, not after 50 Newton iterations
     for pair in ((0.1, math.nan), (math.nan, 0.1)):
         with pytest.raises(ValueError, match="angle pair"):
-            ob.angles_to_chord(unit_circle, *pair)
-
-
-def test_chord_to_angles_rejects_a_non_positive_or_nan_t(unit_circle):
-    for t in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="must be positive"):
-            ob.chord_to_angles(unit_circle, 0.3, t)
-
-
-@pytest.mark.parametrize("phi", [math.nan, math.inf])
-def test_chord_to_angles_rejects_a_nan_or_infinite_phi(wobbly3, phi):
-    with pytest.raises(ValueError, match="phi finite"):
-        ob.chord_to_angles(wobbly3, phi, 0.3)
+            generating._chord_from_angles_arrays(unit_circle, *pair)
 
 
 def test_s_derivatives_rejects_a_nan_chord(wobbly3):
@@ -156,14 +146,15 @@ def test_chart_inversion_bisects_a_step_that_does_not_halve(ellipse21):
     # ~ 0.98; only bisecting a step larger than half the step before last
     # (rtsafe) reaches the root
     phi, t = 3.6622699757254282, 1.1236185358545159
-    phi0, phi1, _, _ = ob.chord_to_angles(ellipse21, phi, t)
-    back_phi, back_t = ob.angles_to_chord(ellipse21, phi0, phi1)
+    phi0, phi1, _, _ = generating._angles_arrays(ellipse21, phi, t)
+    back_phi, back_t = generating._chord_from_angles_arrays(ellipse21, phi0, phi1)
     assert back_phi == pytest.approx(phi, abs=1e-13)
     assert back_t == pytest.approx(t, rel=1e-13)
 
 
 def test_angles_to_chord_residual(ellipse21):
-    phi0, phi1, _, _ = ob.chord_to_angles(ellipse21, *ob.angles_to_chord(ellipse21, -0.3, 0.4))
+    chord = generating._chord_from_angles_arrays(ellipse21, -0.3, 0.4)
+    phi0, phi1, _, _ = generating._angles_arrays(ellipse21, *chord)
     assert phi0 == pytest.approx(-0.3, abs=1e-12)
     assert phi1 == pytest.approx(0.4, abs=1e-12)
 
@@ -173,9 +164,9 @@ def test_angles_to_chord_round_trips_through_chord_to_angles(fourier8):
     phi0 = rng.uniform(0.0, TWO_PI, 8)
     gap = rng.uniform(0.2, 2.8, 8)
     for a0, a1 in zip(phi0, phi0 + gap):
-        chord = ob.angles_to_chord(fourier8, a0, a1)
-        assert all(type(v) is float for v in chord)
-        back = ob.chord_to_angles(fourier8, *chord)
+        chord = generating._chord_from_angles_arrays(fourier8, a0, a1)
+        assert all(np.ndim(v) == 0 for v in chord)
+        back = generating._angles_arrays(fourier8, *chord)
         assert abs(back[0] - a0) < 1e-10
         assert abs(back[1] - a1) < 1e-10
 
@@ -224,6 +215,63 @@ def test_s12_circle_closed_form(unit_circle):
     for t in rng.uniform(0.05, 5.0, 50):
         d = ob.s_derivatives(unit_circle, float(rng.uniform(0, TWO_PI)), float(t))
         assert d["S12"] == pytest.approx(-t * (1 + t * t) / 2, rel=1e-13)
+
+
+def _symbolic_s_forms():
+    """S, S1, S2, S11, S12, S22 and J = det d(phi0, phi1)/d(phi, t) derived
+    with sympy from S = t r^2 through the chart phi0 = phi - atan2(t r, r -
+    t r'), phi1 = phi + atan2(t r, r + t r'), on the symbols r, r', r'',
+    r''' and t, where d/dphi takes each of r, r', r'' to the next.
+    [S1, S2] is [S_phi, S_t] times the inverse chart Jacobian, and each
+    second derivative the same of a first; S21 comes with them, to hold
+    S12 to it.  r''' enters d/dphi S1 and d/dphi S2 with the coefficients
+    dS1/dr'' and dS2/dr'', which are returned too: they cancel to 0, so the
+    second derivatives depend on r, r', r'' alone."""
+    sympy = pytest.importorskip("sympy")
+    r, r1, r2, r3, t = sympy.symbols("r r1 r2 r3 t")
+
+    def d_phi(f):
+        return sympy.diff(f, r) * r1 + sympy.diff(f, r1) * r2 + sympy.diff(f, r2) * r3
+
+    def chart_gradient(f):
+        return sympy.Matrix([[d_phi(f), sympy.diff(f, t)]])
+
+    a0, a1 = sympy.atan2(t * r, r - t * r1), sympy.atan2(t * r, r + t * r1)
+    jac = sympy.Matrix([[1 - d_phi(a0), -sympy.diff(a0, t)],
+                        [1 + d_phi(a1), sympy.diff(a1, t)]])
+    inv = jac.inv()
+    s = t * r * r
+    s1, s2 = chart_gradient(s) * inv
+    r3_coefficients = [sympy.cancel(sympy.diff(f, r2)) for f in (s1, s2)]
+    s1, s2 = sympy.cancel(s1), sympy.cancel(s2)
+    s11, s12 = chart_gradient(s1) * inv
+    s21, s22 = chart_gradient(s2) * inv
+    forms = {"S": s, "S1": s1, "S2": s2, "S11": s11, "S12": s12, "S21": s21, "S22": s22,
+             "J": jac.det()}
+    return (r, r1, r2, r3, t), forms, r3_coefficients
+
+
+# (r, r', r'', t) at which the closed forms meet the derivation; chi > 0 at
+# each, and the second has r - t r' = -1 < 0, past the chart's half-turn
+SYMBOLIC_POINTS = [("11/10", "3/10", "-7/10", "9/10"), ("2", "3", "1", "1"),
+                   ("1", "-1/5", "1/2", "1/100")]
+
+
+def test_s_closed_forms_match_a_symbolic_derivation():
+    sympy = pytest.importorskip("sympy")
+    mp = pytest.importorskip("mpmath").mp
+    symbols, forms, r3_coefficients = _symbolic_s_forms()
+    assert r3_coefficients == [0, 0]
+    assert not any(f.has(symbols[3]) for f in forms.values())
+    exact = {k: sympy.lambdify(symbols[:3] + symbols[4:], f, "mpmath") for k, f in forms.items()}
+    with mp.workdps(40):
+        for point in SYMBOLIC_POINTS:
+            args = [mp.mpf(q.numerator) / q.denominator for q in map(Fraction, point)]
+            got = generating.s_closed_forms(*args)
+            got["S21"] = got["S12"]
+            for name, f in exact.items():
+                want = f(*args)
+                assert abs(got[name] - want) <= mp.mpf("1e-30") * abs(want), (name, point)
 
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "fourier"])
@@ -378,7 +426,7 @@ def test_forward_map_agrees_with_step_near_and_far(request, name, band):
     p0, phi0 = _exterior_lanes(curve, *band)
     p1, phi1 = generating.forward_map_batch(curve, p0, phi0)
     for a, f, b, g in zip(p0, phi0, p1, phi1):
-        q = ob.step(curve, ob.phase_point_polar(curve, a, f))
+        q = ob.step(curve, polar_point(curve, a, f))
         assert abs(q.p - b) / max(1.0, q.p) < 1e-13
         assert abs((q.phi - g + PI) % TWO_PI - PI) < 1e-13
 
@@ -396,7 +444,7 @@ def test_forward_map_converges_within_rounding_of_the_curve(request, name):
         p0, phi0 = _exterior_lanes(curve, g, 2.0 * g, n=50)
         p1, phi1 = generating.forward_map_batch(curve, p0, phi0)
         for a, f, b, h in zip(p0, phi0, p1, phi1):
-            q = ob.step(curve, ob.phase_point_polar(curve, a, f))
+            q = ob.step(curve, polar_point(curve, a, f))
             assert abs(q.p - b) / max(1.0, q.p) < 1e-14 / math.sqrt(g), g
             assert abs((q.phi - h + PI) % TWO_PI - PI) < 1e-14 / math.sqrt(g), g
 
@@ -413,7 +461,7 @@ def test_forward_map_does_not_call_dynamics(monkeypatch, fourier8):
     # must not share the tangency solve, nor may the chart inversion that
     # shares the forward map's ray solve
     p0, phi0 = _exterior_lanes(fourier8, 0.15, 1.5, n=20)
-    want = [ob.step(fourier8, ob.phase_point_polar(fourier8, p, f)) for p, f in zip(p0, phi0)]
+    want = [ob.step(fourier8, polar_point(fourier8, p, f)) for p, f in zip(p0, phi0)]
     phi, t = _random_chords(np.random.default_rng(5), 20)
     a0, a1, _, _ = generating._angles_arrays(fourier8, phi, t)
 
@@ -483,9 +531,8 @@ def test_s12_vanishes_linearly_at_zero(presets):
         for phi in (0.2, 2.8):
             t = 1e-6
             d = ob.s_derivatives(curve, phi, t)
-            s = ob.evaluate(curve, phi)
             # S12 / t -> -chi/2 as t -> 0
-            assert d["S12"] / t == pytest.approx(-float(s.chi) / 2, rel=1e-4)
+            assert d["S12"] / t == pytest.approx(-chi(*curve.radius_scalar(phi)) / 2, rel=1e-4)
 
 
 def test_s_closed_forms_floats_match_arrays_bitwise(wobbly3, fourier8):

@@ -7,9 +7,13 @@ function's parameters, as closures do.  Likewise an imported name that its
 module never reads is dead weight; the package's ``__init__`` re-exports
 names, so it is not scanned for those.  And a defaulted parameter that no
 call in the package passes is a switch only tests or outside callers set.
+The package's exports are README's "Library surface" list, module by
+module, and every top-level function or class is read in the package or
+exported: one that neither is has no caller but tests.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import outerbilliard
@@ -123,3 +127,56 @@ def test_every_defaulted_parameter_in_src_is_passed_in_src():
         f"defaulted parameters no call in src/ passes: "
         f"{sorted(unpassed - set(ALLOWED_UNPASSED))}; "
         f"allowed but passed: {sorted(set(ALLOWED_UNPASSED) - unpassed)}")
+
+
+def _exports():
+    """{module: names} that the package's __init__ imports from each module."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            found.setdefault(node.module, set()).update(a.asname or a.name for a in node.names)
+    return found
+
+
+def _readme_surface():
+    """{module: names} of README's "- `module`: `name`, ..." bullets under
+    Library surface."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library surface")[1].split("\n## ")[0]
+    bullets = re.findall(r"^- `([a-z]+)`: (.*?)(?=\n- `|\n\n|\Z)", section, re.M | re.S)
+    return {module: set(re.findall(r"`(\w+)`", names)) for module, names in bullets}
+
+
+def test_exports_are_the_readme_surface():
+    # equality both ways, per module: a name exported but not listed, or
+    # listed but not exported, fails
+    exported, listed = _exports(), _readme_surface()
+    assert exported == listed, (
+        f"exported, not in README: "
+        f"{sorted((m, n) for m in exported for n in exported[m] - listed.get(m, set()))}; "
+        f"in README, not exported: "
+        f"{sorted((m, n) for m in listed for n in listed[m] - exported.get(m, set()))}")
+
+
+def _unreached_definitions():
+    """(module, name) of top-level functions and classes that no module of
+    the package reads, by name or as an attribute, and __init__ does not
+    export."""
+    defined, read = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined.update((path.stem, node.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    exported = set().union(*_exports().values())
+    return {(module, name) for module, name in defined if name not in read | exported}
+
+
+def test_every_definition_in_src_is_read_or_exported():
+    unreached = _unreached_definitions()
+    assert not unreached, f"defined in src/, never read there and not exported: {sorted(unreached)}"
