@@ -1,7 +1,7 @@
 """Command-line front door: data-only CSV/JSON output for external plotting.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid curve or usage,
-3 dynamics (tangency) failure, 4 solver failure.
+Exit codes: 0 success, 1 verification failure, 2 invalid curve, usage or not
+enough memory, 3 dynamics (tangency) failure, 4 solver failure.
 """
 
 import argparse
@@ -288,6 +288,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID_CURVE
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_CURVE
+    except MemoryError as exc:      # a grid too large to allocate
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_INVALID_CURVE
     except (TangencyError, InsideCurveError) as exc:
         step = getattr(exc, "step", None)

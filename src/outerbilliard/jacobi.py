@@ -10,7 +10,8 @@ to positive definiteness of the tridiagonal Hessian of the action sum over
 that window, which is what local minimality means.
 
 Orbits are stepped in the chord chart (phi, t), where every coefficient is a
-closed form in the curve data at the chord (no chart inversion needed).
+closed form in the curve data at the chord (no chart inversion needed).  One
+walk, propagate_jacobi, solves every window: verify's and hopf_omega's.
 """
 
 import math
@@ -39,16 +40,10 @@ RENORM_LIMIT = 1e100
 NO_TWIST = "the twist condition S12 < 0 fails"
 OVERFLOW = "the closed forms or the recurrence overflowed"
 UNSCANNED = f"t below {MIN_CHORD_T:g}"     # why a grid scan did not step a seed
-# Most seeds per conjugate-scan chunk.  It caps a chunk's memory (about 1.9
-# MiB of numpy temporaries at 4096 lanes) while leaving each of the 13 radius
-# evaluations per lane-step a long array pass; rows do not depend on it.
+# Most seeds per conjugate-scan chunk.  It caps a chunk's memory (measured in
+# CHANGES.md) while leaving each of the 13 radius evaluations per lane-step a
+# long array pass; rows do not depend on it.
 SCAN_CHUNK = 4096
-
-
-def _gap(r: float, rp: float, t: float) -> float:
-    """Angle advance q_{n+1} - q_n of a chord with r, r' at its tangency
-    angle; always in (0, pi)."""
-    return math.atan2(t * r, r - t * rp) + math.atan2(t * r, r + t * rp)
 
 
 def _nonzero_s12(s12: float, k: int) -> float:
@@ -78,19 +73,15 @@ def _jacobi_next(a, b_prev, b, dq, dq_prev):
 class OrbitWindow:
     """Coefficients along an orbit segment for window nodes M..N.
 
-    ``angles`` covers q_{M-1}..q_{N+1} (lifted to the real line).
     ``a_coeffs[i]`` is a_{M+i} for the N-M+1 window nodes;
     ``b_coeffs[j]``, ``s11[j]``, ``s22[j]`` belong to chord_{M-1+j} for the
     N-M+2 chords of the segment, chord_k joining nodes k and k+1.
     """
 
-    angles: np.ndarray
     a_coeffs: np.ndarray
     b_coeffs: np.ndarray
     s11: np.ndarray
     s22: np.ndarray
-    chords_phi: np.ndarray
-    chords_t: np.ndarray
     node_start: int
 
     def __len__(self):
@@ -149,12 +140,6 @@ class _ChordLine:
             self._back.append(_step_record(self.curve, last, -1))
         return self._fwd[k] if k >= 0 else self._back[-k - 1]
 
-    def a_of(self, n: int) -> float:
-        return self.record(n - 1)[3]["S22"] + self.record(n)[3]["S11"]
-
-    def b_of(self, n: int) -> float:
-        return _nonzero_s12(self.record(n)[3]["S12"], n)
-
 
 def build_window(curve: ConvexCurve, seed: PhasePoint, m_back: int, n_fwd: int) -> OrbitWindow:
     """Iterate the map both ways from the seed and fill the Jacobi coefficients.
@@ -164,27 +149,23 @@ def build_window(curve: ConvexCurve, seed: PhasePoint, m_back: int, n_fwd: int) 
     """
     if m_back < 0 or n_fwd < 0:
         raise ValueError("window extents must be non-negative")
-    line = _ChordLine(curve, seed)
-    records = [line.record(k) for k in range(-m_back - 1, n_fwd + 1)]   # chord_k, k = M-1 .. N
-    cphi, ct = (np.array([rec[i] for rec in records]) for i in (0, 1))
-    s11, s12, s22 = (np.array([rec[3][name] for rec in records])
-                     for name in ("S11", "S12", "S22"))
+    return _line_window(_ChordLine(curve, seed), m_back, n_fwd)
 
-    gaps = [_gap(*radial[:2], t) for _, t, radial, _ in records]
-    q = np.empty(len(records) + 1)
-    q[0] = seed.phi - sum(gaps[:m_back + 1])
-    for i, gap in enumerate(gaps):
-        q[i + 1] = q[i] + gap
 
-    return OrbitWindow(angles=q,
-                       a_coeffs=s22[:-1] + s11[1:],
-                       b_coeffs=s12, s11=s11, s22=s22,
-                       chords_phi=cphi, chords_t=ct, node_start=-m_back)
+def _line_window(line: _ChordLine, m_back: int, n_fwd: int) -> OrbitWindow:
+    """The window over nodes -m_back..n_fwd, from the line's chords -m_back-1..n_fwd."""
+    data = [line.record(k)[3] for k in range(-m_back - 1, n_fwd + 1)]
+    s11, s12, s22 = (np.array([d[name] for d in data]) for name in ("S11", "S12", "S22"))
+    return OrbitWindow(a_coeffs=s22[:-1] + s11[1:], b_coeffs=s12, s11=s11, s22=s22,
+                       node_start=-m_back)
 
 
 def propagate_jacobi(window: OrbitWindow, dq0: float, dq1: float) -> JacobiState:
     """Run the three-term recurrence from the first two window values.
 
+    Once |dq| passes RENORM_LIMIT, the whole field so far is divided by it:
+    a field times a positive constant is still a field, so dq, dp and
+    form_residual keep their meaning, and a long window does not overflow.
     dp is filled from the first form dp_n = -S11 dq_n - S12 dq_{n+1} (data at
     chord n) and cross-checked against the second form
     dp_n = S22 dq_n + S12 dq_{n-1} (data at chord n-1) on the overlap.
@@ -192,12 +173,14 @@ def propagate_jacobi(window: OrbitWindow, dq0: float, dq1: float) -> JacobiState
     L = len(window)
     if L < 2:
         raise ValueError("propagation needs a window of at least two nodes")
-    a, b, m = window.a_coeffs, window.b_coeffs, window.node_start
-    dq_ext = np.empty(L + 1)          # nodes M..N, then N+1
-    dq_ext[0], dq_ext[1] = dq0, dq1
+    a, b, m = window.a_coeffs.tolist(), window.b_coeffs.tolist(), window.node_start
+    field = [float(dq0), float(dq1)]  # nodes M..N, then N+1
     for i in range(1, L):             # b[i] belongs to chord m - 1 + i
-        dq_ext[i + 1] = _jacobi_next(a[i], b[i], _nonzero_s12(b[i + 1], m + i),
-                                     dq_ext[i], dq_ext[i - 1])
+        field.append(_jacobi_next(a[i], b[i], _nonzero_s12(b[i + 1], m + i),
+                                  field[i], field[i - 1]))
+        if (size := abs(field[-1])) > RENORM_LIMIT:
+            field = [x / size for x in field]
+    dq_ext = np.array(field)
     dq, dq_beyond = dq_ext[:L], dq_ext[L]
 
     dp = -window.s11[1:] * dq - window.b_coeffs[1:] * dq_ext[1:]
@@ -414,74 +397,49 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
 
 # -- Hopf construction ----------------------------------------------------------
 
-def _window_field(line: _ChordLine, n_win: int):
-    """Solve dq_{-N} = 0, dq_{-N+1} = 1 forward to node 2.
-
-    Returns (values at nodes -1..2, first node with a non-positive value or
-    None).  Renormalizes deep in the window to dodge overflow; ratios are all
-    that matter.
-    """
-    u_prev, u = 0.0, 1.0
-    stored = {}
-    for n in range(-n_win + 1, 2):
-        if u <= 0.0:
-            return None, n
-        if n >= -1:
-            stored[n] = u
-        u_prev, u = u, _jacobi_next(line.a_of(n), line.b_of(n - 1), line.b_of(n), u, u_prev)
-        if n < -2 and abs(u) > RENORM_LIMIT:
-            scale = abs(u)
-            u_prev /= scale
-            u /= scale
-    stored[2] = u
-    return stored, None
-
-
 def hopf_omega(curve: ConvexCurve, seed: PhasePoint) -> OmegaSample:
     """Finite-window Hopf construction of omega = dp0/dq0 at the seed.
 
-    Window N solves the boundary problem dq_{-N} = 0, dq_0 = 1; N doubles
-    from HOPF_START until |omega_2N - omega_N| < HOPF_TOL * scale, positivity
-    of the window field fails (reported as a finding, not an error), or N
-    exceeds HOPF_CAP (ConvergenceError with the last two iterates).  On
-    success the two evolution relations are evaluated at the seed from the
-    propagated field:
+    Window N solves dq_{-N} = 0, dq_{-N+1} = 1 over nodes -N..1 with
+    propagate_jacobi, every window on one line of chords, and omega is
+    dp_0/dq_0 of the first form.  N doubles from HOPF_START until
+    |omega_2N - omega_N| < HOPF_TOL * scale, positivity of the field at
+    nodes -N+1..1 fails (reported as a finding, not an error), or N exceeds
+    HOPF_CAP (ConvergenceError with the last two iterates).  On success the
+    two evolution relations, with the field scaled to dq_0 = 1,
 
-        omega(T x) = S22(q0,q1) + S12(q0,q1)/dq1       (first form at node 1)
-        omega(x)   = -S11(q0,q1) - S12(q0,q1) * dq1    (second form at node 0)
+        omega(T x) = S22(q0,q1) + S12(q0,q1)/dq1       (second form at node 1)
+        omega(x)   = -S11(q0,q1) - S12(q0,q1) * dq1    (first form at node 0)
 
-    and their residuals are returned; both sit at round-off when the
-    closed-form coefficients of adjacent chords are mutually consistent.
+    are held to the other form at their node.  The two forms differ by the
+    recurrence there, which the walk solves, so both residuals are round-off.
     """
     line = _ChordLine(curve, seed)
-    d0, d_prev = line.record(0)[3], line.record(-1)[3]
-    s11_0, s22_0, s12_0, s22_prev = d0["S11"], d0["S22"], d0["S12"], d_prev["S22"]
+    s11_0, s22_prev = line.record(0)[3]["S11"], line.record(-1)[3]["S22"]
     scale = max(1.0, abs(s11_0), abs(s22_prev))
 
-    omega = None
-    n_win = HOPF_START
+    omega, n_win = None, HOPF_START
     while n_win <= HOPF_CAP:
-        stored, bad_node = _window_field(line, n_win)
-        if stored is None:
+        window = _line_window(line, n_win, 1)
+        state = propagate_jacobi(window, 0.0, 1.0)      # state.dq[i] is at node i - N
+        bad = np.flatnonzero(state.dq[1:] <= 0.0)
+        if bad.size:
             return OmegaSample(
                 omega=None, window=n_win, converged=False, minimizing=False,
                 message=("not locally minimizing along the computed window: "
-                         f"field vanished at node {bad_node} of window {n_win}"))
-        omega_prev, omega = omega, (-s11_0 * stored[0] - s12_0 * stored[1]) / stored[0]
+                         f"field vanished at node {bad[0] + 1 - n_win} of window {n_win}"))
+        dq, dp = state.dq[n_win - 1:].tolist(), state.dp[n_win:].tolist()  # nodes -1..1, 0..1
+        omega_prev, omega = omega, dp[0] / dq[1]
         if omega_prev is not None and abs(omega - omega_prev) < HOPF_TOL * scale:
-            dq1 = stored[1] / stored[0]
-            d1 = line.record(1)[3]
-            omega_fwd = (-d1["S11"] * stored[1] - d1["S12"] * stored[2]) / stored[1]
-            rel_fwd = abs(omega_fwd - (s22_0 + s12_0 / dq1))
-            omega_here = s22_prev + d_prev["S12"] * stored[-1] / stored[0]
-            rel_here = abs(omega_here - (-s11_0 - s12_0 * dq1))
+            # the second form at nodes 0 and 1, on chords -1 and 0
+            s22, s12 = window.s22[n_win:].tolist(), window.b_coeffs[n_win:].tolist()
+            here, fwd = ((s22[k] * dq[k + 1] + s12[k] * dq[k]) / dq[k + 1] for k in (0, 1))
             return OmegaSample(
-                omega=float(omega), window=n_win, converged=True, minimizing=True,
-                bound_low=float(-s11_0), bound_high=float(s22_prev),
-                relation_fwd_residual=float(rel_fwd),
-                relation_here_residual=float(rel_here))
+                omega=omega, window=n_win, converged=True, minimizing=True,
+                bound_low=-s11_0, bound_high=s22_prev,
+                relation_fwd_residual=abs(dp[1] / dq[2] - fwd),
+                relation_here_residual=abs(here - omega))
         n_win *= 2
     raise ConvergenceError(
         f"window doubling did not converge by N={HOPF_CAP}: last iterates "
         f"{omega_prev:.17g}, {omega:.17g}", residual=abs(omega - omega_prev))
-

@@ -122,12 +122,12 @@ def i_numeric(r, rp, rpp, t_max: float = 50.0) -> INumericResult:
     value or estimate that is not finite raises ConvergenceError.
 
     Each node evaluates _weighted_total, whose chi, alpha and beta depend on
-    phi alone: about 13 array passes per node against 57 for the assembled
-    S11, S12, S22 and J, and within 1e-15 of its magnitude scale of a
-    40-digit reference (tests/test_rigidity.py).
+    phi alone, so it takes fewer array passes than the assembled S11, S12,
+    S22 and J (counted in CHANGES.md); it is within 1e-15 of its magnitude
+    scale of a 40-digit reference (tests/test_rigidity.py).
 
     Blocks of max(1, I_BLOCK // t.size) phi rows keep the temporaries in L2
-    cache (peak about 2 MiB; 78 MiB for the whole grid).
+    cache, whatever the grid (peak memory in CHANGES.md).
     """
     if not 10.0 <= t_max < math.inf:       # a NaN fails too
         raise ValueError(f"t_max must be finite and at least 10, got {t_max!r}")

@@ -214,6 +214,17 @@ def test_missing_seed_or_negative_steps_exit_2(circle_file, tmp_path, capsys, ar
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cmd", ["twist-scan", "rigidity", "conjugate-scan"])
+def test_grid_too_large_to_allocate_exit_2(circle_file, tmp_path, capsys, cmd):
+    # 2**50 passes the power-of-two rule; numpy refuses the 8 PiB arrays at
+    # once, so nothing is allocated, and no report or temporary file is left
+    assert run(["--curve", circle_file, "--cmd", cmd, "--phi-grid", str(2 ** 50),
+                "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory:") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [Path(circle_file)]
+
+
 def test_negative_exponent_seed_is_a_value(circle_file, tmp_path):
     # argparse's default number pattern reads "-1e-05" as a flag
     out = tmp_path / "orbit.csv"

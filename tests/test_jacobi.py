@@ -26,13 +26,21 @@ def conjugate_seed(wobbly3):
     return dynamics.chord_tail_point(wobbly3, 0.0, 1.5)
 
 
+def _chord_gaps(curve, seed, chords):
+    """Angle advance phi1 - phi0 of the line's chords k in chords."""
+    line = jacobi._ChordLine(curve, seed)
+    phi, t = np.array([line.record(k)[:2] for k in chords]).T
+    phi0, phi1, _, _ = generating._angles_arrays(curve, phi, t)
+    return phi1 - phi0
+
+
 def test_circle_window_coefficients(unit_circle, circle_seed):
     w = ob.build_window(unit_circle, circle_seed, 3, 3)
     assert len(w) == 7
     assert w.b_coeffs.size == 8
     assert np.abs(w.a_coeffs - 2.0).max() < 1e-12
     assert np.abs(w.b_coeffs + 1.0).max() < 1e-12
-    gaps = np.diff(w.angles)
+    gaps = _chord_gaps(unit_circle, circle_seed, range(-4, 4))    # the window's chords
     assert np.abs(gaps - math.pi / 2).max() < 1e-12
 
 
@@ -41,7 +49,7 @@ def test_window_invariants(presets):
         seed = dynamics.chord_tail_point(curve, 0.3, 0.9)
         w = ob.build_window(curve, seed, 5, 8)
         assert (w.b_coeffs < 0).all()
-        gaps = np.diff(w.angles)
+        gaps = _chord_gaps(curve, seed, range(-6, 9))
         assert gaps.min() > 0.0
         assert gaps.max() < math.pi
 
@@ -113,6 +121,33 @@ def test_hessian_matches_eigenvalues(wobbly3, conjugate_seed):
         assert hessian_positive_definite(w) == field_positive, (m_back, n_fwd)
         verdicts.add(field_positive)
     assert verdicts == {True, False}
+
+
+# the radial field of a point at parameters (theta0, rho) of the 2:1 ellipse,
+# against the exact field; its round-off grows like n^2 (measured: at most
+# 3 eps (1 + n^2) over n <= 10^4 on these seeds)
+EXACT_FIELD_STEPS = 10_000
+EXACT_FIELD_BUDGET = 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("theta0, rho", [(0.3, 1.05), (1.1, 1.5), (2.0, 3.0)])
+def test_ellipse_radial_field_is_exact(ellipse21, theta0, rho):
+    # diag(a, b) conjugates the ellipse's map to the circle's, where a point at
+    # radius rho turns by alpha = 2 acos(1/rho) a step.  A radial start keeps
+    # the ray (dtheta_0 = 0), so dtheta_n = n alpha'(rho) drho; with
+    # dp_0 = 1 for p = rho^2 D(theta0)/2 and dq/dtheta = ab/D(theta),
+    #   dq_n = 2 n a b / (rho^2 sqrt(rho^2 - 1) D(theta0) D(theta0 + n alpha)),
+    # D(theta) = a^2 cos^2 theta + b^2 sin^2 theta
+    a, b = 2.0, 1.0
+    seed = dynamics.phase_point(ellipse21, a * rho * math.cos(theta0), b * rho * math.sin(theta0))
+    w = ob.build_window(ellipse21, seed, 0, EXACT_FIELD_STEPS)
+    dq = ob.propagate_jacobi(w, 0.0, -1.0 / w.b_coeffs[1]).dq[1:]
+    n = np.arange(1, EXACT_FIELD_STEPS + 1)
+    theta = theta0 + n * 2.0 * math.acos(1.0 / rho)
+    d0, dn = (a * a * np.cos(x) ** 2 + b * b * np.sin(x) ** 2 for x in (theta0, theta))
+    exact = 2.0 * n * a * b / (rho ** 2 * math.sqrt(rho ** 2 - 1.0) * d0 * dn)
+    assert (dq > 0.0).all()
+    assert (np.abs(dq / exact - 1.0) <= EXACT_FIELD_BUDGET * (1.0 + n ** 2)).all()
 
 
 def test_radial_scan_circle_none(unit_circle, circle_seed):
@@ -436,8 +471,8 @@ def test_scalar_jacobi_paths_head_each_step_with_the_chords_radial_data(monkeypa
 
 
 def test_window_angles_from_one_radius_call_per_chord(monkeypatch, wobbly3):
-    # outside the tangency solves radius_scalar runs once per chord, and the
-    # angles are the atan2 gaps of that data, summed in the same order
+    # outside the tangency solves radius_scalar runs once per chord, at the
+    # chord's tangency angle
     seed = dynamics.chord_tail_point(wobbly3, 0.4, 0.3)
     calls, solving = [], []
     radius_scalar = ob.ConvexCurve.radius_scalar
@@ -460,16 +495,28 @@ def test_window_angles_from_one_radius_call_per_chord(monkeypatch, wobbly3):
         m.setattr(ob.ConvexCurve, "radius_scalar", counted)
         m.setattr(jacobi, "chord_of", solver(jacobi.chord_of))
         m.setattr(jacobi, "chord_step_scalar", solver(jacobi.chord_step_scalar))
-        w = ob.build_window(wobbly3, seed, 3, 5)
-    assert sorted(calls) == sorted(w.chords_phi.tolist())
-    gaps = []
-    for phi, t in zip(w.chords_phi.tolist(), w.chords_t.tolist()):
-        r, rp, _ = wobbly3.radius_scalar(phi)
-        gaps.append(math.atan2(t * r, r - t * rp) + math.atan2(t * r, r + t * rp))
-    q = [seed.phi - sum(gaps[:4])]
-    for gap in gaps:
-        q.append(q[-1] + gap)
-    assert np.array_equal(w.angles, q)
+        ob.build_window(wobbly3, seed, 3, 5)
+    line = jacobi._ChordLine(wobbly3, seed)
+    assert sorted(calls) == sorted(line.record(k)[0] for k in range(-4, 6))
+
+
+def test_hopf_windows_share_one_line_of_chords(monkeypatch, unit_circle, ellipse21, wobbly3):
+    # every doubled window reads the one line of chords: window N reads chords
+    # -N-1..1, so a call makes N + 2 chord steps in all, whatever the doublings
+    steps = []
+    chord_step = jacobi.chord_step_scalar
+
+    def counted(*args):
+        steps.append(args)
+        return chord_step(*args)
+
+    monkeypatch.setattr(jacobi, "chord_step_scalar", counted)
+    for curve, chord, window in ((unit_circle, (0.0, 0.5), 4096), (ellipse21, (0.3, 0.02), 512),
+                                 (wobbly3, (0.4, 0.03), 256)):
+        steps.clear()
+        om = ob.hopf_omega(curve, dynamics.chord_tail_point(curve, *chord))
+        assert (om.converged, om.window) == (True, window)
+        assert len(steps) == window + 2
 
 
 def _zero_s12_at(monkeypatch, chord):
@@ -612,7 +659,7 @@ def test_hopf_non_convergence_reports_the_last_two_iterates(monkeypatch, unit_ci
 
 # -- renormalisation -------------------------------------------------------------
 
-RENORMALISING = ("radial_conjugate_scan", "_scan_batch", "_window_field")
+RENORMALISING = ("radial_conjugate_scan", "_scan_batch", "propagate_jacobi")
 RENORM_TEST_LIMIT = 2.0       # low enough that every renormalising branch runs often
 # hopf_omega's omega is a difference of terms of size max(1, |S11|, |S22|), the
 # scale of its own convergence test; the renormalised run stays within this
