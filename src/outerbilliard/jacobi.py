@@ -405,7 +405,9 @@ def hopf_omega(curve: ConvexCurve, seed: PhasePoint) -> OmegaSample:
     dp_0/dq_0 of the first form.  N doubles from HOPF_START until
     |omega_2N - omega_N| < HOPF_TOL * scale, positivity of the field at
     nodes -N+1..1 fails (reported as a finding, not an error), or N exceeds
-    HOPF_CAP (ConvergenceError with the last two iterates).  On success the
+    HOPF_CAP (ConvergenceError with the last two iterates).  A window whose
+    dq or dp is not finite at some node raises ConvergenceError naming the
+    window and its first such node, before positivity is read.  On success the
     two evolution relations, with the field scaled to dq_0 = 1,
 
         omega(T x) = S22(q0,q1) + S12(q0,q1)/dq1       (second form at node 1)
@@ -422,6 +424,11 @@ def hopf_omega(curve: ConvexCurve, seed: PhasePoint) -> OmegaSample:
     while n_win <= HOPF_CAP:
         window = _line_window(line, n_win, 1)
         state = propagate_jacobi(window, 0.0, 1.0)      # state.dq[i] is at node i - N
+        bad = np.flatnonzero(~(np.isfinite(state.dq) & np.isfinite(state.dp)))
+        if bad.size:
+            raise ConvergenceError(f"non-finite Jacobi field at node {bad[0] - n_win} of window "
+                                   f"{n_win} of the seed (x, y) = ({seed.x:.17g}, {seed.y:.17g}): "
+                                   f"{OVERFLOW}")
         bad = np.flatnonzero(state.dq[1:] <= 0.0)
         if bad.size:
             return OmegaSample(

@@ -65,14 +65,29 @@ def _weighted_total(r, rp, rpp, t):
     (r^2 + r'^2)^2 + chi (r'^2 - r^2) = r'^2 (r^2 + 3 r'^2) + r r'' (r^2 - r'^2)
     and beta = r^2 (r r'' - 3 r'^2): S12 J = -chi t in s_closed_forms, and the
     t^5 terms of the rest cancel exactly.  alpha and beta vanish term by term
-    on a centred circle; r0^2 r1^2 = (p - m)(p + m).  Floats or arrays."""
+    on a centred circle; r0^2 r1^2 = (p - m)(p + m).  Floats or arrays.
+
+    The steps below form the sums and products of t^2 (2 chi alpha t^2 +
+    2 chi beta) / ((chi t^2 + r^2)(p - m)(p + m)) in that operand order;
+    the augmented ones reuse the fresh arrays on numpy inputs and rebind the
+    name on floats and symbols."""
     k = chi(r, rp, rpp)
     r2, rp2, t2 = r * r, rp * rp, t * t
     alpha = rp2 * (r2 + 3.0 * rp2) + r * rpp * ((r - rp) * (r + rp))
     beta = r2 * (r * rpp - 3.0 * rp2)
-    p, m = r2 + t2 * (r2 + rp2), t * (2.0 * r * rp)
-    return (t2 * ((2.0 * k * alpha) * t2 + 2.0 * k * beta)
-            / ((k * t2 + r2) * (p - m) * (p + m)))
+    p = t2 * (r2 + rp2)
+    p += r2
+    m = t * (2.0 * r * rp)
+    den = k * t2
+    den += r2
+    den *= p - m
+    p += m
+    den *= p
+    num = (2.0 * k * alpha) * t2
+    num += 2.0 * k * beta
+    num *= t2
+    num /= den
+    return num
 
 
 def _integrand_arrays(curve: ConvexCurve, phi, t):
@@ -127,7 +142,10 @@ def i_numeric(r, rp, rpp, t_max: float = 50.0) -> INumericResult:
     scale of a 40-digit reference (tests/test_rigidity.py).
 
     Blocks of max(1, I_BLOCK // t.size) phi rows keep the temporaries in L2
-    cache, whatever the grid (peak memory in CHANGES.md).
+    cache, whatever the grid (peak memory in CHANGES.md): _weighted_total
+    allocates five arrays of a block's size, and the mass pass takes |total|
+    in place.  I_BLOCK also fixes the rows of each BLAS product
+    total @ w, and so its rounding.
     """
     if not 10.0 <= t_max < math.inf:       # a NaN fails too
         raise ValueError(f"t_max must be finite and at least 10, got {t_max!r}")
@@ -145,7 +163,7 @@ def i_numeric(r, rp, rpp, t_max: float = 50.0) -> INumericResult:
             block = slice(i0, i0 + rows)
             total = _weighted_total(r[block], rp[block], rpp[block], t[None, :])
             inner[block] = total @ w
-            mass[block] = np.abs(total) @ w
+            mass[block] = np.abs(total, out=total) @ w
         tail1, tail23 = _tail_arrays(*radial, t_max)
         return (periodic_trapezoid(inner + tail1 + tail23),
                 periodic_trapezoid(mass + np.abs(tail1) + np.abs(tail23)))

@@ -3,9 +3,10 @@
 The stock json module prints floats with repr (shortest round-trip); reports
 here pin the textual format instead, so identical runs produce identical
 bytes and every scalar carries full double precision.  Tables go out as
-CSV through g17_csv, which writes a float array's "%.17g" text with numpy.
-A long list of row objects can reach dumps as columns (Rows), so that its
-float columns take the same array path.
+CSV through write_g17_csv, CSV_BLOCK rows at a time, each block's "%.17g"
+text written by g17_csv with numpy array arithmetic.  A long list of row
+objects can reach dumps as columns (Rows), so that its float columns take
+the same array path.
 """
 
 import numpy as np
@@ -120,7 +121,8 @@ def _json_floats(x):
 #   byte 0 sign, bytes 2-6 the "0.000" of -4 <= X < 0, bytes 7-24 the digits
 #   and the point (digit slot j at byte 7 + j), bytes 25-28 "e+XX", byte 30
 #   the separator that g17_csv writes;
-# the digits come four at a time from a table of "0000".."9999" strings, and
+# deleting the frame's NUL bytes, one bytes.translate, joins its fields.
+# The digits come four at a time from a table of "0000".."9999" strings, and
 # masks by X and the digit count keep the digits before the point from the
 # row and those after it from the row shifted by one byte.
 # The tables are built at import, in under a millisecond; G17_RANGE spans the
@@ -133,7 +135,7 @@ _X_LO, _X_HI = -32, 31        # X of the tables: G17_RANGE's, one below and one 
 _SPLIT = 134217729.0          # 2^27 + 1: Dekker's splitter of a double into 26 + 27 bits
 _LOG10_2 = 0.30102999566398120
 _DIGIT0 = 7                   # frame byte of the first digit slot
-CSV_BLOCK = 256               # rows formatted per g17_csv call by write_g17_csv
+CSV_BLOCK = 1024              # rows formatted per g17_csv call by write_g17_csv
 
 
 def _nearest_power(n):
@@ -224,8 +226,8 @@ def _g17_exact(x):
 
 def _g17_frame(x):
     """(len(x), _FRAME) uint8 frame whose row k is "%.17g" % x[k], NUL-padded,
-    so that frame[frame != 0] is the fields run together.  Temporaries are
-    dropped once used: they are the memory a table writer adds to its rows."""
+    so that its bytes less the NULs are the fields run together.  Temporaries
+    are dropped once used: they are the memory a table writer adds to its rows."""
     i, d, slow = _g17_exact(x)
     # D's digits as "000d" then four groups of four at frame bytes 4-23
     g3 = d // 10 ** 8
@@ -265,7 +267,7 @@ def g17_fields(x) -> list:
     """["%.17g" % v for v in x] for a 1-D float array x, by the array path."""
     frame = _g17_frame(np.asarray(x, dtype=float))
     frame[:, -2] = ord("\n")
-    return frame[frame != 0].tobytes().decode("ascii").split("\n")[:-1]
+    return frame.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
 
 
 def g17_csv(block) -> str:
@@ -275,7 +277,7 @@ def g17_csv(block) -> str:
     frame = _g17_frame(block.reshape(-1)).reshape(*block.shape, _FRAME)
     frame[:, :, -2] = ord(",")
     frame[:, -1, -2] = ord("\n")
-    return frame[frame != 0].tobytes().decode("ascii")
+    return frame.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_g17_csv(fh, chunks):

@@ -612,6 +612,26 @@ def test_non_finite_field_stops_the_radial_scan(monkeypatch, wobbly3):
         ob.radial_conjugate_scan(wobbly3, seed, 50)
 
 
+@pytest.mark.parametrize("k", [-3, 0, 1])
+def test_non_finite_field_stops_the_hopf_windows(monkeypatch, wobbly3, k):
+    # S11 = NaN at chord k makes dp NaN at node k.  A NaN fails no "<= 0"
+    # test and passes no convergence test, so the first window must raise,
+    # not double on to a finding (window 64, node -18 here) or to HOPF_CAP
+    seed = dynamics.chord_tail_point(wobbly3, 0.4, 0.3)
+    chord = jacobi._ChordLine(wobbly3, seed).record(k)[:2]
+    s_closed_forms = jacobi.s_closed_forms
+
+    def patched(r, rp, rpp, t):
+        d = s_closed_forms(r, rp, rpp, t)
+        return dict(d, S11=math.nan) if t == chord[1] else d
+
+    monkeypatch.setattr(jacobi, "s_closed_forms", patched)
+    with pytest.raises(ob.ConvergenceError, match=re.escape(
+            f"non-finite Jacobi field at node {k} of window {jacobi.HOPF_START} of the seed "
+            f"(x, y) = ({seed.x:.17g}, {seed.y:.17g}): {jacobi.OVERFLOW}")):
+        ob.hopf_omega(wobbly3, seed)
+
+
 # -- one recurrence, one coefficient source ---------------------------------------
 
 def test_window_coefficients_are_the_chord_lines_data(monkeypatch, presets, fourier8):

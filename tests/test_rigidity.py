@@ -89,6 +89,47 @@ def test_weighted_total_is_the_assembled_form_exactly():
     assert sympy.cancel(sympy.nsimplify(gap, rational=True)) == 0
 
 
+def _one_expression(r, rp, rpp, t):
+    """The reduced integrand as one expression, with _weighted_total's sums
+    and products in its operand order."""
+    k = curves.chi(r, rp, rpp)
+    r2, rp2, t2 = r * r, rp * rp, t * t
+    alpha = rp2 * (r2 + 3.0 * rp2) + r * rpp * ((r - rp) * (r + rp))
+    beta = r2 * (r * rpp - 3.0 * rp2)
+    p, m = r2 + t2 * (r2 + rp2), t * (2.0 * r * rp)
+    return (t2 * ((2.0 * k * alpha) * t2 + 2.0 * k * beta)
+            / ((k * t2 + r2) * (p - m) * (p + m)))
+
+
+def test_weighted_total_keeps_its_inputs_and_the_bits_of_one_expression(fourier8_refit):
+    # i_numeric's blocks at both passes, the default pass's last short block,
+    # flat arrays and floats: the steps that reuse buffers write to none of
+    # the inputs, and give the one expression's bits
+    r, rp, rpp = radial(fourier8_refit)
+    cases = []
+    for stride, nodes in ((1, rigidity.I_T_NODES), (2, max(6, rigidity.I_T_NODES // 2))):
+        t = gauss_panels(50.0, nodes)[0]
+        rows = rigidity.I_BLOCK // t.size
+        radial_rows = [x[::stride, None] for x in (r, rp, rpp)]
+        cases.append((*(x[:rows] for x in radial_rows), t[None, :]))
+        cases.append((*(x[-(x.size % rows):] for x in radial_rows), t[None, :]))
+    assert [np.broadcast_shapes(c[0].shape, c[3].shape) for c in cases] == [
+        (52, 312), (20, 312), (105, 156), (79, 156)]
+    t_flat = np.random.default_rng(5).uniform(1e-6, 50.0, r.size)
+    cases.append((r, rp, rpp, t_flat))
+    cases.append((float(r[7]), float(rp[7]), float(rpp[7]), 0.37))
+    for case in cases:
+        kept = [np.array(x, copy=True) for x in case]
+        total = rigidity._weighted_total(*case)
+        for x, before in zip(case, kept):
+            assert np.asarray(x).tobytes() == before.tobytes()
+        want = _one_expression(*case)
+        if isinstance(case[0], float):
+            assert type(total) is float and total.hex() == want.hex()
+        else:
+            assert total.shape == want.shape and total.tobytes() == want.tobytes()
+
+
 ORACLE_T = (1e-6, 1e-3, 0.1, 1.0, 5.0, 20.0, 50.0)
 # |kernel - oracle| <= WEIGHTED_BUDGET * C, where C is the kernel with every
 # difference in chi, alpha, beta and alpha t^2 + beta taken as a sum of

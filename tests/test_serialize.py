@@ -78,6 +78,34 @@ def test_block_writer_joins_short_chunks_and_cuts_long_ones(monkeypatch):
     assert calls == [block] * (len(rows) // block) + [len(rows) % block]
 
 
+# a row of fields that "%" writes: non-finite, zeros, magnitudes outside
+# G17_RANGE and exact ties at 17 digits
+SLOW_ROW = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-31, -1e31, 1e15 + 0.25,
+            -(1e15 + 0.75)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 256, 1024, 2101])
+def test_table_bytes_do_not_depend_on_the_block_size(monkeypatch, block):
+    # the real g17_csv through write_g17_csv on 2100 rows of 9 columns, with
+    # SLOW_ROW turned on the first and last rows of blocks of 7, 256 and 1024
+    # rows, and chunks cut across the blocks; g17_fields gives each column's
+    # fields of the same text
+    assert serialize._g17_exact(np.array(SLOW_ROW))[2].tolist() == list(range(len(SLOW_ROW)))
+    rng = np.random.default_rng(17)
+    table = rng.normal(size=(2100, 9)) * 10.0 ** rng.uniform(-20.0, 20.0, (2100, 9))
+    for row in (0, 6, 7, 255, 256, 1023, 1024, 2047, 2048, 2099):
+        table[row] = np.roll(SLOW_ROW, row)
+    monkeypatch.setattr(serialize, "CSV_BLOCK", block)
+    chunks = [table[lo:hi].T for lo, hi in ((0, 5), (5, 1030), (1030, 1031), (1031, 2100))]
+    buf = io.StringIO()
+    serialize.write_g17_csv(buf, chunks)
+    text = buf.getvalue()
+    assert text == per_field(table)
+    fields = [line.split(",") for line in text.splitlines()]
+    for j, col in enumerate(table.T):
+        assert serialize.g17_fields(col) == [row[j] for row in fields]
+
+
 @settings(deadline=None)
 @given(st.lists(st.floats(width=64), min_size=1, max_size=12))
 def test_any_floats(values):
