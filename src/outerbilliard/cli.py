@@ -40,6 +40,7 @@ ROWS = {
 # a t_grid x t_grid seed grid up to SCAN_T_MAX
 SCAN_ROW = {"steps": 2000, "t_grid": 64, "workers": 1}
 SCAN_T_MAX = 3.0
+UNSCANNED = f"t below {dynamics.MIN_CHORD_T:g}"     # why a grid scan did not step a seed
 # what a JSON report's config echoes, in this order, when its row holds it;
 # never workers, so reports are byte-identical for any worker count
 ECHOED = ("command", "steps", "phi_grid", "t_grid", "t_max", "tol")
@@ -211,13 +212,6 @@ def cmd_twist_scan(curve, s, out):
     return EXIT_OK
 
 
-def _scan_row(r):
-    row = {"seed_phi": r.seed_phi, "seed_t": r.seed_t, "n_conjugate": r.n_conjugate}
-    if r.unscanned is not None:
-        row["unscanned"] = r.unscanned
-    return row
-
-
 def cmd_conjugate_scan(curve, s, out):
     scan = jacobi.conjugate_grid_scan(
         curve, phi_count=s["phi_grid"], t_count=s["t_grid"], t_max=s["t_max"],
@@ -238,7 +232,7 @@ def cmd_conjugate_scan(curve, s, out):
         doc["unscanned_count"] = n_unscanned
     rows = {"seed_phi": scan.seed_phi, "seed_t": scan.seed_t,
             "n_conjugate": [None if n < 0 else n for n in index],
-            "unscanned": dict.fromkeys((~scan.steppable).nonzero()[0].tolist(), jacobi.UNSCANNED)}
+            "unscanned": dict.fromkeys((~scan.steppable).nonzero()[0].tolist(), UNSCANNED)}
     doc.update(rows=serialize.Rows(len(index), rows), config=_echo(s))
     out.write(serialize.dumps(doc))
     return EXIT_OK
@@ -252,11 +246,15 @@ def cmd_rigidity(curve, s, out):
         scan = jacobi.conjugate_grid_scan(
             curve, phi_count=s["t_grid"], t_count=s["t_grid"], t_max=SCAN_T_MAX,
             n_max=s["steps"], workers=s["workers"])
-        first = scan.first_found
+        # the first hit in grid order; a hit is always steppable, so no unscanned key
+        first = None
+        if scan.found_count:
+            i = (scan.n_conjugate >= 0).nonzero()[0][0]
+            first = {"seed_phi": float(scan.seed_phi[i]), "seed_t": float(scan.seed_t[i]),
+                     "n_conjugate": int(scan.n_conjugate[i])}
         doc["conjugate_scan"] = {
             "seeds": scan.seed_phi.size, "n_max": s["steps"], "t_max": SCAN_T_MAX,
-            "found_count": scan.found_count,
-            "first_found": None if first is None else _scan_row(first)}
+            "found_count": scan.found_count, "first_found": first}
     out.write(serialize.dumps(doc))
     return EXIT_OK
 

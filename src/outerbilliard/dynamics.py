@@ -17,30 +17,27 @@ tangency) and the scalar chord step (chord_step_scalar, behind the Jacobi
 and Hopf machinery along single orbits): Newton inside that bracket from
 the root of the second-order expansion of g about phi_A, bisecting only
 when a Newton step would leave the bracket or stall, stopping once the step
-is at round-off:
-about 4 radius evaluations per tangency at t = 1e-3 and 5-11 at t >= 0.1,
-counting the exterior check of the start point.  A point from phase_point,
-step or inverse_step keeps that check's (phi_A, |A|, r, r', r''), so a solve
-from it skips the check: a map step costs the solve plus one evaluation for
-the image's own check, 3.4 on average at t = 1e-3 and 5.4-7.4 at t in
-[0.1, 3] on the presets.
+is at round-off.  A point from phase_point, step or inverse_step keeps its
+exterior check's (phi_A, |A|, r, r', r''), so a solve from it skips the
+check: a map step costs the solve plus one evaluation for the image's own
+check.  The radius evaluations per tangency and per map step are measured in
+CHANGES.md.
 Its lane twin (_tangency_root_lanes, behind phase_lanes, step_lanes and
 differential_fd_lanes) runs the same solve on arrays of independent points,
 with the scalar's float operations lane by lane, so every lane has the
 scalar's bits; verify steps its sample points on it.  The lanes only mark
 where a step fails, with NaN; the scalar, run on the first marked lane,
-raises its own error.  A step costs 2.4-8.8 us a lane at 400 lanes on
-the golden curves against 10-33 us on the scalar (2-core Xeon), but 8-21 us
-at 64 lanes, where numpy's per-call cost dominates.  Orbits stay scalar, as
-each step needs the last; so does portrait, whose 64 orbits would make only
-64 lanes.
+raises its own error.  A lane step's gain over the scalar shrinks at a few
+dozen lanes, where numpy's per-call cost dominates (timings in CHANGES.md).
+Orbits stay scalar, as each step needs the last; so does portrait, whose 64
+orbits would make only 64 lanes.
 The batch chord step (chord_step_batch, behind the conjugate grid scan)
 steps forward only and runs one fixed schedule instead, N_BISECT
 bisections and then N_NEWTON deflated Newton steps: 13 radius evaluations
-per step, of r and r' only in the bisections, which make no trig call, and
-about 450 array passes on an ellipse.  Both chord steps take the radial data
-at the chord's own tangency angle from the caller, and agree to round-off,
-not bitwise.
+per step, of r and r' only in the bisections, which make no trig call (its
+array passes are counted in CHANGES.md).  Both chord steps take the radial
+data at the chord's own tangency angle from the caller, and agree to
+round-off, not bitwise.
 """
 
 import math
@@ -508,9 +505,10 @@ def chord_step_scalar(curve: ConvexCurve, phi_m: float, t: float, direction: int
     ``head`` is (r, r', r'') at phi_m, which the caller holds.  The point
     map's tangency solve (_tangency_root) from the chord's head
     B = gamma(phi_m) + direction t gamma'(phi_m): it stops once converged,
-    about 3-8 radius_scalar calls per step on the presets.  The batch kernel
-    runs its own fixed schedule, so the two agree to round-off, not bitwise
-    (see chord_step_batch); t below MIN_CHORD_T is refused by both.
+    so its radius_scalar calls per step vary (measured in CHANGES.md).  The
+    batch kernel runs its own fixed schedule, so the two agree to round-off,
+    not bitwise (see chord_step_batch); t below MIN_CHORD_T is refused by
+    both.
     """
     if not t >= MIN_CHORD_T:
         raise TangencyError(_near_boundary_message(t))

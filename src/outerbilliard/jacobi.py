@@ -17,7 +17,6 @@ walk, propagate_jacobi, solves every window: verify's and hopf_omega's.
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -39,10 +38,9 @@ ZERO_TOL = 1e-12          # |dq| below this times the running max counts as a ze
 RENORM_LIMIT = 1e100
 NO_TWIST = "the twist condition S12 < 0 fails"
 OVERFLOW = "the closed forms or the recurrence overflowed"
-UNSCANNED = f"t below {MIN_CHORD_T:g}"     # why a grid scan did not step a seed
 # Most seeds per conjugate-scan chunk.  It caps a chunk's memory (measured in
 # CHANGES.md) while leaving each of the 13 radius evaluations per lane-step a
-# long array pass; rows do not depend on it.
+# long array pass; results do not depend on it.
 SCAN_CHUNK = 4096
 
 
@@ -225,21 +223,12 @@ def radial_conjugate_scan(curve: ConvexCurve, seed: PhasePoint, n_max: int) -> O
     return None
 
 
-@dataclass(frozen=True)
-class ConjugateScanRow:
-    seed_phi: float
-    seed_t: float
-    n_conjugate: Optional[int]
-    unscanned: Optional[str] = None     # why the seed was not stepped
-
-
 @dataclass(frozen=True, eq=False)
 class ConjugateScanResult:
     """A grid scan as columns, one entry a seed in grid order: seed_phi,
     seed_t, n_conjugate (the first conjugate index, -1 for none) and
     steppable (False where the seed was not stepped, its t below
-    MIN_CHORD_T).  rows, found and unscanned are lists of ConjugateScanRow,
-    built from the columns when first read."""
+    MIN_CHORD_T)."""
 
     seed_phi: np.ndarray
     seed_t: np.ndarray
@@ -254,28 +243,6 @@ class ConjugateScanResult:
     @property
     def unscanned_count(self) -> int:
         return self.steppable.size - int(np.count_nonzero(self.steppable))
-
-    @property
-    def first_found(self) -> Optional[ConjugateScanRow]:
-        rows = self._rows(np.flatnonzero(self.n_conjugate >= 0)[:1])
-        return rows[0] if rows else None
-
-    @cached_property
-    def rows(self):
-        return self._rows(slice(None))
-
-    @cached_property
-    def found(self):
-        return self._rows(self.n_conjugate >= 0)
-
-    @cached_property
-    def unscanned(self):
-        return self._rows(~self.steppable)
-
-    def _rows(self, index):
-        cols = (self.seed_phi, self.seed_t, self.n_conjugate, self.steppable)
-        return [ConjugateScanRow(phi, t, n if n >= 0 else None, None if ok else UNSCANNED)
-                for phi, t, n, ok in zip(*(col[index].tolist() for col in cols))]
 
 
 def _scan_batch(curve: ConvexCurve, seed_phi: np.ndarray, seed_t: np.ndarray,
@@ -347,9 +314,9 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
 
     Seeds are the tails M0 of the chords of chord_grid, in its row order,
     and the result holds them as columns.  Seeds with t below MIN_CHORD_T
-    cannot be stepped: ``steppable`` is False there, their rows carry the
-    ``unscanned`` reason and ``complete`` goes False, unless no seed at all
-    can be stepped, which raises TangencyError.  The other seeds are cut, in
+    cannot be stepped: ``steppable`` is False there, their n_conjugate is -1
+    and ``complete`` goes False, unless no seed at all can be stepped, which
+    raises TangencyError.  The other seeds are cut, in
     grid order, into chunks of SCAN_CHUNK seeds, which run in up to
     min(workers, chunks, cores) processes, or in this process when that is
     one; so a grid of at most SCAN_CHUNK seeds, such as 64x64, never starts
@@ -380,7 +347,7 @@ def conjugate_grid_scan(curve: ConvexCurve, phi_count: int = 40, t_count: int = 
             results = list(pool.map(_scan_chunk_worker, jobs))
     else:
         # serial, grid order; with stop_at_first any hit stops the scan early,
-        # so rows past the hit (None) only mean "not fully scanned"
+        # so seeds past the hit (-1) only mean "not fully scanned"
         results = []
         for cp, ctt in chunks:
             results.append(_scan_batch(curve, cp, ctt, n_max, stop_at_first))

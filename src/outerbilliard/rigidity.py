@@ -249,7 +249,9 @@ def santalo_point(curve: ConvexCurve, grid: int = 2048) -> PlanePoint:
     3 Int u u^T s^-4 dtheta is positive definite on the interior, and the
     steps converge even from 0.999 r(phi) on a 10:1 ellipse, so no line
     search is taken.  An iterate outside the interior raises
-    ConvergenceError, and so does a step still above SANTALO_STEP_TOL
+    ConvergenceError, as does a Hessian determinant that is not positive and
+    finite (it scales like r^-8 and underflows to 0 on a circle of radius
+    1e41), and so does a step still above SANTALO_STEP_TOL
     max(1, diameter) after 60 iterations, with that step as its residual.
     """
     x = np.array(area_centroid(curve))
@@ -267,6 +269,8 @@ def santalo_point(curve: ConvexCurve, grid: int = 2048) -> PlanePoint:
         hxy = 3.0 * float(np.sum(ux * uy * s4))
         hyy = 3.0 * float(np.sum(uy * uy * s4))
         det = hxx * hyy - hxy * hxy
+        if not 0.0 < det < math.inf:     # underflows to 0 on huge curves; NaN fails too
+            raise ConvergenceError(f"Santalo point Newton Hessian determinant is {det!r}")
         dx = (hyy * gx - hxy * gy) / det
         dy = (-hxy * gx + hxx * gy) / det
         x[0] -= dx

@@ -127,18 +127,21 @@ def test_conjugate_scan_reports_unscanned_rows(circle_file, tmp_path):
 
 
 def test_conjugate_scan_writes_the_bytes_of_its_rows(circle_file, tmp_path):
-    # on a grid with unscanned rows: the CSV is each row rendered alone, the
-    # JSON the document of the rows as dicts
+    # on a grid with unscanned rows: the CSV is each seed's columns rendered
+    # alone, the JSON the document of the rows as dicts
     argv = ["--curve", circle_file, "--cmd", "conjugate-scan", "--t-max", "5e-5", "--steps", "10"]
     assert run(argv + ["--format", "csv", "--out", str(tmp_path / "scan.csv")]) == 0
     assert run(argv + ["--out", str(tmp_path / "scan.json")]) == 0
     scan = outerbilliard.conjugate_grid_scan(outerbilliard.circle(1.0), phi_count=64,
                                              t_count=64, t_max=5e-5, n_max=10)
-    lines = [f"{r.seed_phi:.17g},{r.seed_t:.17g},{'' if r.n_conjugate is None else r.n_conjugate}"
-             for r in scan.rows]
+    cols = list(zip(scan.seed_phi.tolist(), scan.seed_t.tolist(), scan.n_conjugate.tolist(),
+                    scan.steppable.tolist()))
+    lines = [f"{phi:.17g},{t:.17g},{'' if n < 0 else n}" for phi, t, n, _ in cols]
     assert (tmp_path / "scan.csv").read_text() == "\n".join(
         ["seed_phi,seed_t,n_conjugate"] + lines + ["# unscanned_rows=64", ""])
-    doc = {"found_count": 0, "unscanned_count": 64, "rows": [cli._scan_row(r) for r in scan.rows],
+    rows = [{"seed_phi": phi, "seed_t": t, "n_conjugate": None if n < 0 else n,
+             **({} if ok else {"unscanned": "t below 1.5e-06"})} for phi, t, n, ok in cols]
+    doc = {"found_count": 0, "unscanned_count": 64, "rows": rows,
            "config": {"command": "conjugate-scan", "steps": 10, "phi_grid": 64, "t_grid": 64,
                       "t_max": 5e-5}}
     assert (tmp_path / "scan.json").read_text() == outerbilliard.serialize.dumps(doc)
@@ -525,6 +528,27 @@ def test_rigidity_with_conjugate_scan(wobbly_file, tmp_path):
     assert scan["first_found"]["n_conjugate"] <= 300
 
 
+def test_rigidity_first_found_is_the_first_hit_in_grid_order(wobbly_file, wobbly3, tmp_path,
+                                                             monkeypatch):
+    # 64-seed chunks shared by two processes at --workers 2: the report keeps
+    # its bytes, and first_found is the grid scan's first seed with a hit
+    monkeypatch.setattr(outerbilliard.jacobi, "SCAN_CHUNK", 64)
+    monkeypatch.setattr(outerbilliard.jacobi.os, "cpu_count", lambda: 2)
+    texts = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"rig{workers}.json"
+        assert run(["--curve", wobbly_file, "--cmd", "rigidity", "--conjugate-scan",
+                    "--steps", "30", "--workers", workers, "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    first = json.loads(texts[0])["conjugate_scan"]["first_found"]
+    scan = outerbilliard.conjugate_grid_scan(wobbly3, phi_count=64, t_count=64,
+                                             t_max=cli.SCAN_T_MAX, n_max=30)
+    i = np.flatnonzero(scan.n_conjugate >= 0)[0]
+    assert first == {"seed_phi": scan.seed_phi[i], "seed_t": scan.seed_t[i],
+                     "n_conjugate": scan.n_conjugate[i]}
+
+
 def test_twist_scan_json(circle_file, tmp_path):
     out = tmp_path / "twist.json"
     assert run(["--curve", circle_file, "--cmd", "twist-scan", "--out", str(out)]) == 0
@@ -601,6 +625,21 @@ def test_optimizer_failure_exit_4(ellipse_file, tmp_path, monkeypatch):
     monkeypatch.setattr(rigidity, "santalo_point", no_convergence)
     assert run(["--curve", ellipse_file, "--cmd", "rigidity",
                 "--out", str(tmp_path / "r.json")]) == 4
+
+
+def test_rigidity_on_a_huge_circle_exit_4(tmp_path):
+    # a valid curve whose Santalo Newton determinant (about r^-8) underflows
+    # to 0: one error line and no output file, not a ZeroDivisionError traceback
+    spec = tmp_path / "circle.json"
+    spec.write_text('{"kind": "circle", "radius": 1e60}')
+    src = str(Path(outerbilliard.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "outerbilliard.cli", "--curve", str(spec),
+                           "--cmd", "rigidity", "--out", str(tmp_path / "out")],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: solver failure: Santalo point")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["circle.json"]
 
 
 def test_reports_are_deterministic(wobbly_file, tmp_path):

@@ -117,8 +117,9 @@ def test_scan_rows_match_their_golden(request, name):
     # counts that the reports carry
     scan = ob.conjugate_grid_scan(request.getfixturevalue(name), phi_count=16, t_count=16,
                                   n_max=300)
-    want = json.loads(SCAN_ROWS.read_text())[name]
-    got = [row.n_conjugate for row in scan.rows]
+    # the golden writes no hit as null, the scan's column as -1
+    want = [-1 if n is None else n for n in json.loads(SCAN_ROWS.read_text())[name]]
+    got = scan.n_conjugate.tolist()
     moved = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
     assert len(got) == len(want) and not moved, f"rows that moved on {name}: {moved}"
 
@@ -129,7 +130,8 @@ def test_scan_rows_match_their_golden_on_two_workers(monkeypatch, wobbly3):
     monkeypatch.setattr(jacobi, "SCAN_CHUNK", 64)
     monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 2)
     scan = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, n_max=300, workers=2)
-    assert [row.n_conjugate for row in scan.rows] == json.loads(SCAN_ROWS.read_text())["wobbly3"]
+    want = [-1 if n is None else n for n in json.loads(SCAN_ROWS.read_text())["wobbly3"]]
+    assert scan.n_conjugate.tolist() == want
 
 
 # tables too long to keep as goldens, pinned by their sha256: golden key ->
@@ -154,8 +156,8 @@ def _table_rows(curve, argv):
         return [",".join(f"{float(c[i]):.17g}" for c in cols) for i in range(pm.size)]
     scan = ob.conjugate_grid_scan(curve, phi_count=64, t_count=64, n_max=40,
                                   t_max=cli.ROWS["conjugate-scan"]["t_max"])
-    return [f"{r.seed_phi:.17g},{r.seed_t:.17g},{'' if r.n_conjugate is None else r.n_conjugate}"
-            for r in scan.rows]
+    return [f"{phi:.17g},{t:.17g},{'' if n < 0 else n}" for phi, t, n in zip(
+        scan.seed_phi.tolist(), scan.seed_t.tolist(), scan.n_conjugate.tolist())]
 
 
 def _written_rows(text, fmt):
@@ -216,8 +218,8 @@ def test_scan_goldens_hold_at_the_avx2_simd_level(request, tmp_path):
             "for name, spec in job['curves'].items():\n"
             "    scan = ob.conjugate_grid_scan(ob.curve_from_dict(spec), phi_count=16,\n"
             "                                  t_count=16, n_max=300)\n"
-            "    got = [row.n_conjugate for row in scan.rows]\n"
-            "    assert got == json.load(open(rows))[name], 'scan rows of ' + name\n"
+            "    want = [-1 if n is None else n for n in json.load(open(rows))[name]]\n"
+            "    assert scan.n_conjugate.tolist() == want, 'scan rows of ' + name\n"
             "for key, (name, argv) in job['tables'].items():\n"
             "    spec, out = work + '/' + name + '.json', work + '/' + key\n"
             "    json.dump(job['curves'][name], open(spec, 'w'))\n"

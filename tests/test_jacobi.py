@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import outerbilliard as ob
-from outerbilliard import dynamics, generating, jacobi
+from outerbilliard import cli, dynamics, generating, jacobi
 from outerbilliard.quadrature import TWO_PI
 
 from oracles import hessian_positive_definite, tridiagonal_hessian
@@ -193,18 +193,17 @@ def test_boundary_field_equivalence(presets):
 def test_grid_scan_wobbly_finds(wobbly3):
     scan = ob.conjugate_grid_scan(wobbly3, phi_count=8, t_count=8, t_max=3.0, n_max=500)
     assert scan.complete
-    found = scan.found
-    assert found
-    assert min(r.n_conjugate for r in found) >= 2
-    row = next(r for r in scan.rows
-               if abs(r.seed_phi) < 1e-12 and abs(r.seed_t - 1.5) < 1e-12)
-    assert row.n_conjugate == 6
+    found = scan.n_conjugate[scan.n_conjugate >= 0]
+    assert found.size
+    assert found.min() >= 2
+    at = (np.abs(scan.seed_phi) < 1e-12) & (np.abs(scan.seed_t - 1.5) < 1e-12)
+    assert scan.n_conjugate[np.flatnonzero(at)[0]] == 6
 
 
 def test_grid_scan_stop_at_first(wobbly3):
     scan = ob.conjugate_grid_scan(wobbly3, phi_count=8, t_count=8, t_max=3.0,
                                   n_max=500, stop_at_first=True)
-    assert scan.found
+    assert scan.found_count
 
 
 def test_grid_scan_workers_bitwise_identical(wobbly3, monkeypatch):
@@ -214,20 +213,21 @@ def test_grid_scan_workers_bitwise_identical(wobbly3, monkeypatch):
                                  n_max=300, workers=1)
     four = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, t_max=3.0,
                                   n_max=300, workers=4)
-    assert [r.n_conjugate for r in one.rows] == [r.n_conjugate for r in four.rows]
-    # three processes on four chunks, whole rows
+    assert one.n_conjugate.tolist() == four.n_conjugate.tolist()
+    # three processes on four chunks, every column
     monkeypatch.setattr(jacobi.os, "cpu_count", lambda: 4)
     three = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, t_max=3.0,
                                    n_max=300, workers=3)
-    assert three.rows == one.rows
+    for col in ("seed_phi", "seed_t", "n_conjugate", "steppable"):
+        assert np.array_equal(getattr(three, col), getattr(one, col))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_grid_scan_rows_read_from_its_columns_match_rows_built_per_seed(wobbly3, monkeypatch,
                                                                         workers):
     # a 16x16 grid with hits and misses, every 7th seed moved below
-    # MIN_CHORD_T; rows, found and unscanned, built from the result's columns
-    # when read, equal the rows built eagerly from one scan of the seeds
+    # MIN_CHORD_T; the result's columns equal one scan of the steppable seeds
+    # and the t >= MIN_CHORD_T mask
     phi, t = jacobi.chord_grid(16, 16, 3.0)
     t[::7] = 1e-6
     monkeypatch.setattr(jacobi, "chord_grid", lambda *grid: (phi, t))
@@ -237,15 +237,13 @@ def test_grid_scan_rows_read_from_its_columns_match_rows_built_per_seed(wobbly3,
     ok = t >= dynamics.MIN_CHORD_T
     index = np.full(t.size, -1)
     index[ok] = jacobi._scan_batch(wobbly3, phi[ok], t[ok], 300, False)
-    rows = [jacobi.ConjugateScanRow(p, s, n if n >= 0 else None, None if k else "t below 1.5e-06")
-            for p, s, n, k in zip(phi.tolist(), t.tolist(), index.tolist(), ok.tolist())]
-    found = [r for r in rows if r.n_conjugate is not None]
-    unscanned = [r for r in rows if r.unscanned is not None]
-    assert 0 < len(found) < len(rows) - len(unscanned) and unscanned
-    assert scan.rows == rows and scan.found == found and scan.unscanned == unscanned
+    found, unscanned = np.flatnonzero(index >= 0), np.flatnonzero(~ok)
+    assert 0 < found.size < t.size - unscanned.size and unscanned.size
+    assert np.array_equal(scan.seed_phi, phi) and np.array_equal(scan.seed_t, t)
+    assert np.array_equal(scan.n_conjugate, index) and np.array_equal(scan.steppable, ok)
     assert not scan.complete
-    assert (scan.found_count, scan.unscanned_count) == (len(found), len(unscanned))
-    assert scan.first_found == found[0]
+    assert (scan.found_count, scan.unscanned_count) == (found.size, unscanned.size)
+    assert np.flatnonzero(scan.n_conjugate >= 0)[0] == found[0]
 
 
 def test_grid_scan_rows_do_not_depend_on_chunk_size(wobbly3, monkeypatch):
@@ -256,13 +254,14 @@ def test_grid_scan_rows_do_not_depend_on_chunk_size(wobbly3, monkeypatch):
         monkeypatch.setattr(jacobi, "SCAN_CHUNK", chunk)
         scan = ob.conjugate_grid_scan(wobbly3, phi_count=16, t_count=16, t_max=3.0,
                                       n_max=300)
-        rows.append([(r.seed_phi, r.seed_t, r.n_conjugate) for r in scan.rows])
+        rows.append(list(zip(scan.seed_phi.tolist(), scan.seed_t.tolist(),
+                             scan.n_conjugate.tolist())))
     assert rows[0] == rows[1]
-    hits = [r for r in rows[0] if r[2] is not None]
+    hits = [r for r in rows[0] if r[2] >= 0]
     assert 0 < len(hits) < len(rows[0])
     for phi, t, n in rows[0][::17]:
         seed = dynamics.chord_tail_point(wobbly3, phi, t)
-        assert ob.radial_conjugate_scan(wobbly3, seed, 300) == n
+        assert ob.radial_conjugate_scan(wobbly3, seed, 300) == (n if n >= 0 else None)
 
 
 def test_grid_scan_worker_count_is_bounded(wobbly3, monkeypatch):
@@ -331,9 +330,9 @@ def test_grid_scan_chunks_are_capped_in_grid_order(wobbly3, monkeypatch):
     def scan(phi_count, workers):
         pools.clear()
         chunks.clear()
-        rows = ob.conjugate_grid_scan(wobbly3, phi_count=phi_count, t_count=16,
-                                      n_max=3, workers=workers).rows
-        starts = [(rows[i].seed_phi, rows[i].seed_t) for i in range(0, len(rows), 64)]
+        result = ob.conjugate_grid_scan(wobbly3, phi_count=phi_count, t_count=16,
+                                        n_max=3, workers=workers)
+        starts = list(zip(result.seed_phi[::64].tolist(), result.seed_t[::64].tolist()))
         assert [c[:2] for c in chunks] == starts
         return list(pools), [c[2] for c in chunks]
 
@@ -364,10 +363,10 @@ def test_grid_scan_marks_seeds_below_min_chord_t(unit_circle):
     scan = ob.conjugate_grid_scan(unit_circle, phi_count=8, t_count=64, t_max=5e-5,
                                   n_max=10)
     assert not scan.complete
-    short = [r for r in scan.rows if r.seed_t < dynamics.MIN_CHORD_T]
-    assert len(short) == 8
-    assert scan.unscanned == short
-    assert all(r.unscanned == "t below 1.5e-06" and r.n_conjugate is None for r in short)
+    short = scan.seed_t < dynamics.MIN_CHORD_T
+    assert np.count_nonzero(short) == 8
+    assert np.array_equal(~scan.steppable, short)
+    assert cli.UNSCANNED == "t below 1.5e-06" and (scan.n_conjugate[short] == -1).all()
     # a grid with no seed to step is an error, as a single chord step is
     with pytest.raises(ob.TangencyError):
         ob.conjugate_grid_scan(unit_circle, phi_count=8, t_count=8, t_max=1e-6, n_max=10)
@@ -710,7 +709,8 @@ def _renorm_results(unit_circle, ellipse21, wobbly3, circle_seed, conjugate_seed
               ob.radial_conjugate_scan(ellipse21, dynamics.chord_tail_point(ellipse21, 0.7, 1.4),
                                        3000),
               ob.radial_conjugate_scan(wobbly3, conjugate_seed, 3000)]
-    scans = [ob.conjugate_grid_scan(curve, phi_count=8, t_count=8, t_max=3.0, n_max=500).rows
+    scans = [ob.conjugate_grid_scan(curve, phi_count=8, t_count=8, t_max=3.0,
+                                    n_max=500).n_conjugate.tolist()
              for curve in (wobbly3, ellipse21)]
     hopf = [ob.hopf_omega(unit_circle, circle_seed)]
     hopf += [ob.hopf_omega(ellipse21, dynamics.chord_tail_point(ellipse21, phi, t))

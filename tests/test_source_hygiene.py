@@ -180,3 +180,26 @@ def _unreached_definitions():
 def test_every_definition_in_src_is_read_or_exported():
     unreached = _unreached_definitions()
     assert not unreached, f"defined in src/, never read there and not exported: {sorted(unreached)}"
+
+
+# a wall time, a memory size or a machine name: measurements, which belong in
+# CHANGES.md or a BENCH_*.json beside the machine they were taken on.
+# Structural counts, such as radius evaluations per step, are not matched
+MEASUREMENT = re.compile(r"[0-9][0-9.,-]*\s?(ns|us|µs|ms|KiB|MiB|GiB)\b|Xeon")
+
+
+def test_measurement_pattern_tells_a_timing_from_a_count():
+    for text in ("costs 2.4-8.8 us a lane", "about 5 ms", "peaks at 1.9 MiB", "2-core Xeon",
+                 "120µs"):
+        assert MEASUREMENT.search(text), text
+    for text in ("13 radius evaluations per step", "4096 seeds", "3 usages", "t = 1e-3"):
+        assert not MEASUREMENT.search(text), text
+
+
+def test_no_measurement_in_src():
+    # no allow-list: a figure that moves with the machine goes to CHANGES.md
+    found = [f"{path.relative_to(SRC)}:{i}: {line.strip()}"
+             for path in sorted(SRC.rglob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if MEASUREMENT.search(line)]
+    assert not found, "measurements in src/, move them to CHANGES.md:\n" + "\n".join(found)
