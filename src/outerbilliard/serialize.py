@@ -6,8 +6,11 @@ bytes and every scalar carries full double precision.  Tables go out as
 CSV through write_g17_csv, CSV_BLOCK rows at a time, each block's "%.17g"
 text written by g17_csv with numpy array arithmetic.  A long list of row
 objects can reach dumps as columns (Rows), so that its float columns take
-the same array path.
+the same array path; g17_fields is g17_csv on one column.  Either way a
+float's "%.17g" field becomes a JSON number by one rule, _json_number.
 """
+
+import json
 
 import numpy as np
 
@@ -16,12 +19,12 @@ _PAD = " " * INDENT
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _fmt_float(x: float) -> str:
-    s = f"{x:.17g}"
-    if "." in s or "e" in s:
-        return s
-    # keep the token a valid JSON number, or the token JSON readers take for it
-    return _NON_FINITE.get(s, s + ".0")
+def _json_number(field: str) -> str:
+    """A "%.17g" field as a JSON number: .0 after a field with no point or
+    exponent, and the names JSON readers take for nan and inf."""
+    if "." in field or "e" in field:
+        return field
+    return _NON_FINITE.get(field, field + ".0")
 
 
 def dumps(obj) -> str:
@@ -30,11 +33,11 @@ def dumps(obj) -> str:
 
 def _encode(obj, nl):
     """obj as JSON text; nl is a newline plus the indentation of obj's line.
-    Dispatch is on the exact type, most frequent first; subclasses (numpy
-    floats among them) are written as their base type."""
+    Dispatch is on the exact type, most frequent first; any other type,
+    a subclass such as numpy's float64 among them, raises TypeError."""
     kind = type(obj)
     if kind is float:
-        return _fmt_float(obj)
+        return _json_number(f"{obj:.17g}")
     if kind is dict:
         if not obj:
             return "{}"
@@ -47,7 +50,7 @@ def _encode(obj, nl):
         inner = nl + _PAD
         return "[" + inner + ("," + inner).join([_encode(v, inner) for v in obj]) + nl + "]"
     if kind is str:
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(obj, ensure_ascii=False)
     if kind is int:
         return str(obj)
     if obj is None:
@@ -58,9 +61,6 @@ def _encode(obj, nl):
         return "false"
     if kind is Rows:
         return _encode_rows(obj, nl)
-    for base in (str, int, float, dict, list, tuple):
-        if isinstance(obj, base):
-            return _encode(base(obj), nl)
     raise TypeError(f"cannot serialize {kind.__name__}")
 
 
@@ -68,7 +68,7 @@ class Rows:
     """A JSON array of objects given as columns, which dumps writes as the
     list of dicts it stands for.  columns maps each key, in the objects' key
     order, to a column: a float64 array, written by the exact "%.17g" array
-    path with _fmt_float's rules; a sequence of JSON values, one a row; or a
+    path with _json_number's rule; a sequence of JSON values, one a row; or a
     dict {row: value}, whose key appears only on the rows it names.  count is
     the number of rows."""
 
@@ -89,7 +89,7 @@ def _encode_rows(rows, nl):
             for i, v in col.items():
                 piece[i] = head + _encode(v, field)
         elif isinstance(col, np.ndarray) and col.dtype == np.float64:
-            piece = [head + v for v in _json_floats(col)]
+            piece = [head + _json_number(v) for v in g17_fields(col)]
         else:
             piece = [head + _encode(v, field) for v in col]
         pieces.append(piece)
@@ -97,11 +97,6 @@ def _encode_rows(rows, nl):
     bodies = map("".join, zip(*pieces)) if pieces else [""] * rows.count
     objs = [f"{{{body[1:]}{inner}}}" if body else "{}" for body in bodies]
     return "[" + inner + ("," + inner).join(objs) + nl + "]"
-
-
-def _json_floats(x):
-    """_fmt_float of each value of a 1-D float array, by the array path."""
-    return [v if "." in v or "e" in v else _NON_FINITE.get(v, v + ".0") for v in g17_fields(x)]
 
 
 # -- "%.17g" on float64 arrays -------------------------------------------------
@@ -264,10 +259,8 @@ def _g17_frame(x):
 
 
 def g17_fields(x) -> list:
-    """["%.17g" % v for v in x] for a 1-D float array x, by the array path."""
-    frame = _g17_frame(np.asarray(x, dtype=float))
-    frame[:, -2] = ord("\n")
-    return frame.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    """["%.17g" % v for v in x] for a 1-D float array x: g17_csv on one column."""
+    return g17_csv(np.reshape(x, (-1, 1))).splitlines()
 
 
 def g17_csv(block) -> str:

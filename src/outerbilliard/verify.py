@@ -47,24 +47,11 @@ class CheckResult:
     threshold: float
     error: Optional[str] = None     # "Type: message" of the exception a check raised
 
-    def to_dict(self) -> dict:
-        doc = {"name": self.name, "passed": self.passed, "value": self.value,
-               "threshold": self.threshold}
-        if self.error is not None:
-            doc["error"] = self.error
-        return doc
-
 
 @dataclass(frozen=True)
 class VerificationResult:
     checks: list
     all_passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 def _random_chords(rng, n, t_lo=0.05, t_hi=3.0):
@@ -86,10 +73,12 @@ def run_verification(curve: ConvexCurve) -> VerificationResult:
     checks = []
 
     def check(name, fn, threshold):
-        # a crashing check is a failed check that says why, not an aborted suite
+        # a crashing check is a failed check that says why, not an aborted suite;
+        # so is one whose arithmetic overflows or makes a NaN
         error = None
         try:
-            value = float(fn())
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                value = float(fn())
         except Exception as exc:
             value = math.inf
             error = f"{type(exc).__name__}: {exc}"
@@ -102,10 +91,12 @@ def run_verification(curve: ConvexCurve) -> VerificationResult:
     radial = curve.radius(uniform_angles(2048))
     half = tuple(v[::2] for v in radial)   # the 1024-angle sample, bit for bit
     # samples that several checks share; a raise is not cached, so every
-    # check that reads a failed sample records why
-    chord_radial = curve.radius(cphi)
-    closed = generating.s_closed_forms(*chord_radial, ct)
-    a0, a1, _, _ = generating._angles_arrays(curve, cphi, ct, chord_radial)
+    # check that reads a failed sample records why.  Overflow here is left
+    # to the checks that read the sample, which raise on their own arithmetic
+    with np.errstate(all="ignore"):
+        chord_radial = curve.radius(cphi)
+        closed = generating.s_closed_forms(*chord_radial, ct)
+        a0, a1, _, _ = generating._angles_arrays(curve, cphi, ct, chord_radial)
     n = N_SAMPLE
     fd_n = (cphi[:n], ct[:n])
     closed_n = {k: v[:n] for k, v in closed.items()}
@@ -181,7 +172,7 @@ def _radial_fd_error(curve, rng):
     fd1 = (r_p - r_m) / (2.0 * STENCIL_H)
     fd2 = (r_p - 2.0 * r + r_m) / (STENCIL_H * STENCIL_H)
     scale = max(1.0, float(np.abs(rp).max()), float(np.abs(rpp).max()))
-    return max(float(np.abs(fd1 - rp).max()), float(np.abs(fd2 - rpp).max())) / scale
+    return float(np.max([np.abs(fd1 - rp).max(), np.abs(fd2 - rpp).max()])) / scale
 
 
 def _chain_rule_error(curve, cphi, ct, d):
@@ -192,7 +183,7 @@ def _chain_rule_error(curve, cphi, ct, d):
 
 def _roundtrip_error(curve, cphi, ct, a0, a1):
     rphi, rt = generating._chord_from_angles_arrays(curve, a0, a1)
-    return max(float(np.abs(rphi - cphi).max()), float(np.abs(rt - ct).max()))
+    return float(np.max([np.abs(rphi - cphi).max(), np.abs(rt - ct).max()]))
 
 
 def _midpoint_error(curve, pts, images):
@@ -209,7 +200,7 @@ def _midpoint_error(curve, pts, images):
     dx, dy = pts.x - mx, pts.y - my
     off = np.hypot(mx - gx, my - gy) / curve.diameter
     sine = np.abs(dx * ty - dy * tx) / (np.hypot(dx, dy) * np.hypot(tx, ty))
-    return float(max(off.max(), sine.max()))
+    return float(np.max([off.max(), sine.max()]))
 
 
 def _symplecticity_error(curve, pts, images):
@@ -219,9 +210,8 @@ def _symplecticity_error(curve, pts, images):
 
 def _inverse_error(curve, pts, images):
     back = dynamics.step_lanes(curve, images, -1)
-    worst = max(map(math.hypot, (back.x - pts.x).tolist(), (back.y - pts.y).tolist()),
-                default=0.0)
-    return worst / max(1.0, curve.diameter)
+    worst = np.max(list(map(math.hypot, (back.x - pts.x).tolist(), (back.y - pts.y).tolist())))
+    return float(worst) / max(1.0, curve.diameter)
 
 
 def _decomposition_error(curve, rng):
@@ -261,11 +251,8 @@ def _s_stencil(curve, a0, a1, cphi, ct, closed):
 
 
 def _fd_partials_error(d, fd):
-    worst = 0.0
-    for key, approx in fd.items():
-        rel = np.abs(approx - d[key]) / np.maximum(1.0, np.abs(d[key]))
-        worst = max(worst, float(rel.max()))
-    return worst
+    return float(np.max([np.max(np.abs(approx - d[key]) / np.maximum(1.0, np.abs(d[key])))
+                         for key, approx in fd.items()]))
 
 
 def _mixed_partial_error(d, stencil):
@@ -274,9 +261,9 @@ def _mixed_partial_error(d, stencil):
     g1 = (stencil[(0, 1)]["S1"] - stencil[(0, -1)]["S1"]) / (2 * STENCIL_H)
     g2 = (stencil[(1, 0)]["S2"] - stencil[(-1, 0)]["S2"]) / (2 * STENCIL_H)
     sc = np.maximum(1.0, np.abs(d["S12"]))
-    return float(max(np.max(np.abs(g1 - d["S12"]) / sc),
-                     np.max(np.abs(g2 - d["S12"]) / sc),
-                     np.max(np.abs(g1 - g2) / sc)))
+    return float(np.max([np.max(np.abs(g1 - d["S12"]) / sc),
+                         np.max(np.abs(g2 - d["S12"]) / sc),
+                         np.max(np.abs(g1 - g2) / sc)]))
 
 
 def _jacobian_fd_error(curve, cphi, ct, radial, d, s12_fd):
@@ -334,15 +321,17 @@ def _cauchy_schwarz(r, rp, rpp):
 
 
 def _circle_law_error(curve, pts, images):
+    """T keeps |A| and turns A by 2 arccos(R / |A|): the worse of the change
+    in |A| relative to the radius R and the error of the turn."""
     radius = curve.radius_value
-    worst = 0.0
+    errors = []
     for p, phi, q, q_phi in zip(pts.p.tolist(), pts.phi.tolist(), images.p.tolist(),
                                 images.phi.tolist()):
         rho = math.sqrt(2.0 * p)
-        worst = max(worst, abs(math.sqrt(2.0 * q) - rho))
         adv = (q_phi - phi) % TWO_PI
-        worst = max(worst, abs(adv - 2.0 * math.acos(radius / rho)))
-    return worst
+        errors += [abs(math.sqrt(2.0 * q) - rho) / radius,
+                   abs(adv - 2.0 * math.acos(radius / rho))]
+    return float(np.max(errors))
 
 
 def _foliation_error(curve):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import outerbilliard
-from outerbilliard import cli, generating, verify
+from outerbilliard import cli, dynamics, generating, verify
+from outerbilliard.errors import TangencyError
 
 
 @pytest.fixture()
@@ -97,6 +98,28 @@ def test_simulate_non_finite_seed_exit_2(circle_file, tmp_path, capsys):
                     "--seed", *seed, "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--seed" in err
+
+
+@pytest.mark.parametrize("cmd, extra", [("simulate", ["--seed", "2", "0"]), ("portrait", [])])
+def test_an_orbit_failure_names_its_step(circle_file, tmp_path, capsys, monkeypatch, cmd, extra):
+    # the third tangency solve fails: the orbit's step 3, which the one error
+    # line names, and the --out file is never written
+    calls = []
+    root = dynamics._tangency_root
+
+    def failing_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise TangencyError("injected tangency failure")
+        return root(*args)
+
+    monkeypatch.setattr(dynamics, "_tangency_root", failing_third)
+    out = tmp_path / "out.csv"
+    assert run(["--curve", circle_file, "--cmd", cmd, *extra, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: dynamics failure at step 3:"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["circle.json"]
 
 
 def test_conjugate_scan_near_boundary_exit_3(circle_file, capsys):
@@ -504,6 +527,36 @@ def test_verify_records_why_a_check_raised(circle_file, tmp_path, monkeypatch):
     assert errors == {"midpoint_property": "RuntimeError: midpoint oracle unavailable"}
     midpoint = next(c for c in doc["checks"] if c["name"] == "midpoint_property")
     assert midpoint["passed"] is False
+
+
+def test_verify_on_a_huge_circle_says_why_each_check_failed(tmp_path):
+    # arithmetic on radius 1e60 overflows; a check it reaches fails with the
+    # FloatingPointError in its report, and numpy prints no warning
+    spec = tmp_path / "circle.json"
+    spec.write_text('{"kind": "circle", "radius": 1e60}')
+    out = tmp_path / "verify.json"
+    src = str(Path(outerbilliard.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "outerbilliard.cli", "--curve", str(spec),
+                           "--cmd", "verify", "--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    failed = [c for c in json.loads(out.read_text())["checks"] if not c["passed"]]
+    assert failed and all("error" in c for c in failed), failed
+
+
+@pytest.mark.parametrize("spec", ['{"kind": "circle", "radius": 1e6}',
+                                  '{"kind": "circle", "radius": 1e8}',
+                                  '{"kind": "circle", "radius": 1e6, "origin": [3e6, 1e6]}'],
+                         ids=["radius_1e6", "radius_1e8", "radius_1e6_off_centre"])
+def test_verify_passes_on_large_circles(tmp_path, spec):
+    # the circle law compares |T(A)| with |A| relative to the radius
+    path = tmp_path / "circle.json"
+    path.write_text(spec)
+    out = tmp_path / "verify.json"
+    assert run(["--curve", str(path), "--cmd", "verify", "--out", str(out)]) == 0, [
+        (c["name"], c["value"]) for c in json.loads(out.read_text())["checks"]
+        if not c["passed"]]
 
 
 def test_rigidity_ellipse(ellipse_file, tmp_path):

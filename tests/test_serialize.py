@@ -1,6 +1,7 @@
 """serialize.g17_csv against Python's own "%.17g", byte for byte."""
 
 import io
+import json
 import math
 import os
 import subprocess
@@ -233,7 +234,7 @@ def test_same_bytes_at_the_avx2_simd_level(tmp_path, wobbly3):
 
 # -- rows given as columns -----------------------------------------------------
 
-# every rule of _fmt_float: fields "%.17g" prints without a point (0.0, 3.0,
+# every rule of _json_number: fields "%.17g" prints without a point (0.0, 3.0,
 # 1e16 as "10000000000000000"), -0.0, magnitudes outside G17_RANGE, subnormals
 # and the non-finite names
 SPECIAL_FLOATS = [0.0, -0.0, 3.0, -3.0, 1e16, -1e16, 1e17, 123.5, 0.1, 2.5e-5,
@@ -300,3 +301,67 @@ def test_rows_of_any_floats_and_indices(rows):
 def test_g17_fields_are_percent_fields():
     x = np.concatenate([SPECIAL_FLOATS, 10.0 ** np.random.default_rng(4).uniform(-40, 40, 500)])
     assert serialize.g17_fields(x) == ["%.17g" % v for v in x.tolist()]
+
+
+# -- any document --------------------------------------------------------------
+
+# keys are identifiers, as every key the package writes is a constant
+_KEYS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True)
+_SCALARS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats(width=64))
+
+
+def _rows(count):
+    return st.builds(
+        lambda keys, floats, values, sparse: serialize.Rows(count, {
+            keys[0]: np.array(floats, dtype=float), keys[1]: values, keys[2]: sparse}),
+        st.lists(_KEYS, min_size=3, max_size=3, unique=True),
+        st.lists(st.floats(width=64), min_size=count, max_size=count),
+        st.lists(_SCALARS, min_size=count, max_size=count),
+        st.dictionaries(st.integers(0, count - 1), _SCALARS) if count else st.just({}))
+
+
+_DOCS = st.recursive(
+    _SCALARS | st.integers(0, 4).flatmap(_rows),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=16)
+
+
+def _read_back(doc):
+    """doc as JSON readers give it back: a Rows as its dicts, a tuple as a list."""
+    if type(doc) is serialize.Rows:
+        doc = _dicts(doc.count, doc.columns)
+    if type(doc) in (list, tuple):
+        return [_read_back(v) for v in doc]
+    if type(doc) is dict:
+        return {k: _read_back(v) for k, v in doc.items()}
+    return doc
+
+
+def _same(got, want):
+    """got == want, with NaN equal to NaN and -0.0 told from 0.0 by its sign."""
+    if type(want) is float:
+        return type(got) is float and (math.isnan(got) and math.isnan(want) or (
+            got == want and math.copysign(1.0, got) == math.copysign(1.0, want)))
+    if type(want) is list:
+        return type(got) is list and len(got) == len(want) and all(map(_same, got, want))
+    if type(want) is dict:
+        return (type(got) is dict and list(got) == list(want)
+                and all(_same(got[k], want[k]) for k in want))
+    return type(got) is type(want) and got == want
+
+
+@settings(deadline=None)
+@given(_DOCS)
+def test_any_document_reads_back_as_itself(doc):
+    # text with control characters, any float64, ints, bools, None and Rows,
+    # nested in dicts, lists and tuples
+    text = serialize.dumps(doc)
+    assert _same(json.loads(text), _read_back(doc)), text
+
+
+@pytest.mark.parametrize("value", [np.float64(1.5), np.int64(3), np.str_("s")],
+                         ids=["float64", "int64", "str_"])
+def test_numpy_scalars_are_refused(value):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        serialize.dumps({"x": [value]})

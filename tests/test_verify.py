@@ -1,5 +1,7 @@
 import json
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,9 +61,13 @@ def test_kind_specific_checks(presets):
     assert "ellipse_foliation" in ellipse_names
 
 
-def test_result_serialization(presets):
-    result = verify.run_verification(presets["circle"])
-    doc = result.to_dict()
+def test_result_serialization(tmp_path, presets):
+    # the CLI shapes the report from the check results
+    spec = tmp_path / "curve.json"
+    spec.write_text(json.dumps(ob.curve_to_dict(presets["circle"])))
+    out = tmp_path / "verify.json"
+    assert cli.main(["--curve", str(spec), "--cmd", "verify", "--out", str(out)]) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
     assert doc["all_passed"] is True
     assert all(set(c) == {"name", "passed", "value", "threshold"}
                for c in doc["checks"])
@@ -309,6 +315,64 @@ def test_check_fails_on_its_defect(monkeypatch, request, owner, attr, make_defec
     check = {c.name: c for c in verify.run_verification(curve).checks}[name]
     assert not check.passed and check.error is None
     assert check.value > check.threshold
+
+
+def test_fd_partials_fail_on_a_nan_closed_form(monkeypatch, wobbly3):
+    # S11 NaN on one sample chord: the check reads NaN and fails
+    closed_forms = generating.s_closed_forms
+
+    def nan_s11(*args):
+        d = closed_forms(*args)
+        if np.ndim(d["S11"]):
+            d["S11"] = d["S11"].copy()
+            d["S11"][3] = np.nan
+        return d
+
+    monkeypatch.setattr(generating, "s_closed_forms", nan_s11)
+    check = {c.name: c for c in verify.run_verification(wobbly3).checks}[
+        "fd_partial_derivatives"]
+    assert math.isnan(check.value) and not check.passed
+
+
+class _NaNRadius:
+    """A curve stub whose r'' is NaN, for the radial stencil."""
+
+    def radius(self, phi):
+        return np.ones_like(phi), np.zeros_like(phi), np.full_like(phi, np.nan)
+
+
+def _with_nan(x, k=1):
+    x = x.copy()
+    x[k] = np.nan
+    return x
+
+
+def test_each_check_reduction_keeps_a_nan(unit_circle):
+    # the NaN sits in a term after a finite one, which a reduction by
+    # Python's max would drop
+    rng = np.random.default_rng(1)
+    pts = verify._random_exterior(unit_circle, rng, 4)
+    images = dynamics.step_lanes(unit_circle, pts, 1)
+    cphi, ct = verify._random_chords(rng, 4)
+    a0, a1, _, _ = generating._angles_arrays(unit_circle, cphi, ct)
+    ones = np.ones(4)
+    d = {"S1": ones, "S11": ones, "S12": ones}
+    stencil = {key: {"S1": ones, "S2": ones} for key in ((0, 1), (0, -1), (1, 0), (-1, 0))}
+    stencil[(1, 0)] = {"S1": ones, "S2": _with_nan(ones)}
+    with np.errstate(invalid="ignore"):
+        values = {
+            "radial": verify._radial_fd_error(_NaNRadius(), rng),
+            "roundtrip": verify._roundtrip_error(unit_circle, cphi, _with_nan(ct), a0, a1),
+            # images at the points themselves: A - M is zero, its sine 0 / 0
+            "midpoint": verify._midpoint_error(unit_circle, pts, pts),
+            "mixed": verify._mixed_partial_error(d, stencil),
+            "inverse": verify._inverse_error(
+                unit_circle, SimpleNamespace(x=_with_nan(pts.x), y=pts.y), images),
+            "circle": verify._circle_law_error(
+                unit_circle, pts, SimpleNamespace(p=images.p, phi=_with_nan(images.phi))),
+            "fd": verify._fd_partials_error(d, {"S1": ones, "S11": _with_nan(ones)}),
+        }
+    assert [k for k, v in values.items() if not math.isnan(v)] == []
 
 
 def test_every_check_has_a_defect_case(presets):
